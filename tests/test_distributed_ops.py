@@ -2219,6 +2219,31 @@ def test_quality_filter_threshold_and_ties(ray_session, tmp_path):
     )
 
 
+@pytest.mark.parametrize("texts", [[], ["", ""]], ids=["no_docs", "all_empty_text"])
+def test_quality_filter_empty_corpus(ray_session, tmp_path, texts):
+    """No document with text leaves no p75 to threshold on: the filter
+    returns an empty (doc_id, alpha_ppm) frame instead of crashing."""
+    import pyarrow.parquet as pq
+
+    from universal_parquet_exporter_ray.pipelines.textops import QUERIES
+
+    tbl = pa.table(
+        {
+            "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+            "text": pa.array(texts, type=pa.string()),
+            "lang": pa.array(["en"] * len(texts), type=pa.string()),
+            "n_chars": pa.array([0] * len(texts), type=pa.int64()),
+        }
+    )
+    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
+
+    out = QUERIES["quality_filter"](str(tmp_path))
+    if not isinstance(out, pd.DataFrame):
+        out = out.to_pandas()
+    assert len(out) == 0
+    assert list(out.columns) == ["doc_id", "alpha_ppm"]
+
+
 def test_mixture_sample_rebalances_shares(ray_session, tmp_path):
     """Mixture rebalancing semantics on a skewed corpus: a language at 8×
     the uniform share is downsampled toward the uniform cap, languages at

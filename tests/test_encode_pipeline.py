@@ -508,9 +508,129 @@ def test_plan_key_counts_cached_by_source_fingerprint(ray_session, tmp_path, mon
     os.utime(src)
     assert _plan_key_counts([src], "repo") == {"a": 2, "b": 1}
 
+    # default root: per user, closed to other users
+    monkeypatch.delenv("UPXR_PLAN_CACHE_DIR")
+    root = f"/tmp/upxr_plan_cache-{os.getuid()}"
+    default = _plan_cache_path([src], "repo")
+    assert default is not None and os.path.dirname(default) == root
+    assert os.stat(root).st_mode & 0o777 == 0o700
+
     # kill switch
     monkeypatch.setenv("UPXR_PLAN_CACHE", "0")
     assert _plan_cache_path([src], "repo") is None
+
+
+def _inline_wave_bins(pids: list[str], sizes: list[int], n: int) -> list[list[str]]:
+    """The encode wave's bin packing as it was written inline before
+    ``lpt_bins``: heap LPT over ``min(n, len(pids))`` bins, non-empty bins
+    heaviest first."""
+    import heapq
+
+    order = sorted(range(len(pids)), key=lambda i: -sizes[i])
+    n_bins = max(1, min(n, len(pids)))
+    bins: list[list[str]] = [[] for _ in range(n_bins)]
+    loads = [0] * n_bins
+    heap = [(0, j) for j in range(n_bins)]
+    for i in order:
+        load, j = heapq.heappop(heap)
+        bins[j].append(pids[i])
+        loads[j] = load + sizes[i]
+        heapq.heappush(heap, (loads[j], j))
+    heavy_first = sorted(range(n_bins), key=lambda j: -loads[j])
+    return [bins[j] for j in heavy_first if bins[j]]
+
+
+def test_lpt_bins_matches_inline_wave_packing():
+    import random
+
+    from universal_parquet_exporter_ray.pipelines.encode import lpt_bins
+
+    rng = random.Random(5)
+    cases = [
+        ([7, 7, 7, 7, 3, 3, 1], 3),  # ties in size and in load
+        ([100, 1, 1, 1, 1, 1], 2),
+        ([5, 4, 3], 12),  # more bins than items
+        ([9], 1),
+        ([rng.randint(1, 10_000) for _ in range(300)], 48),
+    ]
+    for sizes, n in cases:
+        pids = [f"p{i:03d}" for i in range(len(sizes))]
+        got = [[pids[i] for i in b] for b in lpt_bins(sizes, n)]
+        assert got == _inline_wave_bins(pids, sizes, n)
+        loads = [sum(sizes[int(p[1:])] for p in b) for b in got]
+        assert loads == sorted(loads, reverse=True)
+
+
+def test_binned_decode_matches_source(ray_session, source_files_path, tmp_path):
+    """decoded_dataset packs partition files into fewer blocks than files;
+    full, projected and zone-pruned reads still equal the source, with each
+    row's ``_part`` the partition the encode assigned it. One partition is
+    re-encoded (resume) from a source without ``lang``, so projecting
+    ``lang`` puts that partition's empty decode in a block with full ones."""
+    from universal_parquet_exporter_ray.pipelines.encode import make_assigner
+    from universal_parquet_exporter_ray.state.manifest import (
+        read_manifest,
+        sanitize_partition_id,
+    )
+    from universal_parquet_exporter_ray.stages.encoder import PART_COL
+
+    src = pq.read_table(source_files_path)
+    out = str(tmp_path / "out")
+    kw = dict(partition_by="repo", hash_cols=["path"], target_rows_per_partition=200)
+    mdf = encode_dataset(source_files_path, out, **kw).to_pandas()
+    assert len(mdf) >= 8
+
+    # the partition each source row belongs to, from the recorded plan
+    lineage = json.loads(mdf.lineage.iloc[0])
+    counts = src["repo"].to_pandas().astype(str).value_counts().to_dict()
+    assign = make_assigner(
+        None, "repo", list(lineage["hash_cols"]), int(lineage["target_rows"]),
+        key_counts=counts,
+    )
+    want = src.to_pandas()
+    want[PART_COL] = [
+        sanitize_partition_id(p) for p in assign(src)[PART_COL].to_pylist()
+    ]
+
+    # re-encode one partition from a source lacking `lang`
+    victim = mdf.sort_values("n_rows").partition_id.iloc[len(mdf) // 2]
+    os.remove(os.path.join(out, "manifest", f"{victim}.parquet"))
+    shutil.rmtree(os.path.join(out, "parts", victim))
+    no_lang = str(tmp_path / "no_lang.parquet")
+    pq.write_table(src.drop_columns(["lang"]), no_lang)
+    encode_dataset(no_lang, out, **kw).to_pandas()
+    m2 = read_manifest(out).to_pandas().set_index("partition_id")
+    assert "lang" not in json.loads(m2.loc[victim, "codecs"])
+    assert "lang" in json.loads(m2.drop(index=victim).codecs.iloc[0])
+    want.loc[want[PART_COL] == victim, "lang"] = None
+
+    files = glob.glob(os.path.join(out, "parts", "*", "data.parquet"))
+    ds = decoded_dataset(out).materialize()
+    assert 1 <= ds.num_blocks() < len(files)
+
+    def frame(df, cols):
+        got = df[cols + [PART_COL]]
+        return got.sort_values(list(got.columns)).reset_index(drop=True)
+
+    def expect(df, cols):
+        return df[cols + [PART_COL]].sort_values(cols + [PART_COL]).reset_index(
+            drop=True
+        )
+
+    cols = src.column_names
+    pd.testing.assert_frame_equal(frame(ds.to_pandas(), cols), expect(want, cols))
+    # projection: the partition without `lang` contributes no rows
+    got = frame(decoded_dataset(out, columns=["lang"]).to_pandas(), ["lang"])
+    pd.testing.assert_frame_equal(
+        got, expect(want[want[PART_COL] != victim], ["lang"])
+    )
+    # zone-pruned read of the largest repo, exact predicate applied after
+    top = want["repo"].value_counts().index[0]
+    pruned = decoded_dataset(out, zone_filter=("repo", "==", top)).to_pandas()
+    pruned = pruned[pruned["repo"] == top]
+    pd.testing.assert_frame_equal(
+        frame(pruned, cols), expect(want[want["repo"] == top], cols)
+    )
 
 
 def test_default_hash_cols_skips_partition_key(ray_session, tmp_path):

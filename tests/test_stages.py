@@ -641,6 +641,56 @@ def test_check_shared_root_probes_all_nodes(ray_session, tmp_path):
     assert not os.path.exists(os.path.join(root, ".shared_root_probe"))
 
 
+def test_check_shared_root_reports_unreachable_node(ray_session, tmp_path, monkeypatch):
+    """A node listed Alive whose probe cannot run (draining, dying, or here
+    a node id no raylet owns) is reported as not visible within the probe
+    timeout, in the same RuntimeError, instead of hanging the build."""
+    import ray
+
+    from universal_parquet_exporter_ray.stages import ann
+
+    real_nodes = ray.nodes
+    ghost = {"Alive": True, "NodeID": "ab" * 28, "NodeManagerAddress": "10.255.0.9"}
+    monkeypatch.setattr(ray, "nodes", lambda: real_nodes() + [ghost])
+    monkeypatch.setattr(ann, "SHARED_ROOT_PROBE_TIMEOUT_S", 3)
+    with pytest.raises(RuntimeError, match=r"not visible from node\(s\) \['10\.255\.0\.9'\]"):
+        ann.check_shared_root(str(tmp_path / "probe_root"))
+
+
+def test_drift_retrial_failure_keeps_cached_fsst_table(tmp_path, monkeypatch):
+    """When the ratio guard re-trials a drifted column and the re-trial's
+    codec then fails to encode, the FSST symbol table of that failed choice
+    must not replace the cached one (it would seed the next partition's
+    trial); the choice cache entry is dropped and the column falls back to
+    zstd."""
+    from universal_parquet_exporter_ray.selector import CodecChoice
+    from universal_parquet_exporter_ray.stages import encoder
+
+    old_table, new_table = [b"old"], [b"new"]
+    real_encode = encoder.encode_column
+
+    def encode_column(arr, codec, state=None):
+        if state is new_table:
+            raise ValueError("forced re-trial encode failure")
+        return real_encode(arr, codec, state)
+
+    monkeypatch.setattr(encoder, "encode_column", encode_column)
+    monkeypatch.setattr(
+        encoder,
+        "select_codec",
+        lambda arr, fsst_state=None: CodecChoice("fsst", new_table, 0, None),
+    )
+    enc = encoder.PartitionEncoder(str(tmp_path / "out"))
+    enc._fsst_cache["c"] = (old_table, 0)
+    # a cached zstd choice whose fresh ratio this partition cannot approach:
+    # the guard re-trials
+    enc._choice_cache["c"] = (CodecChoice("zstd", None, 0, None), 0, 1e-9)
+    data = pa.table({"c": pa.array([f"value {i % 7}" for i in range(200)])})
+    enc.encode_partition(data, "p0")
+    assert enc._fsst_cache["c"][0] is old_table
+    assert "c" not in enc._choice_cache
+
+
 def test_read_manifest_promotes_old_schema(tmp_path):
     """A manifest file written before a column existed (schema evolution,
     e.g. pre-zonemaps outputs) must read back with that column as nulls —

@@ -69,6 +69,38 @@ def default_pool_size() -> int:
     return max(1, cpus - 1)
 
 
+# smallest input, in bytes, worth one Ray Data block: below it the fixed
+# per-task cost outweighs the parallelism. Floors the encode read split and
+# sizes the decode blocks of ``verify.decoded_dataset``.
+MIN_BLOCK_BYTES = 16 << 20
+
+
+def lpt_bins(sizes: list[int], n: int) -> list[list[int]]:
+    """Byte-balanced LPT (longest-processing-time-first) bin packing of
+    ``sizes`` into at most ``n`` bins: each item, largest first, goes to the
+    currently lightest bin. Returns the non-empty bins as lists of item
+    indices, heaviest bin first — dispatch order matters, since Ray schedules
+    in submission order and a big bin starting last is exactly the straggler
+    the balancing exists to avoid (measured ~30% wave tail when the largest
+    partitions landed at the end of the queue).
+
+    Heapified: O(P log B). The linear ``loads.index(min(...))`` scan is
+    O(P×B) — invisible at 40 files, hours of serial driver wall at the
+    10^6-partition / 10^5-bin design point (review r5)."""
+    import heapq
+
+    n = max(1, min(n, len(sizes)))
+    bins: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    heap = [(0, j) for j in range(n)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        load, j = heapq.heappop(heap)
+        bins[j].append(i)
+        loads[j] = load + sizes[i]
+        heapq.heappush(heap, (loads[j], j))
+    return [bins[j] for j in sorted(range(n), key=lambda j: -loads[j]) if bins[j]]
+
+
 # above this many PARTIAL rows (distinct key × batch), the driver-side merge
 # is replaced by a distributed groupby over the partials first — one row per
 # key reaches the driver instead of one per (key, batch)
@@ -91,7 +123,13 @@ def _plan_cache_path(files: list[str], key: str) -> Optional[str]:
     written ONLY by the driver (the plan is a driver-side dict), so a
     node-local default is correct even multi-node; ``UPXR_PLAN_CACHE=0``
     disables, ``UPXR_PLAN_CACHE_DIR`` relocates (e.g. to shared storage so
-    a re-submitted job on another head node also skips the scan)."""
+    a re-submitted job on another head node also skips the scan).
+
+    The default root is per user, ``/tmp/upxr_plan_cache-<uid>``, mode 0700:
+    in a world-shared directory another user could plant a predictably named
+    file with bogus counts and silently replace the salt plan. A default
+    root that is not a directory owned by this user and closed to others
+    disables the cache rather than trusting it."""
     if os.environ.get("UPXR_PLAN_CACHE", "1") in ("0", "false", "no"):
         return None
     import hashlib
@@ -103,7 +141,22 @@ def _plan_cache_path(files: list[str], key: str) -> Optional[str]:
             h.update(f"{f}:{st.st_size}:{st.st_mtime_ns};".encode())
     except OSError:
         return None
-    root = os.environ.get("UPXR_PLAN_CACHE_DIR", "/tmp/upxr_plan_cache")
+    root = os.environ.get("UPXR_PLAN_CACHE_DIR")
+    if not root:
+        import stat
+
+        root = f"/tmp/upxr_plan_cache-{os.getuid()}"
+        try:
+            os.makedirs(root, mode=0o700, exist_ok=True)
+            st = os.lstat(root)
+        except OSError:
+            return None
+        if (
+            not stat.S_ISDIR(st.st_mode)
+            or st.st_uid != os.getuid()
+            or stat.S_IMODE(st.st_mode) & 0o077
+        ):
+            return None
     return os.path.join(root, h.hexdigest()[:16] + ".parquet")
 
 
@@ -171,7 +224,7 @@ def _plan_key_counts(files: list[str], key: str) -> dict[str, int]:
             import pyarrow as pa
             import pyarrow.parquet as pq
 
-            os.makedirs(os.path.dirname(cache), exist_ok=True)
+            os.makedirs(os.path.dirname(cache), mode=0o700, exist_ok=True)
             tmp = cache + f".tmp{os.getpid()}"
             pq.write_table(
                 pa.table(
@@ -359,7 +412,7 @@ def encode_dataset(
             pass
         blocks = rtpc * cpus
         if src_bytes:
-            blocks = min(blocks, max(cpus, src_bytes // (16 << 20)))
+            blocks = min(blocks, max(cpus, src_bytes // MIN_BLOCK_BYTES))
         # LAZY: the default hot path (precomputed salt plan + self-read
         # spill) never consumes this Dataset, and constructing it eagerly
         # costs a per-file parquet-metadata prefetch (remote tasks over all
@@ -695,7 +748,7 @@ def encode_dataset(
         else:
             pids = []
         if pids:
-            # LPT bin-packing into workers×6 byte-balanced bins: fine enough
+            # LPT bin-packing into slots×12 byte-balanced bins: fine enough
             # that Ray's scheduler work-steals around stragglers, coarse
             # enough that per-task dispatch stays negligible. The bins run
             # as plain TASKS on the worker processes the spill stage already
@@ -705,30 +758,14 @@ def encode_dataset(
             # the wave runs uncapped as tasks, and a bins/slots ratio below
             # ~4 leaves a measurable straggler tail (byte-balanced bins are
             # only approximately time-balanced).
-            sizes = [int(pid_bytes[p]) for p in pids]
-            order = sorted(range(len(pids)), key=lambda i: -sizes[i])
             slots = max(pool, int(ray.cluster_resources().get("CPU", pool)))
             bins_per_slot = int(os.environ.get("UPXR_WAVE_BINS_PER_SLOT", "12"))
-            n_bins = max(1, min(slots * bins_per_slot, len(pids)))
-            bins: list[list[str]] = [[] for _ in range(n_bins)]
-            loads = [0] * n_bins
-            # heapified LPT: O(P log B). The linear loads.index(min(...))
-            # scan is O(P×B) — invisible at 40 files, hours of serial
-            # driver wall at the 10^6-partition / 10^5-bin design point
-            # (review r5)
-            import heapq
-
-            heap = [(0, j) for j in range(n_bins)]
-            for i in order:
-                load, j = heapq.heappop(heap)
-                bins[j].append(pids[i])
-                loads[j] = load + sizes[i]
-                heapq.heappush(heap, (loads[j], j))
-            # dispatch heaviest bins first: Ray schedules blocks in order,
-            # and a big bin starting last is exactly the straggler the
-            # balancing exists to avoid (measured ~30% wave tail when the
-            # largest partitions landed at the end of the queue)
-            heavy_first = sorted(range(n_bins), key=lambda j: -loads[j])
+            bins = [
+                [pids[i] for i in b]
+                for b in lpt_bins(
+                    [int(pid_bytes[p]) for p in pids], slots * bins_per_slot
+                )
+            ]
             import functools
             import json as _json
 
@@ -737,15 +774,13 @@ def encode_dataset(
             # spam + pickle overhead); a flat string column stays Arrow
             items = [
                 {
-                    "pids": bins[j],
-                    "raws": [pid_raw[p] for p in bins[j]],
+                    "pids": b,
+                    "raws": [pid_raw[p] for p in b],
                     "files": [
-                        _json.dumps([list(r) for r in pid_files[p]])
-                        for p in bins[j]
+                        _json.dumps([list(r) for r in pid_files[p]]) for p in b
                     ],
                 }
-                for j in heavy_first
-                if bins[j]
+                for b in bins
             ]
 
             from ..stages.exchange import exchange_encode_task

@@ -791,6 +791,12 @@ def q_quality_filter(sf_dir: str, pct_num: int = 3, pct_den: int = 4):
 
     scores = ds.map_batches(score, batch_format="pandas").materialize()
     n = scores.count()
+    if n == 0:
+        # no document with text: no order statistic to threshold on. A
+        # frame, not a Dataset: an all-empty Dataset loses its schema
+        return pd.DataFrame(
+            {"doc_id": np.array([], np.int64), "alpha_ppm": np.array([], np.int64)}
+        )
     k = (n - 1) * pct_num // pct_den + 1
     ranked = distributed_rank(scores, "alpha_ppm", "rn", descending=False)
 

@@ -2,9 +2,10 @@
 bit-identical to the source (north rule / input_hint: per-row ``sha256``
 equality on the content column + per-column multiset fingerprints).
 
-Both sides stream: the decoded side is one decode task per partition file
-(partition atomicity is a property of the ``parts/<pid>/data.parquet``
-layout, so no shuffle is needed to regroup blob rows),
+Both sides stream: the decoded side is a few decode tasks over
+size-balanced groups of partition files (partition atomicity is a property
+of the ``parts/<pid>/data.parquet`` layout, so no shuffle is needed to
+regroup blob rows),
 the source side re-runs the SAME deterministic partition assignment recorded
 in the manifest lineage. Each side reduces to one tiny fingerprint row per
 (partition, column): multiset SUM (mod 2^64) of per-row hashes — order-
@@ -193,15 +194,17 @@ def decoded_dataset(
 
     The encoded layout is one ``parts/<pid>/data.parquet`` file per
     partition, so partition atomicity is a FILE property — no shuffle is
-    needed to regroup blob rows. One decode task per partition file (the
-    file list is tiny metadata, one path per partition, same cardinality
-    the manifest reader already handles driver-side).
+    needed to regroup blob rows. The files are LPT-packed by size into
+    ``min(files, max(cpus, total_bytes / MIN_BLOCK_BYTES))`` blocks (one
+    decode task each, heaviest first), the same floor as the encode read
+    split: one task per file paid a fixed per-task cost that was most of a
+    small output's read (23 tasks for 3.4 MB). Every decoded row keeps its
+    partition id in ``_part``.
 
-    ``columns``: decode only these columns — the encoded layout stores one
-    blob row per column, so projection pushdown skips the other columns'
-    payload bytes entirely (the columnar-format payoff): the pruned rows'
-    ``payload`` bytes are never materialized thanks to parquet row filtering
-    at the read.
+    ``columns``: decode only these columns. The encoded layout stores one
+    blob row per column, so the other columns' payloads are read from disk
+    but never decoded: projection skips the decode, not the read (the
+    partition file is read whole, then filtered to the wanted blob rows).
 
     ``zone_filter``: ``(column, op, value)`` with op in >,>=,<,<=,== — prune
     whole partitions via the manifest zone maps BEFORE any payload read (at
@@ -209,16 +212,15 @@ def decoded_dataset(
     reading only the key range's). Pruning is sound-not-complete: the caller
     must still apply the exact predicate to the decoded rows."""
     import glob
+    import math
     import os
 
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ..codecs.base import type_from_bytes
     from ..state.manifest import parts_path
-
-    import json as _json
-
-    import pyarrow as pa  # noqa: F811 (closure type hints)
-    import pyarrow.parquet as _pq
-
-    from ..state.manifest import read_manifest
+    from .encode import MIN_BLOCK_BYTES, lpt_bins
 
     files = sorted(glob.glob(os.path.join(parts_path(out_dir), "*", "data.parquet")))
     if not files:
@@ -233,10 +235,8 @@ def decoded_dataset(
         if not files:
             # predicate excludes every partition: empty dataset, typed when
             # a projection gives us the schema, schemaless otherwise
-            import pandas as _pd
-
-            return ray.data.from_pandas(_pd.DataFrame())
-    wanted = set(columns) if columns is not None else None
+            return ray.data.from_pandas(pd.DataFrame())
+    wanted = sorted(set(columns)) if columns is not None else None
     empty_schema = None
     if wanted is not None:
         # validate the projection ONCE up front against the manifest (the
@@ -246,51 +246,55 @@ def decoded_dataset(
         # sources) and decode to an empty typed table below.
         all_cols: set = set()
         for cj in read_manifest(out_dir)["codecs"].to_pylist():
-            all_cols.update(_json.loads(cj))
-        missing = wanted - all_cols
+            all_cols.update(json.loads(cj))
+        missing = set(wanted) - all_cols
         if missing:
             raise ValueError(
                 f"decoded_dataset: columns {sorted(missing)} not present in "
                 f"the encoded output (available: {sorted(all_cols)})"
             )
         # typed empty-batch schema from the first file carrying each column
-        from ..codecs.base import type_from_bytes
-
         field_types: dict = {}
         for path in files:
-            t = _pq.read_table(path, columns=["column", "type_ipc"])
+            t = pq.read_table(path, columns=["column", "type_ipc"])
             for c, tb in zip(t["column"].to_pylist(), t["type_ipc"].to_pylist()):
                 if c in wanted and c not in field_types:
                     field_types[c] = type_from_bytes(tb)
             if len(field_types) == len(wanted):
                 break
         empty_schema = pa.schema(
-            [pa.field(c, field_types[c]) for c in sorted(wanted)]
-            + [pa.field("_part", pa.string())]
+            [pa.field(c, field_types[c]) for c in wanted]
+            + [pa.field(PART_COL, pa.string())]
         )
 
     def decode_files(batch: "pa.Table") -> "pa.Table":
         import pyarrow as pa
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
         decoder = PartitionDecoder()
+        keep = pa.array(wanted, pa.string()) if wanted is not None else None
         outs = []
-        for path in batch["path"].to_pylist():
-            t = pq.read_table(path)
-            if wanted is not None:
-                mask = pa.array([c in wanted for c in t["column"].to_pylist()])
-                t = t.filter(mask)
-            if t.num_rows:
-                outs.append(decoder(t))
+        for paths in batch["paths"].to_pylist():
+            for path in paths:
+                t = pq.read_table(path)
+                if keep is not None:
+                    t = t.filter(pc.is_in(t["column"], value_set=keep))
+                if t.num_rows:
+                    outs.append(decoder(t))
         if not outs:
-            # a partition without any requested column: empty typed block
-            # (consistent with multi-file batches that skip it silently)
+            # no partition in the block carries a requested column: empty
+            # typed block (multi-partition blocks skip such partitions)
             return empty_schema.empty_table()
         return pa.concat_tables(outs, promote_options="default")
 
-    return ray.data.from_items(
-        [{"path": f} for f in files], override_num_blocks=max(1, len(files))
-    ).map_batches(decode_files, batch_format="pyarrow", batch_size=None)
+    sizes = [os.path.getsize(f) for f in files]
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n_blocks = min(len(files), max(cpus, math.ceil(sum(sizes) / MIN_BLOCK_BYTES)))
+    items = [{"paths": [files[i] for i in b]} for b in lpt_bins(sizes, n_blocks)]
+    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+        decode_files, batch_format="pyarrow", batch_size=None
+    )
 
 
 def compression_report(out_dir: str) -> pd.DataFrame:

@@ -391,6 +391,12 @@ class AssignBucket:
         return out
 
 
+# a node that is Alive in the GCS but cannot run the probe (draining, dying)
+# would otherwise hang every layout build; after this many seconds it counts
+# as a node the root is not visible from
+SHARED_ROOT_PROBE_TIMEOUT_S = 30
+
+
 def check_shared_root(out_dir: str) -> None:
     """Fail fast if ``out_dir`` is not visible from every alive Ray node.
 
@@ -430,10 +436,22 @@ def check_shared_root(out_dir: str) -> None:
             ).remote(sentinel)
             for node in alive
         ]
+        ready, pending = ray.wait(
+            refs, num_returns=len(refs), timeout=SHARED_ROOT_PROBE_TIMEOUT_S
+        )
+        for ref in pending:
+            ray.cancel(ref)
+        seen = set()
+        for ref in ready:
+            try:
+                if ray.get(ref):
+                    seen.add(ref)
+            except Exception:
+                pass  # the probe could not run on its node: not visible
         bad = [
             node.get("NodeManagerAddress") or node["NodeID"]
-            for node, ok in zip(alive, ray.get(refs))
-            if not ok
+            for node, ref in zip(alive, refs)
+            if ref not in seen
         ]
         if bad:
             raise RuntimeError(

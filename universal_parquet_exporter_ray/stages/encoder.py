@@ -187,6 +187,16 @@ class PartitionEncoder:
         self._fsst_cache[column] = (entry[0], entry[1] + 1)
         return entry[0]
 
+    def _remember_fsst(self, name: str, choice) -> None:
+        """Cache a freshly trained full-FSST table for ``name``. Called only
+        after ``encode_column`` succeeded with ``choice``: a table whose
+        encode just failed must not seed later trials. fsst2's pairs-only
+        table is never cached — fed back as fsst/fsst_zstd state it would
+        degrade their trials."""
+        if choice.codec in ("fsst", "fsst_zstd") and isinstance(choice.state, list):
+            if name not in self._fsst_cache or self._fsst_cache[name][0] is not choice.state:
+                self._fsst_cache[name] = (choice.state, 0)
+
     def _select(self, name: str, arr: pa.Array):
         """Size-trial selection with a per-column choice cache.
         Returns (choice, fresh)."""
@@ -218,13 +228,9 @@ class PartitionEncoder:
             choice, fresh = self._select(name, arr)
             phase["select"] += time.monotonic() - tp
             tp = time.monotonic()
-            # cache only full-FSST tables: fsst2's pairs-only table would
-            # degrade later fsst/fsst_zstd trials if fed back as their state
-            if choice.codec in ("fsst", "fsst_zstd") and isinstance(choice.state, list):
-                if name not in self._fsst_cache or self._fsst_cache[name][0] is not choice.state:
-                    self._fsst_cache[name] = (choice.state, 0)
             try:
                 row = encode_column(arr, choice.codec, choice.state)
+                self._remember_fsst(name, choice)
             except Exception:
                 # stats were sampled; a codec can fail on the full chunk
                 # (e.g. "constant" when the tail has a second value)
@@ -243,19 +249,13 @@ class PartitionEncoder:
                         choice = select_codec(
                             arr, fsst_state=self._cached_fsst(name)
                         )
-                        # the re-trial's fresh FSST table must replace the
-                        # stale cached one too, or the drift the guard
-                        # corrects persists in the other cache (review r5)
-                        if choice.codec in ("fsst", "fsst_zstd") and isinstance(
-                            choice.state, list
-                        ):
-                            if (
-                                name not in self._fsst_cache
-                                or self._fsst_cache[name][0] is not choice.state
-                            ):
-                                self._fsst_cache[name] = (choice.state, 0)
                         try:
                             row = encode_column(arr, choice.codec, choice.state)
+                            # the re-trial's fresh FSST table must replace
+                            # the stale cached one too, or the drift the
+                            # guard corrects persists in the other cache
+                            # (review r5)
+                            self._remember_fsst(name, choice)
                             self._choice_cache[name] = (
                                 choice,
                                 0,
