@@ -503,14 +503,6 @@ def test_zstd2_roundtrip_gate_and_selection_bias():
     cands = candidate_codecs(arr.type, stats)
     assert "zstd2" in cands
     assert get_codec("zstd2").cost_factor == 0.83
-    # env gate: UPXR_ZSTD2=0 removes the candidate (A/B toggle)
-    import os
-
-    os.environ["UPXR_ZSTD2"] = "0"
-    try:
-        assert "zstd2" not in candidate_codecs(arr.type, stats)
-    finally:
-        os.environ.pop("UPXR_ZSTD2")
     # cost-adjusted comparison is honored among the zstd twins (selector
     # ranks a 64KB sample, we rank the full array — allow sampling noise)
     choice = select_codec(arr)

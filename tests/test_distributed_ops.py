@@ -568,6 +568,20 @@ def test_distributed_prefix_max_exact(ray_session):
     assert (out["k"].to_numpy() == keys[order]).all()
 
 
+def test_distributed_prefix_max_rejects_reserved_sentinel(ray_session):
+    """int64 min is ``_NO_PREV`` ("no preceding row"): a value equal to it
+    would read back as NULL, so the primitive refuses it."""
+    import numpy as np
+    import ray.data as rd
+
+    from universal_parquet_exporter_ray.stages.rank import distributed_prefix_max
+
+    vals = np.array([5, np.iinfo(np.int64).min, 7], dtype=np.int64)
+    ds = rd.from_arrow(pa.table({"k": np.arange(3, dtype=np.int64), "v": vals}))
+    with pytest.raises(Exception, match="reserved no-preceding-row sentinel"):
+        distributed_prefix_max(ds, "k", "v", "wm").materialize()
+
+
 def _make_sql_peer(engine: str, db: str):
     """Create a 100-row table `t` in a fresh file DB and return its
     read-only connection factory — `engine` picks between the two live

@@ -354,11 +354,56 @@ def test_zonemap_pruned_decode(ray_session, tmp_path):
     assert got.k.tolist() == want.k.tolist()
     assert got.content.tolist() == want.content.tolist()
     # an impossible predicate prunes everything and yields an empty dataset
+    # that keeps the read's typed columns
     empty = decoded_dataset(out, zone_filter=("k", ">", 10**9)).to_pandas()
     assert len(empty) == 0
+    assert list(empty.columns) == ["bucket", "k", "content", "_part"]
     # equality prune keeps exactly the covering bucket
     kept_eq, _ = zonemap_keep_pids(out, "k", "==", 1500)
     assert len(kept_eq) >= 1 and len(kept_eq) < total
+
+
+def test_fully_pruned_read_keeps_typed_columns(ray_session, tmp_path):
+    """A zone-pruned, projected read equals the full read filtered and
+    projected, in rows, columns and dtypes — also when the filter prunes
+    every partition, which must still yield the read's typed columns, not
+    a schemaless empty frame."""
+    import operator
+
+    import numpy as np
+
+    n = 3000
+    tbl = pa.table(
+        {
+            "bucket": [str(i // 1000) for i in range(n)],
+            "k": np.arange(n, dtype=np.int64),
+            "f": np.linspace(0, 1, n),
+            "content": [f"row {i}" for i in range(n)],
+        }
+    )
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(tbl, src)
+    out = str(tmp_path / "out")
+    encode_dataset(
+        src, out, partition_by="bucket", hash_cols=["k"], target_rows_per_partition=900
+    )
+    ops = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "==": operator.eq}
+    for cols in (["k"], ["content", "f", "k"], None):
+        full = decoded_dataset(out, columns=cols).to_pandas()
+        assert len(full) == n
+        names = sorted(full.columns)
+        for op, v in ((">", 10**9), (">=", 2000), ("<", 500), ("==", 1500)):
+            got = decoded_dataset(out, columns=cols, zone_filter=("k", op, v)).to_pandas()
+            got = got[ops[op](got["k"], v)][names].sort_values("k")
+            want = full[ops[op](full["k"], v)][names].sort_values("k")
+            pd.testing.assert_frame_equal(
+                got.reset_index(drop=True), want.reset_index(drop=True)
+            )
+    # everything pruned, projected onto columns without the filter key
+    empty = decoded_dataset(out, columns=["content", "f"], zone_filter=("k", ">", 10**9))
+    got = empty.to_pandas()
+    assert len(got) == 0 and list(got.columns) == ["content", "f", "_part"]
+    assert [str(t) for t in got.dtypes] == ["object", "float64", "object"]
 
 
 def test_make_assigner_partial_groupby_fallback(ray_session):
@@ -619,11 +664,11 @@ def test_binned_decode_matches_source(ray_session, source_files_path, tmp_path):
 
     cols = src.column_names
     pd.testing.assert_frame_equal(frame(ds.to_pandas(), cols), expect(want, cols))
-    # projection: the partition without `lang` contributes no rows
+    # projection: the partition without `lang` gives its rows with `lang`
+    # null, so the projected and full reads have equal row counts
     got = frame(decoded_dataset(out, columns=["lang"]).to_pandas(), ["lang"])
-    pd.testing.assert_frame_equal(
-        got, expect(want[want[PART_COL] != victim], ["lang"])
-    )
+    assert len(got) == ds.count() == len(want)
+    pd.testing.assert_frame_equal(got, expect(want, ["lang"]))
     # zone-pruned read of the largest repo, exact predicate applied after
     top = want["repo"].value_counts().index[0]
     pruned = decoded_dataset(out, zone_filter=("repo", "==", top)).to_pandas()

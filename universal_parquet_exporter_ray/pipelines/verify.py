@@ -185,6 +185,42 @@ def zonemap_keep_pids(
     return keep, total
 
 
+class _EmptyDecodedDataset(ray.data.Dataset):
+    """A zero-row decode whose ``to_pandas()`` keeps its typed columns.
+
+    Ray 2.49 builds ``to_pandas`` from the non-empty batches only, so every
+    stock empty Dataset (``from_arrow`` of a typed empty table included)
+    converts to a frame with no columns. Its Arrow blocks do keep the
+    schema, so convert those instead."""
+
+    def to_pandas(self, limit: Optional[int] = None) -> pd.DataFrame:
+        import pyarrow as pa
+
+        return pa.concat_tables(ray.get(self.to_arrow_refs())).to_pandas()
+
+
+def _decoded_schema(files: list[str], cols: list[str]) -> "pa.Schema":
+    """Schema of decoded rows holding ``cols`` (in that order) and
+    ``_part``: each column's type from the first partition file with it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ..codecs.base import type_from_bytes
+
+    want = set(cols)
+    types: dict = {}
+    for path in files:
+        t = pq.read_table(path, columns=["column", "type_ipc"])
+        for c, tb in zip(t["column"].to_pylist(), t["type_ipc"].to_pylist()):
+            if c in want and c not in types:
+                types[c] = type_from_bytes(tb)
+        if len(types) == len(want):
+            break
+    return pa.schema(
+        [pa.field(c, types[c]) for c in cols] + [pa.field(PART_COL, pa.string())]
+    )
+
+
 def decoded_dataset(
     out_dir: str,
     columns: Optional[list[str]] = None,
@@ -205,12 +241,16 @@ def decoded_dataset(
     blob row per column, so the other columns' payloads are read from disk
     but never decoded: projection skips the decode, not the read (the
     partition file is read whole, then filtered to the wanted blob rows).
+    A partition that lacks a projected column (heterogeneous sources)
+    gives that column as typed nulls, one per row, as the full read does.
 
     ``zone_filter``: ``(column, op, value)`` with op in >,>=,<,<=,== — prune
     whole partitions via the manifest zone maps BEFORE any payload read (at
     100 TB this is the difference between scanning every partition and
     reading only the key range's). Pruning is sound-not-complete: the caller
-    must still apply the exact predicate to the decoded rows."""
+    must still apply the exact predicate to the decoded rows. A filter that
+    prunes every partition gives a zero-row dataset with the typed columns
+    of the read (the projection's, or all of them)."""
     import glob
     import math
     import os
@@ -218,7 +258,6 @@ def decoded_dataset(
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from ..codecs.base import type_from_bytes
     from ..state.manifest import parts_path
     from .encode import MIN_BLOCK_BYTES, lpt_bins
 
@@ -228,44 +267,34 @@ def decoded_dataset(
             f"decoded_dataset: no encoded partitions under {out_dir!r} "
             "(missing, incomplete, or corrupt output directory)"
         )
+    kept = files
     if zone_filter is not None:
         zcol, zop, zval = zone_filter
         keep, _total = zonemap_keep_pids(out_dir, zcol, zop, zval)
-        files = [f for f in files if os.path.basename(os.path.dirname(f)) in keep]
-        if not files:
-            # predicate excludes every partition: empty dataset, typed when
-            # a projection gives us the schema, schemaless otherwise
-            return ray.data.from_pandas(pd.DataFrame())
+        kept = [f for f in files if os.path.basename(os.path.dirname(f)) in keep]
     wanted = sorted(set(columns)) if columns is not None else None
     empty_schema = None
-    if wanted is not None:
-        # validate the projection ONCE up front against the manifest (the
-        # union of per-partition codec maps) — a clear driver-side error
-        # instead of a per-batch failure deep inside a Ray task; individual
-        # partitions may still legitimately lack a column (heterogeneous
-        # sources) and decode to an empty typed table below.
-        all_cols: set = set()
+    if wanted is not None or not kept:
+        # the manifest's codec maps list every column of every partition
+        all_cols: dict = {}
         for cj in read_manifest(out_dir)["codecs"].to_pylist():
             all_cols.update(json.loads(cj))
-        missing = set(wanted) - all_cols
-        if missing:
-            raise ValueError(
-                f"decoded_dataset: columns {sorted(missing)} not present in "
-                f"the encoded output (available: {sorted(all_cols)})"
-            )
-        # typed empty-batch schema from the first file carrying each column
-        field_types: dict = {}
-        for path in files:
-            t = pq.read_table(path, columns=["column", "type_ipc"])
-            for c, tb in zip(t["column"].to_pylist(), t["type_ipc"].to_pylist()):
-                if c in wanted and c not in field_types:
-                    field_types[c] = type_from_bytes(tb)
-            if len(field_types) == len(wanted):
-                break
-        empty_schema = pa.schema(
-            [pa.field(c, field_types[c]) for c in wanted]
-            + [pa.field(PART_COL, pa.string())]
+        if wanted is not None:
+            # validate the projection ONCE up front — a clear driver-side
+            # error instead of a per-batch failure deep inside a Ray task
+            missing = set(wanted) - set(all_cols)
+            if missing:
+                raise ValueError(
+                    f"decoded_dataset: columns {sorted(missing)} not present "
+                    f"in the encoded output (available: {sorted(all_cols)})"
+                )
+        # typed from ALL files: a fully pruned read keeps its schema too
+        empty_schema = _decoded_schema(
+            files, list(all_cols) if wanted is None else wanted
         )
+    if not kept:
+        empty = ray.data.from_arrow(empty_schema.empty_table())
+        return ray.data.Dataset.copy(empty, _as=_EmptyDecodedDataset)
 
     def decode_files(batch: "pa.Table") -> "pa.Table":
         import pyarrow as pa
@@ -278,20 +307,26 @@ def decoded_dataset(
         for paths in batch["paths"].to_pylist():
             for path in paths:
                 t = pq.read_table(path)
-                if keep is not None:
-                    t = t.filter(pc.is_in(t["column"], value_set=keep))
-                if t.num_rows:
+                if keep is None:
                     outs.append(decoder(t))
-        if not outs:
-            # no partition in the block carries a requested column: empty
-            # typed block (multi-partition blocks skip such partitions)
-            return empty_schema.empty_table()
+                    continue
+                n, pid = t["n_rows"][0].as_py(), t["partition_id"][0].as_py()
+                t = t.filter(pc.is_in(t["column"], value_set=keep))
+                got = decoder(t) if t.num_rows else pa.table({})
+                # a projected column this partition lacks: typed nulls
+                cols = {
+                    c: got[c] if c in got.column_names else pa.nulls(n, f.type)
+                    for c, f in zip(empty_schema.names, empty_schema)
+                    if c != PART_COL
+                }
+                cols[PART_COL] = pa.array([pid] * n, pa.string())
+                outs.append(pa.table(cols))
         return pa.concat_tables(outs, promote_options="default")
 
-    sizes = [os.path.getsize(f) for f in files]
+    sizes = [os.path.getsize(f) for f in kept]
     cpus = int(ray.cluster_resources().get("CPU", 1))
-    n_blocks = min(len(files), max(cpus, math.ceil(sum(sizes) / MIN_BLOCK_BYTES)))
-    items = [{"paths": [files[i] for i in b]} for b in lpt_bins(sizes, n_blocks)]
+    n_blocks = min(len(kept), max(cpus, math.ceil(sum(sizes) / MIN_BLOCK_BYTES)))
+    items = [{"paths": [kept[i] for i in b]} for b in lpt_bins(sizes, n_blocks)]
     return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
         decode_files, batch_format="pyarrow", batch_size=None
     )

@@ -5,11 +5,23 @@ The selected codec then encodes the full column chunk; FSST symbol tables
 trained here are reused (north rule: per-partition symbol-table reuse).
 The zstd candidate is always in the list, which guarantees the encoded size
 can always fall back to ≤ general-purpose compression (SURVEY.md §7.4).
+
+Trials run cheap-first: every candidate except the full-FSST pair (dict,
+rle, fsst2 and the zstd twins — all vectorized or C) is trialed before
+``fsst``/``fsst_zstd``, whose shared trial is a pure-Python training pass
+costing 40-60 ms per string column, tens of times a zstd trial. That trial
+runs only when ``_full_fsst_can_win``: fsst2 (the pairs-only table) came
+within ``FSST2_MARGIN`` of the best cheap size, AND the 254 most frequent
+3-grams of the training bytes cover ≥ ``GRAM3_COVERAGE`` of its 3-gram
+positions (multi-byte symbols have repeats to exploit). Together they
+skip the trial for hex ids and source code, which FSST loses, and keep it
+for short-token text (natural-language documents, token vocabularies),
+which FSST can win. File paths and URLs still run it and lose: in both
+signals they sit among the columns FSST wins.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -17,7 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .codecs.base import combine, get_codec, is_int_like, is_string_like
+from .codecs.base import combine, get_codec, is_int_like, is_string_like, unpack_blobs
+from .codecs.fsst import MAX_SYMBOLS, TRAIN_SAMPLE_BYTES, _string_buffer
 from .stats import ColumnStats, column_stats
 
 TRIAL_ROWS = 2048
@@ -60,10 +73,8 @@ def candidate_codecs(t: pa.DataType, stats: ColumnStats) -> list[str]:
         cands.append("zstd3")
         # level-2 fast twin (0.83 cost bonus): another 1.5× per-core speedup
         # on source text at +9.7% size, and strictly better than level 3 on
-        # hex ids. UPXR_ZSTD2=0 restores the level-3-only candidate set
-        # (kept for A/B; see Zstd2Codec docstring for the measurements).
-        if os.environ.get("UPXR_ZSTD2", "1") == "1":
-            cands.append("zstd2")
+        # hex ids (see Zstd2Codec docstring for the measurements)
+        cands.append("zstd2")
     elif is_int_like(t):
         cands.append("forpack")
         cands.append("delta")
@@ -105,6 +116,48 @@ def _cap_string_sample(sample: pa.Array) -> pa.Array:
     return sample.slice(0, k)
 
 
+# Full-FSST gate (see module docstring). Each threshold leaves headroom
+# beyond the FSST wins seen in sampled trials of ~1,150 random short-token
+# vocabulary columns and of every string column of source_files and the
+# sf0.01/sf0.1 tables: every win had fsst2 within 2.75× the best (long rows
+# of 5-letter tokens; sf0.1 documents.text, whose partitions fsst_zstd
+# wins, sits at 2.43×) and 3-gram coverage ≥ 0.62. The coverage is what
+# skips hex ids (0.13) and source code (0.50-0.54); the margin skips
+# columns that dict or zstd beat by far (e.g. names at 8-18×). A path
+# column (1.93×, coverage 0.73) still runs the trial and loses it: in both
+# signals it sits among the wins, so no thresholds skip it safely.
+FSST2_MARGIN = 3.5
+GRAM3_COVERAGE = 0.58
+_FULL_FSST = ("fsst", "fsst_zstd")
+
+
+def _gram3_coverage(sample: pa.Array) -> float:
+    """Share of the training bytes' 3-gram positions covered by the
+    ``MAX_SYMBOLS`` most frequent 3-grams (one ``np.unique``, ~1 ms)."""
+    data, _ = _string_buffer(sample)
+    d = np.frombuffer(data[:TRAIN_SAMPLE_BYTES], dtype=np.uint8).astype(np.int32)
+    if len(d) < 3:
+        return 0.0
+    _, counts = np.unique((d[:-2] << 16) | (d[1:-1] << 8) | d[2:], return_counts=True)
+    if len(counts) > MAX_SYMBOLS:
+        counts = np.partition(counts, -MAX_SYMBOLS)[-MAX_SYMBOLS:]
+    return float(counts.sum()) / (len(d) - 2)
+
+
+def _full_fsst_can_win(
+    sample: pa.Array, fsst2_size: Optional[float], best_size: Optional[float]
+) -> bool:
+    """Whether the full-FSST trial is worth running after the cheap ones:
+    (a) fsst2's cost-adjusted trial size is ≤ ``FSST2_MARGIN`` × the best so
+    far, and (b) the top 3-grams cover ≥ ``GRAM3_COVERAGE`` of the training
+    bytes. A failed fsst2 trial (no size) rules full FSST out too."""
+    return (
+        fsst2_size is not None
+        and fsst2_size <= FSST2_MARGIN * best_size
+        and _gram3_coverage(sample) >= GRAM3_COVERAGE
+    )
+
+
 def select_codec(
     arr: pa.Array | pa.ChunkedArray,
     stats: Optional[ColumnStats] = None,
@@ -137,38 +190,43 @@ def select_codec(
         if best_size is None or size < best_size:
             best_name, best_state, best_size = name, state, int(size)
 
-    # fsst and fsst_zstd share one trial encode (the expensive pure-Python
-    # pass): fsst_zstd's size is estimated by zstd-compressing the fsst
-    # output buffer, not by a second full encode.
-    fsst_pair = "fsst" in names and "fsst_zstd" in names
-    for name in names:
-        if fsst_pair and name == "fsst_zstd":
-            continue
+    def trial(name: str, state=None):
+        """Trial-encode ``name`` on the sample and consider it; returns
+        (encoded, state, cost-adjusted size), or None if the codec fails."""
         codec = get_codec(name)
         try:
-            if name == "fsst" and fsst_state is not None:
-                state = fsst_state
-            else:
+            if state is None:
                 state = codec.train(sample_nn)
             enc = codec.encode(sample_nn, state=state)
-            size = len(enc.payload) * codec.cost_factor
         except Exception:
-            continue
+            return None
+        size = len(enc.payload) * codec.cost_factor
         consider(name, state, size)
-        if fsst_pair and name == "fsst":
-            try:
-                from .codecs.base import unpack_blobs
+        return enc, state, size
 
-                blobs = unpack_blobs(enc.payload)
-                zdata = pa.Codec("zstd", compression_level=6).compress(
-                    blobs["data"], asbytes=True
-                )
-                est = (len(enc.payload) - len(blobs["data"]) + len(zdata)) * get_codec(
-                    "fsst_zstd"
-                ).cost_factor
-                consider("fsst_zstd", state, est)
-            except Exception:
-                pass
+    # cheap candidates first; candidate_codecs lists fsst and fsst_zstd as a
+    # pair, trialed last and only when the gate says they can still win
+    fsst2_size = None
+    for name in names:
+        if name not in _FULL_FSST:
+            res = trial(name)
+            if name == "fsst2" and res is not None:
+                fsst2_size = res[2]
+    if "fsst" in names and _full_fsst_can_win(sample_nn, fsst2_size, best_size):
+        res = trial("fsst", fsst_state)
+        if res is not None and "fsst_zstd" in names:
+            # fsst and fsst_zstd share the one expensive pure-Python trial:
+            # fsst_zstd's size is estimated by zstd-compressing the fsst
+            # output buffer, not by a second full encode
+            enc, state, _ = res
+            blobs = unpack_blobs(enc.payload)
+            zdata = pa.Codec("zstd", compression_level=6).compress(
+                blobs["data"], asbytes=True
+            )
+            est = (len(enc.payload) - len(blobs["data"]) + len(zdata)) * get_codec(
+                "fsst_zstd"
+            ).cost_factor
+            consider("fsst_zstd", state, est)
     if best_size is None:
         enc = get_codec("plain").encode(sample_nn)
         best_size = len(enc.payload)

@@ -195,7 +195,10 @@ def distributed_prefix_sum(
     )
 
 
-_NO_PREV = np.iinfo(np.int64).min  # sentinel: no preceding row exists
+# sentinel: no preceding row exists. It is a reserved value: a ``val_col``
+# row equal to int64 min would be indistinguishable from "no prev" (its
+# successors would read NULL), so ``distributed_prefix_max`` rejects it.
+_NO_PREV = np.iinfo(np.int64).min
 
 
 def distributed_prefix_max(
@@ -214,7 +217,9 @@ def distributed_prefix_max(
     before it. Same plan as ``distributed_prefix_sum`` (bounded splitter
     sample → exact per-range partial MAXES, O(K) driver state → per-range
     local scan + offset); the globally-first row gets NULL (pandas NA in the
-    nullable Int64 output). ``order_col`` must be unique."""
+    nullable Int64 output). ``order_col`` must be unique. int64 min is
+    reserved (``_NO_PREV``, the "no preceding row" sentinel): a ``val_col``
+    holding it raises ``ValueError``."""
     sample = (
         ds.select_columns([order_col])
         .map_batches(_sample_stage(order_col), batch_format="pandas")
@@ -230,6 +235,11 @@ def distributed_prefix_max(
         sp = ray.get(sp_ref)
         r = np.searchsorted(sp, df[order_col].to_numpy(), side="right")
         v = df[val_col].to_numpy(dtype=np.int64)
+        if len(v) and v.min() <= _NO_PREV:
+            raise ValueError(
+                f"distributed_prefix_max: {val_col!r} holds int64 min, the "
+                "reserved no-preceding-row sentinel"
+            )
         # segmented max via sort + reduceat: np.maximum.at's unbuffered
         # scatter is the 10-30x-slower path the codebase avoids elsewhere
         # (KMeansPartial note), and this runs once per batch of the corpus
