@@ -120,6 +120,34 @@ def test_resume_skips_completed(encoded):
     assert verify_roundtrip(src, out).ok.all()
 
 
+@pytest.mark.parametrize("stage", ["spill", "encode"])
+def test_encode_survives_killed_worker(source_files_path, tmp_path, stage):
+    """A worker killed by ``os._exit`` right after the first spill call (its
+    map-output file written, its ack rows lost) or the first partition encode
+    (partition and manifest row written, result lost) is survived by task
+    retry, commit-by-ack and atomic partition writes. The helper runs its own
+    2-CPU Ray session with the kill armed through a worker setup hook, and
+    compares against a clean encode in the same session."""
+    import subprocess
+    import sys
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    res = subprocess.run(
+        [sys.executable, os.path.join(here, "fault_inject.py"),
+         source_files_path, str(tmp_path / "work"), stage],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    rep = json.loads(res.stdout.strip().splitlines()[-1])
+    assert rep["fired"], "no worker was killed"
+    assert rep["clean_verified"] and rep["verified"]
+    assert rep["rows"] == pq.read_metadata(source_files_path).num_rows
+    assert rep["same_frame"] and rep["same_pids"] and rep["same_on_disk"]
+    assert rep["dup_pids"] == 0
+
+
 def test_empty_input_raises(ray_session, tmp_path):
     import pyarrow as pa
 
