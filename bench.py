@@ -134,7 +134,6 @@ def run_bench() -> dict:
             partition_by="repo",
             hash_cols=["path"],
             target_rows_per_partition=max(2000, BENCH_ROWS // 64),
-            concurrency=max(1, NUM_CPUS - 2),
         ).to_pandas()
         sec = time.perf_counter() - t0
         if manifest is None or sec <= timings["encode_source_files"]:
@@ -286,7 +285,6 @@ def run_encode_only() -> dict:
         partition_by="repo",
         hash_cols=["path"],
         target_rows_per_partition=max(4000, SCALING_ROWS // 256),
-        concurrency=max(1, NUM_CPUS - 2),
     ).to_pandas()
     wall = time.perf_counter() - t0
     uncompressed = int(manifest.input_bytes.sum())

@@ -25,8 +25,6 @@ def main() -> int:
     ap.add_argument("--partition-by", default="repo")
     ap.add_argument("--hash-cols", default="path")
     ap.add_argument("--target-rows", type=int, default=100_000)
-    ap.add_argument("--shuffle", default="exchange", choices=["exchange", "groupby"])
-    ap.add_argument("--concurrency", type=int, default=None)
     ap.add_argument("--no-resume", action="store_true")
     ap.add_argument("--run-id", default="run0")
     ap.add_argument("--verify", action="store_true", help="decode + fingerprint check after encode")
@@ -42,8 +40,6 @@ def main() -> int:
             partition_by=args.partition_by or None,
             hash_cols=args.hash_cols.split(","),
             target_rows_per_partition=args.target_rows,
-            shuffle=args.shuffle,
-            concurrency=args.concurrency,
             resume=not args.no_resume,
             run_id=args.run_id,
         )
@@ -72,8 +68,6 @@ def main() -> int:
             hash_cols=cfg.hash_cols,
             target_rows_per_partition=cfg.target_rows_per_partition,
             resume=cfg.resume,
-            concurrency=cfg.concurrency,
-            shuffle=cfg.shuffle,
             lineage={"run_id": cfg.run_id},
         ).to_pandas()
         report = {

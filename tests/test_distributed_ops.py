@@ -782,7 +782,7 @@ def test_decimal_column_through_encode(ray_session, tmp_path):
     out = str(tmp_path / "out")
     encode_dataset(
         rd.from_arrow(t), out, partition_by=None, hash_cols=["k"],
-        target_rows_per_partition=150, concurrency=2,
+        target_rows_per_partition=150,
     )
     df = decoded_dataset(out).to_pandas().sort_values("k").reset_index(drop=True)
     assert [str(x) for x in df["price"]] == [str(x) for x in t["price"].to_pylist()]
@@ -1102,6 +1102,50 @@ def test_thresholded_join_both_plans_agree(ray_session):
         pd.testing.assert_frame_equal(
             norm_nulls(bcast), norm_nulls(hashed), check_dtype=False
         )
+
+
+def test_join_multiway_gated_plans_agree(ray_session, sf_small, monkeypatch):
+    """join_multiway gates its dimension pulls on footer counts. With the
+    broadcast budget between the customer and orders counts, customer⋈nation
+    broadcasts into a hash-joined orders side; at 0, customer⋈nation stays a
+    Dataset and no customer rows reach the driver. Each plan returns the
+    default (all-broadcast) plan's frame, and matches the DuckDB twin with
+    strict dtypes."""
+    import duckdb
+
+    from tools.check_oracle import canon, compare, to_pandas
+    from universal_parquet_exporter_ray.pipelines import relational
+    from universal_parquet_exporter_ray.pipelines.relational import q_join_multiway
+    from universal_parquet_exporter_ray.stages import joins
+    from universal_parquet_exporter_ray.stages.joins import BROADCAST_ROW_LIMIT
+
+    import __ray_entry__
+
+    hash_joins = []
+
+    def spy(left, right, **kw):
+        hash_joins.append(kw["right_on"])
+        return joins.hash_join(left, right, **kw)
+
+    monkeypatch.setattr(relational, "hash_join", spy)
+
+    con = duckdb.connect()
+    for t in ("lineitem", "orders", "customer", "nation"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_small}/{t}.parquet')")
+    want = con.execute(__ray_entry__.oracle_sql()["join_multiway"]).fetchdf()
+    default = to_pandas(q_join_multiway(sf_small))
+    assert compare("join_multiway", default, want, strict=True) == "OK"
+    assert hash_joins == []
+    n_cust = ray.data.read_parquet(f"{sf_small}/customer.parquet").count()
+    # the hash joins each plan runs: lineitem⋈orders, then also orders⋈dim
+    for limit, plan in ((n_cust, [["o_orderkey"]]), (0, [["c_custkey"], ["o_orderkey"]])):
+        assert limit < BROADCAST_ROW_LIMIT
+        monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", limit)
+        hash_joins.clear()
+        got = to_pandas(q_join_multiway(sf_small))
+        assert hash_joins == plan
+        assert compare("join_multiway", got, want, strict=True) == "OK"
+        pd.testing.assert_frame_equal(canon(got), canon(default))
 
 
 def test_unigram_logprob_scores_rare_docs_higher(ray_session):

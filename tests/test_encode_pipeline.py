@@ -174,20 +174,6 @@ def test_unpartitioned_hash_mode(ray_session, source_files_path, tmp_path):
     assert verify_roundtrip(source_files_path, out).ok.all()
 
 
-def test_groupby_shuffle_mode(ray_session, source_files_path, tmp_path):
-    out = str(tmp_path / "gb")
-    mdf = encode_dataset(
-        source_files_path,
-        out,
-        partition_by="repo",
-        hash_cols=["path"],
-        target_rows_per_partition=500,
-        shuffle="groupby",
-    ).to_pandas()
-    assert len(mdf) >= 4
-    assert verify_roundtrip(source_files_path, out).ok.all()
-
-
 def test_embeddings_encode_uses_vector_codec(ray_session, tmp_path):
     """End-to-end over a numeric list column: the selector must pick the
     vec_bshuf_zstd codec for the vector column (not the IPC fallback), and
@@ -271,21 +257,24 @@ def test_column_pruned_decode(encoded):
 def test_partition_assignment_stable_across_parallelism(
     ray_session, source_files_path, tmp_path
 ):
-    # cluster-size independence: the same input must map to the same
-    # partition ids and row counts no matter the worker count (retries and
-    # resume depend on it)
+    # parallelism independence: the same rows must map to the same partition
+    # ids and row counts however many blocks (hence spill tasks) the input
+    # is split into (retries and resume depend on it)
+    import ray
+
+    df = pq.read_table(source_files_path).to_pandas()
     outs = []
-    for conc in (1, 3):
-        out = str(tmp_path / f"c{conc}")
+    for blocks in (1, 7):
+        out = str(tmp_path / f"b{blocks}")
         mdf = encode_dataset(
-            source_files_path,
+            ray.data.from_pandas(df).repartition(blocks),
             out,
             partition_by="repo",
             hash_cols=["path"],
             target_rows_per_partition=500,
-            concurrency=conc,
         ).to_pandas()
         outs.append(mdf.set_index("partition_id").n_rows.sort_index())
+    assert len(outs[0]) >= 4
     pd.testing.assert_series_equal(outs[0], outs[1])
 
 
@@ -456,16 +445,13 @@ def test_make_assigner_partial_groupby_fallback(ray_session):
     assert a_fb.merge_map == a_drv.merge_map
 
 
-def test_spill_selfread_parity(tmp_path, ray_session, monkeypatch):
-    """The self-read spill plan (tasks read their own parquet row groups;
-    default) and the two-operator Dataset-read plan must produce identical
-    encoded output: same partitioning, same encoded bytes, same decoded rows.
-    """
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from universal_parquet_exporter_ray.pipelines.encode import encode_dataset
-    from universal_parquet_exporter_ray.pipelines.verify import decoded_dataset
+def test_encode_from_dataset_source(ray_session, tmp_path):
+    """The two spill forms agree: a path source (spill tasks read their own
+    row groups, salt plan from per-file key counts) and the same files as a
+    ``ray.data.read_parquet`` Dataset (``map_batches`` spill over its blocks,
+    salt plan from the distributed counting pass) give the same partitions,
+    the same row counts and the same decoded rows."""
+    import ray
 
     src = str(tmp_path / "src")
     os.makedirs(src)
@@ -481,15 +467,11 @@ def test_spill_selfread_parity(tmp_path, ray_session, monkeypatch):
     pq.write_table(pa.Table.from_pandas(df[: n // 2]), f"{src}/a.parquet", row_group_size=400)
     pq.write_table(pa.Table.from_pandas(df[n // 2 :]), f"{src}/b.parquet", row_group_size=400)
 
-    results = {}
-    # all three spill dispatch forms must agree: self-read raw tasks
-    # (default), self-read via from_items/map_batches, Dataset-read
-    for flag, raw in (("1", "1"), ("1", "0"), ("0", "1")):
-        monkeypatch.setenv("UPXR_SPILL_SELFREAD", flag)
-        monkeypatch.setenv("UPXR_SPILL_RAW", raw)
-        out = str(tmp_path / f"out{flag}_{raw}")
+    results = []
+    for name, source in (("path", src), ("dataset", ray.data.read_parquet(src))):
+        out = str(tmp_path / name)
         m = encode_dataset(
-            src, out, partition_by="repo", hash_cols=["path"], target_rows_per_partition=300
+            source, out, partition_by="repo", hash_cols=["path"], target_rows_per_partition=300
         ).to_pandas()
         dec = (
             decoded_dataset(out)
@@ -497,54 +479,19 @@ def test_spill_selfread_parity(tmp_path, ray_session, monkeypatch):
             .sort_values(["repo", "path"])
             .reset_index(drop=True)
         )
-        results[(flag, raw)] = (
-            m.sort_values("partition_id").reset_index(drop=True),
-            dec,
-        )
+        results.append((m.sort_values("partition_id").reset_index(drop=True), dec))
 
-    m1, d1 = results[("1", "1")]
-    for key in (("1", "0"), ("0", "1")):
-        m0, d0 = results[key]
-        assert m1.partition_id.tolist() == m0.partition_id.tolist()
-        assert m1.n_rows.tolist() == m0.n_rows.tolist()
-        # NOT encoded_bytes: intra-partition chunk order follows the uuid
-        # map-file names, so order-sensitive codecs (RLE) may differ by a few
-        # bytes between any two runs — of the same plan included. Content is
-        # the invariant.
-        pd.testing.assert_frame_equal(d1, d0)
-
-
-def test_encode_from_dataset_source(ray_session, source_files_path, tmp_path):
-    """encode_dataset accepts an in-memory ``ray.data.Dataset`` source (no
-    parquet files on disk): the salt plan then comes from the distributed
-    counting pass and the spill consumes the Dataset itself — the branch
-    pair left cold by the default path's precomputed-plan + self-read
-    shortcuts (both shortcuts require ``src_files``)."""
-    import ray
-
-    df = (
-        pq.read_table(source_files_path)
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    ds = ray.data.from_pandas(df).repartition(6)
-    out = str(tmp_path / "from_ds")
-    mdf = encode_dataset(
-        ds,
-        out,
-        partition_by="repo",
-        hash_cols=["path"],
-        target_rows_per_partition=500,
-    ).to_pandas()
-    assert int(mdf.n_rows.sum()) == len(df)
-    dec = (
-        decoded_dataset(out)
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(dec[df.columns.tolist()], df)
+    (m1, d1), (m0, d0) = results
+    assert len(m1) >= 7
+    assert m1.partition_id.tolist() == m0.partition_id.tolist()
+    assert m1.n_rows.tolist() == m0.n_rows.tolist()
+    # NOT encoded_bytes: intra-partition chunk order follows the uuid
+    # map-file names, so order-sensitive codecs (RLE) may differ by a few
+    # bytes between any two runs — of the same source form included.
+    # Content is the invariant.
+    pd.testing.assert_frame_equal(d1, d0)
+    want = df.sort_values(["repo", "path"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(d1[df.columns.tolist()], want)
 
 
 def test_plan_key_counts_cached_by_source_fingerprint(ray_session, tmp_path, monkeypatch):

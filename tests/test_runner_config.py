@@ -46,11 +46,10 @@ def test_config_env_loader(monkeypatch):
     cfg = EncodeJobConfig.from_environment()
     assert cfg.hash_cols == ["repo", "path"]
     assert cfg.target_rows_per_partition == 5000
-    assert cfg.shuffle == "exchange"
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         EncodeJobConfig(source="", out_dir="x").validate()
     with pytest.raises(ValueError):
-        EncodeJobConfig(source="a", out_dir="b", shuffle="bogus").validate()
+        EncodeJobConfig(source="a", out_dir="b", target_rows_per_partition=0).validate()

@@ -418,7 +418,7 @@ def test_encode_pipeline_duplicate_identical_batches(tmp_path, ray_session):
     out = str(tmp_path / "out")
     manifest = encode_dataset(
         ds, out, partition_by="repo", hash_cols=["path"],
-        target_rows_per_partition=100000, concurrency=2,
+        target_rows_per_partition=100000,
     ).to_pandas()
     assert int(manifest.n_rows.sum()) == 4000
     dec = decoded_dataset(out)

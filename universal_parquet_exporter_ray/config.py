@@ -22,8 +22,6 @@ class EncodeJobConfig:
     partition_by: Optional[str] = "repo"
     hash_cols: list[str] = field(default_factory=lambda: ["path"])
     target_rows_per_partition: int = 100_000
-    shuffle: str = "exchange"         # "exchange" | "groupby"
-    concurrency: Optional[int] = None
     resume: bool = True
     run_id: str = "run0"              # caller-supplied: no wall clock in workers
     extra: dict = field(default_factory=dict)  # passthrough (reference `extra`)
@@ -33,8 +31,6 @@ class EncodeJobConfig:
             raise ValueError("source is required")
         if not self.out_dir:
             raise ValueError("out_dir is required")
-        if self.shuffle not in ("exchange", "groupby"):
-            raise ValueError(f"invalid shuffle {self.shuffle!r}")
         if self.target_rows_per_partition <= 0:
             raise ValueError("target_rows_per_partition must be positive")
 
@@ -55,12 +51,6 @@ class EncodeJobConfig:
             hash_cols=os.environ.get("UPXR_HASH_COLS", "path").split(","),
             target_rows_per_partition=int(
                 os.environ.get("UPXR_TARGET_ROWS", "100000")
-            ),
-            shuffle=os.environ.get("UPXR_SHUFFLE", "exchange"),
-            concurrency=(
-                int(os.environ["UPXR_CONCURRENCY"])
-                if os.environ.get("UPXR_CONCURRENCY")
-                else None
             ),
             resume=os.environ.get("UPXR_RESUME", "1") not in ("0", "false", "no"),
             run_id=os.environ.get("UPXR_RUN_ID", "run0"),

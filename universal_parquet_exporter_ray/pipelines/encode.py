@@ -2,31 +2,35 @@
 columnar encode (codec auto-selection) → manifest dataset, with
 checkpoint/resume.
 
-Default shape (``shuffle="exchange"``, streaming, no full materialization):
+One execution shape for every source: an external shuffle built from plain
+Ray tasks plus shared storage (the Exoshuffle pattern, no sort machinery),
+in four driver-side phases recorded in ``LAST_PHASES``:
 
-    read_parquet(...)                          # column-pruned scan
-      .map_batches(assign→filter→split→spill)  # ONE fused map stage: salted
-                                               # key, resume filter, hash
-                                               # split to per-partition IPC
-                                               # chunks on the exchange tier
-    [barrier: tiny ack rows, one per chunk file]
-    from_items(LPT-balanced pid groups)
-      .map_batches(exchange_encode_task)       # stateful encode (worker-
-                                               # cached FSST state) + atomic
-                                               # write + manifest row
-
-``shuffle="groupby"`` keeps the pure-Dataset-API salted
-``groupby(_part).map_groups(PartitionEncoder)`` sort shuffle.
+    plan      salt-plan key counts (a path source: one task wave over the
+              files, key column only, cached by source fingerprint) and the
+              footer row-group counts; no Dataset is built for a path source
+    spill     assign → resume filter → hash split → per-partition Arrow IPC
+              ranges on the exchange tier, one ack row per range
+                path source:    one Ray task per ~SPILL_BATCH_ROWS rows of
+                                row groups, each reading its own row groups
+                Dataset source: ``ds.map_batches(spill)`` over its blocks
+    [barrier: tiny ack rows — commit-by-ack]
+    wave      LPT byte-balanced partition bins, one Ray task each
+              (``exchange_encode_task``): read exactly the acked ranges,
+              encode with worker-cached codec state, write partition +
+              manifest row atomically, return the manifest row
+    finalize  the wave's returned rows + resume-skipped rows from disk
 
 Scale notes (designed for a 256-node / 100 TB run, tested single-node):
 - the salted key bounds any single partition to ~target_rows even for
   monorepo hot keys, and bin-packs tiny repos into shared buckets;
-- the salt plan comes from per-batch partial value_counts over ONLY the
-  key column (combiner-first), broadcast once with the stage closure;
+- the salt plan comes from per-file (path source) or per-batch (Dataset
+  source) partial value_counts over ONLY the key column (combiner-first),
+  broadcast once with the stage closure;
 - the exchange tier is node-local /dev/shm in this sandbox (stand-in for a
   cluster's object store); on a real multi-node cluster pass
   ``exchange_root`` pointing at shared storage (NFS/S3-style) — enforced:
-  multi-node without ``exchange_root`` raises. Chunk files are uniquely
+  multi-node without ``exchange_root`` raises. Map-output files are uniquely
   named and committed by ack rows, so retried tasks' orphans are ignored
   and duplicate-content slices never collide;
 - outputs are one directory per partition + a one-row manifest file, so a
@@ -38,41 +42,47 @@ reference writer (``/root/reference/src/export/parquet_writer.py:10-11``).
 
 from __future__ import annotations
 
+import functools
+import json
 import os
-import sys
+import shutil
+import threading
+import time
 from typing import Optional, Union
 
 import pyarrow as pa
 
 import ray.data
 
-from ..stages.encoder import PART_COL, MANIFEST_SCHEMA, PartitionEncoder
+from ..stages.encoder import PART_COL, MANIFEST_SCHEMA
+from ..stages.exchange import ACK_SCHEMA, SpillPartitions, exchange_encode_task
 from ..stages.salting import AssignPartitions, build_partition_plan
 from ..state.manifest import completed_partitions, read_manifest, sanitize_partition_id
 
 DatasetLike = Union[str, "ray.data.Dataset"]
 
+# rows per spill call: a path source bundles consecutive row groups of a file
+# up to this many rows per spill task; a Dataset source spills batches of it
+SPILL_BATCH_ROWS = 100_000
 
-def _to_dataset(source: DatasetLike, columns: Optional[list[str]] = None):
-    if isinstance(source, str):
-        from ..sources.tables import read_parquet_clean
-
-        return read_parquet_clean(source, columns=columns)
-    return source
-
-
-def default_pool_size() -> int:
-    """Fixed-size actor pool sized to the cluster: CPUs minus headroom for
-    the read/assign tasks (an autoscaling (1, N) pool ramps up too slowly
-    for short jobs)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(1, cpus - 1)
+# encode-wave bins per CPU slot: fine enough that Ray's scheduler
+# work-steals around stragglers, coarse enough that per-task dispatch stays
+# negligible; a bins/slots ratio below ~4 left a measurable straggler tail
+# (byte-balanced bins are only approximately time-balanced)
+WAVE_BINS_PER_SLOT = 12
 
 
-# smallest input, in bytes, worth one Ray Data block: below it the fixed
-# per-task cost outweighs the parallelism. Floors the encode read split and
-# sizes the decode blocks of ``verify.decoded_dataset``.
-MIN_BLOCK_BYTES = 16 << 20
+def _cpu_slots() -> int:
+    return max(1, int(ray.cluster_resources().get("CPU", 8)))
+
+
+def _file_chunks(files: list[str]) -> list[list[str]]:
+    """``files`` dealt round-robin into at most one chunk per CPU slot: ONE
+    task wave. A file count above the slot count otherwise quantizes into
+    several scheduling waves of ~ms tasks, and a serial driver loop costs
+    ~ms × #files on every run and every resume (review r5)."""
+    n = min(len(files), _cpu_slots())
+    return [files[i::n] for i in range(n)]
 
 
 def lpt_bins(sizes: list[int], n: int) -> list[list[int]]:
@@ -179,8 +189,6 @@ def _plan_key_counts(files: list[str], key: str) -> dict[str, int]:
     """
     import pandas as pd
 
-    import ray
-
     cache = _plan_cache_path(files, key)
     if cache is not None and os.path.exists(cache):
         try:
@@ -206,13 +214,7 @@ def _plan_key_counts(files: list[str], key: str) -> dict[str, int]:
         ]
         return pd.concat(acc).groupby(level=0, sort=False).sum()
 
-    # ONE task wave: a file count above the slot count otherwise quantizes
-    # into multiple scheduling waves of ~ms tasks (0.29 s of a 5.4 s 16-CPU
-    # leg on the 40-file fixture was this stage)
-    n_slots = max(1, int(ray.cluster_resources().get("CPU", 8)))
-    n_chunks = min(len(files), n_slots)
-    chunks = [files[i::n_chunks] for i in range(n_chunks)]
-    parts = ray.get([count_files.remote(c) for c in chunks])
+    parts = ray.get([count_files.remote(c) for c in _file_chunks(files)])
     parts = [p for p in parts if len(p)]
     counts = (
         pd.concat(parts).groupby(level=0, sort=False).sum().astype(int).to_dict()
@@ -221,7 +223,6 @@ def _plan_key_counts(files: list[str], key: str) -> dict[str, int]:
     )
     if cache is not None:
         try:
-            import pyarrow as pa
             import pyarrow.parquet as pq
 
             os.makedirs(os.path.dirname(cache), mode=0o700, exist_ok=True)
@@ -244,97 +245,338 @@ def _plan_key_counts(files: list[str], key: str) -> dict[str, int]:
     return counts
 
 
+def _dataset_key_counts(
+    ds: "ray.data.Dataset", key: str, partial_limit: int
+) -> dict[str, int]:
+    """Salt-plan key counts of a Dataset: per-batch partial value_counts
+    (combiner) + tiny driver merge — a full groupby shuffle for a single
+    count column costs seconds of fixed coordination. The partials are one
+    row per distinct key per batch; past ``partial_limit`` rows (extreme key
+    cardinality) a coarse-partition groupby pre-sums them distributed-side
+    so only one row per DISTINCT key reaches the driver (round-4, VERDICT r3
+    item 7 — the thresholded_join pattern applied here)."""
+    import numpy as np
+    import pandas as pd
+
+    partials_ds = (
+        ds.select_columns([key])
+        .map_batches(
+            lambda df: df[key]
+            .astype(str)
+            .value_counts()
+            .rename_axis("k")
+            .rename("n")
+            .reset_index(),
+            batch_format="pandas",
+        )
+        .materialize()
+    )
+    if partials_ds.count() > partial_limit:
+        def stamp_kp(df: pd.DataFrame) -> pd.DataFrame:
+            df = df.copy()
+            df["kp"] = (
+                pd.util.hash_pandas_object(df["k"], index=False).to_numpy(np.uint64)
+                % np.uint64(64)
+            ).astype(np.int64)
+            return df
+
+        def sum_keys(g: pd.DataFrame) -> pd.DataFrame:
+            return g.groupby("k", sort=False)["n"].sum().reset_index()
+
+        partials = (
+            partials_ds.map_batches(stamp_kp, batch_format="pandas")
+            .groupby("kp")
+            .map_groups(sum_keys, batch_format="pandas")
+            .to_pandas()
+        )
+    else:
+        partials = partials_ds.to_pandas()
+    if len(partials) == 0 or "k" not in partials.columns:
+        return {}
+    return partials.groupby("k", sort=False)["n"].sum().astype(int).to_dict()
+
+
 def make_assigner(
-    ds: "ray.data.Dataset",
+    ds: Optional["ray.data.Dataset"],
     partition_by: Optional[str],
     hash_cols: list[str],
     target_rows: int,
     num_partitions: Optional[int] = None,
     partial_limit: int = PARTIAL_MERGE_LIMIT,
     key_counts: Optional[dict[str, int]] = None,
+    total_rows: Optional[int] = None,
 ) -> AssignPartitions:
     """Build the deterministic partition assigner. With ``partition_by``: a
-    column-pruned groupby-count feeds the salt/merge plan (hot keys split,
+    column-pruned count per key feeds the salt/merge plan (hot keys split,
     small keys bin-packed); the plan dict broadcasts with the stage closure.
-    ``key_counts`` (precomputed, e.g. by ``_plan_key_counts``) skips the
-    Dataset counting pass entirely. ``ds`` may be a zero-arg callable that
-    constructs the Dataset on first use — with precomputed ``key_counts``
-    the Dataset is never needed, and constructing one eagerly costs a
-    per-file metadata prefetch at every ``encode_dataset`` call."""
-    if partition_by is not None and key_counts is not None:
-        salt_map, merge_map = build_partition_plan(key_counts, target_rows)
-        assign = AssignPartitions(partition_by, hash_cols, salt_map, 16, merge_map)
-        assign.total_rows = int(sum(key_counts.values()))
+    Without it: a uniform hash into ``num_partitions`` (default
+    ``ceil(rows / target_rows)``) buckets. Precomputed ``key_counts`` (e.g.
+    ``_plan_key_counts``) or ``total_rows`` (footer row counts) skip the
+    Dataset pass; ``ds`` is then not used and may be ``None``."""
+    if partition_by is None:
+        total = ds.count() if total_rows is None else total_rows
+        if num_partitions is None:
+            num_partitions = max(1, -(-total // target_rows))
+        assign = AssignPartitions(None, hash_cols, None, num_partitions)
+        assign.total_rows = total
         return assign
-    if callable(ds):
-        ds = ds()
-    if partition_by is not None:
-        # per-batch partial value_counts (combiner) + tiny driver merge — a
-        # full groupby shuffle for a single count column costs seconds of
-        # fixed coordination. The partials are one row per distinct key per
-        # batch; past ``partial_limit`` rows (extreme key cardinality) a
-        # coarse-partition groupby pre-sums them distributed-side so only
-        # one row per DISTINCT key reaches the driver (round-4, VERDICT r3
-        # item 7 — the thresholded_join pattern applied here).
-        import numpy as np
-        import pandas as pd
-
-        partials_ds = (
-            ds.select_columns([partition_by])
-            .map_batches(
-                lambda df: df[partition_by]
-                .astype(str)
-                .value_counts()
-                .rename_axis("k")
-                .rename("n")
-                .reset_index(),
-                batch_format="pandas",
-            )
-            .materialize()
-        )
-        if partials_ds.count() > partial_limit:
-            def stamp_kp(df: pd.DataFrame) -> pd.DataFrame:
-                df = df.copy()
-                df["kp"] = (
-                    pd.util.hash_pandas_object(df["k"], index=False).to_numpy(
-                        np.uint64
-                    )
-                    % np.uint64(64)
-                ).astype(np.int64)
-                return df
-
-            def sum_keys(g: pd.DataFrame) -> pd.DataFrame:
-                return g.groupby("k", sort=False)["n"].sum().reset_index()
-
-            partials = (
-                partials_ds.map_batches(stamp_kp, batch_format="pandas")
-                .groupby("kp")
-                .map_groups(sum_keys, batch_format="pandas")
-                .to_pandas()
-            )
-        else:
-            partials = partials_ds.to_pandas()
-        if len(partials) == 0 or "k" not in partials.columns:
-            key_counts = {}
-        else:
-            key_counts = (
-                partials.groupby("k", sort=False)["n"].sum().astype(int).to_dict()
-            )
-        salt_map, merge_map = build_partition_plan(key_counts, target_rows)
-        assign = AssignPartitions(partition_by, hash_cols, salt_map, 16, merge_map)
-        assign.total_rows = int(sum(key_counts.values()))
-        return assign
-    total = ds.count()
-    if num_partitions is None:
-        num_partitions = max(1, -(-total // target_rows))
-    assign = AssignPartitions(None, hash_cols, None, num_partitions)
-    assign.total_rows = total
+    if key_counts is None:
+        key_counts = _dataset_key_counts(ds, partition_by, partial_limit)
+    salt_map, merge_map = build_partition_plan(key_counts, target_rows)
+    assign = AssignPartitions(partition_by, hash_cols, salt_map, 16, merge_map)
+    assign.total_rows = int(sum(key_counts.values()))
     return assign
 
 
+def _row_group_rows(files: list[str]) -> dict[str, list[int]]:
+    """Rows per row group of every file, from the footers, in one task wave."""
+
+    @ray.remote(num_cpus=1)
+    def rg_counts(paths: list[str]) -> list:
+        import pyarrow.parquet as pq
+
+        out = []
+        for p in paths:
+            md = pq.read_metadata(p)
+            out.append((p, [md.row_group(i).num_rows for i in range(md.num_row_groups)]))
+        return out
+
+    waves = ray.get([rg_counts.remote(c) for c in _file_chunks(files)])
+    return dict(x for part in waves for x in part)
+
+
+def _default_hash_cols(names: list[str], partition_by: Optional[str]) -> list[str]:
+    """The tie-break column must NOT be the partition key: hashing only
+    partition_by gives every row of a hot key the same hash, so the salt
+    buckets never populate and the hot key collapses into one giant
+    partition — exactly the skew the salting exists to bound (review r5)."""
+    candidates = [c for c in names if c != partition_by]
+    return [candidates[0] if candidates else names[0]]
+
+
+def _plan(
+    source: DatasetLike,
+    partition_by: Optional[str],
+    hash_cols: Optional[list[str]],
+    target_rows: int,
+    num_partitions: Optional[int],
+    mark,
+):
+    """Plan phase → ``(assign, hash_cols, spill_items)``. A path source
+    never builds a Dataset: the schema is one footer read, the key counts a
+    task wave over the key column (or the plan cache), the row-group counts a
+    footer task wave. ``spill_items`` bundles consecutive row groups of a
+    file into ~``SPILL_BATCH_ROWS``-row spill tasks; ``None`` for a Dataset
+    source, which spills its own blocks."""
+    if not isinstance(source, str):
+        if hash_cols is None:
+            hash_cols = _default_hash_cols(source.schema().names, partition_by)
+        mark("schema")
+        assign = make_assigner(
+            source, partition_by, hash_cols, target_rows, num_partitions
+        )
+        mark("assign_plan")
+        return assign, hash_cols, None
+    import pyarrow.parquet as pq
+
+    files = _list_parquet_files(source)
+    if hash_cols is None:
+        hash_cols = _default_hash_cols(pq.read_schema(files[0]).names, partition_by)
+    mark("schema")
+    rg_rows = _row_group_rows(files)
+    assign = make_assigner(
+        None,
+        partition_by,
+        hash_cols,
+        target_rows,
+        num_partitions,
+        key_counts=_plan_key_counts(files, partition_by) if partition_by else None,
+        total_rows=sum(sum(r) for r in rg_rows.values()),
+    )
+    mark("assign_plan")
+    items = []
+    for f in files:
+        cur: list[int] = []
+        cur_rows = 0
+        for rg, nrows in enumerate(rg_rows[f]):
+            cur.append(rg)
+            cur_rows += nrows
+            if cur_rows >= SPILL_BATCH_ROWS:
+                items.append({"file": f, "rgs": cur})
+                cur, cur_rows = [], 0
+        if cur:
+            items.append({"file": f, "rgs": cur})
+    return assign, hash_cols, items
+
+
+def _exchange_dir(out_dir: str, exchange_root: Optional[str]) -> str:
+    """A fresh exchange directory for this job. Exchange chunks are
+    transient shuffle traffic. Single node: prefer memory-backed /dev/shm
+    (stand-in for the object store). Multi-node: node-local shm would
+    silently lose every chunk written on a node the driver can't read —
+    REQUIRE ``exchange_root`` on shared storage instead."""
+    if exchange_root is not None:
+        root = exchange_root
+    elif len(ray.nodes()) > 1:
+        raise ValueError(
+            "encode_dataset on a multi-node cluster requires exchange_root= "
+            "on storage reachable by ALL nodes (NFS/S3-style); the node-local "
+            "/dev/shm default would drop chunks written on remote nodes"
+        )
+    elif os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK):
+        root = os.path.join("/dev/shm", "upxr_exchange")
+    else:
+        root = os.path.join(out_dir, "_exchange_root")
+    exchange_dir = os.path.join(root, sanitize_partition_id(os.path.abspath(out_dir)))
+    shutil.rmtree(exchange_dir, ignore_errors=True)
+    os.makedirs(exchange_dir, exist_ok=True)
+    return exchange_dir
+
+
+def _drop_done(batch: pa.Table, done_set: set) -> pa.Table:
+    """Resume filter, vectorized: sanitize once per DISTINCT partition key
+    in the batch (a resumed 100-TB run can carry ~10^6 done partitions; a
+    per-ROW sanitize + set lookup was the one Python loop left on this hot
+    path), then gather the per-label verdict by dictionary code."""
+    if not done_set:
+        return batch
+    import numpy as np
+    import pyarrow.compute as pc
+
+    enc = pc.dictionary_encode(batch[PART_COL].combine_chunks())
+    keep_label = np.array(
+        [
+            sanitize_partition_id(str(v)) not in done_set
+            for v in enc.dictionary.to_pylist()
+        ],
+        dtype=bool,
+    )
+    keep = keep_label[enc.indices.to_numpy(zero_copy_only=False)]
+    return batch.filter(pa.array(keep))
+
+
+def _spill(
+    source: DatasetLike,
+    items: Optional[list],
+    assign: AssignPartitions,
+    done_set: set,
+    exchange_dir: str,
+):
+    """Spill phase → the ack rows (pandas), one per written partition range.
+
+    Each spill call fuses assign → resume filter → hash split → write, so
+    assigned rows never re-enter the object store. A path source runs one
+    plain Ray task per item that reads its OWN row groups (the classic
+    shuffle-map shape): no ReadParquet operator round-trips the decoded
+    input through the object store, and no streaming executor is set up and
+    torn down for what ends as a to_pandas of tiny ack rows (r4 A/B at 16
+    CPUs: spill 4.6-5.1 s vs 6.4-8.4 s, job 10.1-10.3 s vs 13.3-23.4 s).
+    Reads run ``use_threads=False``: each task holds one CPU, and a
+    threaded decode per task oversubscribes the machine with no parallelism
+    to gain. Tasks retry like Dataset blocks and stay idempotent under
+    commit-by-ack: a failed attempt's orphan map-output file is never acked,
+    hence never read."""
+    spiller = SpillPartitions(exchange_dir)
+
+    def spill(batch: pa.Table) -> pa.Table:
+        return spiller(_drop_done(assign(batch), done_set))
+
+    if items is None:
+        return source.map_batches(
+            spill,
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+            batch_size=SPILL_BATCH_ROWS,
+        ).to_pandas()
+
+    @ray.remote(num_cpus=1)
+    def spill_task(item: dict) -> pa.Table:
+        import pyarrow.parquet as pq
+
+        rgs = [int(r) for r in item["rgs"]]
+        table = pq.ParquetFile(item["file"]).read_row_groups(rgs, use_threads=False)
+        return spill(table.replace_schema_metadata(None))
+
+    tabs = [t for t in ray.get([spill_task.remote(it) for it in items]) if t.num_rows]
+    return (pa.concat_tables(tabs) if tabs else ACK_SCHEMA.empty_table()).to_pandas()
+
+
+def _record_spill(ack_df) -> None:
+    """Spill-wall decomposition from the ack rows: UDF busy time, worker CPU
+    (utime/stime deltas, parquet read included since the read runs in the
+    same task) and bytes written to the exchange tier."""
+    if len(ack_df) and "busy_s" in ack_df:
+        LAST_PHASES["spill_busy_s"] = round(float(ack_df.busy_s.sum()), 2)
+        LAST_PHASES["spill_cpu_s"] = round(float(ack_df.cpu_s.sum()), 2)
+        LAST_PHASES["spill_sys_s"] = round(float(ack_df.sys_s.sum()), 2)
+        LAST_PHASES["spill_mb"] = round(float(ack_df.bytes.sum()) / 1e6, 1)
+
+
+def _encode_wave(ack_df, out_dir: str, exchange_dir: str, lineage: dict) -> list[pa.Table]:
+    """Encode phase → the manifest rows the wave wrote, one table per bin.
+
+    Partitions are LPT bin-packed by acked bytes into ``slots ×
+    WAVE_BINS_PER_SLOT`` bins, heaviest first, each bin one plain Ray task
+    on the worker processes the spill already warmed (an actor pool pays
+    process spawn + imports per actor, ~100 worker-seconds at 32 CPUs; the
+    from_items/map_batches vehicle cost ~1 s of streaming-executor setup per
+    wave at 16 workers). Tasks retry idempotently: atomic partition writes,
+    manifest row last. Each task returns the manifest rows it wrote, so
+    finalize does not read them back."""
+    if not len(ack_df):
+        return []
+    grouped = ack_df.groupby("pid", sort=True)
+    # (file, offset, length) ranges into the map-output files — sorted for a
+    # deterministic read order per partition
+    pid_files = {
+        pid: sorted(zip(g["file"], g["off"].astype(int), g["bytes"].astype(int)))
+        for pid, g in grouped
+    }
+    pid_raw = grouped["raw"].first().to_dict()
+    pid_bytes = grouped["bytes"].sum().to_dict()
+    pids = sorted(pid_files)
+    bins = lpt_bins([int(pid_bytes[p]) for p in pids], _cpu_slots() * WAVE_BINS_PER_SLOT)
+    # ranges JSON-encoded per pid: one flat string per partition
+    items = [
+        {
+            "pids": [pids[i] for i in b],
+            "raws": [pid_raw[pids[i]] for i in b],
+            "files": [json.dumps([list(r) for r in pid_files[pids[i]]]) for i in b],
+        }
+        for b in bins
+    ]
+    encode_fn = functools.partial(
+        exchange_encode_task,
+        out_dir=out_dir,
+        exchange_dir=exchange_dir,
+        lineage_json=json.dumps(lineage, sort_keys=True),
+    )
+
+    @ray.remote(num_cpus=1)
+    def bin_task(item: dict) -> pa.Table:
+        return encode_fn(pa.Table.from_pylist([item]))
+
+    return ray.get([bin_task.remote(it) for it in items])
+
+
+def _finalize(out_dir: str, wave_tables: list[pa.Table]) -> "ray.data.Dataset":
+    """The manifest Dataset: this run's rows came back by value; only
+    resume-skipped partitions (rows on disk the wave did not write) still
+    need the disk read — zero files on a fresh run (0.4–0.5 s of finalize
+    wall per leg at the 8M-row scale point)."""
+    os.makedirs(out_dir, exist_ok=True)
+    wave_pids = {p for t in wave_tables for p in t["partition_id"].to_pylist()}
+    rest = read_manifest(out_dir, skip_pids=wave_pids, allow_empty=True)
+    mtab = pa.concat_tables([rest.cast(MANIFEST_SCHEMA)] + list(wave_tables))
+    if not mtab.num_rows:
+        raise FileNotFoundError(f"no manifest rows under {out_dir}")
+    return ray.data.from_arrow(mtab)
+
+
 # wall seconds per driver-side phase of the MOST RECENT encode_dataset call
-# (schema / assign_plan / spill / encode_wave) — read by bench.py to split
-# a scaling leg into its stages; diagnostics only, cleared per call.
+# (schema / assign_plan / spill / encode_wave / cleanup / finalize), plus
+# the spill decomposition of ``_record_spill`` — read by bench.py and
+# perfbench; diagnostics only, cleared per call.
 LAST_PHASES: dict[str, float] = {}
 
 
@@ -347,508 +589,63 @@ def encode_dataset(
     target_rows_per_partition: int = 100_000,
     num_partitions: Optional[int] = None,
     resume: bool = True,
-    concurrency: Optional[int] = None,
     lineage: Optional[dict] = None,
-    shuffle: str = "exchange",
     exchange_root: Optional[str] = None,
 ) -> "ray.data.Dataset":
-    """Encode ``source`` into ``out_dir``; returns the manifest Dataset.
+    """Encode ``source`` (a Parquet file/directory path or a Ray Dataset)
+    into ``out_dir``; returns the manifest Dataset.
 
     ``partition_by``: column giving partitions locality (e.g. ``repo``);
     hot values are salted into multiple buckets. ``hash_cols`` break ties
-    deterministically (default: first column).
-
-    ``shuffle``: the all-to-all exchange implementation.
-    - ``"exchange"`` (default): map-side hash split → per-partition Arrow IPC
-      chunk files → one encode task per partition (external shuffle via
-      shared storage; see stages/exchange.py). Scales linearly with workers
-      and avoids the sort machinery's coordination cost.
-    - ``"groupby"``: Ray Data's native ``groupby(_part).map_groups`` sort
-      shuffle (the north-rule reference shape, kept as the pure-Dataset-API
-      path).
-    """
-    import time as _time
-
+    deterministically (default: the first column that is not
+    ``partition_by``). ``exchange_root``: shared storage for the spill on a
+    multi-node cluster (see module docstring)."""
     from ..context import tune_for_cluster
 
-    _timing = os.environ.get("UPXR_PHASE_TIMING") == "1"
-    _t0 = _time.perf_counter()
     LAST_PHASES.clear()
+    t0 = [time.perf_counter()]
 
-    def _mark(phase: str):
-        nonlocal _t0
-        now = _time.perf_counter()
-        LAST_PHASES[phase] = round(now - _t0, 2)
-        if _timing:
-            print(f"[upxr-phase] {phase}: {now - _t0:.2f}s", flush=True)
-        _t0 = now
+    def mark(phase: str) -> None:
+        now = time.perf_counter()
+        LAST_PHASES[phase] = round(now - t0[0], 2)
+        t0[0] = now
 
     tune_for_cluster()
-    if isinstance(source, str):
-        # Split the MAIN read to ~4 tasks per core: the fused read→spill
-        # stage otherwise inherits one task per input file, and a file
-        # count near the slot count leaves a half-wave straggler tail at
-        # the high-parallelism leg (spill 8.1–14.1 s vs 5.8–6.4 s at 16
-        # CPUs on the 40-file 8M-row fixture; row-group granularity caps
-        # the split). The salt-plan pass is raw per-file tasks
-        # (_plan_key_counts) — no Dataset executor, key column only.
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        from ..sources.tables import read_parquet_clean
-
-        # UPXR_READ_TASKS_PER_CPU: read-split granularity. Default 8 from
-        # the r4-Y campaign A/B: at the 4-CPU leg the coarser 4/cpu split
-        # left a measurable straggler tail (31.9 → 29.0 s record, flattest
-        # rep triple recorded), hi leg neutral; per-task overhead stays
-        # negligible to at least 8×32 tasks on the 8M-row fixture. A
-        # 16 MB/block floor keeps small inputs from shattering into
-        # per-task-overhead-sized blocks (measured +0.2 s spill on the
-        # 47 MB sf0.1 fixture at 256 blocks).
-        rtpc = int(os.environ.get("UPXR_READ_TASKS_PER_CPU", "8"))
-        src_files = _list_parquet_files(source)
-        src_bytes = 0
-        try:
-            src_bytes = sum(os.path.getsize(f) for f in src_files)
-        except OSError:
-            pass
-        blocks = rtpc * cpus
-        if src_bytes:
-            blocks = min(blocks, max(cpus, src_bytes // MIN_BLOCK_BYTES))
-        # LAZY: the default hot path (precomputed salt plan + self-read
-        # spill) never consumes this Dataset, and constructing it eagerly
-        # costs a per-file parquet-metadata prefetch (remote tasks over all
-        # input files — 0.1-0.6 s on the 40-file scaling fixture, worse at
-        # low parallelism). Only the groupby-shuffle branch, the
-        # UPXR_SPILL_SELFREAD=0 fallback, and the no-key-counts assigner
-        # path materialize it.
-        _blocks = int(blocks)
-        _lazy_ds: list = []
-
-        def get_ds() -> "ray.data.Dataset":
-            if not _lazy_ds:
-                _lazy_ds.append(
-                    read_parquet_clean(source, override_num_blocks=_blocks)
-                )
-            return _lazy_ds[0]
-
-    else:
-        _src_ds = _to_dataset(source)
-        src_files = []
-
-        def get_ds() -> "ray.data.Dataset":
-            return _src_ds
-
-    if hash_cols is None:
-        if src_files:
-            # one footer read (~ms) instead of ds.schema()'s metadata pass;
-            # read_parquet_clean derives the Dataset schema from the same
-            # footer, so column order is identical by construction
-            import pyarrow.parquet as pq
-
-            names = pq.read_schema(src_files[0]).names
-        else:
-            # schema() costs a full metadata pass + the first-op worker
-            # warmup — only pay it when the caller didn't name the
-            # tie-break columns and gave a Dataset, not a path
-            names = get_ds().schema().names
-        # the tie-break column must NOT be the partition key: hashing only
-        # partition_by gives every row of a hot key the same hash, so the
-        # salt buckets never populate and the hot key collapses into one
-        # giant partition — exactly the skew the salting exists to bound
-        # (review r5)
-        candidates = [c for c in names if c != partition_by]
-        hash_cols = [candidates[0] if candidates else names[0]]
-    _mark("schema")
-
-    plan_counts = (
-        _plan_key_counts(src_files, partition_by)
-        if (partition_by is not None and src_files)
-        else None
+    assign, hash_cols, items = _plan(
+        source, partition_by, hash_cols, target_rows_per_partition, num_partitions, mark
     )
-    assign = make_assigner(
-        get_ds,
-        partition_by,
-        hash_cols,
-        target_rows_per_partition,
-        num_partitions,
-        key_counts=plan_counts,
-    )
-    _mark("assign_plan")
     if assign.total_rows == 0:
         # reference semantic: refuse empty export (parquet_writer.py:10-11)
         raise ValueError("No data to write")
-    if partition_by is None and num_partitions is None:
-        num_partitions = assign.num_partitions
-
-    done_set: set = completed_partitions(out_dir) if resume else set()
-
-    def drop_done(batch: pa.Table) -> pa.Table:
-        # resume filter, vectorized: sanitize once per DISTINCT partition key
-        # in the batch (a resumed 100-TB run can carry ~10^6 done partitions;
-        # a per-ROW sanitize + set lookup was the one Python loop left on
-        # this hot path), then gather the per-label verdict by dictionary code
-        if not done_set:
-            return batch
-        import numpy as np
-        import pyarrow.compute as pc
-
-        enc = pc.dictionary_encode(batch[PART_COL].combine_chunks())
-        keep_label = np.array(
-            [
-                sanitize_partition_id(str(v)) not in done_set
-                for v in enc.dictionary.to_pylist()
-            ],
-            dtype=bool,
-        )
-        keep = keep_label[enc.indices.to_numpy(zero_copy_only=False)]
-        return batch.filter(pa.array(keep))
-
-    src_desc = source if isinstance(source, str) else "<dataset>"
     full_lineage = {
         **(lineage or {}),
-        "source": str(src_desc),
+        "source": source if isinstance(source, str) else "<dataset>",
         # partitioning config recorded so verify/resume can reconstruct
         # the identical deterministic assignment
         "partition_by": partition_by,
         "hash_cols": hash_cols,
         "target_rows": target_rows_per_partition,
-        "num_partitions": num_partitions,
+        "num_partitions": assign.num_partitions if partition_by is None else num_partitions,
     }
-    pool = concurrency or default_pool_size()
-    if isinstance(pool, tuple):  # (min, max) autoscaling form → fixed max
-        pool = pool[-1]
-    # set by the raw-task encode wave: the manifest tables it returned by
-    # value (finalize then skips re-reading those partitions from disk)
-    wave_tables: Optional[list] = None
-    rm_thread = None
-    if shuffle == "groupby":
-        assigned = get_ds().map_batches(
-            lambda b: drop_done(assign(b)), batch_format="pyarrow", zero_copy_batch=True
-        )
-        # callable CLASS → actor pool: codec registry + lineage built once
-        # per actor, reused across all partitions that actor encodes
-        manifest = assigned.groupby(PART_COL).map_groups(
-            PartitionEncoder,
-            fn_constructor_kwargs={"out_dir": out_dir, "lineage": full_lineage},
-            batch_format="pyarrow",
-            concurrency=pool,
-        )
-        # materialize the (tiny — one row per partition) manifest so the
-        # encode executes; big data only ever streams through workers.
-        manifest.to_pandas()
-    elif shuffle == "exchange":
-        import shutil
-
-        from ..stages.exchange import SpillPartitions
-
-        # exchange chunks are transient shuffle traffic. Single node: prefer
-        # memory-backed /dev/shm (stand-in for the object store). Multi-node:
-        # node-local shm would silently lose every chunk written on a node the
-        # driver can't read — REQUIRE exchange_root on shared storage instead.
-        if exchange_root is not None:
-            root = exchange_root
-        elif len(ray.nodes()) > 1:
-            raise ValueError(
-                "encode_dataset(shuffle='exchange') on a multi-node cluster "
-                "requires exchange_root= on storage reachable by ALL nodes "
-                "(NFS/S3-style); the node-local /dev/shm default would drop "
-                "chunks written on remote nodes"
-            )
-        elif os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK):
-            root = os.path.join("/dev/shm", "upxr_exchange")
-        else:
-            root = os.path.join(out_dir, "_exchange_root")
-        exchange_dir = os.path.join(root, sanitize_partition_id(os.path.abspath(out_dir)))
-        shutil.rmtree(exchange_dir, ignore_errors=True)
-        os.makedirs(exchange_dir, exist_ok=True)
-        spiller = SpillPartitions(exchange_dir)
-
-        def spill(batch):
-            # fused assign→filter→split→spill: the assigned rows never
-            # re-enter the object store between operators
-            return spiller(drop_done(assign(batch)))
-
-        # UPXR_SPILL_BATCH: rows per fused spill call; "none" = one call per
-        # input block (avoids the ragged tail batch a fixed size cuts off
-        # every block, at the cost of batch-sized instead of block-sized
-        # peak memory per task)
-        _sb = os.environ.get("UPXR_SPILL_BATCH", "100000")
-        spill_batch = None if _sb.lower() == "none" else int(_sb)
-        # UPXR_SPILL_SELFREAD=1: spill tasks read their OWN parquet row
-        # groups (the classic shuffle-map shape) instead of consuming a
-        # ReadParquet operator's output. The unfused two-operator plan
-        # round-trips the entire decoded input through the object store
-        # between read and spill — the job's single biggest shm
-        # page-allocation source; Ray 2.49's read→map fusion can't be used
-        # instead because it requires file-granular read tasks (SplitBlocks
-        # and any finite batch_size both disable the fusion rule, verified
-        # empirically), and one-task-per-FILE quantizes the load across
-        # slots. Self-read keeps row-group granularity AND zero exchange of
-        # source rows: one task per ~spill_batch rows of row groups.
-        # Default ON (r4 A/B at 16 CPUs: spill 4.6-5.1 s vs 6.4-8.4 s, job
-        # 10.1-10.3 s vs 13.3-23.4 s, and the job's churn-window sensitivity
-        # collapses with the shm traffic); output verified bit-identical to
-        # the Dataset-read path. UPXR_SPILL_SELFREAD=0 restores the
-        # two-operator plan.
-        selfread = (
-            os.environ.get("UPXR_SPILL_SELFREAD", "1") == "1" and bool(src_files)
-        )
-        if selfread:
-            import pyarrow.parquet as pq
-
-            # UPXR_SPILL_READ_THREADS=1 restores pyarrow's default threaded
-            # column decode. Default OFF: each spill task is scheduled at
-            # num_cpus=1, and use_threads=True makes every task spawn a
-            # machine-wide Arrow thread pool (≈ #columns threads per task ×
-            # 16 concurrent tasks on 16 CPUs) — oversubscription with no
-            # parallelism to gain, visible as lo-leg utime 31.0 vs 27.5
-            # core-s pre-self-read (runs r4-BP/BQ vs r4-BM).
-            _rd_threads = (
-                os.environ.get("UPXR_SPILL_READ_THREADS", "0") == "1"
-            )
-
-            # footer metadata in ONE parallel task wave (review r5: the
-            # serial driver loop costs ~ms × #files on every run AND every
-            # resume — minutes of driver stall at 10^4-10^5 files)
-            _n_slots = max(1, int(ray.cluster_resources().get("CPU", 8)))
-            _n_chunks = min(len(src_files), _n_slots)
-            _chunks = [src_files[i::_n_chunks] for i in range(_n_chunks)]
-
-            @ray.remote(num_cpus=1)
-            def _rg_counts(paths):
-                import pyarrow.parquet as _pq
-
-                out = []
-                for p in paths:
-                    md = _pq.read_metadata(p)
-                    out.append(
-                        (
-                            p,
-                            [
-                                md.row_group(i).num_rows
-                                for i in range(md.num_row_groups)
-                            ],
-                        )
-                    )
-                return out
-
-            rg_rows = dict(
-                x
-                for part in ray.get([_rg_counts.remote(c) for c in _chunks])
-                for x in part
-            )
-            items = []
-            for f in src_files:
-                cur: list[int] = []
-                cur_rows = 0
-                for rg, nrows in enumerate(rg_rows[f]):
-                    cur.append(rg)
-                    cur_rows += nrows
-                    if spill_batch and cur_rows >= spill_batch:
-                        items.append({"file": f, "rgs": cur})
-                        cur, cur_rows = [], 0
-                if cur:
-                    items.append({"file": f, "rgs": cur})
-
-            # single read body shared by BOTH spill paths (review r5: the
-            # raw-task and Dataset forms duplicated it, threatening the
-            # documented bit-identical A/B guarantee on divergence)
-            def _read_item(file, rgs):
-                return (
-                    pq.ParquetFile(file)
-                    .read_row_groups(
-                        [int(r) for r in rgs], use_threads=_rd_threads
-                    )
-                    .replace_schema_metadata(None)
-                )
-
-            def spill_selfread(batch: pa.Table) -> pa.Table:
-                from ..stages.exchange import ACK_SCHEMA
-
-                out = [
-                    spill(_read_item(row["file"], row["rgs"]))
-                    for row in batch.to_pylist()
-                ]
-                return (
-                    pa.concat_tables(out) if out else ACK_SCHEMA.empty_table()
-                )
-
-            if os.environ.get("UPXR_SPILL_RAW", "1") == "1":
-                # default: one plain Ray task per row-group split, same
-                # rationale as UPXR_WAVE_RAW — the ack Dataset is
-                # materialized to pandas immediately, so the streaming
-                # executor was purely an execution vehicle and its
-                # setup/teardown is a flat per-leg cost. Tasks retry like
-                # Dataset blocks and stay idempotent under commit-by-ack
-                # (a failed attempt's orphan map-output file is never
-                # acked, hence never read). UPXR_SPILL_RAW=0 restores the
-                # from_items/map_batches path.
-                from ..stages.exchange import ACK_SCHEMA
-
-                @ray.remote(num_cpus=1)
-                def _spill_task(item):
-                    return spill(_read_item(item["file"], item["rgs"]))
-
-                tabs = [t for t in ray.get([_spill_task.remote(it) for it in items]) if t.num_rows]
-                ack_df = (
-                    pa.concat_tables(tabs) if tabs else ACK_SCHEMA.empty_table()
-                ).to_pandas()
-            else:
-                acks = ray.data.from_items(
-                    items, override_num_blocks=len(items)
-                ).map_batches(
-                    spill_selfread, batch_format="pyarrow", batch_size=None
-                )
-                ack_df = acks.to_pandas()
-        else:
-            acks = get_ds().map_batches(
-                spill,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=spill_batch,
-            )
-            # barrier: one tiny ack row per chunk file. Stage 2 reads ONLY
-            # the files named here (commit-by-ack): orphan chunks from
-            # failed task attempts are never read, so retries can't
-            # duplicate or drop rows.
-            ack_df = acks.to_pandas()
-        _mark("spill")
-        if len(ack_df) and "busy_s" in ack_df:
-            # decomposition of the spill wall (diagnostics): UDF busy time,
-            # and worker CPU (utime/stime deltas, parquet read included since
-            # the read fuses into the same worker process)
-            LAST_PHASES["spill_busy_s"] = round(float(ack_df.busy_s.sum()), 2)
-            LAST_PHASES["spill_cpu_s"] = round(float(ack_df.cpu_s.sum()), 2)
-            LAST_PHASES["spill_sys_s"] = round(float(ack_df.sys_s.sum()), 2)
-            LAST_PHASES["spill_mb"] = round(float(ack_df.bytes.sum()) / 1e6, 1)
-            if os.environ.get("UPXR_SPILL_DEBUG") == "1":
-                # per-call busy distribution (the first ack row of each spill
-                # call carries busy_s>0) — slot-idle diagnostics
-                b = ack_df.busy_s[ack_df.busy_s > 0]
-                print(
-                    "[upxr-spill] calls=%d busy sum=%.2f min=%.3f p50=%.3f "
-                    "p90=%.3f max=%.3f" % (
-                        len(b), b.sum(), b.min(), b.quantile(0.5),
-                        b.quantile(0.9), b.max(),
-                    ),
-                    file=sys.stderr, flush=True,
-                )
-        if len(ack_df):
-            grouped = ack_df.groupby("pid", sort=True)
-            # (file, offset, length) ranges into the per-batch map-output
-            # files — sorted for a deterministic read order per partition
-            pid_files = {
-                pid: sorted(
-                    zip(g["file"], g["off"].astype(int), g["bytes"].astype(int))
-                )
-                for pid, g in grouped
-            }
-            pid_raw = grouped["raw"].first().to_dict()
-            pid_bytes = grouped["bytes"].sum().to_dict()
-            pids = sorted(pid_files)
-        else:
-            pids = []
-        if pids:
-            # LPT bin-packing into slots×12 byte-balanced bins: fine enough
-            # that Ray's scheduler work-steals around stragglers, coarse
-            # enough that per-task dispatch stays negligible. The bins run
-            # as plain TASKS on the worker processes the spill stage already
-            # warmed — an actor pool would pay process spawn + imports per
-            # actor (~100 worker-seconds at 32 CPUs, measured). Bin count
-            # follows the CLUSTER's task slots, not the caller's pool hint:
-            # the wave runs uncapped as tasks, and a bins/slots ratio below
-            # ~4 leaves a measurable straggler tail (byte-balanced bins are
-            # only approximately time-balanced).
-            slots = max(pool, int(ray.cluster_resources().get("CPU", pool)))
-            bins_per_slot = int(os.environ.get("UPXR_WAVE_BINS_PER_SLOT", "12"))
-            bins = [
-                [pids[i] for i in b]
-                for b in lpt_bins(
-                    [int(pid_bytes[p]) for p in pids], slots * bins_per_slot
-                )
-            ]
-            import functools
-            import json as _json
-
-            # ranges JSON-encoded per pid: a nested [str,int,int] list makes
-            # from_items' Arrow conversion fail over to object blocks (error
-            # spam + pickle overhead); a flat string column stays Arrow
-            items = [
-                {
-                    "pids": b,
-                    "raws": [pid_raw[p] for p in b],
-                    "files": [
-                        _json.dumps([list(r) for r in pid_files[p]]) for p in b
-                    ],
-                }
-                for b in bins
-            ]
-
-            from ..stages.exchange import exchange_encode_task
-
-            encode_fn = functools.partial(
-                exchange_encode_task,
-                out_dir=out_dir,
-                exchange_dir=exchange_dir,
-                lineage_json=_json.dumps(full_lineage, sort_keys=True),
-            )
-            if os.environ.get("UPXR_WAVE_RAW", "1") == "1":
-                # default: submit each bin as a plain Ray task. The
-                # from_items/map_batches pipeline was purely an execution
-                # vehicle — its streaming-executor setup/teardown costs ~1 s
-                # of wave wall at 16 workers in matched windows (6.2-6.9 s vs
-                # 7.1-8.3 s, identical task utime). Tasks retry like Dataset
-                # blocks (idempotent: atomic partition writes,
-                # manifest-last). UPXR_WAVE_RAW=0 restores the Ray Data path.
-                # The returned tables ARE the manifest rows each task wrote
-                # (encoder.py::encode_partition returns its own atomic
-                # manifest write), so finalize below skips re-reading them.
-                import pyarrow as _pa
-
-                @ray.remote(num_cpus=1)
-                def _bin_task(item):
-                    return encode_fn(_pa.Table.from_pylist([item]))
-
-                wave_tables = ray.get([_bin_task.remote(it) for it in items])
-            else:
-                pid_ds = ray.data.from_items(
-                    items, override_num_blocks=len(items)
-                )
-                manifest = pid_ds.map_batches(
-                    encode_fn, batch_format="pyarrow", batch_size=None
-                )
-                manifest.to_pandas()
-            _mark("encode_wave")
-        # transient exchange chunks: delete in a background thread so the
-        # (disk-bound, ~0.15 s on the 2 GB fixture) rmtree overlaps the
-        # manifest finalize instead of serializing before it
-        import threading
-
-        rm_thread = threading.Thread(
-            target=shutil.rmtree, args=(exchange_dir,), kwargs={"ignore_errors": True}
-        )
-        rm_thread.start()
-        _mark("cleanup")
-    else:
-        raise ValueError(f"unknown shuffle mode {shuffle!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    if wave_tables is not None:
-        # raw-wave fast path: this run's manifest rows came back by value;
-        # only resume-skipped partitions (rows on disk the wave did not
-        # write) still need the disk read — zero files on a fresh run
-        # (0.4–0.5 s of finalize wall per leg at the 8M-row scale point)
-        wave_pids: set = set()
-        for t in wave_tables:
-            wave_pids.update(t["partition_id"].to_pylist())
-        rest = read_manifest(out_dir, skip_pids=wave_pids, allow_empty=True)
-        mtab = pa.concat_tables([rest.cast(MANIFEST_SCHEMA)] + list(wave_tables))
-        if not mtab.num_rows:
-            raise FileNotFoundError(f"no manifest rows under {out_dir}")
-    else:
-        mtab = read_manifest(out_dir).cast(MANIFEST_SCHEMA)
-    out = ray.data.from_arrow(mtab)
-    if rm_thread is not None:
-        rm_thread.join()
-    _mark("finalize")
+    done_set: set = completed_partitions(out_dir) if resume else set()
+    exchange_dir = _exchange_dir(out_dir, exchange_root)
+    ack_df = _spill(source, items, assign, done_set, exchange_dir)
+    mark("spill")
+    _record_spill(ack_df)
+    wave_tables = _encode_wave(ack_df, out_dir, exchange_dir, full_lineage)
+    if wave_tables:
+        mark("encode_wave")
+    # transient exchange chunks: delete in a background thread so the
+    # (disk-bound, ~0.15 s on the 2 GB fixture) rmtree overlaps the manifest
+    # finalize instead of serializing before it
+    rm_thread = threading.Thread(
+        target=shutil.rmtree, args=(exchange_dir,), kwargs={"ignore_errors": True}
+    )
+    rm_thread.start()
+    mark("cleanup")
+    out = _finalize(out_dir, wave_tables)
+    rm_thread.join()
+    mark("finalize")
     return out
 
 

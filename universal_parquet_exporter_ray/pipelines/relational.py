@@ -31,7 +31,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table
 from ..stages.agg import combiner_groupby
-from ..stages.joins import broadcast_merge, broadcast_semi, thresholded_join
+from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 
 QUERIES: dict[str, Callable] = {}
 ORACLE_SQL: dict[str, str] = {}
@@ -297,22 +297,28 @@ def q_join_multiway(sf_dir: str):
     # above it (the 100-TB path, shuffling the narrowest possible side).
     # Per-batch PARTIAL aggregation before the final tiny groupby keeps
     # the combiner-first pattern either way.
-    li = load_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    orders = load_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = (
-        load_table(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    )
-    nation = load_table(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    dim = cust.merge(
-        nation, left_on="c_nationkey", right_on="n_nationkey", sort=False
-    )[["c_custkey", "n_name"]]
     from ..stages.joins import BROADCAST_ROW_LIMIT
 
-    # size gate on the metadata row count (a parquet-footer read, no scan):
-    # an inner merge with the dims can only shrink the orders side, so the
-    # pre-merge count is a sound upper bound for the broadcast decision —
-    # this avoids executing the orders pipeline twice (probe + materialize).
-    if orders.count() <= BROADCAST_ROW_LIMIT:
+    li = load_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = load_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    cust = load_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    nation = load_table(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    # size gates on the metadata row counts (a parquet-footer read, no
+    # scan). customer grows with the corpus: above the broadcast budget the
+    # customer⋈nation dim stays a Dataset (nation, 25 rows, broadcasts)
+    # and orders hash-joins it. An inner merge with the dims can only
+    # shrink the orders side, so its pre-merge count is a sound upper bound
+    # for the broadcast decision — no probe pass over the orders pipeline.
+    big_cust = cust.count() > BROADCAST_ROW_LIMIT
+    if big_cust:
+        dim = broadcast_merge(
+            cust, nation, left_on=["c_nationkey"], right_on=["n_nationkey"]
+        ).select_columns(["c_custkey", "n_name"])
+    else:
+        dim = cust.to_pandas().merge(
+            nation, left_on="c_nationkey", right_on="n_nationkey", sort=False
+        )[["c_custkey", "n_name"]]
+    if not big_cust and orders.count() <= BROADCAST_ROW_LIMIT:
         odf = orders.to_pandas()  # bounded by the broadcast budget
         dim2 = odf.merge(dim, left_on="o_custkey", right_on="c_custkey", sort=False)[
             ["o_orderkey", "n_name"]
@@ -321,15 +327,13 @@ def q_join_multiway(sf_dir: str):
             li, dim2, left_on=["l_orderkey"], right_on=["o_orderkey"], how="inner"
         )
     else:
-        orders_nn = broadcast_merge(
-            orders, dim, left_on=["o_custkey"], right_on=["c_custkey"], how="inner"
-        ).select_columns(["o_orderkey", "n_name"])
-        joined = li.join(
-            orders_nn,
-            join_type="inner",
-            num_partitions=32,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
+        join = hash_join if big_cust else broadcast_merge
+        orders_nn = join(orders, dim, left_on=["o_custkey"], right_on=["c_custkey"])
+        joined = hash_join(
+            li,
+            orders_nn.select_columns(["o_orderkey", "n_name"]),
+            left_on=["l_orderkey"],
+            right_on=["o_orderkey"],
         )
 
     def add_rev(df: pd.DataFrame) -> pd.DataFrame:
@@ -1663,12 +1667,11 @@ def q_join_compound(sf_dir: str):
         )
     else:
         firsts = _rename(firsts, {"user_id": "f_user", "event_type": "f_kind"})
-        joined = ev.join(
+        joined = hash_join(
+            ev,
             firsts,
-            join_type="inner",
-            num_partitions=32,
-            on=("user_id", "event_type"),
-            right_on=("f_user", "f_kind"),
+            left_on=["user_id", "event_type"],
+            right_on=["f_user", "f_kind"],
         )
 
     def later(df: pd.DataFrame) -> pd.DataFrame:

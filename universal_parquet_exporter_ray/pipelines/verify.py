@@ -29,6 +29,11 @@ from ..stages.encoder import PART_COL, PartitionDecoder
 from ..state.manifest import read_manifest, sanitize_partition_id
 from .encode import make_assigner
 
+# smallest input, in bytes, worth one Ray Data block: below it the fixed
+# per-task cost outweighs the parallelism. Floors the decode block count of
+# ``decoded_dataset``.
+MIN_BLOCK_BYTES = 16 << 20
+
 MASK64 = (1 << 64) - 1
 
 
@@ -232,10 +237,9 @@ def decoded_dataset(
     partition, so partition atomicity is a FILE property — no shuffle is
     needed to regroup blob rows. The files are LPT-packed by size into
     ``min(files, max(cpus, total_bytes / MIN_BLOCK_BYTES))`` blocks (one
-    decode task each, heaviest first), the same floor as the encode read
-    split: one task per file paid a fixed per-task cost that was most of a
-    small output's read (23 tasks for 3.4 MB). Every decoded row keeps its
-    partition id in ``_part``.
+    decode task each, heaviest first): one task per file paid a fixed
+    per-task cost that was most of a small output's read (23 tasks for
+    3.4 MB). Every decoded row keeps its partition id in ``_part``.
 
     ``columns``: decode only these columns. The encoded layout stores one
     blob row per column, so the other columns' payloads are read from disk
@@ -259,7 +263,7 @@ def decoded_dataset(
     import pyarrow.parquet as pq
 
     from ..state.manifest import parts_path
-    from .encode import MIN_BLOCK_BYTES, lpt_bins
+    from .encode import lpt_bins
 
     files = sorted(glob.glob(os.path.join(parts_path(out_dir), "*", "data.parquet")))
     if not files:

@@ -1,16 +1,16 @@
 """Encoder / decoder stages for the columnar-encode pipeline.
 
-``PartitionEncoder`` is the actor-pool stage replacing the reference's
+``PartitionEncoder`` is the encode stage replacing the reference's
 ``ParquetWriter.write_to_parquet`` (``/root/reference/src/export/parquet_writer.py:8-17``):
 instead of one pandas ``to_parquet`` call, every column of a partition is
 trial-selected (stats → candidates → trial encode) and encoded with the
 winning lightweight codec; FSST symbol tables / dictionaries trained on the
 partition sample are reused for the full partition (north-rule statefulness).
 
-Used via ``groupby(PART_COL).map_groups(PartitionEncoder(out_dir), ...)`` —
-one call per partition; the callable-class form makes Ray run it in an actor
-pool so the codec registry import cost is paid once per actor, not per batch.
-Mirrors the reference's empty-input ``ValueError``
+Used through ``stages/exchange.py``: each encode-wave task keeps one
+``ExchangeEncoder`` (a ``PartitionEncoder``) per worker process and calls
+``encode_partition`` once per partition, so codec state carries across the
+partitions that worker encodes. Mirrors the reference's empty-input ``ValueError``
 (``parquet_writer.py:10-11``) at the pipeline level (see pipelines/encode.py).
 """
 
@@ -166,11 +166,11 @@ class PartitionEncoder:
     def __init__(self, out_dir: str, lineage: dict | None = None):
         self.out_dir = out_dir
         self.lineage = lineage or {}
-        # per-actor FSST symbol-table cache: column → (table, uses). Every
+        # per-worker FSST symbol-table cache: column → (table, uses). Every
         # encoded chunk stores its own table, so reuse across partitions is
         # correctness-neutral; periodic refresh bounds ratio drift.
         self._fsst_cache: dict[str, tuple[list, int]] = {}
-        # per-actor codec-CHOICE cache: column → (CodecChoice, uses,
+        # per-worker codec-CHOICE cache: column → (CodecChoice, uses,
         # fresh_ratio). Profiling showed the per-partition trial encodes
         # (select_codec) cost ~5× the winning encode itself — the dominant
         # term of the saturated-socket encode worker-seconds. Every chunk
@@ -312,10 +312,6 @@ class PartitionEncoder:
         mtable = pa.Table.from_pylist([manifest_row], schema=MANIFEST_SCHEMA)
         write_atomic_parquet(mtable, os.path.join(manifest_path(self.out_dir), f"{pid}.parquet"))
         return mtable
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        raw_pid = str(group[PART_COL][0].as_py())
-        return self.encode_partition(group.drop_columns([PART_COL]), raw_pid)
 
 
 class PartitionDecoder:

@@ -1,5 +1,5 @@
-"""Explicit file-based exchange: the engine's alternative to Ray's sort-based
-groupby shuffle for the encode pipeline.
+"""Explicit file-based exchange: the encode pipeline's shuffle, in place of
+Ray's sort-based groupby shuffle.
 
 Why: a sort shuffle moves every row through the sort machinery and its
 coordination cost dominates medium-sized jobs; at cluster scale the same
@@ -9,23 +9,23 @@ object storage. Here the "shared storage" is a directory (on a cluster:
 NFS/S3-style storage reachable by all nodes).
 
 Stage 1 (``SpillPartitions``): each input batch is vectorized-split by the
-``_part`` column (one dictionary-encode + one take) and each partition slice
-is written as a uniquely-named Arrow IPC file
-``exchange/<pid>/<uuid>-<rows>.arrow`` (atomic temp+rename). The stage emits
-one **ack row per chunk file** carrying (pid, raw key, file name, rows,
+``_part`` column (one dictionary-encode + one take) and the partition slices
+are IPC-serialized back-to-back into one uniquely-named map-output file per
+batch, ``<uuid>-<rows>.arrow`` (atomic temp+rename). The stage emits one
+**ack row per slice** carrying (pid, raw key, file name, offset, rows,
 bytes).
 
 Correctness under retries is COMMIT-BY-ACK, not content addressing: stage 2
-reads exactly the files named in the ack rows that flowed through the
-Dataset. Ray discards the output of a failed task attempt, so orphan chunks
-written by a failed-then-retried spill task are never read; and two distinct
+reads exactly the ranges named in the ack rows the spill calls returned. Ray
+discards the output of a failed task attempt, so orphan files written by a
+failed-then-retried spill task are never read; and two distinct
 batches whose slices happen to be byte-identical (duplicate-heavy corpora)
 get distinct file names, so no rows are ever silently dropped. (An earlier
 design used crc32-content-addressed names; identical-content slices from
 different batches then collapsed into one file — a silent row loss.)
 
 Stage 2 (``ExchangeEncoder``): one task per partition-group reads exactly the
-acked chunk files (sorted name order within a run) and encodes each
+acked ranges (sorted by file name and offset) and encodes each
 partition via ``PartitionEncoder.encode_partition``.
 """
 
@@ -69,25 +69,16 @@ ACK_SCHEMA = pa.schema(
 _LAST_RU: list = []  # [utime, stime, job_key]
 
 
-EXCHANGE_COMPRESSION = os.environ.get("UPXR_EXCHANGE_COMPRESSION", "lz4")
-
-
-def _ipc_table_buffer(table: pa.Table, compression: str | None = "default") -> pa.Buffer:
-    """IPC-serialize one spill chunk, lz4-frame-compressed by default.
+def _ipc_table_buffer(table: pa.Table) -> pa.Buffer:
+    """IPC-serialize one spill chunk, lz4-frame-compressed.
 
     Exchange bytes are shuffle bytes: on a real cluster they cross the
     network and land on disk, and even on the single-box /dev/shm tier the
     dominant cost under memory pressure is allocating the pages themselves
     — lz4 cuts both ~2-3× on text-heavy tables for a few hundred MB/s/core
-    of scalable CPU. Arrow IPC body compression is self-describing, so the
-    reader needs no flag. ``UPXR_EXCHANGE_COMPRESSION`` overrides ("lz4",
-    "zstd", or "none")."""
-    if compression == "default":
-        compression = EXCHANGE_COMPRESSION
-    if compression in (None, "none", ""):
-        opts = pa.ipc.IpcWriteOptions()
-    else:
-        opts = pa.ipc.IpcWriteOptions(compression=compression)
+    of scalable CPU (zstd measured slower end to end). Arrow IPC body
+    compression is self-describing, so the reader needs no flag."""
+    opts = pa.ipc.IpcWriteOptions(compression="lz4")
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, table.schema, options=opts) as w:
         w.write_table(table)
@@ -103,7 +94,7 @@ def read_ipc_range(path: str, off: int, length: int) -> pa.Table:
 
 
 class SpillPartitions:
-    """map_batches stage: split a batch by ``_part`` and write ONE map-output
+    """Spill stage: split a batch by ``_part`` and write ONE map-output
     file per batch — every partition slice IPC-serialized back-to-back, with
     per-slice (offset, length) recorded in the ack rows (the Spark-style
     shuffle-file layout). Emits one ack row per slice; downstream reads ONLY
@@ -227,7 +218,7 @@ class ExchangeEncoder(PartitionEncoder):
         return pa.concat_tables(outs)
 
 
-# task-form encode wave: plain map_batches TASKS reuse the worker processes
+# task-form encode wave: plain Ray TASKS reuse the worker processes
 # already warmed by the spill stage (an actor pool pays ~1s+ per actor of
 # process spawn + imports — measurably 100+ worker-seconds at 32 CPUs), and
 # Ray's scheduler work-steals around stragglers at task granularity. The
