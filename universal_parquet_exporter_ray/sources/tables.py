@@ -29,7 +29,6 @@ def table_path(sf_dir: str, name: str) -> str:
 def read_parquet_clean(
     path: str,
     columns: Optional[list[str]] = None,
-    override_num_blocks: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """``read_parquet`` with an explicit metadata-free (projected) schema.
 
@@ -51,7 +50,7 @@ def read_parquet_clean(
                 break
     full = pq.read_schema(sample).remove_metadata()
     schema = pa.schema([full.field(c) for c in columns]) if columns else full
-    blocks = int(os.environ.get("UPXR_READ_BLOCKS", "0")) or override_num_blocks
+    blocks = int(os.environ.get("UPXR_READ_BLOCKS", "0"))
     kw = {"override_num_blocks": blocks} if blocks else {}
     return ray.data.read_parquet(path, columns=columns, schema=schema, **kw)
 

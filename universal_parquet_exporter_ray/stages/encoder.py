@@ -10,8 +10,9 @@ partition sample are reused for the full partition (north-rule statefulness).
 Used through ``stages/exchange.py``: each encode-wave task keeps one
 ``ExchangeEncoder`` (a ``PartitionEncoder``) per worker process and calls
 ``encode_partition`` once per partition, so codec state carries across the
-partitions that worker encodes. Mirrors the reference's empty-input ``ValueError``
-(``parquet_writer.py:10-11``) at the pipeline level (see pipelines/encode.py).
+partitions that worker encodes. Mirrors the reference's empty-input
+``ValueError`` (``parquet_writer.py:10-11``) at the pipeline level (see
+pipelines/encode.py).
 """
 
 from __future__ import annotations

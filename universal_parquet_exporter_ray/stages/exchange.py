@@ -18,9 +18,9 @@ bytes).
 Correctness under retries is COMMIT-BY-ACK, not content addressing: stage 2
 reads exactly the ranges named in the ack rows the spill calls returned. Ray
 discards the output of a failed task attempt, so orphan files written by a
-failed-then-retried spill task are never read; and two distinct
-batches whose slices happen to be byte-identical (duplicate-heavy corpora)
-get distinct file names, so no rows are ever silently dropped. (An earlier
+failed-then-retried spill task are never read; and two distinct batches
+whose slices happen to be byte-identical (duplicate-heavy corpora) get
+distinct file names, so no rows are ever silently dropped. (An earlier
 design used crc32-content-addressed names; identical-content slices from
 different batches then collapsed into one file — a silent row loss.)
 

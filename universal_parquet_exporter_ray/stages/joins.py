@@ -72,15 +72,16 @@ def hash_join(
     num_partitions: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """``Dataset.join`` sized to the cluster. ``num_partitions`` defaults to
-    the shuffle parallelism ``tune_for_cluster`` sets (~2 per CPU), and the
-    aggregator actors reserve at most ``JOIN_RESOURCE_SHARE`` of the
-    cluster's memory and of its CPUs but one (never more than Ray's own
-    per-aggregator estimate), so a whole CPU stays free for the read and
-    map tasks that feed them. Ray's defaults assume a cluster config a local session does
-    not have: 0.125 CPU and 7 × 128 MiB per partition, so a 32-partition
-    join reserves 4 CPUs and 28 GiB, and on a smaller node the aggregators
-    it cannot place never start — the join hangs (seen: join_multiway's
-    hash plan on a 4-CPU, 15 GB session, no progress in 5 minutes)."""
+    the shuffle parallelism ``tune_for_cluster`` sets (~2 per CPU). The
+    aggregator actors together reserve at most ``JOIN_RESOURCE_SHARE`` of
+    the cluster's memory (and never more than Ray's own estimate) and of
+    its CPUs but one, so a whole CPU stays free for the read and map tasks
+    that feed them. Ray's defaults assume a cluster config that a local
+    session does not have: 0.125 CPU and 7 × 128 MiB per partition, so a
+    32-partition join reserves 4 CPUs and 28 GiB, and on a smaller node the
+    aggregators it cannot place never start and the join hangs (seen:
+    join_multiway's hash plan on a 4-CPU, 15 GB session made no progress
+    in 5 minutes)."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
