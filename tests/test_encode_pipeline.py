@@ -445,7 +445,7 @@ def test_make_assigner_partial_groupby_fallback(ray_session):
     assert a_fb.merge_map == a_drv.merge_map
 
 
-def test_encode_from_dataset_source(ray_session, tmp_path):
+def test_spill_selfread_parity(ray_session, tmp_path):
     """The two spill forms agree: a path source (spill tasks read their own
     row groups, salt plan from per-file key counts) and the same files as a
     ``ray.data.read_parquet`` Dataset (``map_batches`` spill over its blocks,
@@ -492,6 +492,39 @@ def test_encode_from_dataset_source(ray_session, tmp_path):
     pd.testing.assert_frame_equal(d1, d0)
     want = df.sort_values(["repo", "path"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(d1[df.columns.tolist()], want)
+
+
+def test_encode_from_dataset_source(ray_session, source_files_path, tmp_path):
+    """encode_dataset accepts an in-memory ``ray.data.Dataset`` source (no
+    parquet files on disk): the salt plan then comes from the distributed
+    counting pass and the spill runs ``map_batches`` over the Dataset's
+    blocks — the path a file source never takes (its plan comes from the
+    file footers and its spill tasks read their own row groups)."""
+    import ray
+
+    df = (
+        pq.read_table(source_files_path)
+        .to_pandas()
+        .sort_values(["repo", "path"])
+        .reset_index(drop=True)
+    )
+    ds = ray.data.from_pandas(df).repartition(6)
+    out = str(tmp_path / "from_ds")
+    mdf = encode_dataset(
+        ds,
+        out,
+        partition_by="repo",
+        hash_cols=["path"],
+        target_rows_per_partition=500,
+    ).to_pandas()
+    assert int(mdf.n_rows.sum()) == len(df)
+    dec = (
+        decoded_dataset(out)
+        .to_pandas()
+        .sort_values(["repo", "path"])
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(dec[df.columns.tolist()], df)
 
 
 def test_plan_key_counts_cached_by_source_fingerprint(ray_session, tmp_path, monkeypatch):
