@@ -85,13 +85,6 @@ def test_dict_low_cardinality_strings():
     assert row["encoded_bytes"] < row["input_bytes"] / 4
 
 
-def test_constant():
-    row = roundtrip(pa.array(["same"] * 1000), "constant")
-    assert row["encoded_bytes"] < 500
-    with pytest.raises(Exception):
-        encode_column(pa.array(["a", "b"]), "constant")
-
-
 # ---- strings / FSST ----------------------------------------------------
 
 WORDS = ["def", "return", "import", "value", "table", "scan", "batch", "part"]

@@ -485,13 +485,45 @@ def test_spill_selfread_parity(ray_session, tmp_path):
     assert len(m1) >= 7
     assert m1.partition_id.tolist() == m0.partition_id.tolist()
     assert m1.n_rows.tolist() == m0.n_rows.tolist()
-    # NOT encoded_bytes: intra-partition chunk order follows the uuid
-    # map-file names, so order-sensitive codecs (RLE) may differ by a few
-    # bytes between any two runs — of the same source form included.
-    # Content is the invariant.
+    # NOT encoded_bytes: the two forms spill different batches, so a
+    # partition's ranges (and its row order) differ between them, and
+    # order-sensitive codecs (RLE) may differ by a few bytes. Content is
+    # the invariant.
     pd.testing.assert_frame_equal(d1, d0)
     want = df.sort_values(["repo", "path"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(d1[df.columns.tolist()], want)
+
+
+def test_encode_reproduces_part_files(ray_session, tmp_path, monkeypatch):
+    """Two encodes of one source write byte-identical part files, also when
+    partitions span several spill files: the wave reads a partition's
+    ranges in map-file name order (crc of the content first) and every
+    partition encodes with the job's codec choices, whichever worker runs
+    it and whatever it encoded before."""
+    from universal_parquet_exporter_ray.pipelines import encode as encode_mod
+
+    monkeypatch.setattr(encode_mod, "SPILL_BATCH_ROWS", 500)
+    n = 4000
+    src = str(tmp_path / "src.parquet")
+    df = pd.DataFrame(
+        {
+            "repo": [f"r{i % 9}" if i % 3 else "hot" for i in range(n)],
+            "path": [f"src/m{i % 97}/f{i}.py" for i in range(n)],
+            "stars": [(i * 37) % 1000 for i in range(n)],
+            "content": [f"def f{i}():\n    return {i % 13} " * (i % 4 + 1) for i in range(n)],
+        }
+    )
+    pq.write_table(pa.Table.from_pandas(df), src, row_group_size=100)
+
+    digests = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        encode_dataset(src, out, partition_by="repo", hash_cols=["path"], target_rows_per_partition=400)
+        parts = sorted(glob.glob(os.path.join(out, "parts", "*", "data.parquet")))
+        digests.append({os.path.relpath(p, out): open(p, "rb").read() for p in parts})
+    assert len(digests[0]) >= 8
+    assert digests[0].keys() == digests[1].keys()
+    assert [k for k in digests[0] if digests[0][k] != digests[1][k]] == []
 
 
 def test_encode_from_dataset_source(ray_session, source_files_path, tmp_path):

@@ -657,38 +657,90 @@ def test_check_shared_root_reports_unreachable_node(ray_session, tmp_path, monke
         ann.check_shared_root(str(tmp_path / "probe_root"))
 
 
-def test_drift_retrial_failure_keeps_cached_fsst_table(tmp_path, monkeypatch):
-    """When the ratio guard re-trials a drifted column and the re-trial's
-    codec then fails to encode, the FSST symbol table of that failed choice
-    must not replace the cached one (it would seed the next partition's
-    trial); the choice cache entry is dropped and the column falls back to
-    zstd."""
+def _encoded_partition(out: str, manifest: pa.Table) -> tuple[dict, pa.Table]:
+    """The lineage and the decoded part file of the partition whose manifest
+    row ``PartitionEncoder.encode_partition`` returned."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from universal_parquet_exporter_ray.stages.encoder import decode_partition_table
+    from universal_parquet_exporter_ray.state.manifest import parts_path
+
+    pid = manifest["partition_id"][0].as_py()
+    enc = pq.read_table(os.path.join(parts_path(out), pid, "data.parquet"))
+    return json.loads(manifest["lineage"][0].as_py()), decode_partition_table(enc)
+
+
+def test_job_choice_retrials_past_ratio_guard(tmp_path):
+    """A partition encodes each column with the job's codec choice; where
+    its data drifted so that the choice compresses it past
+    ``CHOICE_RATIO_GUARD`` × the job's ratio, the column is re-trialed on the
+    partition (a fresh ``select_codec``), listed under ``retrial`` in the
+    lineage, and still round-trips."""
+    import json
+
+    from universal_parquet_exporter_ray.selector import select_codec
+    from universal_parquet_exporter_ray.stages import encoder
+
+    rng = np.random.default_rng(5)
+    words = ["py", "go", "rust", "java", "c"]
+    sample = pa.table({"c": pa.array(rng.choice(words, 2000))})
+    choices = encoder.choose_codecs(sample)
+    job_codec = choices["c"][0].codec
+    out = str(tmp_path / "out")
+    enc = encoder.PartitionEncoder(out, choices=choices)
+
+    alike = pa.table({"c": pa.array(rng.choice(words, 1500))})
+    m = enc.encode_partition(alike, "alike")
+    assert json.loads(m["codecs"][0].as_py()) == {"c": job_codec}
+    lineage, dec = _encoded_partition(out, m)
+    assert "retrial" not in lineage
+    assert dec.equals(alike)
+
+    drifted = pa.table({"c": pa.array([rng.bytes(12).hex() for _ in range(1500)])})
+    m = enc.encode_partition(drifted, "drifted")
+    fresh = select_codec(drifted["c"])
+    assert json.loads(m["codecs"][0].as_py()) == {"c": fresh.codec}
+    assert fresh.codec != job_codec
+    lineage, dec = _encoded_partition(out, m)
+    assert lineage["retrial"] == ["c"]
+    assert dec.equals(drifted)
+
+
+def test_job_choice_failure_falls_back(tmp_path, monkeypatch):
+    """A job codec that fails to encode a partition's column is not fatal:
+    the column is re-trialed on the partition, listed under ``retrial``, and
+    the partition round-trips; if the re-trial's winner fails too, zstd
+    encodes the column."""
     from universal_parquet_exporter_ray.selector import CodecChoice
     from universal_parquet_exporter_ray.stages import encoder
 
-    old_table, new_table = [b"old"], [b"new"]
+    bad_state = [b"bad"]
     real_encode = encoder.encode_column
 
     def encode_column(arr, codec, state=None):
-        if state is new_table:
-            raise ValueError("forced re-trial encode failure")
+        if state is bad_state:
+            raise ValueError("forced job-codec encode failure")
         return real_encode(arr, codec, state)
 
     monkeypatch.setattr(encoder, "encode_column", encode_column)
-    monkeypatch.setattr(
-        encoder,
-        "select_codec",
-        lambda arr, fsst_state=None: CodecChoice("fsst", new_table, 0, None),
+    out = str(tmp_path / "out")
+    enc = encoder.PartitionEncoder(
+        out, choices={"c": (CodecChoice("fsst", bad_state, 0, None), 0.5)}
     )
-    enc = encoder.PartitionEncoder(str(tmp_path / "out"))
-    enc._fsst_cache["c"] = (old_table, 0)
-    # a cached zstd choice whose fresh ratio this partition cannot approach:
-    # the guard re-trials
-    enc._choice_cache["c"] = (CodecChoice("zstd", None, 0, None), 0, 1e-9)
     data = pa.table({"c": pa.array([f"value {i % 7}" for i in range(200)])})
-    enc.encode_partition(data, "p0")
-    assert enc._fsst_cache["c"][0] is old_table
-    assert "c" not in enc._choice_cache
+    lineage, dec = _encoded_partition(out, enc.encode_partition(data, "p0"))
+    assert lineage["retrial"] == ["c"]
+    assert dec.equals(data)
+
+    monkeypatch.setattr(
+        encoder, "select_codec", lambda arr: CodecChoice("fsst", bad_state, 0, None)
+    )
+    m = enc.encode_partition(data, "p1")
+    assert m["codecs"][0].as_py() == '{"c":"zstd"}'
+    assert _encoded_partition(out, m)[1].equals(data)
 
 
 def test_read_manifest_promotes_old_schema(tmp_path):

@@ -1,7 +1,7 @@
 """Codec registry bootstrap: registers the built-in lightweight codecs.
 
 North-rule codec set: dictionary, RLE, FSST, bit-packing, frame-of-reference,
-plus the zstd general-purpose fallback and plain/constant degenerate cases.
+plus the zstd general-purpose fallback and the plain degenerate case.
 """
 
 from .base import (  # noqa: F401
@@ -17,7 +17,7 @@ from .base import (  # noqa: F401
     type_to_bytes,
 )
 from .alp import AlpCodec
-from .dictionary import ConstantCodec, DictCodec
+from .dictionary import DictCodec
 from .fsst import Fsst2Codec, FsstCodec
 from .intcodec import BitPackCodec, DeltaCodec, ForPackCodec, RleCodec
 from .plain import ByteShuffleZstdCodec, PlainCodec, Zstd2Codec, Zstd3Codec, ZstdCodec
@@ -33,7 +33,6 @@ register_codec(ForPackCodec())
 register_codec(DeltaCodec())
 register_codec(RleCodec())
 register_codec(DictCodec())
-register_codec(ConstantCodec())
 register_codec(FsstCodec())
 register_codec(FsstCodec(compress=True, name="fsst_zstd"))
 register_codec(Fsst2Codec())

@@ -53,30 +53,3 @@ class DictCodec(Codec):
         values = get_codec(val_codec).decode(val_enc, dtype)
         return combine(values.take(indices))
 
-
-class ConstantCodec(Codec):
-    """Single distinct value → store it once. Degenerate-but-common case
-    (e.g. per-repo ``lang`` after the repo-locality shuffle)."""
-
-    name = "constant"
-
-    def encode(self, arr: pa.Array, state: Any = None) -> Encoded:
-        if len(arr) == 0:
-            return Encoded(self.name, b"", {"empty": True}, 0)
-        n_distinct = len(combine(pc.unique(arr)))
-        if n_distinct != 1:
-            raise ValueError("constant codec requires exactly one distinct value")
-        from .base import ipc_serialize
-
-        return Encoded(self.name, ipc_serialize(arr.slice(0, 1)), {}, len(arr))
-
-    def decode(self, enc: Encoded, dtype: pa.DataType) -> pa.Array:
-        import numpy as np
-
-        from .base import ipc_deserialize
-
-        if enc.meta.get("empty"):
-            return pa.array([], type=dtype)
-        one = ipc_deserialize(enc.payload)
-        idx = pa.array(np.zeros(enc.n_rows, dtype=np.int64))
-        return combine(one.take(idx))

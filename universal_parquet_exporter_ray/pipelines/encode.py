@@ -4,7 +4,7 @@ checkpoint/resume.
 
 One execution shape for every source: an external shuffle built from plain
 Ray tasks plus shared storage (the Exoshuffle pattern, no sort machinery),
-in four driver-side phases recorded in ``LAST_PHASES``:
+in five driver-side phases recorded in ``LAST_PHASES``:
 
     plan      salt-plan key counts (a path source: one task wave over the
               files, key column only, cached by source fingerprint) and the
@@ -15,10 +15,12 @@ in four driver-side phases recorded in ``LAST_PHASES``:
                                 row groups, each reading its own row groups
                 Dataset source: ``ds.map_batches(spill)`` over its blocks
     [barrier: tiny ack rows — commit-by-ack]
+    choose    each column's codec, once for the job, trialed on one acked
+              range (the first of the largest partition)
     wave      LPT byte-balanced partition bins, one Ray task each
               (``exchange_encode_task``): read exactly the acked ranges,
-              encode with worker-cached codec state, write partition +
-              manifest row atomically, return the manifest row
+              encode with the job's codecs, write partition + manifest row
+              atomically, return the manifest row
     finalize  the wave's returned rows + resume-skipped rows from disk
 
 Scale notes (designed for a 256-node / 100 TB run, tested single-node):
@@ -43,7 +45,6 @@ reference writer (``/root/reference/src/export/parquet_writer.py:10-11``).
 from __future__ import annotations
 
 import functools
-import json
 import os
 import shutil
 import threading
@@ -54,8 +55,8 @@ import pyarrow as pa
 
 import ray.data
 
-from ..stages.encoder import PART_COL, MANIFEST_SCHEMA
-from ..stages.exchange import ACK_SCHEMA, SpillPartitions, exchange_encode_task
+from ..stages.encoder import PART_COL, MANIFEST_SCHEMA, choose_codecs
+from ..stages.exchange import ACK_SCHEMA, SpillPartitions, exchange_encode_task, read_ipc_range
 from ..stages.salting import AssignPartitions, build_partition_plan
 from ..state.manifest import completed_partitions, read_manifest, sanitize_partition_id
 
@@ -512,7 +513,31 @@ def _record_spill(ack_df) -> None:
         LAST_PHASES["spill_mb"] = round(float(ack_df.bytes.sum()) / 1e6, 1)
 
 
-def _encode_wave(ack_df, out_dir: str, exchange_dir: str, lineage: dict) -> list[pa.Table]:
+def _partition_ranges(ack_df) -> dict[str, list[tuple[str, int, int]]]:
+    """Each partition's acked ``(file, offset, length)`` ranges, sorted: map
+    files are named by content crc first, so this is the same read order on
+    every run of the same source."""
+    return {
+        pid: sorted(zip(g["file"], g["off"].astype(int).tolist(), g["bytes"].astype(int).tolist()))
+        for pid, g in ack_df.groupby("pid", sort=True)
+    }
+
+
+def _choose(ack_df, exchange_dir: str) -> dict:
+    """The job's codec choices (``choose_codecs``), made on ONE acked range:
+    the first range of the partition with the most acked bytes, ties broken
+    by the smaller pid."""
+    if not len(ack_df):
+        return {}
+    pid_bytes = ack_df.groupby("pid", sort=True)["bytes"].sum()
+    top = pid_bytes.idxmax()  # first (smallest) pid among the largest
+    f, off, ln = _partition_ranges(ack_df[ack_df.pid == top])[top][0]
+    return choose_codecs(read_ipc_range(os.path.join(exchange_dir, f), off, ln))
+
+
+def _encode_wave(
+    ack_df, out_dir: str, exchange_dir: str, lineage: dict, choices: dict
+) -> list[pa.Table]:
     """Encode phase → the manifest rows the wave wrote, one table per bin.
 
     Partitions are LPT bin-packed by acked bytes into ``slots ×
@@ -520,43 +545,29 @@ def _encode_wave(ack_df, out_dir: str, exchange_dir: str, lineage: dict) -> list
     on the worker processes the spill already warmed (an actor pool pays
     process spawn + imports per actor, ~100 worker-seconds at 32 CPUs; the
     from_items/map_batches vehicle cost ~1 s of streaming-executor setup per
-    wave at 16 workers). Tasks retry idempotently: atomic partition writes,
-    manifest row last. Each task returns the manifest rows it wrote, so
-    finalize does not read them back."""
+    wave at 16 workers). Every task gets the job's codec ``choices``. Tasks
+    retry idempotently: atomic partition writes, manifest row last. Each
+    task returns the manifest rows it wrote, so finalize does not read them
+    back."""
     if not len(ack_df):
         return []
+    pid_files = _partition_ranges(ack_df)
     grouped = ack_df.groupby("pid", sort=True)
-    # (file, offset, length) ranges into the map-output files — sorted for a
-    # deterministic read order per partition
-    pid_files = {
-        pid: sorted(zip(g["file"], g["off"].astype(int), g["bytes"].astype(int)))
-        for pid, g in grouped
-    }
     pid_raw = grouped["raw"].first().to_dict()
     pid_bytes = grouped["bytes"].sum().to_dict()
     pids = sorted(pid_files)
     bins = lpt_bins([int(pid_bytes[p]) for p in pids], _cpu_slots() * WAVE_BINS_PER_SLOT)
-    # ranges JSON-encoded per pid: one flat string per partition
-    items = [
-        {
-            "pids": [pids[i] for i in b],
-            "raws": [pid_raw[pids[i]] for i in b],
-            "files": [json.dumps([list(r) for r in pid_files[pids[i]]]) for i in b],
-        }
-        for b in bins
-    ]
+    items = [[(pid_raw[pids[i]], pid_files[pids[i]]) for i in b] for b in bins]
     encode_fn = functools.partial(
-        exchange_encode_task,
-        out_dir=out_dir,
-        exchange_dir=exchange_dir,
-        lineage_json=json.dumps(lineage, sort_keys=True),
+        exchange_encode_task, out_dir=out_dir, exchange_dir=exchange_dir, lineage=lineage
     )
 
     @ray.remote(num_cpus=1)
-    def bin_task(item: dict) -> pa.Table:
-        return encode_fn(pa.Table.from_pylist([item]))
+    def bin_task(item: list, choices: dict) -> pa.Table:
+        return encode_fn(item, choices=choices)
 
-    return ray.get([bin_task.remote(it) for it in items])
+    choices_ref = ray.put(choices)
+    return ray.get([bin_task.remote(it, choices_ref) for it in items])
 
 
 def _finalize(out_dir: str, wave_tables: list[pa.Table]) -> "ray.data.Dataset":
@@ -574,7 +585,7 @@ def _finalize(out_dir: str, wave_tables: list[pa.Table]) -> "ray.data.Dataset":
 
 
 # wall seconds per driver-side phase of the MOST RECENT encode_dataset call
-# (schema / assign_plan / spill / encode_wave / cleanup / finalize), plus
+# (schema / assign_plan / spill / choose / encode_wave / cleanup / finalize), plus
 # the spill decomposition of ``_record_spill`` — read by bench.py and
 # perfbench; diagnostics only, cleared per call.
 LAST_PHASES: dict[str, float] = {}
@@ -632,7 +643,9 @@ def encode_dataset(
     ack_df = _spill(source, items, assign, done_set, exchange_dir)
     mark("spill")
     _record_spill(ack_df)
-    wave_tables = _encode_wave(ack_df, out_dir, exchange_dir, full_lineage)
+    choices = _choose(ack_df, exchange_dir)
+    mark("choose")
+    wave_tables = _encode_wave(ack_df, out_dir, exchange_dir, full_lineage, choices)
     if wave_tables:
         mark("encode_wave")
     # transient exchange chunks: delete in a background thread so the

@@ -2415,7 +2415,8 @@ def mg_partial(df: pd.DataFrame, m: int) -> pd.DataFrame:
     most ``m`` survivors by subtracting the (m+1)-th largest count from all
     (Berinde et al.'s mergeable-summaries reduction); the subtracted mass
     accumulates in a sentinel row so the merged sketch carries its own
-    error bound. Vectorized: one split + one value_counts per batch."""
+    error bound. Tokens come from a Python ``str.split`` per document; the
+    count is one ``value_counts`` per batch."""
     toks = pd.Series(
         [t for doc in df["text"] for t in doc.split()], dtype="object"
     )

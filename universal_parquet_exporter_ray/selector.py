@@ -1,8 +1,10 @@
 """Codec auto-selector: stats-pruned candidate list → trial-encode a sample →
 pick the smallest (cost-factor adjusted) → return (codec, trained state).
 
-The selected codec then encodes the full column chunk; FSST symbol tables
-trained here are reused (north rule: per-partition symbol-table reuse).
+The encode stage calls it once per column per job, on one sample range,
+and the returned choice — the codec and the state trained here, e.g. an
+FSST symbol table — then encodes that column in every partition (north
+rule: stateful encoders; see ``stages/encoder.py``).
 The zstd candidate is always in the list, which guarantees the encoded size
 can always fall back to ≤ general-purpose compression (SURVEY.md §7.4).
 
@@ -46,8 +48,6 @@ class CodecChoice:
 
 def candidate_codecs(t: pa.DataType, stats: ColumnStats) -> list[str]:
     """Stats-driven pruning of the trial list (cheap gates, not final says)."""
-    if stats.n_distinct <= 1 and stats.n_nulls == 0:
-        return ["constant"]
     cands: list[str] = []
     if is_string_like(t):
         if stats.distinct_ratio < 0.5:
@@ -159,14 +159,12 @@ def _full_fsst_can_win(
 
 
 def select_codec(
-    arr: pa.Array | pa.ChunkedArray,
-    stats: Optional[ColumnStats] = None,
-    fsst_state: Optional[list] = None,
+    arr: pa.Array | pa.ChunkedArray, stats: Optional[ColumnStats] = None
 ) -> CodecChoice:
-    """``fsst_state``: a previously trained symbol table to reuse for the
-    fsst trial instead of retraining (encoder actors cache tables across
-    partitions of the same column; every chunk stores its own table, so a
-    stale table costs ratio, never correctness)."""
+    """Trial the candidates on a sample of ``arr`` and return the winner
+    with its trained state. Every encoded chunk stores its own state (e.g.
+    its symbol table), so encoding other data with the choice costs ratio,
+    never correctness."""
     arr = combine(arr)
     if stats is None:
         stats = column_stats(arr)
@@ -190,13 +188,12 @@ def select_codec(
         if best_size is None or size < best_size:
             best_name, best_state, best_size = name, state, int(size)
 
-    def trial(name: str, state=None):
+    def trial(name: str):
         """Trial-encode ``name`` on the sample and consider it; returns
         (encoded, state, cost-adjusted size), or None if the codec fails."""
         codec = get_codec(name)
         try:
-            if state is None:
-                state = codec.train(sample_nn)
+            state = codec.train(sample_nn)
             enc = codec.encode(sample_nn, state=state)
         except Exception:
             return None
@@ -213,7 +210,7 @@ def select_codec(
             if name == "fsst2" and res is not None:
                 fsst2_size = res[2]
     if "fsst" in names and _full_fsst_can_win(sample_nn, fsst2_size, best_size):
-        res = trial("fsst", fsst_state)
+        res = trial("fsst")
         if res is not None and "fsst_zstd" in names:
             # fsst and fsst_zstd share the one expensive pure-Python trial:
             # fsst_zstd's size is estimated by zstd-compressing the fsst

@@ -3,14 +3,20 @@
 ``PartitionEncoder`` is the encode stage replacing the reference's
 ``ParquetWriter.write_to_parquet`` (``/root/reference/src/export/parquet_writer.py:8-17``):
 instead of one pandas ``to_parquet`` call, every column of a partition is
-trial-selected (stats → candidates → trial encode) and encoded with the
-winning lightweight codec; FSST symbol tables / dictionaries trained on the
-partition sample are reused for the full partition (north-rule statefulness).
+encoded with a lightweight codec picked by size trials (stats → candidates
+→ trial encode, ``selector.select_codec``).
 
-Used through ``stages/exchange.py``: each encode-wave task keeps one
-``ExchangeEncoder`` (a ``PartitionEncoder``) per worker process and calls
-``encode_partition`` once per partition, so codec state carries across the
-partitions that worker encodes. Mirrors the reference's empty-input
+The pick is made once per job, not per partition or per worker:
+``choose_codecs`` trials each column on one sample range of the spill, and
+its choice (codec plus trained state, e.g. an FSST symbol table: the north
+rule's stateful encoder) then encodes that column in every partition. A
+partition re-trials a column on its own data only when the job's codec
+fails on it or compresses it more than ``CHOICE_RATIO_GUARD`` × worse than
+on the sample. Nothing is cached between partitions, so a partition's bytes
+do not depend on which worker encodes it or in what order.
+
+Used through ``stages/exchange.py::exchange_encode_task``, one
+``encode_partition`` call per partition. Mirrors the reference's empty-input
 ``ValueError`` (``parquet_writer.py:10-11``) at the pipeline level (see
 pipelines/encode.py).
 """
@@ -156,61 +162,61 @@ def _rusage_delta(ru0) -> dict:
     }
 
 
+def _ratio(row: dict) -> float:
+    return row["encoded_bytes"] / max(1, row["input_bytes"])
+
+
+def choose_codecs(sample: pa.Table) -> dict:
+    """The job's codec choices, ``{column: (CodecChoice, ratio)}``: one
+    ``select_codec`` per column of ``sample`` (one acked spill range, picked
+    by ``pipelines/encode.py``), with the ratio the chosen codec reaches on
+    that whole column. A column whose chosen codec fails on the sample gets
+    no entry, so every partition trials it on its own data."""
+    out = {}
+    for name in sample.column_names:
+        arr = sample[name].combine_chunks()
+        choice = select_codec(arr)
+        try:
+            out[name] = (choice, _ratio(encode_column(arr, choice.codec, choice.state)))
+        except Exception:
+            pass
+    return out
+
+
 class PartitionEncoder:
     """Encode one partition group → write ``parts/<pid>/data.parquet`` +
-    ``manifest/<pid>.parquet`` atomically → emit the manifest row."""
+    ``manifest/<pid>.parquet`` atomically → emit the manifest row.
 
-    FSST_CACHE_REFRESH = 16  # retrain a cached symbol table every N partitions
-    CHOICE_CACHE_REFRESH = 16  # re-trial a cached codec choice every N parts
-    CHOICE_RATIO_GUARD = 1.5  # re-trial early if ratio degrades this much
+    ``choices`` are the job's (``choose_codecs``); a column without one is
+    trialed on the partition's own data."""
 
-    def __init__(self, out_dir: str, lineage: dict | None = None):
+    CHOICE_RATIO_GUARD = 1.5  # re-trial when the job's codec does this much worse
+
+    def __init__(self, out_dir: str, lineage: dict | None = None, choices: dict | None = None):
         self.out_dir = out_dir
         self.lineage = lineage or {}
-        # per-worker FSST symbol-table cache: column → (table, uses). Every
-        # encoded chunk stores its own table, so reuse across partitions is
-        # correctness-neutral; periodic refresh bounds ratio drift.
-        self._fsst_cache: dict[str, tuple[list, int]] = {}
-        # per-worker codec-CHOICE cache: column → (CodecChoice, uses,
-        # fresh_ratio). Profiling showed the per-partition trial encodes
-        # (select_codec) cost ~5× the winning encode itself — the dominant
-        # term of the saturated-socket encode worker-seconds. Every chunk
-        # stores its own codec name, so reusing last partition's winner is
-        # correctness-neutral; the periodic refresh plus a ratio guard
-        # (re-trial immediately when a cached choice compresses ≥1.5× worse
-        # than it did when freshly trialed) bounds ratio drift.
-        self._choice_cache: dict[str, tuple[object, int, float]] = {}
+        self.choices = choices or {}
 
-    def _cached_fsst(self, column: str):
-        entry = self._fsst_cache.get(column)
-        if entry is None or entry[1] >= self.FSST_CACHE_REFRESH:
+    def _job_encode(self, name: str, arr: pa.Array) -> dict | None:
+        """``arr`` encoded with the job's choice for column ``name``, or None
+        when there is no choice, its encode fails (the choice was made on a
+        sample), or its ratio is past ``CHOICE_RATIO_GUARD`` × the job's."""
+        job = self.choices.get(name)
+        if job is None:
             return None
-        self._fsst_cache[column] = (entry[0], entry[1] + 1)
-        return entry[0]
+        choice, job_ratio = job
+        try:
+            row = encode_column(arr, choice.codec, choice.state)
+        except Exception:
+            return None
+        return row if _ratio(row) <= self.CHOICE_RATIO_GUARD * job_ratio else None
 
-    def _remember_fsst(self, name: str, choice) -> None:
-        """Cache a freshly trained full-FSST table for ``name``. Called only
-        after ``encode_column`` succeeded with ``choice``: a table whose
-        encode just failed must not seed later trials. fsst2's pairs-only
-        table is never cached — fed back as fsst/fsst_zstd state it would
-        degrade their trials."""
-        if choice.codec in ("fsst", "fsst_zstd") and isinstance(choice.state, list):
-            if name not in self._fsst_cache or self._fsst_cache[name][0] is not choice.state:
-                self._fsst_cache[name] = (choice.state, 0)
-
-    def _select(self, name: str, arr: pa.Array):
-        """Size-trial selection with a per-column choice cache.
-        Returns (choice, fresh)."""
-        entry = self._choice_cache.get(name)
-        if entry is not None and entry[1] < self.CHOICE_CACHE_REFRESH:
-            self._choice_cache[name] = (entry[0], entry[1] + 1, entry[2])
-            return entry[0], False
-        choice = select_codec(arr, fsst_state=self._cached_fsst(name))
-        return choice, True
-
-    def encode_partition(self, data: pa.Table, raw_pid: str) -> pa.Table:
+    def encode_partition(
+        self, data: pa.Table, raw_pid: str, read_s: float | None = None
+    ) -> pa.Table:
         """Encode one partition table (no PART_COL) → write data + manifest
-        atomically → return the manifest row."""
+        atomically → return the manifest row. ``read_s``: seconds spent
+        reading ``data``, recorded in the lineage."""
         t0 = time.monotonic()
         import resource
 
@@ -218,63 +224,33 @@ class PartitionEncoder:
         pid = sanitize_partition_id(raw_pid)
         rows = []
         codec_map: dict[str, str] = {}
+        retrial: list[str] = []
         phase = {"select": 0.0, "encode": 0.0}
-        read_s = getattr(self, "_read_s", None)
         if read_s is not None:
             phase["read"] = read_s
-            self._read_s = None
         for name in data.column_names:
             arr = data[name].combine_chunks()
             tp = time.monotonic()
-            choice, fresh = self._select(name, arr)
-            phase["select"] += time.monotonic() - tp
-            tp = time.monotonic()
-            try:
-                row = encode_column(arr, choice.codec, choice.state)
-                self._remember_fsst(name, choice)
-            except Exception:
-                # stats were sampled; a codec can fail on the full chunk
-                # (e.g. "constant" when the tail has a second value)
-                self._choice_cache.pop(name, None)
-                choice, fresh = None, False
-                row = encode_column(arr, "zstd")
-            if choice is not None:
-                ratio = row["encoded_bytes"] / max(1, row["input_bytes"])
-                if fresh:
-                    self._choice_cache[name] = (choice, 0, ratio)
-                else:
-                    fresh_ratio = self._choice_cache[name][2]
-                    if ratio > self.CHOICE_RATIO_GUARD * max(1e-9, fresh_ratio):
-                        # data drifted away from the cached choice: re-trial
-                        # now and re-encode with the fresh winner
-                        choice = select_codec(
-                            arr, fsst_state=self._cached_fsst(name)
-                        )
-                        try:
-                            row = encode_column(arr, choice.codec, choice.state)
-                            # the re-trial's fresh FSST table must replace
-                            # the stale cached one too, or the drift the
-                            # guard corrects persists in the other cache
-                            # (review r5)
-                            self._remember_fsst(name, choice)
-                            self._choice_cache[name] = (
-                                choice,
-                                0,
-                                row["encoded_bytes"]
-                                / max(1, row["input_bytes"]),
-                            )
-                        except Exception:
-                            # mirror the primary failure path: drop the
-                            # entry — caching the choice that just FAILED
-                            # against the zstd fallback's ratio would retry
-                            # the known-bad codec every partition (review r5)
-                            self._choice_cache.pop(name, None)
-                            row = encode_column(arr, "zstd")
+            select_s = 0.0
+            row = self._job_encode(name, arr)
+            if row is None:
+                if name in self.choices:
+                    retrial.append(name)
+                ts = time.monotonic()
+                choice = select_codec(arr)
+                select_s = time.monotonic() - ts
+                try:
+                    row = encode_column(arr, choice.codec, choice.state)
+                except Exception:
+                    # the trial ran on a sample; the winner can fail on the
+                    # full chunk
+                    row = encode_column(arr, "zstd")
             row["partition_id"] = pid
             row["column"] = name
             codec_map[name] = row["codec"]
             rows.append(row)
-            dt = time.monotonic() - tp
+            dt = time.monotonic() - tp - select_s
+            phase["select"] += select_s
             phase["encode"] += dt
             ck = f"enc_{row['codec']}"
             phase[ck] = phase.get(ck, 0.0) + dt
@@ -300,6 +276,8 @@ class PartitionEncoder:
                 {
                     **self.lineage,
                     "raw_partition_key": raw_pid,
+                    # columns whose job codec failed or missed the ratio guard
+                    **({"retrial": retrial} if retrial else {}),
                     # per-phase seconds: cheap diagnostics for scaling-run
                     # decomposition (which phase inflates under contention)
                     "phase_s": {k: round(v, 3) for k, v in phase.items()},

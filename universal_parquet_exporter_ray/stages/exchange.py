@@ -10,8 +10,8 @@ NFS/S3-style storage reachable by all nodes).
 
 Stage 1 (``SpillPartitions``): each input batch is vectorized-split by the
 ``_part`` column (one dictionary-encode + one take) and the partition slices
-are IPC-serialized back-to-back into one uniquely-named map-output file per
-batch, ``<uuid>-<rows>.arrow`` (atomic temp+rename). The stage emits one
+are IPC-serialized back-to-back into one map-output file per batch,
+``<crc32>-<uuid>-<rows>.arrow`` (atomic temp+rename). The stage emits one
 **ack row per slice** carrying (pid, raw key, file name, offset, rows,
 bytes).
 
@@ -20,19 +20,25 @@ reads exactly the ranges named in the ack rows the spill calls returned. Ray
 discards the output of a failed task attempt, so orphan files written by a
 failed-then-retried spill task are never read; and two distinct batches
 whose slices happen to be byte-identical (duplicate-heavy corpora) get
-distinct file names, so no rows are ever silently dropped. (An earlier
-design used crc32-content-addressed names; identical-content slices from
-different batches then collapsed into one file — a silent row loss.)
+distinct file names through the uuid, so no rows are ever silently dropped.
+(An earlier design used crc32-content-addressed names alone; identical-
+content slices from different batches then collapsed into one file — a
+silent row loss.) The crc32 of the file's bytes leads the name so that
+sorting a partition's ranges by name gives the same row order on every run
+of the same source.
 
-Stage 2 (``ExchangeEncoder``): one task per partition-group reads exactly the
-acked ranges (sorted by file name and offset) and encodes each
-partition via ``PartitionEncoder.encode_partition``.
+Stage 2 (``exchange_encode_task``): one task per bin of partitions reads
+exactly each partition's acked ranges (in the order the driver sorted them)
+and encodes it via ``PartitionEncoder.encode_partition`` with the job's
+codec choices.
 """
 
 from __future__ import annotations
 
 import os
+import time
 import uuid
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -111,9 +117,8 @@ class SpillPartitions:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import resource
-        import time as _time
 
-        _t0 = _time.monotonic()
+        _t0 = time.monotonic()
         if batch.num_rows == 0:
             return ACK_SCHEMA.empty_table()
         # vectorized split: dictionary-encode the key, sort by code, slice runs
@@ -144,8 +149,12 @@ class SpillPartitions:
             off += len(buf)
         # unique name per written map file: identical-content batches never
         # collide; a retried task's orphan file is excluded because only
-        # THIS attempt's ack rows are consumed
-        name = f"{uuid.uuid4().hex}-{batch.num_rows}.arrow"
+        # THIS attempt's ack rows are consumed. The content crc leads, so
+        # name order (the wave's read order) is the same on every run.
+        crc = 0
+        for buf in bufs:
+            crc = zlib.crc32(buf, crc)
+        name = f"{crc:08x}-{uuid.uuid4().hex}-{batch.num_rows}.arrow"
         tmp = os.path.join(self.exchange_dir, f".tmp-{name}")
         with open(tmp, "wb") as f:
             for buf in bufs:
@@ -171,71 +180,31 @@ class SpillPartitions:
                 "off": pa.array(acks["off"], type=pa.int64()),
                 "rows": pa.array(acks["rows"], type=pa.int64()),
                 "bytes": pa.array(acks["bytes"], type=pa.int64()),
-                "busy_s": timing(_time.monotonic() - _t0),
+                "busy_s": timing(time.monotonic() - _t0),
                 "cpu_s": timing(cpu_s),
                 "sys_s": timing(sys_s),
             }
         )
 
 
-class ExchangeEncoder(PartitionEncoder):
-    """Stage-2 worker: each input row is one partition bundle (pids, raw
-    keys, acked chunk-file lists); reads exactly those chunks and encodes
-    each as one partition."""
-
-    def __init__(self, out_dir: str, exchange_dir: str, lineage: dict | None = None):
-        super().__init__(out_dir, lineage)
-        self.exchange_dir = exchange_dir
-
-    def __call__(self, batch) -> pa.Table:
-        import time as _time
-
-        import json as _json
-
-        outs = []
-        for row in batch.to_pylist():
-            for pid, raw_pid, ranges_json in zip(
-                row["pids"], row["raws"], row["files"]
-            ):
-                ranges = _json.loads(ranges_json)
-                t0 = _time.monotonic()
-                tables = [
-                    read_ipc_range(
-                        os.path.join(self.exchange_dir, f), int(off), int(ln)
-                    )
-                    for f, off, ln in sorted(ranges, key=lambda r: (r[0], r[1]))
-                ]
-                # no table-level combine_chunks: encode_partition combines
-                # per column anyway, and the table-level pass duplicated the
-                # whole partition once more (measured ~0.2 s/partition of
-                # pure memcpy at 16 workers)
-                data = pa.concat_tables(tables)
-                # surfaced as phase_s["read"] in the manifest lineage so
-                # scaling decompositions separate spill-read cost from
-                # encode compute (wall_s alone undercounts task busy time)
-                self._read_s = _time.monotonic() - t0
-                outs.append(self.encode_partition(data, raw_pid))
-        return pa.concat_tables(outs)
-
-
-# task-form encode wave: plain Ray TASKS reuse the worker processes
-# already warmed by the spill stage (an actor pool pays ~1s+ per actor of
-# process spawn + imports — measurably 100+ worker-seconds at 32 CPUs), and
-# Ray's scheduler work-steals around stragglers at task granularity. The
-# encoder (with its per-column FSST cache) is cached per worker process.
-_ENCODER_CACHE: dict = {}
-
-
 def exchange_encode_task(
-    batch, *, out_dir: str, exchange_dir: str, lineage_json: str
+    item: list, *, out_dir: str, exchange_dir: str, lineage: dict, choices: dict
 ) -> pa.Table:
-    import json
-
-    key = (out_dir, exchange_dir, lineage_json)
-    enc = _ENCODER_CACHE.get(key)
-    if enc is None:
-        _ENCODER_CACHE.clear()  # one live job per worker; drop stale caches
-        enc = _ENCODER_CACHE[key] = ExchangeEncoder(
-            out_dir, exchange_dir, json.loads(lineage_json)
+    """One encode-wave task: ``item`` is a bin of ``(raw key, ranges)``
+    partitions; each is read from exactly its acked ``(file, offset,
+    length)`` ranges and encoded with the job's codec ``choices``."""
+    enc = PartitionEncoder(out_dir, lineage, choices)
+    outs = []
+    for raw_pid, ranges in item:
+        t0 = time.monotonic()
+        # no table-level combine_chunks: encode_partition combines per
+        # column anyway, and the table-level pass duplicated the whole
+        # partition once more (measured ~0.2 s/partition of pure memcpy at
+        # 16 workers)
+        data = pa.concat_tables(
+            [read_ipc_range(os.path.join(exchange_dir, f), off, ln) for f, off, ln in ranges]
         )
-    return enc(batch)
+        # surfaced as phase_s["read"] in the manifest lineage so scaling
+        # decompositions separate spill-read cost from encode compute
+        outs.append(enc.encode_partition(data, raw_pid, read_s=time.monotonic() - t0))
+    return pa.concat_tables(outs)
