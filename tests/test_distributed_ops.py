@@ -110,10 +110,7 @@ def test_shingle_stage_and_pair_jaccard():
 def test_bucket_partition_colocates_and_enumerates_pairs():
     import numpy as np
 
-    from universal_parquet_exporter_ray.stages.dedup import (
-        add_bucket_part,
-        partition_to_pairs,
-    )
+    from universal_parquet_exporter_ray.stages.dedup import partition_to_pairs
 
     df = pd.DataFrame(
         {
@@ -122,22 +119,82 @@ def test_bucket_partition_colocates_and_enumerates_pairs():
             "doc_id": np.array([1, 2, 4, 3, 9], dtype=np.int64),
         }
     )
-    # bp is a pure function of the bucket key: identical whether computed on
-    # the whole frame or on arbitrary batch splits (the co-location property
-    # the groupby relies on)
-    full = add_bucket_part(df)
-    split = pd.concat(
-        [add_bucket_part(df.iloc[:2]), add_bucket_part(df.iloc[2:])],
-        ignore_index=True,
-    )
-    assert full["bp"].tolist() == split["bp"].tolist()
     # pair enumeration: only collision buckets emit, always doc_a < doc_b
-    pairs = partition_to_pairs(full)
+    pairs = partition_to_pairs(df)
     got = set(map(tuple, pairs[["doc_a", "doc_b"]].to_numpy()))
     assert got == {(1, 2), (3, 4)}
     # singleton-only partition → typed empty frame
-    empty = partition_to_pairs(full.iloc[[4]])
+    empty = partition_to_pairs(df.iloc[[4]])
     assert len(empty) == 0 and list(empty.columns) == ["doc_a", "doc_b"]
+
+
+def test_co_partition_colocates_keys(ray_session):
+    """Every row of a key value reaches exactly one ``fn`` call, for int,
+    string, two-column and null-bearing keys, under a one-block and a
+    seven-block layout; both layouts give the same per-key result and an
+    empty input gives 0 rows."""
+    from universal_parquet_exporter_ray.stages import co_partition, partition_of
+
+    def _key_label(g: pd.DataFrame, keys: list[str]) -> pd.Series:
+        # one string per row naming its key value, the same whether a
+        # numeric key arrives as int64 or (in a batch with nulls) float64
+        parts = []
+        for k in keys:
+            s = g[k]
+            if pd.api.types.is_numeric_dtype(s.dtype):
+                s = s.astype("Int64")
+            parts.append(s.astype(str).reset_index(drop=True))
+        return parts[0].str.cat(parts[1:], sep="|") if len(parts) > 1 else parts[0]
+
+    n = 60
+    i = np.arange(n)
+    table = pa.table(
+        {
+            "rid": pa.array(i, pa.int64()),
+            "k_int": pa.array(i % 7, pa.int64()),
+            "k_str": pa.array([["a", "bb", "ccc", None][j % 4] for j in i]),
+            # nulls only in the first rows: most blocks of the 7-block layout
+            # carry this column as int64, the first one as float64
+            "k_null": pa.array(
+                [None if j < 2 else int(j % 3) for j in i], pa.int64()
+            ),
+        }
+    )
+    cols = set(table.column_names)
+    frame = table.to_pandas()
+    # the bucket of a numeric value does not depend on the block's dtype
+    assert (
+        partition_of(pd.DataFrame({"k": [1, 2, 3]}), ["k"], 5)
+        == partition_of(pd.DataFrame({"k": [1.0, 2.0, 3.0]}), ["k"], 5)
+    ).all()
+
+    def run(keys, layout):
+        def fn(g: pd.DataFrame) -> pd.DataFrame:
+            assert set(g.columns) == cols  # the bucket column is private
+            per_row = pd.DataFrame(
+                {"key": _key_label(g, keys), "call": int(g["rid"].min())}
+            )
+            return per_row.groupby("key", as_index=False).agg(
+                call=("call", "first"), n=("call", "size")
+            )
+
+        ds = ray.data.from_arrow(table).repartition(layout)
+        return co_partition(ds, keys, fn, 5).to_pandas()
+
+    for keys in (["k_int"], ["k_str"], ["k_str", "k_int"], ["k_null"]):
+        expect = _key_label(frame, keys).value_counts().to_dict()
+        got = {}
+        for layout in (1, 7):
+            out = run(keys, layout)
+            # one output row per (call, key): a unique key means one call
+            assert out["key"].is_unique, (keys, layout)
+            got[layout] = dict(zip(out["key"], out["n"].astype(int)))
+            assert got[layout] == expect, (keys, layout)
+        assert got[1] == got[7]
+    assert "<NA>" in expect  # the null key formed one group
+
+    empty = ray.data.from_arrow(table.slice(0, 0))
+    assert co_partition(empty, ["k_int"], lambda g: g, 4).count() == 0
 
 
 def test_pair_shingle_emit_and_partition_jaccard(ray_session):
@@ -234,15 +291,6 @@ def test_shingle_explode_and_posting_pairs():
     # one row per distinct shingle, n carried on every row
     na, nb = len(word_shingle_hashes(a)), len(word_shingle_hashes(b))
     assert (ex[ex.doc_id == 1]["n"] == na).all() and len(ex[ex.doc_id == 1]) == na
-    # sp is a pure function of sh: recomputing on a split gives identical sp
-    resplit = pd.concat(
-        [
-            ShingleExplode()(pd.DataFrame({"doc_id": [1], "text": [a]})),
-            ShingleExplode()(pd.DataFrame({"doc_id": [2, 3], "text": [b, c]})),
-        ],
-        ignore_index=True,
-    )
-    assert sorted(zip(ex["sh"], ex["sp"])) == sorted(zip(resplit["sh"], resplit["sp"]))
     # docs 1 and 2 share exactly the shingle "w1 w2 w3"; doc 3 shares none
     hits = posting_list_pairs(ex)
     assert len(hits) == 1
@@ -926,9 +974,10 @@ def test_posting_pair_counts_equal_exact_intersections(docs):
         {"doc_id": np.arange(len(docs), dtype=np.int64), "text": docs}
     )
     ex = ShingleExplode()(df)
-    # run the pair stage per coarse partition exactly like the pipeline
+    # run the pair stage once per shingle: a co-partition on sh holds every
+    # row of a shingle, so this is the pipeline's finest bucket layout
     hits = pd.concat(
-        [posting_list_pairs(g) for _, g in ex.groupby("sp")],
+        [posting_list_pairs(g) for _, g in ex.groupby("sh")],
         ignore_index=True,
     )
     counted = (
@@ -983,8 +1032,9 @@ def test_quantiles_query_matches_numpy(ray_session):
 
 
 def _prefix_pipeline_sim(df):
-    """Run the prefix-filtered candidate stages exactly like the pipeline:
-    explode → per-sp df stamp → per-dp prefix select → per-sp pair emit."""
+    """Run the prefix-filtered candidate stages on the pipeline's co-partition
+    keys, one group per key value: explode → per-sh df stamp → per-doc_id
+    prefix select → per-sh pair emit."""
     from universal_parquet_exporter_ray.stages.dedup import (
         ShingleExplode,
         df_stamp_route,
@@ -994,17 +1044,17 @@ def _prefix_pipeline_sim(df):
 
     ex = ShingleExplode()(df)
     routed = pd.concat(
-        [df_stamp_route(g) for _, g in ex.groupby("sp")], ignore_index=True
+        [df_stamp_route(g) for _, g in ex.groupby("sh")], ignore_index=True
     )
     if routed.empty:
         return pd.DataFrame({"doc_a": [], "doc_b": []})
     prefixes = pd.concat(
-        [prefix_select(g) for _, g in routed.groupby("dp")], ignore_index=True
+        [prefix_select(g) for _, g in routed.groupby("doc_id")], ignore_index=True
     )
     if prefixes.empty:
         return pd.DataFrame({"doc_a": [], "doc_b": []})
     return pd.concat(
-        [prefix_posting_pairs(g) for _, g in prefixes.groupby("sp")],
+        [prefix_posting_pairs(g) for _, g in prefixes.groupby("sh")],
         ignore_index=True,
     ).drop_duplicates()
 
@@ -2008,6 +2058,13 @@ def test_combiner_groupby_distributed_final_string_and_null_keys(ray_session):
     # one row per group, nulls included: 4 k1 values x 5 k2 values
     assert len(large) == 20
     assert large["k1"].isna().sum() == 5
+    # an Arrow int64 key with nulls in its first rows only reaches the
+    # final as float64 in the first partial block and int64 in the others;
+    # each value must still form ONE group
+    k3 = pa.array([None, None] + rng.integers(0, 3, n - 2).tolist(), pa.int64())
+    ds3 = ray.data.from_arrow(pa.table({"k3": k3, "v": df["v"]})).repartition(8)
+    out3 = combiner_groupby(ds3, ["k3"], count="n_rows", final_cap=0).to_pandas()
+    assert len(out3) == 4 and int(out3["n_rows"].sum()) == n
 
 
 def test_decontaminate_neardup_flags_train_side_only(ray_session, tmp_path):

@@ -20,7 +20,6 @@ and dictionaries per partition").
 
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 from typing import Any, Optional
@@ -211,8 +210,8 @@ def train_pair_table(sample: bytes) -> list[bytes]:
 # Bound the vectorized encoder's working set. ~10 int32/bool temporaries per
 # chunk → working set ≈ 10×chunk per worker; at 16 workers a 2 MiB chunk
 # totals ~320 MB, just over this box's 260 MiB shared L3, while 1 MiB fits
-# (round-4 scaling experiment; env-tunable for A/B measurement).
-PAIRS_CHUNK = int(os.environ.get("UPXR_PAIRS_CHUNK", str(1 * 1024 * 1024)))
+# (round-4 scaling experiment).
+PAIRS_CHUNK = 1 << 20
 
 
 def _encode_pairs(data, symbols: list[bytes]) -> bytes:

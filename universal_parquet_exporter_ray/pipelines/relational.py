@@ -30,6 +30,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table
+from ..stages import co_partition
 from ..stages.agg import combiner_groupby
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 
@@ -79,9 +80,7 @@ def scale_cols(ds, spec: dict[str, tuple[str, float]]):
                 df = df.drop(columns=[old])
         return df
 
-    if isinstance(ds, pd.DataFrame):
-        return fn(ds)
-    return ds.map_batches(fn, batch_format="pandas")
+    return _map_any(ds, fn)
 
 
 def _map_any(out, fn):
@@ -1055,16 +1054,6 @@ def q_latest_event(sf_dir: str):
 
     partials = ds.map_batches(best, batch_format="pandas")
 
-    def stamp(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["up"] = (
-            pd.util.hash_pandas_object(df["user_id"], index=False).to_numpy(
-                np.uint64
-            )
-            % np.uint64(64)
-        ).astype(np.int64)
-        return df
-
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["ts", "event_id"], kind="stable")
         d = d.groupby("user_id", sort=False).tail(1)
@@ -1077,11 +1066,7 @@ def q_latest_event(sf_dir: str):
             }
         )
 
-    return (
-        partials.map_batches(stamp, batch_format="pandas")
-        .groupby("up")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return co_partition(partials, ["user_id"], merge, 64)
 
 
 RANGE_JOIN_ORACLE_SQL = """

@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources import load_table, table_path
-from ..stages import task_stage, thresholded_stage
+from ..stages import co_partition, partition_of, task_stage, thresholded_stage
 from ..stages.agg import combiner_groupby
 from ..stages.ann import BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
@@ -100,21 +100,9 @@ WHERE 2 * i >= ca.n + cb.n - i
 """
 
 
-def _pool(env: str, default):
-    """Actor-pool concurrency for a text stage, env-overridable for A/B
-    experiments: ``"8"`` → fixed 8 actors, ``"1:8"`` → autoscaling (1, 8),
-    ``"task"`` → no pool (plain tasks with a worker-cached stage)."""
-    v = os.environ.get(env)
-    if not v:
-        return default
-    if v == "task":
-        return v
-    if ":" in v:
-        lo, hi = v.split(":", 1)
-        return (int(lo), int(hi))
-    return int(v)
-
-
+# buckets of the LSH (band, band_hash) co-partition: ~|docs|×bands tiny
+# bucket groups become this many vectorized pandas calls
+LSH_BUCKETS = 32
 
 
 @q("minhash_lsh_pairs", MINHASH_ORACLE_SQL)
@@ -132,33 +120,21 @@ def q_minhash_lsh_pairs(sf_dir: str, broadcast_budget: int | None = None):
     Physical plan (2 small shuffles, no hash-join operators — measured 3×
     faster than the join formulation, whose per-join actor machinery cost
     ~10 s fixed each):
-    1. band rows → groupby(coarse bucket-partition key) → vectorized pair
-       enumeration inside each of 32 groups (buckets co-locate by key);
+    1. band rows → ``co_partition`` on the LSH bucket (band, band_hash) →
+       vectorized pair enumeration inside each of 32 bucket groups;
     2. the candidate PAIR list (output-sized LSH hits, not corpus data)
        drives a broadcast doc→pairs map; a second corpus scan emits shingle
        rows only for candidate docs;
     3. groupby(pair_id) → exact integer Jaccard per pair."""
-    from ..stages.dedup import (
-        MinHashBandStage,
-        add_bucket_part,
-        partition_to_pairs,
-        verify_pairs,
-    )
+    from ..stages.dedup import partition_to_pairs, verify_pairs
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    conc = _pool("UPXR_MINHASH_CONC", "task")
-    if conc == "task":
-        # plain tasks on already-warm workers: the stage's per-actor setup
-        # (_perm_constants) is microseconds, so an actor pool only buys its
-        # own spawn cost (~1 s/actor); worker-cached instance instead
-        bands = docs.map_batches(task_stage(MinHashBandStage), batch_format="pandas")
-    else:
-        bands = docs.map_batches(
-            MinHashBandStage, batch_format="pandas", concurrency=conc
-        )
-    bands = bands.map_batches(add_bucket_part, batch_format="pandas")
-    pair_rows = bands.groupby("bp").map_groups(
-        partition_to_pairs, batch_format="pandas"
+    # plain tasks on already-warm workers: the stage's per-actor setup
+    # (_perm_constants) is microseconds, so an actor pool only buys its
+    # own spawn cost (~1 s/actor); worker-cached instance instead
+    bands = docs.map_batches(task_stage(MinHashBandStage), batch_format="pandas")
+    pair_rows = co_partition(
+        bands, ["band", "band_hash"], partition_to_pairs, LSH_BUCKETS
     )
     # exact-Jaccard verify: broadcast membership under the pair budget,
     # hash-partitioned join above it (dup-heavy crawls) — verify_pairs
@@ -243,7 +219,7 @@ def q_decontaminate_neardup(
     count and max Jaccard — the drop ledger plus the audit evidence.
 
     Plan: the standing minhash machinery end to end — banding (per-worker
-    cached stage) → coarse bucket-partition pair enumeration → a CHEAP
+    cached stage) → LSH-bucket co-partition pair enumeration → a CHEAP
     cross-set filter on the output-sized candidate list (train-train and
     bench-bench candidates never reach the exact verify, the expensive
     stage) → size-thresholded exact-Jaccard verify (broadcast under the
@@ -252,12 +228,7 @@ def q_decontaminate_neardup(
     thresholded final. Oracle recall argument is inherited verbatim from
     ``minhash_lsh_pairs``: 16×4 banding recalls every J ≥ 0.5 pair on this
     corpus, and the verify is exact, so the cross-set subset is exact."""
-    from ..stages.dedup import (
-        MinHashBandStage,
-        add_bucket_part,
-        partition_to_pairs,
-        verify_pairs,
-    )
+    from ..stages.dedup import partition_to_pairs, verify_pairs
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -275,9 +246,9 @@ def q_decontaminate_neardup(
     eligible = docs.map_batches(drop_short, batch_format="pandas")
     bands = eligible.map_batches(
         task_stage(MinHashBandStage), batch_format="pandas"
-    ).map_batches(add_bucket_part, batch_format="pandas")
-    pair_rows = bands.groupby("bp").map_groups(
-        partition_to_pairs, batch_format="pandas"
+    )
+    pair_rows = co_partition(
+        bands, ["band", "band_hash"], partition_to_pairs, LSH_BUCKETS
     )
 
     def cross_set(df: pd.DataFrame) -> pd.DataFrame:
@@ -369,8 +340,8 @@ def q_dedup_clusters(sf_dir: str):
     stage is the distributed minhash/verify plan of ``minhash_lsh_pairs``;
     the component step is DISTRIBUTED too (round-4: replaced the driver
     union-find): ``stages/dedup.py::connected_components`` runs alternating
-    large-star/small-star rounds (Kiveris et al., SoCC'14) as coarse-
-    partition groupbys with vectorized bodies — O(log n) rounds even on a
+    large-star/small-star rounds (Kiveris et al., SoCC'14) as node
+    co-partitions with vectorized bodies — O(log n) rounds even on a
     chain graph, and the only driver state is one (count, checksum) pair per
     round. On a dup-heavy crawl where the pair graph is corpus-sized this
     plan still holds; here the edge set additionally happens to be
@@ -462,18 +433,14 @@ def q_dedup_keep_best(sf_dir: str):
     per-cluster ARGMAX PARTIALS (algebraic: sum counts, argmax of
     argmaxes), so only cluster-sized rows ever leave a worker. The final
     reduce is size-thresholded like ``stages/agg.py``: driver pandas merge
-    under the cap, coarse-partition groupby merge above it (the 100-TB
+    under the cap, a ``cluster_id`` co-partition merge above it (the 100-TB
     path, where cluster count scales with the corpus). On a dup-heavy
     crawl whose component map outgrows any broadcast budget, the doc→label
     tagging falls back to the distributed hash join (``verify_pairs``'s
     documented switch) — the partial/merge stages are unchanged."""
     from ..stages import thresholded_stage
     from ..stages.agg import FINAL_REDUCE_CAP
-    from ..stages.dedup import (
-        ClusterBestPartial,
-        _doc_part,
-        merge_keep_best_partials,
-    )
+    from ..stages.dedup import ClusterBestPartial, merge_keep_best_partials
 
     clusters = q_dedup_clusters(sf_dir)
     cdf = (
@@ -501,23 +468,9 @@ def q_dedup_keep_best(sf_dir: str):
     if partials.count() <= FINAL_REDUCE_CAP:
         out = merge_keep_best_partials(partials.to_pandas())
     else:
-
-        def stamp(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["cp"] = _doc_part(
-                df["cluster_id"].to_numpy(dtype=np.int64), 64
-            )
-            return df
-
-        def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-            return merge_keep_best_partials(g.drop(columns=["cp"]))
-
-        out = (
-            partials.map_batches(stamp, batch_format="pandas")
-            .groupby("cp")
-            .map_groups(merge_group, batch_format="pandas")
-            .to_pandas()
-        )
+        out = co_partition(
+            partials, ["cluster_id"], merge_keep_best_partials, 64
+        ).to_pandas()
     return (
         out[["cluster_id", "kept_doc", "best_tok", "n_members"]]
         .sort_values("cluster_id")
@@ -557,15 +510,15 @@ def q_ngram_jaccard_pairs(sf_dir: str):
 
     1. docs → one row per distinct shingle, carrying the doc's shingle
        count ``n`` on every row (no doc→n broadcast needed later);
-    2. groupby(coarse shingle partition) → stamp each shingle's EXACT
-       global document frequency (a shingle lives in one partition),
-       drop df == 1 shingles (they cannot intersect anything);
-    3. groupby(coarse doc partition) → per-doc PREFIX selection in
+    2. ``co_partition`` on ``sh`` → stamp each shingle's EXACT global
+       document frequency (a shingle lives in one partition), drop
+       df == 1 shingles (they cannot intersect anything);
+    3. ``co_partition`` on ``doc_id`` → per-doc PREFIX selection in
        canonical (df asc, sh asc) order, p = n − ⌈n/3⌉ + 1
        (prefix-filter theorem: recall-preserving for J ≥ 1/3, while
        stop-shingles sort last and never enter the index — the m²/2
        hot-shingle pair blowup of an exhaustive posting join is gone);
-    4. groupby(prefix-shingle partition) → distinct candidate pairs,
+    4. ``co_partition`` on the prefix ``sh`` → distinct candidate pairs,
        bounded by the pruned index;
     5. the output-sized candidate list drives the same broadcast-map
        distributed exact-Jaccard verify as minhash_lsh_pairs
@@ -584,15 +537,9 @@ def q_ngram_jaccard_pairs(sf_dir: str):
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
     # pure-hash stage, trivial ctor at any scale -> plain tasks (see task_stage)
     exploded = docs.map_batches(task_stage(ShingleExplode), batch_format="pandas")
-    routed = exploded.groupby("sp").map_groups(
-        df_stamp_route, batch_format="pandas"
-    )
-    prefixes = routed.groupby("dp").map_groups(
-        prefix_select, batch_format="pandas"
-    )
-    cand_rows = prefixes.groupby("sp").map_groups(
-        prefix_posting_pairs, batch_format="pandas"
-    )
+    routed = co_partition(exploded, ["sh"], df_stamp_route, 64)
+    prefixes = co_partition(routed, ["doc_id"], prefix_select, 64)
+    cand_rows = co_partition(prefixes, ["sh"], prefix_posting_pairs, 64)
     # exact-Jaccard verify over the prefix-filtered candidates: broadcast
     # membership under the pair budget, hash-partitioned join above it —
     # same thresholded verify_pairs tail as minhash_lsh_pairs
@@ -1142,7 +1089,7 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
     """Corpus vocabulary statistics: the 5 most frequent tokens per
     language. Per-batch pandas value_counts is the COMBINER (one row per
     distinct (lang, token) per batch — bounded by vocabulary, not corpus),
-    a coarse hash-partition groupby sums the partials vectorized, and a
+    a (lang, token) co-partition sums the partials vectorized, and a
     tiny groupby(lang) takes the final top-k. No corpus-sized shuffle, no
     high-cardinality Ray aggregate (see ngram_jaccard_pairs for why)."""
     ds = load_table(sf_dir, "documents", ["text", "lang"])
@@ -1156,14 +1103,7 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
                 "tok": np.concatenate(toks.to_numpy()) if len(df) else [],
             }
         )
-        grp = flat.groupby(["lang", "tok"], sort=False).size().reset_index(name="n")
-        grp["tp"] = (
-            pd.util.hash_pandas_object(
-                grp["lang"] + "\x00" + grp["tok"], index=False
-            ).to_numpy(np.uint64)
-            % np.uint64(P)
-        ).astype(np.int64)
-        return grp
+        return flat.groupby(["lang", "tok"], sort=False).size().reset_index(name="n")
 
     def sum_partials(g: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -1182,7 +1122,7 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
         return g[["lang", "tok", "n"]]
 
     partials = ds.map_batches(partial_counts, batch_format="pandas")
-    summed = partials.groupby("tp").map_groups(sum_partials, batch_format="pandas")
+    summed = co_partition(partials, ["lang", "tok"], sum_partials, P)
     return summed.groupby("lang").map_groups(final, batch_format="pandas")
 
 
@@ -1212,8 +1152,8 @@ def train_unigram_model(
     ds, P: int = 32, min_count: int = 1
 ) -> tuple[pd.Series, float]:
     """Pass 1 of CCNet-style unigram scoring: distributed token counting
-    with a combiner (per-batch value_counts) -> coarse-partition exact sum.
-    A token hashes to exactly ONE ``tp`` partition, so ``sum_partials`` sees
+    with a combiner (per-batch value_counts) -> ``tok`` co-partition exact
+    sum. A token lands in exactly ONE of ``P`` buckets, so ``sum_partials`` sees
     its GLOBAL total — applying the ``min_count`` cutoff there is exact and
     the uncapped vocabulary never reaches the driver: tokens below the
     cutoff collapse into a single OOV row per partition (≤ P rows) carrying
@@ -1238,12 +1178,7 @@ def train_unigram_model(
                 else np.array([], dtype=object)
             }
         )
-        grp = flat.groupby("tok", sort=False).size().reset_index(name="n")
-        grp["tp"] = (
-            pd.util.hash_pandas_object(grp["tok"], index=False).to_numpy(np.uint64)
-            % np.uint64(P)
-        ).astype(np.int64)
-        return grp
+        return flat.groupby("tok", sort=False).size().reset_index(name="n")
 
     def sum_partials(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby("tok", sort=False)["n"].sum().reset_index()
@@ -1258,17 +1193,17 @@ def train_unigram_model(
                 )
         return tot
 
-    freqs = (
-        ds.map_batches(partial_counts, batch_format="pandas")
-        .groupby("tp")
-        .map_groups(sum_partials, batch_format="pandas")
-        .to_pandas()  # bounded-vocab model table, NOT corpus-sized
-    )
+    freqs = co_partition(
+        ds.map_batches(partial_counts, batch_format="pandas"),
+        ["tok"],
+        sum_partials,
+        P,
+    ).to_pandas()  # bounded-vocab model table, NOT corpus-sized
     if "n" not in freqs.columns:  # degenerate corpus: zero tokens anywhere
         freqs = pd.DataFrame(
             {"tok": pd.Series([], dtype=object), "n": pd.Series([], dtype="int64")}
         )
-    # ≤ P OOV rows (one per coarse partition) merge into a single bucket
+    # ≤ P OOV rows (one per co-partition bucket) merge into a single bucket
     is_oov = freqs["tok"].to_numpy() == _OOV_TOKEN
     oov_mass = float(freqs.loc[is_oov, "n"].sum())
     freqs = freqs[~is_oov]
@@ -1349,10 +1284,10 @@ def train_doc_freq(
     ds, P: int = 32, min_df: int = 2
 ) -> tuple[pd.Series, float, float]:
     """Pass 1 of tf-idf: distributed document frequencies with a combiner
-    (per-batch (doc, tok) dedup) -> coarse-partition exact sum, plus the
-    corpus doc count.  The ``min_df`` cutoff is applied INSIDE the
-    distributed sum (a token's full df lands in exactly one ``tp``
-    partition), so the hapax-dominated tail of a 100-TB vocabulary never
+    (per-batch (doc, tok) dedup) -> ``tok`` co-partition exact sum, plus
+    the corpus doc count.  The ``min_df`` cutoff is applied INSIDE the
+    distributed sum (a token's full df lands in exactly one of ``P``
+    buckets), so the hapax-dominated tail of a 100-TB vocabulary never
     materializes on the driver.  Crucially ``min_df=2`` is EXACT, not an
     approximation: a token absent from the broadcast table must have
     df == 1, so its idf is known precisely — ``ln(n_docs / 1)`` — and is
@@ -1365,7 +1300,7 @@ def train_doc_freq(
     # the separate count_docs Dataset execution was a full second corpus
     # pass, ~1.4 s of pure executor overhead at sf0.1): each batch appends
     # one SENTINEL row tok="" (impossible as a \S+ token) carrying its
-    # non-empty-doc count; the sentinel hashes into one tp partition like
+    # non-empty-doc count; the sentinel lands in one ``tok`` bucket like
     # any token and its global sum is exact. The min_df cutoff never drops
     # it (explicit exclusion), and it is peeled off after the final.
     def partial_df(df: pd.DataFrame) -> pd.DataFrame:
@@ -1382,15 +1317,10 @@ def train_doc_freq(
         uniq = flat.drop_duplicates()
         grp = uniq.groupby("tok", sort=False).size().reset_index(name="df")
         n_docs_batch = int((toks.str.len() > 0).sum())
-        grp = pd.concat(
+        return pd.concat(
             [grp, pd.DataFrame({"tok": [""], "df": [n_docs_batch]})],
             ignore_index=True,
         )
-        grp["tp"] = (
-            pd.util.hash_pandas_object(grp["tok"], index=False).to_numpy(np.uint64)
-            % np.uint64(P)
-        ).astype(np.int64)
-        return grp
 
     def sum_partials(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby("tok", sort=False)["df"].sum().reset_index()
@@ -1401,13 +1331,10 @@ def train_doc_freq(
             tot = tot[keep]
         return tot
 
-    # document frequency: bounded-vocab after the coarse-partition sum+cutoff
-    freqs = (
-        ds.map_batches(partial_df, batch_format="pandas")
-        .groupby("tp")
-        .map_groups(sum_partials, batch_format="pandas")
-        .to_pandas()
-    )
+    # document frequency: bounded-vocab after the co-partition sum+cutoff
+    freqs = co_partition(
+        ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials, P
+    ).to_pandas()
     if "df" not in freqs.columns:  # degenerate corpus: zero tokens anywhere
         freqs = pd.DataFrame(
             {"tok": pd.Series([], dtype=object), "df": pd.Series([], dtype="int64")}
@@ -1688,15 +1615,15 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
     ANYWHERE in the corpus are deleted from every document; survivors are
     reassembled in order (docs with no surviving segment drop out).
 
-    Scale shape — two coarse shuffles, no broadcast, nothing corpus-sized
-    on the driver:
+    Scale shape — two shuffles, no broadcast, nothing corpus-sized on the
+    driver:
     1. segment+hash stage emits (md5(seg), doc_id, seg_no) — hashes only,
        never segment text, cross the wire;
-    2. ``groupby(hash-bucket)`` + a vectorized pandas groupby inside each
-       coarse bucket finds duplicated hashes and emits (doc_id, seg_no)
+    2. ``co_partition`` on the hash + a vectorized pandas groupby inside
+       each bucket finds duplicated hashes and emits (doc_id, seg_no)
        drop rows (output-sized: one row per duplicate occurrence);
     3. drop rows and documents are hash co-partitioned on doc_id (tagged
-       union, same plan as lang_centroids) and each bucket group re-splits
+       union bucketed by ``partition_of``) and each bucket group re-splits
        its docs, deletes dropped segment indices, and reassembles.
     128-bit hashes make a cross-segment collision (the one source of
     divergence from the text-equality oracle) vanishingly unlikely."""
@@ -1711,17 +1638,13 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
                 h.append(hashlib.md5(seg.encode()).hexdigest())
                 d.append(did)
                 s.append(i)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "h": pd.Series(h, dtype="object"),
                 "doc_id": pd.Series(d, dtype="int64"),
                 "seg_no": pd.Series(s, dtype="int64"),
             }
         )
-        out["hb"] = out["h"].str[:2].apply(lambda x: int(x, 16) % n_buckets).astype(
-            "int64"
-        ) if len(out) else pd.Series([], dtype="int64")
-        return out
 
     segs = docs.map_batches(emit_segs, batch_format="pandas")
 
@@ -1730,25 +1653,23 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
         # reset: downstream stages build frames from fresh RangeIndex series
         return g.loc[c >= 2, ["doc_id", "seg_no"]].reset_index(drop=True)
 
-    drops = segs.groupby("hb").map_groups(find_dups, batch_format="pandas")
+    drops = co_partition(segs, ["h"], find_dups, n_buckets)
 
     def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
             {
-                "db": ids % n_buckets,
-                "doc_id": ids,
+                "db": partition_of(df, ["doc_id"], n_buckets),
+                "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
                 "text": df["text"].to_numpy(),
                 "seg_no": np.full(len(df), -1, dtype=np.int64),
             }
         )
 
     def tag_drops(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
             {
-                "db": ids % n_buckets,
-                "doc_id": ids,
+                "db": partition_of(df, ["doc_id"], n_buckets),
+                "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
                 "text": pd.Series([None] * len(df), dtype="object"),
                 "seg_no": df["seg_no"].to_numpy(dtype=np.int64),
             }
@@ -1850,9 +1771,9 @@ def q_exact_substr_dedup(
       broadcast via ``thresholded_stage`` → second corpus scan filters and
       merges spans in-batch (each doc's windows stay in its batch — no
       second shuffle).
-    - **distributed** (dup-heavy corpus): one coarse groupby on a window
-      hash bucket finds non-first occurrences, then a doc-bucket groupby
-      merges spans — hashes only on the wire, nothing corpus-sized on the
+    - **distributed** (dup-heavy corpus): one co-partition on the window
+      hash finds non-first occurrences, then a doc_id co-partition merges
+      spans — hashes only on the wire, nothing corpus-sized on the
       driver (the suffix-array equivalent's unavoidable all-to-all).
     128-bit window hashes (two independent 64-bit token-polynomial
     streams) make divergence from the text-equality oracle vanishingly
@@ -1912,10 +1833,7 @@ def q_exact_substr_dedup(
         )
 
     def emit_full(df: pd.DataFrame) -> pd.DataFrame:
-        out = emit_token_windows(df, w)
-        # int64 % positive follows the divisor's sign in numpy: in [0, n)
-        out["hb"] = (out["h1"] % n_buckets).astype(np.int64)
-        return out[["hb", "h1", "h2", "packed", "doc_id", "pos"]]
+        return emit_token_windows(df, w)[["h1", "h2", "packed", "doc_id", "pos"]]
 
     wins_full = docs.map_batches(emit_full, batch_format="pandas")
 
@@ -1924,24 +1842,21 @@ def q_exact_substr_dedup(
         c = grp.transform("size")
         first = grp.transform("min")
         rem = g.loc[(c >= 2) & (g["packed"] != first), ["doc_id", "pos"]]
-        rem = rem.reset_index(drop=True)
-        rem["db"] = rem["doc_id"].to_numpy(dtype=np.int64) % n_buckets
-        return rem
+        return rem.reset_index(drop=True)
 
-    # materialize the output-sized removal ledger: the doc-bucket groupby
+    # materialize the output-sized removal ledger: the doc_id co-partition
     # re-shuffles it anyway, and the count (a free metadata read) guards the
     # no-dup case — Ray's to_pandas drops the column schema on an all-empty
     # group stream, so emptiness must resolve to a typed driver frame here
-    removals = wins_full.groupby("hb").map_groups(
-        find_rem, batch_format="pandas"
+    removals = co_partition(
+        wins_full, ["h1", "h2"], find_rem, n_buckets
     ).materialize()
     if removals.count() == 0:
         from ..stages.dedup import _EMPTY_SUBSTR
 
         return _EMPTY_SUBSTR.copy()
-    return removals.groupby("db").map_groups(
-        lambda g: merge_removal_spans(g[["doc_id", "pos"]], w),
-        batch_format="pandas",
+    return co_partition(
+        removals, ["doc_id"], lambda g: merge_removal_spans(g, w), n_buckets
     )
 
 
@@ -2864,20 +2779,13 @@ GROUP BY 1, 2
 """
 
 
-def _id_bucket(ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic coarse bucket of an int64 id column (Fibonacci mixer in
-    uint64 space — stable across processes, unlike Python ``hash``)."""
-    h = ids.astype(np.int64).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return (h >> np.uint64(40)).astype(np.int64) % n_buckets
-
-
 @q("lang_centroids", LANG_CENTROIDS_ORACLE_SQL)
 def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
     """Grouped vector centroids: the mean embedding per language — the
     class-centroid aggregate of embedding-based curation. Fully
     distributed: documents(doc_id, lang) and embeddings(vec_id, embedding)
-    are hash co-partitioned on the id into ``n_buckets`` coarse buckets
-    (union of two tagged datasets → one groupby(bucket) shuffle); each
+    are hash co-partitioned on the id into ``n_buckets`` ``partition_of``
+    buckets (union of two tagged datasets → one groupby(bucket) shuffle); each
     bucket group joins id→lang vectorized in pandas and reduces to one
     (langs-in-bucket × dim) partial-sum matrix. Only vocabulary-sized
     partials (≤ n_buckets × n_langs rows of 512-byte sums) ever reach the
@@ -2890,7 +2798,7 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
         ids = t.column("doc_id").to_numpy()
         return pa.table(
             {
-                "bkt": _id_bucket(ids, n_buckets),
+                "bkt": partition_of(pd.DataFrame({"id": ids}), ["id"], n_buckets),
                 "id": ids,
                 "lang": t.column("lang"),
                 "embedding": pa.nulls(len(t), pa.list_(pa.float64())),
@@ -2901,7 +2809,7 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
         ids = t.column("vec_id").to_numpy()
         return pa.table(
             {
-                "bkt": _id_bucket(ids, n_buckets),
+                "bkt": partition_of(pd.DataFrame({"id": ids}), ["id"], n_buckets),
                 "id": ids,
                 "lang": pa.nulls(len(t), pa.string()),
                 "embedding": t.column("embedding").cast(pa.list_(pa.float64())),

@@ -50,9 +50,7 @@ def read_parquet_clean(
                 break
     full = pq.read_schema(sample).remove_metadata()
     schema = pa.schema([full.field(c) for c in columns]) if columns else full
-    blocks = int(os.environ.get("UPXR_READ_BLOCKS", "0"))
-    kw = {"override_num_blocks": blocks} if blocks else {}
-    return ray.data.read_parquet(path, columns=columns, schema=schema, **kw)
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def load_table(

@@ -1,8 +1,66 @@
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+
 from .encoder import PART_COL, PartitionDecoder, PartitionEncoder  # noqa: F401
 from .salting import AssignPartitions, build_salt_map  # noqa: F401
 
 # per-worker-process cache behind task_stage(); one entry per (class, ctor)
 _STAGE_CACHE: dict = {}
+
+# private bucket column stamped by co_partition(); never reaches ``fn``
+_BUCKET = "__co_part"
+
+
+def partition_of(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
+    """int64 bucket in ``[0, n)`` of each row of ``frame``, a pure function
+    of the ``keys`` column values: the one place the engine computes a
+    hash-bucket id for a groupby or a co-partitioned (tagged-union) join.
+
+    ``pd.util.hash_pandas_object`` is deterministic across processes
+    (unlike Python ``hash``), hashes strings by content, combines several
+    key columns, and sends every null key to one bucket. Numeric keys hash
+    as float64 (``-0.0`` folded into ``0.0``) so a value lands in the same
+    bucket whatever dtype its block carries: an Arrow int64 column becomes
+    int64 in a null-free pandas batch but float64 in a batch with nulls."""
+    cols = {}
+    for i, k in enumerate(keys):
+        s = frame[k]
+        if pd.api.types.is_numeric_dtype(s.dtype):
+            s = pd.Series(s.to_numpy(np.float64, na_value=np.nan) + 0.0)
+        cols[i] = s.reset_index(drop=True)
+    h = pd.util.hash_pandas_object(pd.DataFrame(cols), index=False)
+    return (h.to_numpy(np.uint64) % np.uint64(n)).astype(np.int64)
+
+
+def co_partition(ds, keys, fn, n: int):
+    """``fn`` over hash co-partitions of ``ds``: every row of one ``keys``
+    value reaches exactly one ``fn(frame)`` call, so per-key reductions
+    inside ``fn`` (vectorized pandas groupbys, dedups, pair enumeration)
+    are global. ``n`` is the number of buckets; each bucket is one call.
+
+    The bucket column is stamped by a ``map_batches`` in the block's own
+    format (no pandas/Arrow conversion; Ray fuses it into the stage before
+    it) and dropped before ``fn`` sees the group frame. The shuffle is
+    ``groupby(bucket).map_groups``, Ray Data's sort shuffle."""
+    keys = list(keys)
+
+    def stamp(batch):
+        if isinstance(batch, pa.Table):
+            part = partition_of(batch.select(keys).to_pandas(), keys, n)
+            return batch.append_column(_BUCKET, pa.array(part))
+        out = batch.copy(deep=False)
+        out[_BUCKET] = partition_of(batch, keys, n)
+        return out
+
+    def run(g: pd.DataFrame):
+        return fn(g.drop(columns=_BUCKET))
+
+    return (
+        ds.map_batches(stamp, batch_format=None)
+        .groupby(_BUCKET)
+        .map_groups(run, batch_format="pandas")
+    )
 
 
 def task_stage(cls, **ctor):

@@ -17,12 +17,11 @@ corpus-sized), its row count read from metadata, and
   driver memory is the true constraint) the final combine runs driver-side
   in pandas, returning a pandas DataFrame; ``final_cap=0`` forces the
   distributed path (tests, scale rehearsal);
-- above both gates the final combine co-partitions the partials by a hash
-  of the key columns into coarse buckets and runs the same vectorized
-  pandas ``finish`` inside each bucket group (``groupby().map_groups``) —
-  NOT ``groupby().aggregate()``, which iterates groups in per-row Python
-  at block boundaries and measured 285× slower at 236k groups — returning
-  a Dataset.
+- above both gates the final combine co-partitions the partials on the
+  key columns (``stages.co_partition``) and runs the same vectorized pandas
+  ``finish`` inside each bucket group — NOT ``groupby().aggregate()``,
+  which iterates groups in per-row Python at block boundaries and measured
+  285× slower at 236k groups — returning a Dataset.
 
 Float determinism note: partial sums change the summation ORDER, exactly as
 Ray's own block-parallel Sum does; every consumer exports sums through
@@ -36,6 +35,8 @@ import os
 from typing import Optional
 
 import pandas as pd
+
+from . import co_partition
 
 __all__ = ["combiner_groupby", "FINAL_REDUCE_CAP"]
 
@@ -191,34 +192,14 @@ def combiner_groupby(
     ):
         return finish(partials.to_pandas())
 
-    # Distributed final: co-partition the partial rows by a hash of the key
-    # COLUMNS into coarse buckets, then run the SAME vectorized pandas
-    # ``finish`` inside each bucket group.  ``groupby(keys).aggregate(...)``
-    # would be semantically identical but iterates groups in per-row Python
-    # at block boundaries — measured 45.7 s vs 0.16 s on a 248k-row /
-    # 236k-group partial stream (285×), which at corpus-scaling key
-    # cardinality is the difference between a working 100-TB final and a
-    # stalled one.  Bucket count scales with the partial stream so one
-    # bucket group stays worker-heap-sized.
-    import numpy as np
-
-    n_buckets = max(32, n_partials // 1_000_000)
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__cb"] = (
-            pd.util.hash_pandas_object(df[list(keys)], index=False).to_numpy(
-                np.uint64
-            )
-            % np.uint64(n_buckets)
-        ).astype("int64")
-        return df
-
-    def finish_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return finish(g.drop(columns="__cb"))
-
-    return (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__cb")
-        .map_groups(finish_bucket, batch_format="pandas")
+    # Distributed final: co-partition the partial rows on the key COLUMNS
+    # and run the SAME vectorized pandas ``finish`` inside each bucket.
+    # ``groupby(keys).aggregate(...)`` would be semantically identical but
+    # iterates groups in per-row Python at block boundaries — measured
+    # 45.7 s vs 0.16 s on a 248k-row / 236k-group partial stream (285×),
+    # which at corpus-scaling key cardinality is the difference between a
+    # working 100-TB final and a stalled one.  Bucket count scales with the
+    # partial stream so one bucket group stays worker-heap-sized.
+    return co_partition(
+        partials, keys, finish, max(32, n_partials // 1_000_000)
     )

@@ -256,22 +256,8 @@ _EMPTY_PAIRS = pd.DataFrame(
 )
 
 
-def add_bucket_part(df: pd.DataFrame, n_parts: int = 32) -> pd.DataFrame:
-    """Coarse partition key over LSH buckets: a pure function of the bucket
-    key (band, band_hash), so every bucket co-locates in exactly one of
-    ``n_parts`` groups. Grouping on this instead of the raw bucket key turns
-    ~|docs|×bands tiny map_groups calls (or a hash-join operator's actor
-    machinery) into ``n_parts`` vectorized pandas calls."""
-    df = df.copy()
-    df["bp"] = (
-        (df["band_hash"].to_numpy(np.uint64) >> np.uint64(3)).astype(np.int64)
-        + df["band"].to_numpy(np.int64)
-    ) % n_parts
-    return df
-
-
 def partition_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """All candidate pairs of one coarse bucket-partition: filter to buckets
+    """All candidate pairs of one LSH-bucket co-partition: filter to buckets
     with ≥2 members (vectorized duplicated mask), then enumerate pairs only
     in those collision buckets."""
     dup = g[g.duplicated(["band", "band_hash"], keep=False)]
@@ -290,21 +276,6 @@ def partition_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(
         {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)}
     )
-
-
-N_PAIR_PARTS = 32
-
-
-def stamp_pq(doc_a: np.ndarray, doc_b: np.ndarray, n_parts: int = N_PAIR_PARTS) -> np.ndarray:
-    """Coarse pair-partition key: both members of a candidate pair land in
-    the same partition, so per-partition pair reductions are global."""
-    return (
-        (
-            doc_a.astype(np.uint64) * np.uint64(1000003)
-            + doc_b.astype(np.uint64)
-        )
-        % np.uint64(n_parts)
-    ).astype(np.int64)
 
 
 class PairShingleEmit:
@@ -334,7 +305,6 @@ class PairShingleEmit:
         [
             ("doc_a", pa.int64()),
             ("doc_b", pa.int64()),
-            ("pq", pa.int64()),
             ("doc_id", pa.int64()),
             ("sh", pa.binary()),
             ("n_sh", pa.int64()),
@@ -361,7 +331,6 @@ class PairShingleEmit:
             {
                 "doc_a": da,
                 "doc_b": db,
-                "pq": stamp_pq(da, db),
                 "doc_id": ids,
                 "sh": pd.Series([blobs[int(d)] for d in ids], dtype=object),
                 "n_sh": np.array([sizes[int(d)] for d in ids], dtype=np.int64),
@@ -474,7 +443,7 @@ _EMPTY_PAIR_JAC = pd.DataFrame(
 
 
 def pair_blob_partition_jaccard(g: pd.DataFrame) -> pd.DataFrame:
-    """One coarse pair-partition of (doc_a, doc_b, doc_id, sh, n_sh) rows →
+    """One pair co-partition of (doc_a, doc_b, doc_id, sh, n_sh) rows →
     exact integer (inter, union) per candidate pair. Each pair contributes
     exactly two rows (doc_id == doc_a and doc_id == doc_b, a < b), so after
     a sort the partition is even/odd-row aligned.
@@ -532,15 +501,12 @@ def pair_blob_partition_jaccard(g: pd.DataFrame) -> pd.DataFrame:
 
 class ShingleExplode:
     """batch(doc_id, text) → one row per DISTINCT word-w-gram shingle:
-    (sp, sh, doc_id, n) where ``sp`` is a coarse partition of the shingle
-    hash (same co-location trick as ``add_bucket_part``) and ``n`` is the
-    doc's total distinct-shingle count, carried on every row so the
-    downstream pair aggregation can compute Jaccard without a second pass
-    or a corpus-sized doc→n broadcast."""
+    (sh, doc_id, n) where ``n`` is the doc's total distinct-shingle count,
+    carried on every row so the downstream pair aggregation can compute
+    Jaccard without a second pass or a corpus-sized doc→n broadcast."""
 
-    def __init__(self, w: int = 3, n_parts: int = 64, text_col: str = "text"):
+    def __init__(self, w: int = 3, text_col: str = "text"):
         self.w = w
-        self.n_parts = n_parts
         self.text_col = text_col
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
@@ -548,7 +514,6 @@ class ShingleExplode:
         if sizes.sum() == 0:
             return pd.DataFrame(
                 {
-                    "sp": pd.Series([], dtype="int64"),
                     "sh": pd.Series([], dtype="int64"),
                     "doc_id": pd.Series([], dtype="int64"),
                     "n": pd.Series([], dtype="int64"),
@@ -557,9 +522,6 @@ class ShingleExplode:
         doc_ids = np.repeat(df["doc_id"].to_numpy(dtype=np.int64), sizes)
         return pd.DataFrame(
             {
-                "sp": ((sh >> np.uint64(7)) % np.uint64(self.n_parts)).astype(
-                    np.int64
-                ),
                 "sh": sh.view(np.int64),
                 "doc_id": doc_ids,
                 "n": np.repeat(sizes, sizes),
@@ -570,13 +532,13 @@ class ShingleExplode:
 _EMPTY_POSTING_PAIRS = pd.DataFrame(
     {
         c: pd.Series([], dtype="int64")
-        for c in ("pp", "doc_a", "doc_b", "n_a", "n_b")
+        for c in ("doc_a", "doc_b", "n_a", "n_b")
     }
 )
 
 
 def posting_list_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """One coarse shingle-partition → (doc_a, doc_b, n_a, n_b) rows, one per
+    """One shingle co-partition → (doc_a, doc_b, n_a, n_b) rows, one per
     (shared shingle, doc pair). Counting these rows per pair downstream
     yields the EXACT intersection size (shingles are distinct per doc).
 
@@ -608,27 +570,14 @@ def posting_list_pairs(g: pd.DataFrame) -> pd.DataFrame:
         out_nb.append(ns[s + ib])
     if not out_a:
         return _EMPTY_POSTING_PAIRS.copy()
-    a = np.concatenate(out_a)
-    b = np.concatenate(out_b)
-    # coarse pair-partition key (pure function of the pair): all hits of one
-    # pair co-locate under ONE groupby(pp), where a vectorized pandas
-    # count replaces a Ray multi-key aggregate — measured 221 s for ~1M
-    # groups at sf0.1 vs ~3 s for this shape
-    pp = (
-        (a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ b.astype(np.uint64)
-    ) % np.uint64(_PAIR_PARTS)
     return pd.DataFrame(
         {
-            "pp": pp.astype(np.int64),
-            "doc_a": a,
-            "doc_b": b,
+            "doc_a": np.concatenate(out_a),
+            "doc_b": np.concatenate(out_b),
             "n_a": np.concatenate(out_na),
             "n_b": np.concatenate(out_nb),
         }
     )
-
-
-_PAIR_PARTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -648,23 +597,17 @@ _PAIR_PARTS = 64
 # ---------------------------------------------------------------------------
 
 
-def df_stamp_route(g: pd.DataFrame, n_doc_parts: int = 64) -> pd.DataFrame:
-    """One coarse shingle-partition → its rows stamped with each shingle's
-    EXACT global document frequency (a shingle lives entirely in one sp
-    group), df == 1 rows dropped, re-keyed by a coarse doc partition for
-    the per-doc prefix pass."""
+def df_stamp_route(g: pd.DataFrame) -> pd.DataFrame:
+    """One shingle co-partition → its rows stamped with each shingle's
+    EXACT global document frequency (a shingle lives entirely in one
+    partition), df == 1 rows dropped, ready for the per-doc prefix pass."""
     counts = g["sh"].value_counts()
     dfreq = g["sh"].map(counts).to_numpy(dtype=np.int64)
     keep = dfreq >= 2
     kept = g[keep]
-    ids = kept["doc_id"].to_numpy(dtype=np.int64)
-    dp = (
-        ids.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(41)
-    ).astype(np.int64) % n_doc_parts
     return pd.DataFrame(
         {
-            "dp": dp,
-            "doc_id": ids,
+            "doc_id": kept["doc_id"].to_numpy(dtype=np.int64),
             "sh": kept["sh"].to_numpy(dtype=np.int64),
             "dfreq": dfreq[keep],
             "n": kept["n"].to_numpy(dtype=np.int64),
@@ -673,14 +616,12 @@ def df_stamp_route(g: pd.DataFrame, n_doc_parts: int = 64) -> pd.DataFrame:
 
 
 _EMPTY_PREFIX = pd.DataFrame(
-    {c: pd.Series([], dtype="int64") for c in ("sp", "sh", "doc_id")}
+    {c: pd.Series([], dtype="int64") for c in ("sh", "doc_id")}
 )
 
 
-def prefix_select(
-    g: pd.DataFrame, t_num: int = 1, t_den: int = 3, n_parts: int = 64
-) -> pd.DataFrame:
-    """One coarse doc-partition → each doc's prefix shingles in canonical
+def prefix_select(g: pd.DataFrame, t_num: int = 1, t_den: int = 3) -> pd.DataFrame:
+    """One doc co-partition → each doc's prefix shingles in canonical
     (dfreq, sh) order.  Prefix length p = n − ⌈t·n⌉ + 1 uses the doc's FULL
     distinct-shingle count ``n`` (carried from ShingleExplode), not the
     df-pruned remainder, so the theorem's bound holds.  t = t_num/t_den as
@@ -703,13 +644,9 @@ def prefix_select(
     p = n - (t_num * n + t_den - 1) // t_den + 1
     u = n - m2
     kept = g[rank_local < p - u]
-    sh = kept["sh"].to_numpy(dtype=np.int64)
     return pd.DataFrame(
         {
-            "sp": ((sh.view(np.uint64) >> np.uint64(7)) % np.uint64(n_parts)).astype(
-                np.int64
-            ),
-            "sh": sh,
+            "sh": kept["sh"].to_numpy(dtype=np.int64),
             "doc_id": kept["doc_id"].to_numpy(dtype=np.int64),
         }
     )
@@ -721,7 +658,7 @@ _EMPTY_CAND = pd.DataFrame(
 
 
 def prefix_posting_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """One coarse prefix-shingle partition → DISTINCT candidate (doc_a,
+    """One prefix-shingle co-partition → DISTINCT candidate (doc_a,
     doc_b) pairs sharing a prefix shingle.  Pair volume is bounded by the
     prefix pruning upstream — the stop-shingle m²/2 blowup cannot occur
     because max-df shingles sort out of every prefix."""
@@ -748,28 +685,6 @@ def prefix_posting_pairs(g: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(
         {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)}
     ).drop_duplicates()
-
-
-def pair_partition_jaccard(g: pd.DataFrame) -> pd.DataFrame:
-    """One pair-partition of posting hits → exact (doc_a, doc_b, inter,
-    union) per pair (hit count == intersection size; n_a/n_b ride along)."""
-    grp = (
-        g.groupby(["doc_a", "doc_b", "n_a", "n_b"], sort=False)
-        .size()
-        .reset_index(name="inter")
-    )
-    return pd.DataFrame(
-        {
-            "doc_a": grp["doc_a"].to_numpy(dtype=np.int64),
-            "doc_b": grp["doc_b"].to_numpy(dtype=np.int64),
-            "inter": grp["inter"].to_numpy(dtype=np.int64),
-            "union": (
-                grp["n_a"].to_numpy(dtype=np.int64)
-                + grp["n_b"].to_numpy(dtype=np.int64)
-                - grp["inter"].to_numpy(dtype=np.int64)
-            ),
-        }
-    )
 
 
 def exact_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -832,24 +747,8 @@ class SimHashStage:
 # Distributed connected components over the near-dup pair graph
 # ---------------------------------------------------------------------------
 
-_CC_PARTS = 32
-
-
-def _cc_coarse(df: pd.DataFrame) -> pd.DataFrame:
-    """Stamp the coarse hash partition of the grouping node ``u``. All rows
-    of a node land in one partition, so per-node mins inside a partition are
-    GLOBAL mins — the same exactness argument as the token-frequency coarse
-    partitions in ``pipelines/textops.py``."""
-    df = df.copy()
-    df["cp"] = (
-        pd.util.hash_pandas_object(df["u"], index=False).to_numpy(np.uint64)
-        % np.uint64(_CC_PARTS)
-    ).astype(np.int64)
-    return df
-
-
 def _large_star(g: pd.DataFrame) -> pd.DataFrame:
-    """Large-star over one coarse partition of the SYMMETRIZED edge list:
+    """Large-star over one ``u`` co-partition of the SYMMETRIZED edge list:
     for each node u, m = min(N(u) ∪ {u}); emit (v, m) for v ∈ N(u), v > u.
     Vectorized: one pandas groupby-transform per partition."""
     m = g.groupby("u", sort=False)["v"].transform("min").to_numpy(np.int64)
@@ -862,7 +761,7 @@ def _large_star(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def _small_star(g: pd.DataFrame) -> pd.DataFrame:
-    """Small-star over one coarse partition of the (u=max, v=min)-oriented
+    """Small-star over one ``u`` co-partition of the (u=max, v=min)-oriented
     edge list: for each u, m = min(N(u)); emit (v, m) for v ∈ N(u) \\ {m}
     plus (u, m)."""
     mn = g.groupby("u", sort=False)["v"].transform("min").to_numpy(np.int64)
@@ -919,7 +818,8 @@ def connected_components(edges, max_rounds: int = 64):
     *Connected Components in MapReduce and Beyond*, SoCC'14) — the
     100-TB-shaped replacement for a driver-side union-find:
 
-    - every round is two coarse-partition ``groupby().map_groups`` passes
+    - every round is two 32-bucket ``co_partition`` passes on ``u`` (all
+      rows of a node in one call, so per-node mins there are GLOBAL)
       with fully vectorized pandas bodies — the edge set never leaves the
       workers;
     - the driver holds ONE (count, checksum) pair per round for convergence
@@ -931,24 +831,23 @@ def connected_components(edges, max_rounds: int = 64):
     every node incident to an edge; ``cluster_id`` is the component's
     minimum node id.
     """
-    import ray.data  # noqa: F401  (caller owns ray.init)
+    from . import co_partition
 
     cur = edges.map_batches(_orient_max_min, batch_format="pandas").materialize()
     prev_sig = None
     for _ in range(max_rounds):
-        large = (
-            cur.map_batches(_symmetrize, batch_format="pandas")
-            .map_batches(_cc_coarse, batch_format="pandas")
-            .groupby("cp")
-            .map_groups(_large_star, batch_format="pandas")
+        large = co_partition(
+            cur.map_batches(_symmetrize, batch_format="pandas"),
+            ["u"],
+            _large_star,
+            32,
         )
-        small = (
-            large.map_batches(_orient_max_min, batch_format="pandas")
-            .map_batches(_cc_coarse, batch_format="pandas")
-            .groupby("cp")
-            .map_groups(_small_star, batch_format="pandas")
-            .materialize()
-        )
+        small = co_partition(
+            large.map_batches(_orient_max_min, batch_format="pandas"),
+            ["u"],
+            _small_star,
+            32,
+        ).materialize()
         sig = _edge_checksum(small)
         cur = small
         if sig == prev_sig:
@@ -976,24 +875,8 @@ def connected_components(edges, max_rounds: int = 64):
 
     labels = cur.map_batches(to_labels, batch_format="pandas")
     # global dedup: a node's (doc_id, cluster_id) row is identical in every
-    # batch at convergence, so a coarse hash-partition drop_duplicates is
-    # exact
-    def lab_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["cp"] = (
-            pd.util.hash_pandas_object(df["doc_id"], index=False).to_numpy(np.uint64)
-            % np.uint64(_CC_PARTS)
-        ).astype(np.int64)
-        return df
-
-    def lab_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates()[["doc_id", "cluster_id"]]
-
-    return (
-        labels.map_batches(lab_coarse, batch_format="pandas")
-        .groupby("cp")
-        .map_groups(lab_dedup, batch_format="pandas")
-    )
+    # batch at convergence, so a doc_id co-partition drop_duplicates is exact
+    return co_partition(labels, ["doc_id"], lambda g: g.drop_duplicates(), 32)
 
 
 # Candidate-pair verification budget: membership tables below this many
@@ -1042,14 +925,18 @@ def verify_pairs(
     - **broadcast-pair** (pair count ≤ budget, blob table too big): the
       deduped membership table ships by value to a ``PairShingleEmit``
       actor pool; one corpus scan emits shingle blobs only for candidate
-      docs, then the coarse pair-partition reducer.
-    - **distributed** (over budget): pairs dedup inside coarse hash
-      partitions, explode to membership rows, and hash-join against a full
-      corpus blob scan — no driver materialization of the pair graph.
+      docs, then the pair co-partition reducer.
+    - **distributed** (over budget): pairs dedup inside pair
+      co-partitions, explode to membership rows, and hash-join against a
+      full corpus blob scan — no driver materialization of the pair graph.
+
+    ``join_partitions`` is the bucket count of every shuffle here (pair
+    dedup, blob⋈members join, per-pair Jaccard).
 
     Returns a Dataset of exact integer (doc_a, doc_b, inter, union)."""
-    import ray.data  # noqa: F401
+    from . import co_partition, partition_of
 
+    pair_keys = ["doc_a", "doc_b"]
     cand = cand_rows.materialize()
     n_upper = cand.count()  # band-duplicate upper bound — safe to broadcast
     if n_upper <= broadcast_budget:
@@ -1127,20 +1014,11 @@ def verify_pairs(
             batch_format="pandas",
         )
     else:
-        def stamp(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[["doc_a", "doc_b"]].copy()
-            df["pq"] = stamp_pq(
-                df["doc_a"].to_numpy(np.int64), df["doc_b"].to_numpy(np.int64)
-            )
-            return df
-
-        def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
-            return g.drop_duplicates(subset=["doc_a", "doc_b"])
-
-        pairs_ds = (
-            cand.map_batches(stamp, batch_format="pandas")
-            .groupby("pq")
-            .map_groups(dedup_group, batch_format="pandas")
+        pairs_ds = co_partition(
+            cand,
+            pair_keys,
+            lambda g: g[pair_keys].drop_duplicates(),
+            join_partitions,
         )
 
         def to_members(df: pd.DataFrame) -> pd.DataFrame:
@@ -1163,12 +1041,12 @@ def verify_pairs(
             batch_format="pandas",
         )
 
-        # co-partitioned join via tagged union + ONE groupby on a coarse
-        # doc-hash partition (the lang_centroids pattern): robust to empty
-        # hash partitions, no acero operators, all vectorized pandas inside
-        # each group. role 0 = blob row, role 1 = membership row; sentinel
-        # zeros keep every column non-null int64/bytes so no float upcast
-        # can corrupt large ids.
+        # co-partitioned join via tagged union + ONE groupby on the
+        # ``partition_of`` doc bucket (two inputs, so not ``co_partition``):
+        # robust to empty hash partitions, no acero operators, all
+        # vectorized pandas inside each group. role 0 = blob row, role 1 =
+        # membership row; sentinel zeros keep every column non-null
+        # int64/bytes so no float upcast can corrupt large ids.
         def tag_blobs(df: pd.DataFrame):
             if df.empty:
                 return _TAGGED_SCHEMA.empty_table()
@@ -1176,7 +1054,7 @@ def verify_pairs(
             z = np.zeros(len(df), dtype=np.int64)
             return pd.DataFrame(
                 {
-                    "dp": _doc_part(ids, join_partitions),
+                    "dp": partition_of(df, ["doc_id"], join_partitions),
                     "role": z,
                     "doc_id": ids,
                     "sh": df["sh"].to_numpy(),
@@ -1192,7 +1070,7 @@ def verify_pairs(
             ids = df["doc_id"].to_numpy(np.int64)
             return pd.DataFrame(
                 {
-                    "dp": _doc_part(ids, join_partitions),
+                    "dp": partition_of(df, ["doc_id"], join_partitions),
                     "role": np.ones(len(df), dtype=np.int64),
                     "doc_id": ids,
                     "sh": pd.Series([b""] * len(df), dtype=object),
@@ -1214,14 +1092,11 @@ def verify_pairs(
             mm = m[["doc_id", "doc_a", "doc_b"]].merge(
                 b[["doc_id", "sh", "n_sh"]], on="doc_id"
             )
-            mm["pq"] = stamp_pq(
-                mm["doc_a"].to_numpy(np.int64), mm["doc_b"].to_numpy(np.int64)
-            )
-            return mm[["doc_a", "doc_b", "pq", "doc_id", "sh", "n_sh"]]
+            return mm[["doc_a", "doc_b", "doc_id", "sh", "n_sh"]]
 
         emitted = both.groupby("dp").map_groups(join_group, batch_format="pandas")
-    return emitted.groupby("pq").map_groups(
-        pair_blob_partition_jaccard, batch_format="pandas"
+    return co_partition(
+        emitted, pair_keys, pair_blob_partition_jaccard, join_partitions
     )
 
 
@@ -1237,12 +1112,6 @@ _TAGGED_SCHEMA = pa.schema(
         ("doc_b", pa.int64()),
     ]
 )
-
-
-def _doc_part(ids: np.ndarray, n_parts: int) -> np.ndarray:
-    """Coarse doc-hash partition (Fibonacci mixer, stable cross-process)."""
-    h = ids.astype(np.int64).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return ((h >> np.uint64(33)) % np.uint64(n_parts)).astype(np.int64)
 
 
 _KEEP_BEST_COLS = ["cluster_id", "kept_doc", "best_tok", "n_members"]
