@@ -132,7 +132,9 @@ def test_co_partition_colocates_keys(ray_session):
     """Every row of a key value reaches exactly one ``fn`` call, for int,
     string, two-column and null-bearing keys, under a one-block and a
     seven-block layout; both layouts give the same per-key result and an
-    empty input gives 0 rows."""
+    empty input gives 0 rows. ``fn`` runs once per sorted block (one call
+    for a one-block input, however many buckets and keys) and never sees a
+    zero-row frame."""
     from universal_parquet_exporter_ray.stages import co_partition, partition_of
 
     def _key_label(g: pd.DataFrame, keys: list[str]) -> pd.Series:
@@ -171,6 +173,7 @@ def test_co_partition_colocates_keys(ray_session):
     def run(keys, layout):
         def fn(g: pd.DataFrame) -> pd.DataFrame:
             assert set(g.columns) == cols  # the bucket column is private
+            assert len(g) > 0
             per_row = pd.DataFrame(
                 {"key": _key_label(g, keys), "call": int(g["rid"].min())}
             )
@@ -192,6 +195,16 @@ def test_co_partition_colocates_keys(ray_session):
             assert got[layout] == expect, (keys, layout)
         assert got[1] == got[7]
     assert "<NA>" in expect  # the null key formed one group
+
+    # one block, 64 buckets, 7 keys: one call sees every key
+    def one_call(g: pd.DataFrame) -> pd.DataFrame:
+        assert len(g) > 0
+        return pd.DataFrame({"rows": [len(g)], "keys": [g["k_int"].nunique()]})
+
+    calls = co_partition(
+        ray.data.from_arrow(table).repartition(1), ["k_int"], one_call, 64
+    ).to_pandas()
+    assert calls.to_dict("records") == [{"rows": n, "keys": 7}]
 
     empty = ray.data.from_arrow(table.slice(0, 0))
     assert co_partition(empty, ["k_int"], lambda g: g, 4).count() == 0
@@ -315,11 +328,14 @@ def test_asof_prev_group_matches_latest_prior():
     g = pd.DataFrame(
         {
             "event_id": np.arange(5, dtype=np.int64),
+            "user_id": np.zeros(5, dtype=np.int64),
             "ts": ts,
             "event_type": ["click", "click", "purchase", "purchase", "purchase"],
         }
     )
-    out = asof_prev_group("ts", "event_type", "purchase", "click", "event_id")(g)
+    out = asof_prev_group(
+        "user_id", "ts", "event_type", "purchase", "click", "event_id"
+    )(g)
     gaps = dict(zip(out["event_id"], out["gap_us"]))
     assert gaps[2] == 0
     assert gaps[3] == 3_595_000_000  # 59 min 55 s in micros
@@ -920,37 +936,88 @@ def test_topk_rows_matches_pandas_nlargest(m, c, k, data):
         assert g["cos_ppm"].tolist() == exp["cos_ppm"].tolist()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    events=st.lists(
-        st.tuples(st.integers(0, 10_000_000), st.sampled_from(["l", "r", "x"])),
-        min_size=1,
-        max_size=60,
-    )
+# (user, minute, kind, value in quarters): few users and minutes force
+# equal-ts ties and users with no right rows; quarter values sum exactly
+_user_events = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 120),
+        st.sampled_from(["l", "r", "x"]),
+        st.integers(-40, 40),
+    ),
+    min_size=1,
+    max_size=60,
 )
-def test_asof_prev_group_matches_bruteforce(events):
-    import numpy as np
 
-    from universal_parquet_exporter_ray.stages.joins import asof_prev_group
 
-    ts = pd.to_datetime([e[0] for e in events], unit="us")
-    g = pd.DataFrame(
+def _events_frame(events) -> pd.DataFrame:
+    return pd.DataFrame(
         {
             "event_id": np.arange(len(events), dtype=np.int64),
-            "ts": ts,
-            "event_type": [e[1] for e in events],
+            "user_id": np.array([e[0] for e in events], dtype=np.int64),
+            "ts": pd.to_datetime([e[1] * 60_000_000 for e in events], unit="us"),
+            "event_type": [e[2] for e in events],
+            "value": np.array([e[3] / 4 for e in events], dtype=np.float64),
         }
     )
-    out = asof_prev_group("ts", "event_type", "l", "r", "event_id")(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=_user_events)
+def test_asof_prev_group_matches_bruteforce(events):
+    """Many users in one frame: each left row gets the gap to the latest
+    right row of its own user with r.ts <= l.ts, -1 when there is none."""
+    from universal_parquet_exporter_ray.stages.joins import asof_prev_group
+
+    out = asof_prev_group("user_id", "ts", "event_type", "l", "r", "event_id")(
+        _events_frame(events)
+    )
     got = dict(zip(out["event_id"], out["gap_us"]))
-    rts = sorted(t for t, (_, k) in zip([e[0] for e in events], events) if k == "r")
-    for eid, (t, kind) in enumerate(events):
+    assert len(got) == len(out)
+    for eid, (user, minute, kind, _) in enumerate(events):
         if kind != "l":
             assert eid not in got
             continue
-        prior = [r for r in rts if r <= t]
-        expect = (t - max(prior)) if prior else -1
+        prior = [m for u, m, k, _ in events if u == user and k == "r" and m <= minute]
+        expect = (minute - max(prior)) * 60_000_000 if prior else -1
         assert got[eid] == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=_user_events)
+def test_user_window_blocks_match_bruteforce(events):
+    """The sessionization, lag and rolling block bodies on a many-user
+    frame equal a per-user loop over (ts, event_id)-sorted events."""
+    from universal_parquet_exporter_ray.pipelines.relational import (
+        prev_gaps,
+        rolling3,
+        session_counts,
+    )
+
+    df = _events_frame(events)
+    sessions, gaps, rolls = {}, {}, {}
+    for user in sorted({e[0] for e in events}):
+        mine = sorted(
+            (m, eid, v) for eid, (u, m, _, v) in enumerate(events) if u == user
+        )
+        starts = [i == 0 or m - mine[i - 1][0] > 30 for i, (m, _, _) in enumerate(mine)]
+        sessions[user] = (sum(starts), len(mine))
+        for i, (m, eid, _) in enumerate(mine):
+            gaps[eid] = (m - mine[i - 1][0]) * 60_000_000 if i else -1
+            rolls[eid] = sum(v for _, _, v in mine[max(0, i - 2) : i + 1]) * 2500
+
+    out = session_counts(df)
+    assert {
+        u: (s, n) for u, s, n in out[["user_id", "n_sessions", "n_events"]].itertuples(index=False)
+    } == sessions
+    assert len(out) == len(sessions)
+    out = prev_gaps(df)
+    assert dict(zip(out["event_id"], out["prev_gap_us"])) == gaps
+    assert len(out) == len(gaps)
+    out = rolling3(df)
+    assert dict(zip(out["event_id"], out["roll3_dm"])) == rolls
+    assert len(out) == len(rolls)
+    assert all(str(out[c].dtype) == "int64" for c in out.columns)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1370,6 +1437,25 @@ def test_connected_components_chain_graph(ray_session):
     for i in (7, 8, 9):
         assert got[i] == 7
     assert len(out) == n + 3
+
+
+def test_edge_checksum_ignores_block_layout(ray_session):
+    """The convergence signature of one edge set is the same however its
+    rows are split into blocks, and equals the sum mod 2**64 of the
+    per-row hashes."""
+    from universal_parquet_exporter_ray.stages.dedup import _edge_checksum
+
+    rng = np.random.default_rng(5)
+    df = pd.DataFrame(
+        {"u": rng.integers(0, 10**9, 1000), "v": rng.integers(0, 10**9, 1000)}
+    ).drop_duplicates()
+    h = pd.util.hash_pandas_object(
+        df["u"] * np.int64(1000003) + df["v"], index=False
+    ).to_numpy(np.uint64)
+    expect = (len(df), sum(int(x) for x in h) % (1 << 64))
+    for blocks in (1, 2, 3, 7):
+        ds = ray.data.from_pandas(df).repartition(blocks).materialize()
+        assert _edge_checksum(ds) == expect, blocks
 
 
 def test_connected_components_matches_bruteforce(ray_session):

@@ -1,0 +1,92 @@
+"""Ray Data executions and wall time per registry query.
+
+Usage: python tools/query_executions.py QUERY... --tables DIR [--repeat N]
+           [--num-cpus N]
+
+Runs each named ``__ray_entry__.queries()`` entry ``--repeat`` times (default
+5) on the tables in DIR, pulls every result to the driver as pandas, and
+prints one row per query: the Ray Data executions of one run (every call of
+``StreamingExecutor.execute``: a ``materialize``, a ``count`` that is not a
+metadata read, a ``to_pandas``, an iteration) and the min / median wall
+time over the runs. One warm-up query runs first, so worker start-up is
+not charged to the first query named.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def count_executions():
+    """Wrap ``StreamingExecutor.execute``; return a one-item list holding
+    the number of executions started since the wrap."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = [0]
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return execute(self, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    return calls
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("queries", nargs="+", metavar="QUERY")
+    ap.add_argument("--tables", required=True, help="directory of <table>.parquet")
+    ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--num-cpus", type=int, default=os.cpu_count() or 1)
+    args = ap.parse_args()
+
+    import ray
+    from ray.data import DataContext
+
+    sys.path.insert(0, ROOT)
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import __ray_entry__
+    from check_oracle import to_pandas
+
+    registry = __ray_entry__.queries()
+    unknown = [n for n in args.queries if n not in registry]
+    if unknown:
+        sys.exit(f"unknown queries: {' '.join(unknown)}")
+
+    ray.init(
+        address="local",
+        num_cpus=args.num_cpus,
+        include_dashboard=False,
+        logging_level="ERROR",
+    )
+    DataContext.get_current().enable_progress_bars = False
+    calls = count_executions()
+    to_pandas(registry["count_distinct"](args.tables))
+
+    print(f"{'query':24s} {'executions':>10s} {'min_s':>8s} {'median_s':>8s}")
+    for name in args.queries:
+        runs, secs = [], []
+        for _ in range(args.repeat):
+            before = calls[0]
+            t0 = time.perf_counter()
+            to_pandas(registry[name](args.tables))
+            secs.append(time.perf_counter() - t0)
+            runs.append(calls[0] - before)
+        # a query's plan is fixed for given tables, so every run counts the same
+        n_exec = runs[0] if len(set(runs)) == 1 else "/".join(map(str, runs))
+        print(
+            f"{name:24s} {n_exec!s:>10s} {min(secs):8.3f} "
+            f"{statistics.median(secs):8.3f}"
+        )
+    ray.shutdown()
+
+
+if __name__ == "__main__":
+    main()

@@ -37,6 +37,9 @@ from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, threshold
 QUERIES: dict[str, Callable] = {}
 ORACLE_SQL: dict[str, str] = {}
 
+# buckets of the per-user co-partitions (``stages.co_partition``)
+USER_BUCKETS = 64
+
 
 def q(name: str, sql: str | None = None):
     def deco(fn):
@@ -1066,7 +1069,7 @@ def q_latest_event(sf_dir: str):
             }
         )
 
-    return co_partition(partials, ["user_id"], merge, 64)
+    return co_partition(partials, ["user_id"], merge, USER_BUCKETS)
 
 
 RANGE_JOIN_ORACLE_SQL = """
@@ -1475,6 +1478,72 @@ def q_union_all(sf_dir: str):
     return hi.union(lo)
 
 
+_SESSION_GAP_US = 30 * 60 * 1_000_000
+
+
+def _by_user(df: pd.DataFrame, order: list[str]):
+    """``df`` sorted by ``order`` (``user_id`` first) and the mask of each
+    user's first row: the group boundaries of a block holding many users."""
+    df = df.sort_values(order, kind="stable").reset_index(drop=True)
+    u = df["user_id"].to_numpy()
+    first = np.ones(len(df), dtype=bool)
+    first[1:] = u[1:] != u[:-1]
+    return df, first
+
+
+def _ts_us(df: pd.DataFrame) -> np.ndarray:
+    return df["ts"].to_numpy("datetime64[us]").astype(np.int64)
+
+
+def session_counts(df: pd.DataFrame) -> pd.DataFrame:
+    """Per user of the frame: sessions (a new one after a gap over 30 min)
+    and events."""
+    df, first = _by_user(df, ["user_id", "ts"])
+    ts = _ts_us(df)
+    new_s = first.copy()
+    new_s[1:] |= ts[1:] - ts[:-1] > _SESSION_GAP_US
+    starts = np.flatnonzero(first)
+    return pd.DataFrame(
+        {
+            "user_id": df["user_id"].to_numpy()[starts],
+            "n_sessions": np.add.reduceat(new_s.astype(np.int64), starts),
+            "n_events": np.diff(np.append(starts, len(df))).astype(np.int64),
+        }
+    )
+
+
+def prev_gaps(df: pd.DataFrame) -> pd.DataFrame:
+    """Per event: microseconds since the same user's previous event in
+    (ts, event_id) order, -1 for the user's first."""
+    df, first = _by_user(df, ["user_id", "ts", "event_id"])
+    ts = _ts_us(df)
+    gap = np.empty(len(ts), dtype=np.int64)
+    gap[1:] = ts[1:] - ts[:-1]
+    gap[first] = -1
+    return pd.DataFrame(
+        {"event_id": df["event_id"].to_numpy(np.int64), "prev_gap_us": gap}
+    )
+
+
+def rolling3(df: pd.DataFrame) -> pd.DataFrame:
+    """Per event: the sum of ``value`` over the same user's last three
+    events in (ts, event_id) order, as scaled int ×10⁴. One grouped rolling
+    kernel over the sorted frame; a user's windows never cross into the
+    next user's rows."""
+    df, _ = _by_user(df, ["user_id", "ts", "event_id"])
+    s = (
+        df.groupby("user_id", sort=False, dropna=False)["value"]
+        .rolling(3, min_periods=1)
+        .sum()
+    )
+    return pd.DataFrame(
+        {
+            "event_id": df["event_id"].to_numpy(np.int64),
+            "roll3_dm": scaled_int(s.to_numpy(), 10000.0),
+        }
+    )
+
+
 @q(
     "sessionization",
     "WITH g AS (SELECT user_id, ts, CASE WHEN lag(ts) OVER w IS NULL "
@@ -1484,24 +1553,11 @@ def q_union_all(sf_dir: str):
     "FROM g GROUP BY user_id",
 )
 def q_sessionization(sf_dir: str):
-    # §2.9 streaming-shaped: session windows (30-min gap) via
-    # groupby(key).map_groups over ts-sorted groups — the engine's pattern
-    # for event-time windowing over a partitioned log.
+    # §2.9 streaming-shaped: session windows (30-min gap) over a user
+    # co-partition — the engine's pattern for event-time windowing over a
+    # partitioned log; each block sorts once and cuts every user's sessions
     ds = load_table(sf_dir, "events", ["user_id", "ts"])
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts")
-        gaps = g["ts"].diff()
-        new_s = gaps.isna() | (gaps > pd.Timedelta(minutes=30))
-        return pd.DataFrame(
-            {
-                "user_id": [g["user_id"].iloc[0]],
-                "n_sessions": np.array([int(new_s.sum())], dtype=np.int64),
-                "n_events": np.array([len(g)], dtype=np.int64),
-            }
-        )
-
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pandas")
+    return co_partition(ds, ["user_id"], session_counts, USER_BUCKETS)
 
 
 @q(
@@ -1515,18 +1571,21 @@ def q_sessionization(sf_dir: str):
 )
 def q_asof_join(sf_dir: str):
     """AS-OF join — an operator Ray Data lacks, built per the
-    custom-operator contract as groupby(key) + a sorted searchsorted merge
-    per group (``stages/joins.py::asof_prev_group``, which documents the
-    key-partitioning assumption): every purchase event matched to the
-    user's most recent click at-or-before it; microsecond gap, -1 when no
-    prior click exists. Oracle: deterministic correlated-max SQL (exact
-    equivalent of DuckDB's ASOF JOIN with an explicit tie rule)."""
+    custom-operator contract as a user co-partition + one sorted,
+    vectorized match per block (``stages/joins.py::asof_prev_group``, which
+    documents the key-partitioning assumption): every purchase event
+    matched to the user's most recent click at-or-before it; microsecond
+    gap, -1 when no prior click exists. Oracle: deterministic
+    correlated-max SQL (exact equivalent of DuckDB's ASOF JOIN with an
+    explicit tie rule)."""
     from ..stages.joins import asof_prev_group
 
     ds = load_table(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    return ds.groupby("user_id").map_groups(
-        asof_prev_group("ts", "event_type", "purchase", "click", "event_id"),
-        batch_format="pandas",
+    return co_partition(
+        ds,
+        ["user_id"],
+        asof_prev_group("user_id", "ts", "event_type", "purchase", "click", "event_id"),
+        USER_BUCKETS,
     )
 
 
@@ -1538,26 +1597,11 @@ def q_asof_join(sf_dir: str):
 )
 def q_lag_gap(sf_dir: str):
     """LAG window function: microseconds since the user's previous event
-    (-1 for the first). groupby(key) + one vectorized diff over the sorted
-    group — the offset-window family member (LEAD is the same shape with
-    shift(-1))."""
+    (-1 for the first). A user co-partition + one vectorized diff over each
+    sorted block (``prev_gaps``) — the offset-window family member (LEAD is
+    the same shape with the next row)."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def lag(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        ts = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        gap = np.empty(len(ts), dtype=np.int64)
-        gap[0] = -1
-        if len(ts) > 1:
-            gap[1:] = ts[1:] - ts[:-1]
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(dtype=np.int64),
-                "prev_gap_us": gap,
-            }
-        )
-
-    return ds.groupby("user_id").map_groups(lag, batch_format="pandas")
+    return co_partition(ds, ["user_id"], prev_gaps, USER_BUCKETS)
 
 
 @q(
@@ -1569,23 +1613,12 @@ def q_lag_gap(sf_dir: str):
 )
 def q_rolling_window(sf_dir: str):
     """Rolling-frame window aggregate (ROWS BETWEEN 2 PRECEDING AND CURRENT
-    ROW): per-user 3-event moving sum over event time. groupby(key) co-
-    locates each entity's ordered history; the frame itself is a vectorized
-    pandas rolling over the sorted group — the ordered-frame counterpart of
-    the tumbling ``window_agg``."""
+    ROW): per-user 3-event moving sum over event time. A user co-partition
+    co-locates each entity's ordered history; the frame itself is one
+    grouped pandas rolling over each sorted block (``rolling3``) — the
+    ordered-frame counterpart of the tumbling ``window_agg``."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        s = g["value"].rolling(3, min_periods=1).sum()
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(dtype=np.int64),
-                "roll3_dm": scaled_int(s, 10000.0),
-            }
-        )
-
-    return ds.groupby("user_id").map_groups(roll, batch_format="pandas")
+    return co_partition(ds, ["user_id"], rolling3, USER_BUCKETS)
 
 
 @q(

@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources import load_table, table_path
-from ..stages import co_partition, partition_of, task_stage, thresholded_stage
+from ..stages import co_partition, task_stage, thresholded_stage
 from ..stages.agg import combiner_groupby
 from ..stages.ann import BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
@@ -100,8 +100,8 @@ WHERE 2 * i >= ca.n + cb.n - i
 """
 
 
-# buckets of the LSH (band, band_hash) co-partition: ~|docs|×bands tiny
-# bucket groups become this many vectorized pandas calls
+# hash buckets of the LSH (band, band_hash) co-partition; each sorted block
+# of ~|docs|×bands tiny LSH buckets is one vectorized pandas call
 LSH_BUCKETS = 32
 
 
@@ -121,7 +121,7 @@ def q_minhash_lsh_pairs(sf_dir: str, broadcast_budget: int | None = None):
     faster than the join formulation, whose per-join actor machinery cost
     ~10 s fixed each):
     1. band rows → ``co_partition`` on the LSH bucket (band, band_hash) →
-       vectorized pair enumeration inside each of 32 bucket groups;
+       vectorized pair enumeration once per sorted block;
     2. the candidate PAIR list (output-sized LSH hits, not corpus data)
        drives a broadcast doc→pairs map; a second corpus scan emits shingle
        rows only for candidate docs;
@@ -1109,8 +1109,8 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
         out = (
             g.groupby(["lang", "tok"], sort=False)["n"].sum().reset_index()
         )
-        # partial top-k per lang within this partition: a (lang, tok) pair
-        # lives in exactly one partition, so pruning to k here is lossless
+        # partial top-k per lang within this call: a (lang, tok) pair
+        # lives in exactly one call, so pruning to k here is lossless
         return (
             out.sort_values(["n", "tok"], ascending=[False, True])
             .groupby("lang", sort=False)
@@ -1203,7 +1203,7 @@ def train_unigram_model(
         freqs = pd.DataFrame(
             {"tok": pd.Series([], dtype=object), "n": pd.Series([], dtype="int64")}
         )
-    # ≤ P OOV rows (one per co-partition bucket) merge into a single bucket
+    # the OOV rows (at most one per co_partition call) merge into one
     is_oov = freqs["tok"].to_numpy() == _OOV_TOKEN
     oov_mass = float(freqs.loc[is_oov, "n"].sum())
     freqs = freqs[~is_oov]
@@ -1620,11 +1620,11 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
     1. segment+hash stage emits (md5(seg), doc_id, seg_no) — hashes only,
        never segment text, cross the wire;
     2. ``co_partition`` on the hash + a vectorized pandas groupby inside
-       each bucket finds duplicated hashes and emits (doc_id, seg_no)
+       each block finds duplicated hashes and emits (doc_id, seg_no)
        drop rows (output-sized: one row per duplicate occurrence);
-    3. drop rows and documents are hash co-partitioned on doc_id (tagged
-       union bucketed by ``partition_of``) and each bucket group re-splits
-       its docs, deletes dropped segment indices, and reassembles.
+    3. drop rows and documents are ``co_partition``-ed on doc_id as one
+       tagged union, and each block re-splits its docs, deletes dropped
+       segment indices, and reassembles.
     128-bit hashes make a cross-segment collision (the one source of
     divergence from the text-equality oracle) vanishingly unlikely."""
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
@@ -1658,7 +1658,6 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
     def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "db": partition_of(df, ["doc_id"], n_buckets),
                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
                 "text": df["text"].to_numpy(),
                 "seg_no": np.full(len(df), -1, dtype=np.int64),
@@ -1668,7 +1667,6 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
     def tag_drops(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "db": partition_of(df, ["doc_id"], n_buckets),
                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
                 "text": pd.Series([None] * len(df), dtype="object"),
                 "seg_no": df["seg_no"].to_numpy(dtype=np.int64),
@@ -1705,7 +1703,7 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
             }
         )
 
-    return both.groupby("db").map_groups(rebuild, batch_format="pandas")
+    return co_partition(both, ["doc_id"], rebuild, n_buckets)
 
 
 SUBSTR_ORACLE_SQL = r"""
@@ -2784,13 +2782,13 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
     """Grouped vector centroids: the mean embedding per language — the
     class-centroid aggregate of embedding-based curation. Fully
     distributed: documents(doc_id, lang) and embeddings(vec_id, embedding)
-    are hash co-partitioned on the id into ``n_buckets`` ``partition_of``
-    buckets (union of two tagged datasets → one groupby(bucket) shuffle); each
-    bucket group joins id→lang vectorized in pandas and reduces to one
-    (langs-in-bucket × dim) partial-sum matrix. Only vocabulary-sized
-    partials (≤ n_buckets × n_langs rows of 512-byte sums) ever reach the
-    driver — no corpus-sized structure is built or broadcast anywhere
-    (round-2 verdict item: the old plan to_pandas()'d the doc→lang map)."""
+    are ``co_partition``-ed on the id into ``n_buckets`` hash buckets (one
+    shuffle of the union of two tagged datasets); each block joins id→lang
+    vectorized in pandas and reduces to one (langs-in-block × dim)
+    partial-sum matrix. Only vocabulary-sized partials (≤ blocks × n_langs
+    rows of 512-byte sums) ever reach the driver — no corpus-sized
+    structure is built or broadcast anywhere (round-2 verdict item: the old
+    plan to_pandas()'d the doc→lang map)."""
     docs = load_table(sf_dir, "documents", ["doc_id", "lang"])
     embs = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -2798,7 +2796,6 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
         ids = t.column("doc_id").to_numpy()
         return pa.table(
             {
-                "bkt": partition_of(pd.DataFrame({"id": ids}), ["id"], n_buckets),
                 "id": ids,
                 "lang": t.column("lang"),
                 "embedding": pa.nulls(len(t), pa.list_(pa.float64())),
@@ -2809,7 +2806,6 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
         ids = t.column("vec_id").to_numpy()
         return pa.table(
             {
-                "bkt": partition_of(pd.DataFrame({"id": ids}), ["id"], n_buckets),
                 "id": ids,
                 "lang": pa.nulls(len(t), pa.string()),
                 "embedding": t.column("embedding").cast(pa.list_(pa.float64())),
@@ -2828,7 +2824,7 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
         )
         e = g[~doc_side]
         if e.empty:
-            # a bucket can hold doc rows but no embedding rows whenever some
+            # a block can hold doc rows but no embedding rows whenever some
             # doc_ids lack embeddings — np.stack would raise on zero arrays
             # (ADVICE r3, medium)
             return pd.DataFrame(
@@ -2852,11 +2848,7 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
             )
         return pd.DataFrame(rows, columns=["lang", "n", "sums"])
 
-    partials = (
-        both.groupby("bkt")
-        .map_groups(bucket_partials, batch_format="pandas")
-        .to_pandas()
-    )
+    partials = co_partition(both, ["id"], bucket_partials, n_buckets).to_pandas()
     out = []
     for lang, grp in partials.groupby("lang"):
         total = np.zeros(64, dtype=np.float64)

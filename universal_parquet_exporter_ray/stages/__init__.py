@@ -37,12 +37,18 @@ def co_partition(ds, keys, fn, n: int):
     """``fn`` over hash co-partitions of ``ds``: every row of one ``keys``
     value reaches exactly one ``fn(frame)`` call, so per-key reductions
     inside ``fn`` (vectorized pandas groupbys, dedups, pair enumeration)
-    are global. ``n`` is the number of buckets; each bucket is one call.
+    are global. ``n`` is the number of hash buckets.
+
+    ``fn`` runs once per sorted block, not once per bucket or key: one call
+    sees many buckets and many keys, so it must reduce per key itself and
+    never assume its frame holds one key. It never sees a zero-row frame.
 
     The bucket column is stamped by a ``map_batches`` in the block's own
     format (no pandas/Arrow conversion; Ray fuses it into the stage before
-    it) and dropped before ``fn`` sees the group frame. The shuffle is
-    ``groupby(bucket).map_groups``, Ray Data's sort shuffle."""
+    it) and dropped before ``fn`` sees the frame. ``sort(bucket)`` range-
+    partitions on the bucket, so all rows of a bucket land in one block —
+    the guarantee Ray's own ``groupby().map_groups`` rests on, without its
+    Python loop over the groups of each block."""
     keys = list(keys)
 
     def stamp(batch):
@@ -53,13 +59,14 @@ def co_partition(ds, keys, fn, n: int):
         out[_BUCKET] = partition_of(batch, keys, n)
         return out
 
-    def run(g: pd.DataFrame):
-        return fn(g.drop(columns=_BUCKET))
+    def run(block: pd.DataFrame):
+        if len(block):
+            yield fn(block.drop(columns=_BUCKET))
 
     return (
         ds.map_batches(stamp, batch_format=None)
-        .groupby(_BUCKET)
-        .map_groups(run, batch_format="pandas")
+        .sort(_BUCKET)
+        .map_batches(run, batch_size=None, batch_format="pandas")
     )
 
 

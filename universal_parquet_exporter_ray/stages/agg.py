@@ -19,7 +19,7 @@ corpus-sized), its row count read from metadata, and
   distributed path (tests, scale rehearsal);
 - above both gates the final combine co-partitions the partials on the
   key columns (``stages.co_partition``) and runs the same vectorized pandas
-  ``finish`` inside each bucket group — NOT ``groupby().aggregate()``,
+  ``finish`` once per sorted block — NOT ``groupby().aggregate()``,
   which iterates groups in per-row Python at block boundaries and measured
   285× slower at 236k groups — returning a Dataset.
 
@@ -193,13 +193,14 @@ def combiner_groupby(
         return finish(partials.to_pandas())
 
     # Distributed final: co-partition the partial rows on the key COLUMNS
-    # and run the SAME vectorized pandas ``finish`` inside each bucket.
+    # and run the SAME vectorized pandas ``finish`` on each sorted block.
     # ``groupby(keys).aggregate(...)`` would be semantically identical but
     # iterates groups in per-row Python at block boundaries — measured
     # 45.7 s vs 0.16 s on a 248k-row / 236k-group partial stream (285×),
     # which at corpus-scaling key cardinality is the difference between a
     # working 100-TB final and a stalled one.  Bucket count scales with the
-    # partial stream so one bucket group stays worker-heap-sized.
+    # partial stream so one bucket (the least a sorted block holds) stays
+    # worker-heap-sized.
     return co_partition(
         partials, keys, finish, max(32, n_partials // 1_000_000)
     )

@@ -796,20 +796,26 @@ def _orient_max_min(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _edge_checksum(ds) -> tuple[int, int]:
-    """(row count, order-insensitive uint64 checksum) of a deduped edge
-    dataset — one tiny row per batch to the driver, never the edge set."""
+    """(row count, order-insensitive uint64 checksum) of a materialized,
+    deduped edge dataset, without a second Ray Data execution: the count
+    is the materialized metadata, the checksum one plain Ray task per block
+    returning one int. It is the sum mod 2**64 of per-row edge hashes, so
+    it does not depend on how the rows are split into blocks."""
+    import ray
+    from ray.data.block import BlockAccessor
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
+    @ray.remote
+    def block_sum(block) -> int:
+        df = BlockAccessor.for_block(block).to_pandas()
         h = pd.util.hash_pandas_object(
             df["u"].astype("int64") * np.int64(1000003) + df["v"].astype("int64"),
             index=False,
         ).to_numpy(np.uint64)
-        return pd.DataFrame(
-            {"n": [np.int64(len(df))], "s": [np.int64(h.sum(dtype=np.uint64) >> np.uint64(1))]}
-        )
+        return int(h.sum(dtype=np.uint64))
 
-    part = ds.map_batches(fn, batch_format="pandas").to_pandas()
-    return int(part["n"].sum()), int(part["s"].sum())
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    sums = ray.get([block_sum.remote(r) for r in refs])
+    return ds.count(), sum(sums) % (1 << 64)
 
 
 def connected_components(edges, max_rounds: int = 64):
@@ -934,7 +940,7 @@ def verify_pairs(
     dedup, blob⋈members join, per-pair Jaccard).
 
     Returns a Dataset of exact integer (doc_a, doc_b, inter, union)."""
-    from . import co_partition, partition_of
+    from . import co_partition
 
     pair_keys = ["doc_a", "doc_b"]
     cand = cand_rows.materialize()
@@ -1041,10 +1047,9 @@ def verify_pairs(
             batch_format="pandas",
         )
 
-        # co-partitioned join via tagged union + ONE groupby on the
-        # ``partition_of`` doc bucket (two inputs, so not ``co_partition``):
-        # robust to empty hash partitions, no acero operators, all
-        # vectorized pandas inside each group. role 0 = blob row, role 1 =
+        # co-partitioned join: ONE ``co_partition`` of the tagged union on
+        # doc_id — robust to empty hash partitions, no acero operators, all
+        # vectorized pandas inside each block. role 0 = blob row, role 1 =
         # membership row; sentinel zeros keep every column non-null
         # int64/bytes so no float upcast can corrupt large ids.
         def tag_blobs(df: pd.DataFrame):
@@ -1054,7 +1059,6 @@ def verify_pairs(
             z = np.zeros(len(df), dtype=np.int64)
             return pd.DataFrame(
                 {
-                    "dp": partition_of(df, ["doc_id"], join_partitions),
                     "role": z,
                     "doc_id": ids,
                     "sh": df["sh"].to_numpy(),
@@ -1070,7 +1074,6 @@ def verify_pairs(
             ids = df["doc_id"].to_numpy(np.int64)
             return pd.DataFrame(
                 {
-                    "dp": partition_of(df, ["doc_id"], join_partitions),
                     "role": np.ones(len(df), dtype=np.int64),
                     "doc_id": ids,
                     "sh": pd.Series([b""] * len(df), dtype=object),
@@ -1094,7 +1097,7 @@ def verify_pairs(
             )
             return mm[["doc_a", "doc_b", "doc_id", "sh", "n_sh"]]
 
-        emitted = both.groupby("dp").map_groups(join_group, batch_format="pandas")
+        emitted = co_partition(both, ["doc_id"], join_group, join_partitions)
     return co_partition(
         emitted, pair_keys, pair_blob_partition_jaccard, join_partitions
     )
@@ -1103,7 +1106,6 @@ def verify_pairs(
 # typed empty for the tagged-union join stages (see PairShingleEmit note)
 _TAGGED_SCHEMA = pa.schema(
     [
-        ("dp", pa.int64()),
         ("role", pa.int64()),
         ("doc_id", pa.int64()),
         ("sh", pa.binary()),

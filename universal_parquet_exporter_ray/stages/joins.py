@@ -163,6 +163,7 @@ def broadcast_semi(
 
 
 def asof_prev_group(
+    key_col: str,
     time_col: str,
     type_col: str,
     left_type: str,
@@ -170,45 +171,43 @@ def asof_prev_group(
     id_col: str,
     no_match: int = -1,
 ):
-    """map_groups reducer for a key-partitioned AS-OF join: within one key
-    group, match every ``left_type`` row to the most recent ``right_type``
-    row with time ≤ its own (sort once per group + one vectorized
-    ``np.searchsorted`` merge; emits the microsecond gap, ``no_match`` when
-    no prior row exists).
+    """Reducer for a key-partitioned AS-OF join over a frame holding any
+    number of keys: match every ``left_type`` row to the most recent
+    ``right_type`` row of the same ``key_col`` value with time ≤ its own,
+    and emit the microsecond gap (``no_match`` when no prior row exists).
+
+    One sort on (key, time, side), right rows before left rows at equal
+    time so a right row at ``l.ts`` counts (tie rule ``r.ts <= l.ts``).
+    A running max over right-row positions then gives each row the last
+    right row at or before it; it is a match when that row has the same
+    key. No per-key Python.
 
     Partitioning assumption (documented per the custom-operator contract):
-    the join key co-locates each entity's full history on one worker — the
-    standard distributed as-of form. When a single key's history exceeds a
-    worker, switch to time-range partitioning with one-row boundary
-    replication per range."""
+    the join key co-locates each entity's full history in one call — the
+    standard distributed as-of form (``stages.co_partition``). When a
+    single key's history exceeds a worker, switch to time-range
+    partitioning with one-row boundary replication per range."""
     import numpy as np
     import pandas as pd
 
     def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(time_col, kind="stable")
-        ts = g[time_col].to_numpy("datetime64[us]").astype(np.int64)
         et = g[type_col].to_numpy()
-        lmask = et == left_type
-        lids = g[id_col].to_numpy(np.int64)[lmask]
-        lts = ts[lmask]
-        rts = ts[et == right_type]
-        if len(lts) == 0:
-            return pd.DataFrame(
-                {
-                    id_col: pd.Series([], dtype="int64"),
-                    "gap_us": pd.Series([], dtype="int64"),
-                }
-            )
-        if len(rts) == 0:
-            # np.where evaluates both branches eagerly; an empty right side
-            # would index into an empty array even though the mask is all
-            # False — short-circuit to the sentinel instead
-            gap = np.full(len(lts), np.int64(no_match))
-        else:
-            idx = np.searchsorted(rts, lts, side="right") - 1
-            gap = np.where(
-                idx >= 0, lts - rts[np.clip(idx, 0, None)], np.int64(no_match)
-            )
-        return pd.DataFrame({id_col: lids, "gap_us": gap.astype(np.int64)})
+        is_left = et == left_type
+        keep = is_left | (et == right_type)
+        key = g[key_col].to_numpy()[keep]
+        ts = g[time_col].to_numpy("datetime64[us]").astype(np.int64)[keep]
+        ids = g[id_col].to_numpy(np.int64)[keep]
+        is_left = is_left[keep]
+        order = np.lexsort((is_left, ts, key))
+        key, ts, ids, is_left = key[order], ts[order], ids[order], is_left[order]
+        # last right row at or before each row; -1 (none yet) clips to row
+        # 0, which is then a left row and never a hit
+        last_r = np.maximum.accumulate(np.where(is_left, -1, np.arange(len(ts))))
+        last_r = np.clip(last_r, 0, None)
+        hit = ~is_left[last_r] & (key[last_r] == key)
+        gap = np.where(hit, ts - ts[last_r], np.int64(no_match))
+        return pd.DataFrame(
+            {id_col: ids[is_left], "gap_us": gap[is_left].astype(np.int64)}
+        )
 
     return reduce
