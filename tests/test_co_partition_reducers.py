@@ -1,0 +1,249 @@
+"""Every ``co_partition`` reducer of the package gets a block holding many
+keys. Ray-free properties: one call on a shuffled many-key frame gives the
+same rows as one call per key; and no module calls Ray's ``map_groups``
+(``co_partition`` is the one grouped shuffle)."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import tempfile
+
+import numpy as np
+import pandas as pd
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "universal_parquet_exporter_ray"
+
+
+def _embeddings(rng, n, dim=4):
+    # few distinct directions so near-duplicates (and cosine ties) occur
+    base = rng.normal(0, 1, (max(1, n // 3), dim))
+    mat = base[rng.integers(0, len(base), n)] + rng.normal(0, 0.05, (n, dim))
+    return list(mat)
+
+
+def _ranged(rng, n, n_keys):
+    """Rows of ``n_keys`` value ranges with their range ``_rng`` and the
+    range's offset ``_off`` (what ``stages.rank._range_plan`` hands its
+    range pass)."""
+    k = rng.permutation(n * 3)[:n].astype(np.int64)
+    splitters = np.sort(rng.integers(0, n * 3, n_keys - 1))
+    return pd.DataFrame(
+        {
+            "k": k,
+            "v": rng.integers(-5, 5, n).astype(np.int64),
+            "_rng": np.searchsorted(splitters, k, side="right").astype(np.int64),
+            "_off": rng.integers(-20, 20, n_keys)[
+                np.searchsorted(splitters, k, side="right")
+            ].astype(np.int64),
+        }
+    )
+
+
+def _range_pass(block_pass):
+    def fn(frame):
+        return block_pass(
+            frame.drop(columns=["_rng", "_off"]),
+            frame["_rng"].to_numpy(np.int64),
+            frame["_off"].to_numpy(np.int64),
+        )
+
+    return fn
+
+
+def _case(name, rng, n, n_keys, tmp):
+    from universal_parquet_exporter_ray.pipelines.relational import (
+        interval_partials,
+        range_sums_1h,
+        top10_by_priority,
+    )
+    from universal_parquet_exporter_ray.pipelines.textops import (
+        lowest_hash_rows,
+        top_terms,
+    )
+    from universal_parquet_exporter_ray.stages import ann, rank
+
+    key = rng.integers(0, n_keys, n).astype(np.int64)
+    if name == "final_topk":
+        frame = pd.DataFrame(
+            {
+                "query_id": key,
+                "vec_id": rng.permutation(n).astype(np.int64),
+                "cos": rng.integers(-4, 4, n) / 4.0,
+            }
+        )
+        return ann.final_topk(int(rng.integers(1, 4))), frame, "query_id"
+    if name == "final_knn":
+        frame = pd.DataFrame(
+            {
+                "vec_id": key,
+                "nbr": rng.permutation(n).astype(np.int64),
+                "cos_ppm": rng.integers(-3, 3, n).astype(np.int64),
+            }
+        )
+        return ann.final_knn(int(rng.integers(1, 4))), frame, "vec_id"
+    if name == "top10_by_priority":
+        frame = pd.DataFrame(
+            {
+                "o_orderpriority": np.array(["1-URGENT", "2-HIGH", "3-LOW", "4-X", "5-Y"])[key],
+                "o_orderkey": rng.permutation(n).astype(np.int64),
+                "o_totalprice": rng.integers(0, 4, n).astype(np.float64),
+            }
+        )
+        return top10_by_priority, frame, "o_orderpriority"
+    if name == "stratified_final":
+        frame = pd.DataFrame(
+            {
+                "lang": np.array(list("abcde"))[key],
+                "doc_id": rng.permutation(n).astype(np.int64),
+                "h": rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64),
+            }
+        )
+        m = int(rng.integers(1, 4))
+        return lambda f: lowest_hash_rows(f, m)[["lang", "doc_id"]], frame, "lang"
+    if name == "top_terms_final":
+        frame = pd.DataFrame(
+            {
+                "lang": np.array(list("abcde"))[key],
+                "tok": [f"t{i}" for i in rng.permutation(n)],
+                "n": rng.integers(1, 4, n).astype(np.int64),
+            }
+        )
+        k = int(rng.integers(1, 4))
+        return lambda f: top_terms(f, k)[["lang", "tok", "n"]], frame, "lang"
+    if name == "range_sums_1h":
+        frame = pd.DataFrame(
+            {
+                "event_id": rng.permutation(n).astype(np.int64),
+                "user_id": key,
+                "ts_us": rng.integers(0, 12, n).astype(np.int64) * 900_000_000,
+                "value": rng.integers(-40, 40, n) / 4.0,
+            }
+        )
+        return range_sums_1h, frame, "user_id"
+    if name == "rank_block":
+        desc = bool(rng.integers(0, 2))
+        return _range_pass(rank.rank_block("v", "r", desc)), _ranged(rng, n, n_keys), "_rng"
+    if name in ("scan_block_sum", "scan_block_max"):
+        uf, ident = (np.add, 0) if name.endswith("sum") else (np.maximum, rank._NO_PREV)
+        fn = _range_pass(rank.scan_block("k", "v", "pre", uf, ident))
+        return fn, _ranged(rng, n, n_keys), "_rng"
+    if name in ("all_pairs_group", "knn_group"):
+        G = int(rng.integers(1, 4))
+        frame = ann.PairGroupReplicate(G)(
+            pd.DataFrame(
+                {"vec_id": rng.permutation(n).astype(np.int64), "embedding": _embeddings(rng, n)}
+            )
+        )
+        fn = ann.all_pairs_group(0.5, G) if name == "all_pairs_group" else ann.knn_group(2, G)
+        return fn, frame, "pg"
+    if name == "lsh_bucket_pairs":
+        planes = rng.standard_normal((2 * 2, 4))
+        frame = ann.LshBandEmit(planes, 2, 2)(
+            pd.DataFrame(
+                {"vec_id": rng.permutation(n).astype(np.int64), "embedding": _embeddings(rng, n)}
+            )
+        )
+        return ann.lsh_bucket_pairs(0.5), frame, "bh"
+    emb = pd.DataFrame(
+        {"vec_id": rng.permutation(n).astype(np.int64), "embedding": _embeddings(rng, n)}
+    )
+    if name == "bucket_knn":
+        return ann.bucket_knn(2), emb.assign(bucket=key), "bucket"
+    if name == "semdedup_cluster":
+        return (lambda f: ann.semdedup_cluster(f, 0.8)), emb.assign(cluster_id=key), "cluster_id"
+    if name == "bucket_writer":
+        return ann.bucket_writer(tmp, 3), emb.assign(bucket=key), "bucket"
+    assert name == "interval_partials"
+    role = rng.integers(0, 2, n).astype(np.int64)
+    t = rng.integers(0, 10, n).astype(np.int64)
+    frame = pd.DataFrame(
+        {
+            "bucket": key,
+            "role": role,
+            "iv_id": np.where(role == 1, rng.integers(0, 4, n), 0).astype(np.int64),
+            "t0": t,
+            "t1": np.where(role == 1, t + rng.integers(0, 5, n), t).astype(np.int64),
+            "value": rng.integers(-8, 8, n) / 4.0,
+        }
+    )
+    return interval_partials, frame, "bucket"
+
+
+REDUCERS = [
+    "final_topk", "final_knn", "top10_by_priority", "stratified_final",
+    "top_terms_final", "range_sums_1h", "rank_block", "scan_block_sum",
+    "scan_block_max", "all_pairs_group", "knn_group", "lsh_bucket_pairs",
+    "bucket_knn", "semdedup_cluster", "bucket_writer", "interval_partials",
+]
+
+
+def _rows(df: pd.DataFrame) -> pd.DataFrame:
+    """Comparable form: list cells as tuples, rows sorted on every column."""
+    df = df.map(lambda x: tuple(x) if isinstance(x, np.ndarray) else x)
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("name", REDUCERS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 40), n_keys=st.integers(1, 5))
+def test_reducer_block_equals_per_key_calls(name, seed, n, n_keys):
+    """One call on a shuffled many-key frame (what a ``co_partition``
+    block is) equals the concatenation of one call per key."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        fn, frame, key = _case(name, rng, n, n_keys, tmp)
+        frame = frame.sample(frac=1, random_state=seed).reset_index(drop=True)
+        whole = fn(frame)
+        parts = pd.concat(
+            [fn(g.reset_index(drop=True)) for _, g in frame.groupby(key, sort=False)],
+            ignore_index=True,
+        )
+    assert list(whole.columns) == list(parts.columns)
+    assert whole.dtypes.to_dict() == parts.dtypes.to_dict()
+    pd.testing.assert_frame_equal(_rows(whole), _rows(parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 40), n_users=st.integers(1, 5))
+def test_range_sums_1h_matches_bruteforce(seed, n, n_users):
+    """Per event: the sum over the same user's events with ts in
+    [ts - 1 h, ts] (peers included); quarter values sum exactly."""
+    from universal_parquet_exporter_ray.pipelines.relational import range_sums_1h
+
+    rng = np.random.default_rng(seed)
+    df = pd.DataFrame(
+        {
+            "event_id": np.arange(n, dtype=np.int64),
+            "user_id": rng.integers(0, n_users, n).astype(np.int64),
+            "ts_us": rng.integers(0, 12, n).astype(np.int64) * 900_000_000,
+            "value": rng.integers(-40, 40, n) / 4.0,
+        }
+    )
+    out = range_sums_1h(df.sample(frac=1, random_state=seed).reset_index(drop=True))
+    got = dict(zip(out["event_id"], out["roll_1h_dm"]))
+    for e in df.itertuples(index=False):
+        mine = df[
+            (df["user_id"] == e.user_id)
+            & (df["ts_us"] >= e.ts_us - 3_600_000_000)
+            & (df["ts_us"] <= e.ts_us)
+        ]
+        assert got[e.event_id] == round(mine["value"].sum() * 10000)
+    assert len(got) == n == len(out)
+
+
+def test_no_module_calls_map_groups():
+    """``stages.co_partition`` is the package's one grouped shuffle: no
+    module calls Ray's ``groupby(...).map_groups``."""
+    calls = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_groups"
+    ]
+    assert calls == []

@@ -49,6 +49,7 @@ def test_distributed_rank_ascending_and_ties(ray_session):
 
 def test_pair_group_all_pairs_exact(ray_session):
     """Bucket-pair groups find EXACTLY the brute-force cosine pairs."""
+    from universal_parquet_exporter_ray.stages import co_partition
     from universal_parquet_exporter_ray.stages.ann import (
         PairGroupReplicate,
         _normalize,
@@ -67,8 +68,7 @@ def test_pair_group_all_pairs_exact(ray_session):
         batch_format="pandas", concurrency=2,
     )
     pairs = (
-        rep.groupby("pg")
-        .map_groups(all_pairs_group(thr, G), batch_format="pandas")
+        co_partition(rep, ["pg"], all_pairs_group(thr, G), G * G)
         .to_pandas()
         .sort_values(["id_a", "id_b"])
         .reset_index(drop=True)

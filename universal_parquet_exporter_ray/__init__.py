@@ -23,6 +23,13 @@ owned by the caller (driver, tests, bench.py).
 __version__ = "0.1.0"
 
 
+# glibc mallopt thresholds and pyarrow's jemalloc dirty-page decay applied
+# by ``_tune_allocator``
+MMAP_THRESHOLD = 256 << 20
+TRIM_THRESHOLD = 1 << 30
+JEMALLOC_DECAY_MS = 1000
+
+
 def _tune_allocator() -> bool:
     """Keep large scratch buffers in the process heap across calls.
 
@@ -34,42 +41,33 @@ def _tune_allocator() -> bool:
     under memory pressure (huge-page compaction, overcommitted hypervisor)
     a fault can stall for milliseconds, and with 16+ concurrent workers the
     measured per-partition encode inflated 0.06 s → 1-8 s from this effect
-    alone. Raising the mmap threshold (and the trim threshold, so the
-    heap's top is not clipped back after each batch) lets glibc reuse the
-    same already-faulted pages call after call.
+    alone. Raising the mmap threshold to ``MMAP_THRESHOLD`` (256 MiB) and
+    the trim threshold to ``TRIM_THRESHOLD`` (1 GiB, so the heap's top is
+    not clipped back after each batch) lets glibc reuse the same
+    already-faulted pages call after call. pyarrow's jemalloc pool keeps
+    dirty pages for ``JEMALLOC_DECAY_MS`` (1 s): longer than the gap
+    between consecutive batches on a busy worker, short enough to shed
+    memory when a stage goes idle.
 
-    Idempotent, no-op on non-glibc platforms, opt-out with
-    ``UPXR_NO_MALLOC_TUNE=1``. Bounded: a worker retains at most the high
-    watermark of its own scratch (~hundreds of MB with the chunked codec
-    kernels), well below Ray's per-worker memory budget.
+    Idempotent and a no-op on non-glibc platforms. Bounded: a worker
+    retains at most the high watermark of its own scratch (~hundreds of MB
+    with the chunked codec kernels), well below Ray's per-worker memory
+    budget.
     """
-    import os
-
-    if os.environ.get("UPXR_NO_MALLOC_TUNE") == "1":
-        return False
     ok = 0
     try:
         import ctypes
 
         libc = ctypes.CDLL("libc.so.6")
         M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-        ok = libc.mallopt(M_MMAP_THRESHOLD, 256 * 1024 * 1024)
-        ok &= libc.mallopt(M_TRIM_THRESHOLD, 1024 * 1024 * 1024)
+        ok = libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        ok &= libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
     except Exception:
         return False
     try:
-        # Same churn exists in pyarrow's jemalloc pool (Arrow buffers from
-        # parquet reads / pa.array): default decay releases dirty pages
-        # almost immediately. Keep them ~1 s — longer than the gap between
-        # consecutive batches on a busy worker, short enough to shed memory
-        # when a stage goes idle. UPXR_JEMALLOC_DECAY_MS overrides (the
-        # spill stage's call cadence at high parallelism can exceed 1 s, so
-        # longer decay is an A/B-able lever against shm page-churn windows).
         import pyarrow as pa
 
-        pa.jemalloc_set_decay_ms(
-            int(os.environ.get("UPXR_JEMALLOC_DECAY_MS", "1000"))
-        )
+        pa.jemalloc_set_decay_ms(JEMALLOC_DECAY_MS)
     except Exception:
         pass
     return bool(ok)

@@ -30,15 +30,12 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table
-from ..stages import co_partition
+from ..stages import KEY_BUCKETS, co_partition, per_key, typed_empty
 from ..stages.agg import combiner_groupby
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 
 QUERIES: dict[str, Callable] = {}
 ORACLE_SQL: dict[str, str] = {}
-
-# buckets of the per-user co-partitions (``stages.co_partition``)
-USER_BUCKETS = 64
 
 
 def q(name: str, sql: str | None = None):
@@ -391,15 +388,7 @@ def q_anti_join(sf_dir: str):
     ).unique("o_custkey")
     cust = load_table(sf_dir, "customer", ["c_custkey", "c_name"])
     out = broadcast_semi(cust, set(keys), "c_custkey", anti=True).to_pandas()
-    if out.empty and list(out.columns) != ["c_custkey", "c_name"]:
-        # an empty Dataset loses its schema through to_pandas; rebuild it
-        out = pd.DataFrame(
-            {
-                "c_custkey": pd.Series([], dtype="int64"),
-                "c_name": pd.Series([], dtype="object"),
-            }
-        )
-    return out
+    return typed_empty({"c_custkey": "int64", "c_name": "object"}, out)
 
 
 @q(
@@ -938,12 +927,11 @@ def q_range_window(sf_dir: str):
     trailing 1 hour of EVENT TIME, peers included (SQL RANGE frames span
     the full peer group of the current timestamp, so two events at the
     same instant see each other — matched exactly via
-    searchsorted(..., 'right')). groupby(user) co-locates each entity's
-    history; inside a group the frame is one sorted pass + prefix sums +
-    two vectorized searchsorted calls — no per-row loop, no quadratic
-    frame re-scan."""
+    searchsorted(..., 'right')). A user co-partition co-locates each
+    entity's history; each block is one sorted pass + per-user prefix sums
+    + two vectorized searchsorted calls (``range_sums_1h``) — no per-row
+    or per-user loop, no quadratic frame re-scan."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    hour_us = 3_600_000_000
 
     def prep(t: pa.Table) -> pa.Table:
         us = _ts_us_i64(t["ts"])
@@ -956,25 +944,46 @@ def q_range_window(sf_dir: str):
             }
         )
 
-    def frame(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts_us", kind="stable")
-        ts = g["ts_us"].to_numpy(np.int64)
-        v = g["value"].to_numpy(np.float64)
-        pre = np.concatenate([[0.0], np.cumsum(v)])
-        lo = np.searchsorted(ts, ts - hour_us, side="left")
-        hi = np.searchsorted(ts, ts, side="right")  # peer-inclusive
-        s = pre[hi] - pre[lo]
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(np.int64),
-                "roll_1h_dm": scaled_int(s, 10000.0),
-            }
-        )
+    return co_partition(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["user_id"],
+        range_sums_1h,
+        KEY_BUCKETS,
+    )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(frame, batch_format="pandas")
+
+_HOUR_US = 3_600_000_000
+
+
+def range_sums_1h(df: pd.DataFrame) -> pd.DataFrame:
+    """Per event: the sum of ``value`` over the same user's events in the
+    trailing hour of ``ts_us`` (peers included), as scaled int ×10⁴.
+
+    Each user's times shift into their own interval, more than an hour
+    after the previous user's last event, so one plain ``searchsorted``
+    over the sorted block never crosses users; the sums are differences
+    of per-user prefix sums."""
+    df, first = _by_user(df, ["user_id", "ts_us"])
+    ts = df["ts_us"].to_numpy(np.int64)
+    starts = np.flatnonzero(first)
+    user = np.cumsum(first) - 1
+    t0 = ts[starts]
+    span = np.append(ts[starts[1:] - 1], ts[-1]) - t0
+    base = np.concatenate([[0], np.cumsum(span + _HOUR_US + 1)[:-1]])
+    key = ts - t0[user] + base[user]
+    lo = np.searchsorted(key, key - _HOUR_US, side="left")
+    hi = np.searchsorted(key, key, side="right")  # peer-inclusive
+    pre = (
+        df.groupby("user_id", sort=False, dropna=False)["value"]
+        .cumsum()
+        .to_numpy(np.float64)
+    )
+    below = np.where(lo > starts[user], pre[lo - 1], 0.0)
+    return pd.DataFrame(
+        {
+            "event_id": df["event_id"].to_numpy(np.int64),
+            "roll_1h_dm": scaled_int(pre[hi - 1] - below, 10000.0),
+        }
     )
 
 
@@ -1069,7 +1078,7 @@ def q_latest_event(sf_dir: str):
             }
         )
 
-    return co_partition(partials, ["user_id"], merge, USER_BUCKETS)
+    return co_partition(partials, ["user_id"], merge, KEY_BUCKETS)
 
 
 RANGE_JOIN_ORACLE_SQL = """
@@ -1099,9 +1108,10 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
       and known up front);
     - each EVENT routes to exactly ONE bucket (no replication ⇒ no double
       counting by construction);
-    - a tagged-union ``groupby(bucket)`` runs vectorized containment per
-      interval inside each group (numpy mask per interval over the group's
-      events — intervals per bucket are the small side by assumption),
+    - a tagged-union ``co_partition`` on the bucket runs vectorized
+      containment per interval inside each bucket (numpy mask per interval
+      over the bucket's events — intervals per bucket are the small side by
+      assumption),
       emitting per-interval COUNT/SUM partials;
     - ``combiner_groupby`` sums the partials; empty intervals come back via
       a driver-side left-merge against the (bounded) interval table.
@@ -1189,49 +1199,12 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
         ray.data.from_arrow(pa.Table.from_pandas(rep, preserve_index=False))
     )
 
-    def match(g: pd.DataFrame) -> pd.DataFrame:
-        ivs = g[g["role"].to_numpy() == 1]
-        evs = g[g["role"].to_numpy() == 0]
-        if ivs.empty:
-            return pd.DataFrame(
-                {
-                    "iv_id": pd.Series([], dtype="int64"),
-                    "n": pd.Series([], dtype="int64"),
-                    "s": pd.Series([], dtype="float64"),
-                }
-            )
-        ts = evs["t0"].to_numpy(np.int64)
-        val = evs["value"].to_numpy(np.float64)
-        out_id, out_n, out_s = [], [], []
-        for iv_id, t0, t1 in zip(
-            ivs["iv_id"].to_numpy(np.int64),
-            ivs["t0"].to_numpy(np.int64),
-            ivs["t1"].to_numpy(np.int64),
-        ):
-            m = (ts >= t0) & (ts <= t1)
-            out_id.append(iv_id)
-            out_n.append(int(m.sum()))
-            out_s.append(float(val[m].sum()))
-        return pd.DataFrame(
-            {
-                "iv_id": np.array(out_id, dtype=np.int64),
-                "n": np.array(out_n, dtype=np.int64),
-                "s": np.array(out_s, dtype=np.float64),
-            }
-        )
-
-    partials = both.groupby("bucket").map_groups(match, batch_format="pandas")
+    partials = co_partition(both, ["bucket"], interval_partials, KEY_BUCKETS)
     summed = combiner_groupby(
         partials,
         ["iv_id"],
         sums={"n": "n_events", "s": "sum_value"},
-        empty_like=pd.DataFrame(
-            {
-                "iv_id": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64"),
-                "s": pd.Series([], dtype="float64"),
-            }
-        ),
+        empty_like=typed_empty(_IV_PARTIALS),
     )
     if not isinstance(summed, pd.DataFrame):
         summed = summed.to_pandas()  # interval-bounded
@@ -1243,6 +1216,43 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
     return out[["iv_id", "n_events", "sum_value_dm"]].sort_values(
         "iv_id"
     ).reset_index(drop=True)
+
+
+# column → dtype of ``interval_partials``' rows
+_IV_PARTIALS = {"iv_id": "int64", "n": "int64", "s": "float64"}
+
+
+def interval_partials(frame: pd.DataFrame) -> pd.DataFrame:
+    """``range_join``'s bucket pass: per time bucket of the tagged union
+    (role 1 = interval, role 0 = event carrying its ts in ``t0``), each
+    interval's count and value sum of the bucket's events it contains."""
+    return per_key(frame, "bucket", _match_bucket)
+
+
+def _match_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    ivs = g[g["role"].to_numpy() == 1]
+    evs = g[g["role"].to_numpy() == 0]
+    if ivs.empty:
+        return typed_empty(_IV_PARTIALS)
+    ts = evs["t0"].to_numpy(np.int64)
+    val = evs["value"].to_numpy(np.float64)
+    out_id, out_n, out_s = [], [], []
+    for iv_id, t0, t1 in zip(
+        ivs["iv_id"].to_numpy(np.int64),
+        ivs["t0"].to_numpy(np.int64),
+        ivs["t1"].to_numpy(np.int64),
+    ):
+        m = (ts >= t0) & (ts <= t1)
+        out_id.append(iv_id)
+        out_n.append(int(m.sum()))
+        out_s.append(float(val[m].sum()))
+    return pd.DataFrame(
+        {
+            "iv_id": np.array(out_id, dtype=np.int64),
+            "n": np.array(out_n, dtype=np.int64),
+            "s": np.array(out_s, dtype=np.float64),
+        }
+    )
 
 
 QUANTILES_HIST_ORACLE_SQL = """
@@ -1417,15 +1427,31 @@ def q_json_extract_agg(sf_dir: str):
 )
 def q_rank_partitioned(sf_dir: str):
     # F4 (reference: RANK() OVER (PARTITION BY schema_name ...),
-    # sqlserver_advanced:185-186): rank within group via map_groups.
+    # sqlserver_advanced:185-186): rank within group over a co-partition
+    # on the group key.
     ds = load_table(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
+    return co_partition(ds, ["o_orderpriority"], top10_by_priority, KEY_BUCKETS)
 
-    def topn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(10)
-        g["rn"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
 
-    return ds.groupby("o_orderpriority").map_groups(topn, batch_format="pandas")
+def top10_by_priority(frame: pd.DataFrame) -> pd.DataFrame:
+    """Per ``o_orderpriority`` of the frame: its 10 orders of highest
+    ``o_totalprice`` (ties by ``o_orderkey``), numbered 1..10 in ``rn``."""
+    top = (
+        frame.sort_values(
+            ["o_orderpriority", "o_totalprice", "o_orderkey"],
+            ascending=[True, False, True],
+        )
+        .groupby("o_orderpriority", sort=False, dropna=False)
+        .head(10)
+        .reset_index(drop=True)
+    )
+    top["rn"] = (
+        top.groupby("o_orderpriority", sort=False, dropna=False)
+        .cumcount()
+        .to_numpy(np.int64)
+        + 1
+    )
+    return top
 
 
 @q(
@@ -1557,7 +1583,7 @@ def q_sessionization(sf_dir: str):
     # co-partition — the engine's pattern for event-time windowing over a
     # partitioned log; each block sorts once and cuts every user's sessions
     ds = load_table(sf_dir, "events", ["user_id", "ts"])
-    return co_partition(ds, ["user_id"], session_counts, USER_BUCKETS)
+    return co_partition(ds, ["user_id"], session_counts, KEY_BUCKETS)
 
 
 @q(
@@ -1585,7 +1611,7 @@ def q_asof_join(sf_dir: str):
         ds,
         ["user_id"],
         asof_prev_group("user_id", "ts", "event_type", "purchase", "click", "event_id"),
-        USER_BUCKETS,
+        KEY_BUCKETS,
     )
 
 
@@ -1601,7 +1627,7 @@ def q_lag_gap(sf_dir: str):
     sorted block (``prev_gaps``) — the offset-window family member (LEAD is
     the same shape with the next row)."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return co_partition(ds, ["user_id"], prev_gaps, USER_BUCKETS)
+    return co_partition(ds, ["user_id"], prev_gaps, KEY_BUCKETS)
 
 
 @q(
@@ -1618,7 +1644,7 @@ def q_rolling_window(sf_dir: str):
     grouped pandas rolling over each sorted block (``rolling3``) — the
     ordered-frame counterpart of the tumbling ``window_agg``."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    return co_partition(ds, ["user_id"], rolling3, USER_BUCKETS)
+    return co_partition(ds, ["user_id"], rolling3, KEY_BUCKETS)
 
 
 @q(

@@ -19,9 +19,15 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources import load_table, table_path
-from ..stages import co_partition, task_stage, thresholded_stage
+from ..stages import (
+    KEY_BUCKETS,
+    co_partition,
+    task_stage,
+    thresholded_stage,
+    typed_empty,
+)
 from ..stages.agg import combiner_groupby
-from ..stages.ann import BatchTopKCosine, _normalize, final_topk
+from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
 from ..stages.multimodal import MediaDecodeStage, to_media_table
 from ..stages.text import (
@@ -36,6 +42,9 @@ from ..stages.text import (
 
 QUERIES: dict[str, Callable] = {}
 ORACLE_SQL: dict[str, str] = {}
+
+# column → dtype of the verified doc-pair results (``typed_empty``)
+DOC_PAIRS = {"doc_a": "int64", "doc_b": "int64", "jac_ppm": "int64"}
 
 
 def q(name: str, sql: str | None = None):
@@ -162,14 +171,7 @@ def q_minhash_lsh_pairs(sf_dir: str, broadcast_budget: int | None = None):
         )
 
     out = verified.map_batches(finish, batch_format="pandas").to_pandas()
-    if len(out) == 0 and list(out.columns) != ["doc_a", "doc_b", "jac_ppm"]:
-        out = pd.DataFrame(
-            {
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "jac_ppm": pd.Series([], dtype="int64"),
-            }
-        )
+    out = typed_empty(DOC_PAIRS, out)
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -351,12 +353,7 @@ def q_dedup_clusters(sf_dir: str):
 
     pairs = q_minhash_lsh_pairs(sf_dir)
     if len(pairs) == 0:
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "cluster_id": pd.Series([], dtype="int64"),
-            }
-        )
+        return typed_empty({"doc_id": "int64", "cluster_id": "int64"})
     edges = ray.data.from_pandas(
         pd.DataFrame(
             {
@@ -564,14 +561,7 @@ def q_ngram_jaccard_pairs(sf_dir: str):
         )
 
     out = verified.map_batches(finish, batch_format="pandas").to_pandas()
-    if len(out) == 0 and list(out.columns) != ["doc_a", "doc_b", "jac_ppm"]:
-        out = pd.DataFrame(
-            {
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "jac_ppm": pd.Series([], dtype="int64"),
-            }
-        )
+    out = typed_empty(DOC_PAIRS, out)
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -1025,8 +1015,8 @@ def q_stratified_sample(sf_dir: str, per_group: int = 20):
     """Deterministic stratified sample: 20 docs per language, chosen by
     md5-hash order (reproducible across runs/workers, unbiased by storage
     order — the standard per-stratum sample for eval-set construction).
-    Per-batch partial top-m (combiner) → tiny groupby(lang) final top-m:
-    only ≤ m rows per (batch, lang) ever shuffle."""
+    Per-batch partial top-m (combiner) → tiny ``lang`` co-partition final
+    top-m: only ≤ m rows per (batch, lang) ever shuffle."""
     import hashlib as _hl
 
     ds = load_table(sf_dir, "documents", ["doc_id", "lang"])
@@ -1042,34 +1032,30 @@ def q_stratified_sample(sf_dir: str, per_group: int = 20):
             dtype=np.uint64,
             count=len(df),
         )
+        # int64 bit view survives pandas/Arrow round-trips
         out = pd.DataFrame(
-            {
-                "lang": df["lang"],
-                "doc_id": df["doc_id"],
-                # int64 bit view survives pandas/Arrow round-trips; the
-                # unsigned copy exists only to ORDER the prune correctly
-                # (hashes >= 2^63 must sort LAST, not first as negatives).
-                "h": h.view(np.int64),
-                "hu": h,
-            }
+            {"lang": df["lang"], "doc_id": df["doc_id"], "h": h.view(np.int64)}
         )
-        return (
-            out.sort_values(["hu", "doc_id"])
-            .groupby("lang", sort=False)
-            .head(per_group)
-            .drop(columns=["hu"])
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        # int64 bit view of uint64 keeps EQUALITY through pandas, but not
-        # ORDER — compare in uint64 space
-        g = g.copy()
-        g["hu"] = g["h"].to_numpy().view(np.uint64)
-        g = g.sort_values(["hu", "doc_id"]).head(per_group)
-        return g[["lang", "doc_id"]]
+        return lowest_hash_rows(out, per_group)
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return partials.groupby("lang").map_groups(final, batch_format="pandas")
+    return co_partition(
+        partials,
+        ["lang"],
+        lambda f: lowest_hash_rows(f, per_group)[["lang", "doc_id"]],
+        KEY_BUCKETS,
+    )
+
+
+def lowest_hash_rows(frame: pd.DataFrame, m: int) -> pd.DataFrame:
+    """The ``m`` rows of each ``lang`` of ``frame`` with the lowest
+    (``h``, ``doc_id``). ``h`` is the int64 bit view of a uint64 hash: it
+    keeps EQUALITY through pandas but not ORDER, so the rows are ordered in
+    uint64 space (hashes >= 2^63 sort LAST, not first as negatives)."""
+    order = np.lexsort(
+        (frame["doc_id"].to_numpy(), frame["h"].to_numpy(np.int64).view(np.uint64))
+    )
+    return frame.iloc[order].groupby("lang", sort=False).head(m)
 
 
 TOP_TERMS_ORACLE_SQL = """
@@ -1089,9 +1075,9 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
     """Corpus vocabulary statistics: the 5 most frequent tokens per
     language. Per-batch pandas value_counts is the COMBINER (one row per
     distinct (lang, token) per batch — bounded by vocabulary, not corpus),
-    a (lang, token) co-partition sums the partials vectorized, and a
-    tiny groupby(lang) takes the final top-k. No corpus-sized shuffle, no
-    high-cardinality Ray aggregate (see ngram_jaccard_pairs for why)."""
+    a (lang, token) co-partition sums the partials vectorized, and a tiny
+    ``lang`` co-partition takes the final top-k. No corpus-sized shuffle,
+    no high-cardinality Ray aggregate (see ngram_jaccard_pairs for why)."""
     ds = load_table(sf_dir, "documents", ["text", "lang"])
     P = 32
 
@@ -1111,19 +1097,23 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
         )
         # partial top-k per lang within this call: a (lang, tok) pair
         # lives in exactly one call, so pruning to k here is lossless
-        return (
-            out.sort_values(["n", "tok"], ascending=[False, True])
-            .groupby("lang", sort=False)
-            .head(k)
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n", "tok"], ascending=[False, True]).head(k)
-        return g[["lang", "tok", "n"]]
+        return top_terms(out, k)
 
     partials = ds.map_batches(partial_counts, batch_format="pandas")
     summed = co_partition(partials, ["lang", "tok"], sum_partials, P)
-    return summed.groupby("lang").map_groups(final, batch_format="pandas")
+    return co_partition(
+        summed, ["lang"], lambda f: top_terms(f, k)[["lang", "tok", "n"]], P
+    )
+
+
+def top_terms(frame: pd.DataFrame, k: int) -> pd.DataFrame:
+    """The ``k`` rows of each ``lang`` of ``frame`` with the highest ``n``
+    (ties by ``tok`` ascending)."""
+    return (
+        frame.sort_values(["n", "tok"], ascending=[False, True])
+        .groupby("lang", sort=False)
+        .head(k)
+    )
 
 
 _UNIGRAM_ORACLE_SQL = """
@@ -1199,10 +1189,8 @@ def train_unigram_model(
         sum_partials,
         P,
     ).to_pandas()  # bounded-vocab model table, NOT corpus-sized
-    if "n" not in freqs.columns:  # degenerate corpus: zero tokens anywhere
-        freqs = pd.DataFrame(
-            {"tok": pd.Series([], dtype=object), "n": pd.Series([], dtype="int64")}
-        )
+    # degenerate corpus: zero tokens anywhere
+    freqs = typed_empty({"tok": object, "n": "int64"}, freqs)
     # the OOV rows (at most one per co_partition call) merge into one
     is_oov = freqs["tok"].to_numpy() == _OOV_TOKEN
     oov_mass = float(freqs.loc[is_oov, "n"].sum())
@@ -1335,10 +1323,8 @@ def train_doc_freq(
     freqs = co_partition(
         ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials, P
     ).to_pandas()
-    if "df" not in freqs.columns:  # degenerate corpus: zero tokens anywhere
-        freqs = pd.DataFrame(
-            {"tok": pd.Series([], dtype=object), "df": pd.Series([], dtype="int64")}
-        )
+    # degenerate corpus: zero tokens anywhere
+    freqs = typed_empty({"tok": object, "df": "int64"}, freqs)
 
     sentinel = freqs["tok"].to_numpy() == ""
     n_docs = float(freqs.loc[sentinel, "df"].sum())
@@ -1880,12 +1866,7 @@ def q_curate_corpus(sf_dir: str):
     def gate(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["lang"] == "en"]
         if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "h": pd.Series([], dtype="object"),
-                }
-            )
+            return typed_empty({"doc_id": "int64", "h": "object"})
         n_tok = df["text"].str.count(r"\S+")
         n_alpha = df["text"].str.count(r"[A-Za-z]")
         keep = (
@@ -1927,15 +1908,19 @@ def _fetch_queries(sf_dir: str, n_queries: int):
     return qids, qmat
 
 
-def _ppm_topk(out, k):
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
+def _ppm_topk(cands, k):
+    """Per-query top-k of the batch-local candidates (``final_topk`` over a
+    ``query_id`` co-partition), cosines as ppm."""
+    top = final_topk(k)
+
+    def merge(frame: pd.DataFrame) -> pd.DataFrame:
         from .relational import scaled_int
 
-        df = df.copy()
+        df = top(frame)
         df["cos_ppm"] = scaled_int(df["cos"], 1e6)
         return df[["query_id", "vec_id", "cos_ppm", "rank"]]
 
-    return out.map_batches(finish, batch_format="pandas")
+    return co_partition(cands, ["query_id"], merge, KEY_BUCKETS)
 
 
 ANN_TOPK_ORACLE_SQL = """
@@ -1971,8 +1956,7 @@ def q_ann_topk(sf_dir: str, k: int = 5, n_queries: int = 10):
         concurrency=(1, 4),
         batch_format="pandas",
     )
-    out = cands.groupby("query_id").map_groups(final_topk(k), batch_format="pandas")
-    return _ppm_topk(out, k)
+    return _ppm_topk(cands, k)
 
 
 def _exact_twin_row_guard(sf_dir: str, name: str, scale_path: str) -> None:
@@ -2007,7 +1991,7 @@ WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
 def q_embedding_near_dup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 4):
     """EXACT embedding-cosine near-duplicate pairs (cos ≥ threshold), fully
     distributed: each vector is replicated to its G bucket-PAIR groups
-    (``PairGroupReplicate``), a ``groupby(pg).map_groups`` computes the
+    (``PairGroupReplicate``), a ``co_partition`` on ``pg`` computes the
     all-pairs matmul within each group, and every unordered pair co-locates
     in exactly one group. Shuffle = G×data; per-group memory = 2n/G rows;
     the driver never sees a corpus-sized structure (the previous plan was a
@@ -2027,18 +2011,10 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 4
     rep = ds.map_batches(
         task_stage(PairGroupReplicate, n_buckets=n_buckets), batch_format="pandas"
     )
-    pairs = rep.groupby("pg").map_groups(
-        all_pairs_group(threshold, n_buckets), batch_format="pandas"
+    pairs = co_partition(
+        rep, ["pg"], all_pairs_group(threshold, n_buckets), n_buckets * n_buckets
     )
-    out = pairs.to_pandas()
-    if len(out) == 0 and list(out.columns) != ["id_a", "id_b", "cos_ppm"]:
-        out = pd.DataFrame(
-            {
-                "id_a": pd.Series([], dtype="int64"),
-                "id_b": pd.Series([], dtype="int64"),
-                "cos_ppm": pd.Series([], dtype="int64"),
-            }
-        )
+    out = typed_empty(PAIRS_PPM, pairs.to_pandas())
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -2074,22 +2050,13 @@ def _near_dup_lsh(
         concurrency=(1, 4),
         batch_format="pandas",
     )
-    pairs = cand.groupby("bh").map_groups(
-        lsh_bucket_pairs(threshold), batch_format="pandas"
-    )
+    pairs = co_partition(cand, ["bh"], lsh_bucket_pairs(threshold), LSH_BUCKETS)
     out = combiner_groupby(
         pairs, ["id_a", "id_b"], maxs={"cos_ppm": "cos_ppm"}
     )
     if not isinstance(out, pd.DataFrame):
         out = out.to_pandas()
-    if len(out) == 0:
-        out = pd.DataFrame(
-            {
-                "id_a": pd.Series([], dtype="int64"),
-                "id_b": pd.Series([], dtype="int64"),
-                "cos_ppm": pd.Series([], dtype="int64"),
-            }
-        )
+    out = typed_empty(PAIRS_PPM, out)
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -2145,8 +2112,7 @@ def _ivf_topk(
         concurrency=4,
         batch_format="pandas",
     )
-    out = cands.groupby("query_id").map_groups(final_topk(k), batch_format="pandas")
-    return _ppm_topk(out, k)
+    return _ppm_topk(cands, k)
 
 
 @q("ann_ivf_topk")
@@ -2241,8 +2207,7 @@ def _ivf_pruned(
         concurrency=4,
         batch_format="pandas",
     )
-    out = cands.groupby("query_id").map_groups(final_topk(k), batch_format="pandas")
-    return _ppm_topk(out, k)
+    return _ppm_topk(cands, k)
 
 
 @q("ann_ivf_pruned")
@@ -2437,9 +2402,10 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
     the graph-construction primitive behind SemDeDup-style pruning,
     kNN-graph clustering and connectivity-based curation. Fully
     distributed via the bucket-PAIR machinery (``PairGroupReplicate``):
-    each group emits per-doc PARTIAL top-k rows (≤ group-size × k — the
-    group's all-pairs matrix never leaves the worker), and a per-doc
-    groupby merges partials into the global top-k. Ordering matches the
+    a ``pg`` co-partition runs each group's all-pairs matmul (``knn_group``)
+    and emits per-doc PARTIAL top-k rows (≤ group-size × k — the
+    group's all-pairs matrix never leaves the worker), and a ``vec_id``
+    co-partition merges partials into the global top-k. Ordering matches the
     SQL twin exactly: cos_ppm DESC, nbr ASC (candidate columns pre-sorted
     by id so stable argsort inherits the tie-break).
 
@@ -2454,22 +2420,11 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
         task_stage(PairGroupReplicate, n_buckets=n_buckets),
         batch_format="pandas",
     )
-    partials = rep.groupby("pg").map_groups(
-        knn_group(k, n_buckets), batch_format="pandas"
+    partials = co_partition(
+        rep, ["pg"], knn_group(k, n_buckets), n_buckets * n_buckets
     )
-    out = (
-        partials.groupby("vec_id")
-        .map_groups(final_knn(k), batch_format="pandas")
-        .to_pandas()
-    )
-    if len(out) == 0 and list(out.columns) != ["vec_id", "nbr", "cos_ppm"]:
-        out = pd.DataFrame(
-            {
-                "vec_id": pd.Series([], dtype="int64"),
-                "nbr": pd.Series([], dtype="int64"),
-                "cos_ppm": pd.Series([], dtype="int64"),
-            }
-        )
+    out = co_partition(partials, ["vec_id"], final_knn(k), KEY_BUCKETS)
+    out = typed_empty(KNN, out.to_pandas())
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 
 
@@ -2483,7 +2438,7 @@ def q_knn_join_ivf(sf_dir: str, k: int = 5, n_clusters: int = 16):
     data). Rows-only by design (the bucket boundary makes the neighbor
     set approximate); the machinery's exactness is inherited from the
     shared ``_topk_rows`` kernel the exact twin oracles."""
-    from ..stages.ann import AssignBucket, _topk_rows, kmeans_fit
+    from ..stages.ann import AssignBucket, bucket_knn, kmeans_fit
 
     ds = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     fit_df = ds.limit(65536).to_pandas()
@@ -2498,29 +2453,8 @@ def q_knn_join_ivf(sf_dir: str, k: int = 5, n_clusters: int = 16):
         batch_format="pandas",
     )
 
-    def bucket_knn(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g["vec_id"].to_numpy(np.int64)
-        emb = _normalize(np.stack(g["embedding"].to_numpy()).astype(np.float64))
-        S = emb @ emb.T
-        ppm = (np.sign(S * 1e6) * np.floor(np.abs(S * 1e6) + 0.5)).astype(
-            np.int64
-        )
-        np.fill_diagonal(ppm, -3_000_000)
-        return _topk_rows(ids, ppm, ids, k)
-
-    out = (
-        assigned.groupby("bucket")
-        .map_groups(bucket_knn, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(out) == 0 and list(out.columns) != ["vec_id", "nbr", "cos_ppm"]:
-        out = pd.DataFrame(
-            {
-                "vec_id": pd.Series([], dtype="int64"),
-                "nbr": pd.Series([], dtype="int64"),
-                "cos_ppm": pd.Series([], dtype="int64"),
-            }
-        )
+    out = co_partition(assigned, ["bucket"], bucket_knn(k), n_clusters)
+    out = typed_empty(KNN, out.to_pandas())
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 
 
@@ -2615,12 +2549,7 @@ def q_bloom_decontaminate(
                 ((df["doc_id"].to_numpy(np.int64) % bench_mod) != 0)
                 & (df["text"].fillna("").str.count(r"\S+") >= 3)
             ]
-            empty = pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_hits": pd.Series([], dtype="int64"),
-                }
-            )
+            empty = typed_empty({"doc_id": "int64", "n_hits": "int64"})
             if len(train) == 0:
                 return empty
             sh, sizes = batch_word_shingle_sets(list(train["text"]), 3)
@@ -2649,13 +2578,7 @@ def q_bloom_decontaminate(
         concurrency=(1, 8),
         batch_format="pandas",
     ).to_pandas()
-    if len(out) == 0 and list(out.columns) != ["doc_id", "n_hits"]:
-        out = pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "n_hits": pd.Series([], dtype="int64"),
-            }
-        )
+    out = typed_empty({"doc_id": "int64", "n_hits": "int64"}, out)
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2762,8 +2685,8 @@ def q_semdedup(sf_dir: str, k: int = 8, iters: int = 5, threshold: float = 0.8):
         return out
 
     labeled = embs.map_batches(label_keep_vec, batch_format="pandas")
-    return labeled.groupby("cluster_id").map_groups(
-        lambda g: semdedup_cluster(g, threshold), batch_format="pandas"
+    return co_partition(
+        labeled, ["cluster_id"], lambda f: semdedup_cluster(f, threshold), k
     )
 
 

@@ -11,6 +11,10 @@ _STAGE_CACHE: dict = {}
 # private bucket column stamped by co_partition(); never reaches ``fn``
 _BUCKET = "__co_part"
 
+# hash buckets of a co_partition on a key with no natural bucket count
+# (user_id, query_id, vec_id, lang, ...)
+KEY_BUCKETS = 64
+
 
 def partition_of(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
     """int64 bucket in ``[0, n)`` of each row of ``frame``, a pure function
@@ -46,9 +50,9 @@ def co_partition(ds, keys, fn, n: int):
     The bucket column is stamped by a ``map_batches`` in the block's own
     format (no pandas/Arrow conversion; Ray fuses it into the stage before
     it) and dropped before ``fn`` sees the frame. ``sort(bucket)`` range-
-    partitions on the bucket, so all rows of a bucket land in one block —
-    the guarantee Ray's own ``groupby().map_groups`` rests on, without its
-    Python loop over the groups of each block."""
+    partitions on the bucket, so all rows of a bucket land in one block,
+    with no Python loop over the groups of each block. This is the only
+    shuffle in the package that co-locates the rows of a key."""
     keys = list(keys)
 
     def stamp(batch):
@@ -68,6 +72,27 @@ def co_partition(ds, keys, fn, n: int):
         .sort(_BUCKET)
         .map_batches(run, batch_size=None, batch_format="pandas")
     )
+
+
+def per_key(frame: pd.DataFrame, key: str, fn) -> pd.DataFrame:
+    """``fn`` once per ``key`` group of a ``co_partition`` block, results
+    concatenated: the form for reducers whose per-key work is a matmul or
+    a file write rather than a vectorized groupby. ``frame`` has rows (a
+    ``co_partition`` block always does)."""
+    return pd.concat(
+        [fn(g) for _, g in frame.groupby(key, sort=False, dropna=False)],
+        ignore_index=True,
+    )
+
+
+def typed_empty(dtypes: dict, out: pd.DataFrame | None = None) -> pd.DataFrame:
+    """``out`` when it has rows, else a zero-row frame with the columns and
+    dtypes of ``dtypes`` (column → dtype). An all-empty Ray Dataset loses
+    its schema in ``to_pandas()``, so a query whose result can be empty
+    returns this instead."""
+    if out is not None and len(out):
+        return out
+    return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in dtypes.items()})
 
 
 def task_stage(cls, **ctor):

@@ -18,34 +18,18 @@ import pandas as pd
 
 import ray
 
+from . import co_partition, per_key, typed_empty
+
+# column → dtype of the candidate, pair and kNN frames (``typed_empty``)
+CANDIDATES = {"query_id": "int64", "vec_id": "int64", "cos": "float64"}
+PAIRS_PPM = {"id_a": "int64", "id_b": "int64", "cos_ppm": "int64"}
+KNN = {"vec_id": "int64", "nbr": "int64", "cos_ppm": "int64"}
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return m / norms
-
-
-def _empty_candidates() -> pd.DataFrame:
-    """Schema-typed empty frame: an empty Ray block with no schema trips
-    'RefBundle with a different schema' warnings and breaks downstream
-    to_pandas typing."""
-    return pd.DataFrame(
-        {
-            "query_id": pd.Series([], dtype="int64"),
-            "vec_id": pd.Series([], dtype="int64"),
-            "cos": pd.Series([], dtype="float64"),
-        }
-    )
-
-
-def _empty_pairs() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "cos": pd.Series([], dtype="float64"),
-        }
-    )
 
 
 class BatchTopKCosine:
@@ -67,7 +51,7 @@ class BatchTopKCosine:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         if len(batch) == 0:
-            return _empty_candidates()
+            return typed_empty(CANDIDATES)
         vec_ids = batch["vec_id"].to_numpy(dtype=np.int64)
         emb = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
         emb = _normalize(emb)
@@ -93,14 +77,21 @@ class BatchTopKCosine:
 
 
 def final_topk(k: int):
-    """map_groups reducer: merge batch-local candidates into the true top-k
-    per query (ties broken by vec_id for determinism)."""
+    """``co_partition`` reducer on ``query_id``: merge the batch-local
+    candidates of every query in the frame into its true top-k (ties broken
+    by vec_id for determinism), ``rank`` 1..k per query."""
 
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    def reduce(frame: pd.DataFrame) -> pd.DataFrame:
+        top = (
+            frame.sort_values(
+                ["query_id", "cos", "vec_id"], ascending=[True, False, True]
+            )
+            .groupby("query_id", sort=False)
+            .head(k)
+            .reset_index(drop=True)
+        )
+        top["rank"] = top.groupby("query_id", sort=False).cumcount().to_numpy(np.int64) + 1
+        return top
 
     return reduce
 
@@ -146,7 +137,7 @@ class IvfTopKCosine:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         if len(batch) == 0:
-            return _empty_candidates()
+            return typed_empty(CANDIDATES)
         vec_ids = batch["vec_id"].to_numpy(dtype=np.int64)
         emb = _normalize(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
         buckets = np.argmax(emb @ self.centroids.T, axis=1)
@@ -207,12 +198,13 @@ class PairGroupReplicate:
 
 
 def all_pairs_group(threshold: float, n_buckets: int, scale: float = 1e6):
-    """map_groups reducer for one bucket-pair group: exact cosine all-pairs
-    between (or within) the two buckets, emitting (id_a, id_b, cos_ppm) for
-    cos ≥ threshold. Pairs are globally unique by construction."""
+    """``co_partition`` reducer on ``pg``: for each bucket-pair group of the
+    frame, exact cosine all-pairs between (or within) the two buckets,
+    emitting (id_a, id_b, cos_ppm) for cos ≥ threshold. Pairs are globally
+    unique by construction."""
     G = int(n_buckets)
 
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
+    def one(g: pd.DataFrame) -> pd.DataFrame:
         pg = int(g["pg"].iloc[0])
         i, j = divmod(pg, G)
         # replicas are unique per (row, partner-bucket): inside group (i, j)
@@ -230,7 +222,7 @@ def all_pairs_group(threshold: float, n_buckets: int, scale: float = 1e6):
         else:
             li, ri = np.flatnonzero(bkt == i), np.flatnonzero(bkt == j)
             if len(li) == 0 or len(ri) == 0:
-                return _pair_ppm_empty()
+                return typed_empty(PAIRS_PPM)
             sims = emb[li] @ emb[ri].T
             ai, bi = np.nonzero(sims >= threshold)
             a, b, c = ids[li][ai], ids[ri][bi], sims[ai, bi]
@@ -239,7 +231,7 @@ def all_pairs_group(threshold: float, n_buckets: int, scale: float = 1e6):
             b2 = np.where(swap, a, b)
             a, b = a2, b2
         if len(a) == 0:
-            return _pair_ppm_empty()
+            return typed_empty(PAIRS_PPM)
         ppm = (np.sign(c * scale) * np.floor(np.abs(c * scale) + 0.5)).astype(np.int64)
         return pd.DataFrame(
             {
@@ -249,27 +241,7 @@ def all_pairs_group(threshold: float, n_buckets: int, scale: float = 1e6):
             }
         )
 
-    return reduce
-
-
-def _pair_ppm_empty() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "id_a": pd.Series([], dtype="int64"),
-            "id_b": pd.Series([], dtype="int64"),
-            "cos_ppm": pd.Series([], dtype="int64"),
-        }
-    )
-
-
-def _knn_empty() -> pd.DataFrame:
-    return pd.DataFrame(
-        {
-            "vec_id": pd.Series([], dtype="int64"),
-            "nbr": pd.Series([], dtype="int64"),
-            "cos_ppm": pd.Series([], dtype="int64"),
-        }
-    )
+    return lambda frame: per_key(frame, "pg", one)
 
 
 def _topk_rows(
@@ -301,9 +273,10 @@ def _topk_rows(
 
 
 def knn_group(k: int, n_buckets: int, scale: float = 1e6):
-    """map_groups reducer for one bucket-pair group of the kNN-graph join:
-    per-doc PARTIAL top-k within the group (both directions for
-    off-diagonal groups), emitted as (vec_id, nbr, cos_ppm) rows — ≤
+    """``co_partition`` reducer on ``pg`` of the kNN-graph join: for each
+    bucket-pair group of the frame, per-doc PARTIAL top-k within the group
+    (both directions for off-diagonal groups), emitted as (vec_id, nbr,
+    cos_ppm) rows — ≤
     group-size × k rows, never the group's all-pairs matrix. A doc's true
     global top-k is a merge of its per-group partials because its full
     candidate set is the union of its G groups (same-bucket candidates
@@ -316,7 +289,7 @@ def knn_group(k: int, n_buckets: int, scale: float = 1e6):
             np.int64
         )
 
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
+    def one(g: pd.DataFrame) -> pd.DataFrame:
         pg = int(g["pg"].iloc[0])
         i, j = divmod(pg, G)
         g = g.drop_duplicates(subset=["vec_id"])
@@ -334,7 +307,7 @@ def knn_group(k: int, n_buckets: int, scale: float = 1e6):
             return _topk_rows(ids, S, ids, k, drop_below=floor)
         li, ri = np.flatnonzero(bkt == i), np.flatnonzero(bkt == j)
         if len(li) == 0 or len(ri) == 0:
-            return _knn_empty()
+            return typed_empty(KNN)
         S = to_ppm(emb[li] @ emb[ri].T)
         return pd.concat(
             [
@@ -344,18 +317,36 @@ def knn_group(k: int, n_buckets: int, scale: float = 1e6):
             ignore_index=True,
         )
 
-    return reduce
+    return lambda frame: per_key(frame, "pg", one)
+
+
+def bucket_knn(k: int):
+    """``co_partition`` reducer on ``bucket`` of the approximate kNN-graph
+    join: each vector's top-k by (ppm desc, nbr asc) among the other
+    vectors of its IVF bucket."""
+
+    def one(g: pd.DataFrame) -> pd.DataFrame:
+        ids = g["vec_id"].to_numpy(np.int64)
+        emb = _normalize(np.stack(g["embedding"].to_numpy()).astype(np.float64))
+        S = emb @ emb.T
+        ppm = (np.sign(S * 1e6) * np.floor(np.abs(S * 1e6) + 0.5)).astype(
+            np.int64
+        )
+        np.fill_diagonal(ppm, -3_000_000)
+        return _topk_rows(ids, ppm, ids, k)
+
+    return lambda frame: per_key(frame, "bucket", one)
 
 
 def final_knn(k: int):
-    """Per-doc final merge of the group partials: global top-k by
-    (ppm desc, nbr asc)."""
+    """``co_partition`` reducer on ``vec_id``: merge each doc's group
+    partials into its global top-k by (ppm desc, nbr asc)."""
 
-    def fin(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["cos_ppm", "nbr"], ascending=[False, True], kind="stable"
-        ).head(k)
-        return g[["vec_id", "nbr", "cos_ppm"]]
+    def fin(frame: pd.DataFrame) -> pd.DataFrame:
+        top = frame.sort_values(
+            ["vec_id", "cos_ppm", "nbr"], ascending=[True, False, True], kind="stable"
+        )
+        return top.groupby("vec_id", sort=False).head(k)[["vec_id", "nbr", "cos_ppm"]]
 
     return fin
 
@@ -400,7 +391,7 @@ SHARED_ROOT_PROBE_TIMEOUT_S = 30
 def check_shared_root(out_dir: str) -> None:
     """Fail fast if ``out_dir`` is not visible from every alive Ray node.
 
-    The layout is written by ``map_groups`` workers and read back by later
+    The layout is written by ``co_partition`` workers and read back by later
     jobs, so on a multi-node cluster the root MUST be a shared filesystem
     or object-store mount — a node-local path (e.g. ``/tmp``) would leave
     each bucket file on whichever node wrote it, with manifest paths other
@@ -497,6 +488,36 @@ def build_ivf_layout(ds, centroids: np.ndarray, out_dir: str) -> pd.DataFrame:
     # dir). Shard writes stay atomic (tmp + rename) and the manifest —
     # written LAST — carries one row per (bucket, shard).
     shard_rows = int(os.environ.get("UPXR_IVF_SHARD_ROWS", "1000000"))
+    manifest = (
+        co_partition(
+            assigned, ["bucket"], bucket_writer(out_dir, shard_rows), len(centroids)
+        )
+        .to_pandas()
+        .sort_values("bucket")
+        .reset_index(drop=True)
+    )
+    np.save(os.path.join(out_dir, "centroids.npy"), centroids)
+    tmp = os.path.join(out_dir, "manifest.parquet.tmp")
+    final = os.path.join(out_dir, "manifest.parquet")
+    pq.write_table(
+        pa.Table.from_pandas(manifest, preserve_index=False).replace_schema_metadata(
+            None
+        ),
+        tmp,
+    )
+    os.replace(tmp, final)
+    return manifest
+
+
+def bucket_writer(out_dir: str, shard_rows: int):
+    """``co_partition`` reducer on ``bucket`` of ``build_ivf_layout``: each
+    bucket of the frame goes to ``<out_dir>/bucket=<b>/data-<shard>.parquet``
+    files of ≤ ``shard_rows`` rows (tmp + rename each); returns one
+    (bucket, path, n) manifest row per shard."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
         b = int(g["bucket"].iloc[0])
@@ -519,24 +540,7 @@ def build_ivf_layout(ds, centroids: np.ndarray, out_dir: str) -> pd.DataFrame:
             rows.append((b, path, len(part)))
         return pd.DataFrame(rows, columns=["bucket", "path", "n"])
 
-    manifest = (
-        assigned.groupby("bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()
-        .sort_values("bucket")
-        .reset_index(drop=True)
-    )
-    np.save(os.path.join(out_dir, "centroids.npy"), centroids)
-    tmp = os.path.join(out_dir, "manifest.parquet.tmp")
-    final = os.path.join(out_dir, "manifest.parquet")
-    pq.write_table(
-        pa.Table.from_pandas(manifest, preserve_index=False).replace_schema_metadata(
-            None
-        ),
-        tmp,
-    )
-    os.replace(tmp, final)
-    return manifest
+    return lambda frame: per_key(frame, "bucket", write_bucket)
 
 
 def load_ivf_layout(out_dir: str):
@@ -606,17 +610,18 @@ class LshBandEmit:
 
 
 def lsh_bucket_pairs(threshold: float, scale: float = 1e6):
-    """map_groups reducer for one LSH bucket: exact cosine all-pairs within
-    the bucket, emitting (id_a, id_b, cos_ppm) for cos ≥ threshold — the
-    verify step fused into candidate enumeration, so false positives never
+    """``co_partition`` reducer on ``bh``: for each LSH bucket of the frame,
+    exact cosine all-pairs within the bucket, emitting (id_a, id_b,
+    cos_ppm) for cos ≥ threshold — the verify step fused into candidate
+    enumeration, so false positives never
     leave the bucket. A pair sharing several bands is emitted once per
     shared bucket with an IDENTICAL cos_ppm (same floats, same kernel);
     the caller dedups with a grouped MAX."""
 
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
+    def one(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["vec_id"])
         if len(g) < 2:
-            return _pair_ppm_empty()
+            return typed_empty(PAIRS_PPM)
         ids = g["vec_id"].to_numpy(dtype=np.int64)
         order = np.argsort(ids)
         ids = ids[order]
@@ -626,7 +631,7 @@ def lsh_bucket_pairs(threshold: float, scale: float = 1e6):
         sims = emb @ emb.T
         ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
         if len(ai) == 0:
-            return _pair_ppm_empty()
+            return typed_empty(PAIRS_PPM)
         c = sims[ai, bi]
         ppm = (np.sign(c * scale) * np.floor(np.abs(c * scale) + 0.5)).astype(np.int64)
         return pd.DataFrame(
@@ -637,7 +642,7 @@ def lsh_bucket_pairs(threshold: float, scale: float = 1e6):
             }
         )
 
-    return reduce
+    return lambda frame: per_key(frame, "bh", one)
 
 
 # Fixed-point scale for the k-means partial sums (round-5 hardening of the
@@ -667,13 +672,7 @@ class KMeansPartial:
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         k, dim = self.cent.shape
         if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "cluster": pd.Series([], dtype="int64"),
-                    "dim": pd.Series([], dtype="int64"),
-                    "s": pd.Series([], dtype="int64"),
-                }
-            )
+            return typed_empty({"cluster": "int64", "dim": "int64", "s": "int64"})
         emb = _normalize(
             np.stack(df["embedding"].to_numpy()).astype(np.float64)
         )
@@ -711,12 +710,7 @@ class KMeansAssign:
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
-            return pd.DataFrame(
-                {
-                    "vec_id": pd.Series([], dtype="int64"),
-                    "cluster_id": pd.Series([], dtype="int64"),
-                }
-            )
+            return typed_empty({"vec_id": "int64", "cluster_id": "int64"})
         emb = _normalize(
             np.stack(df["embedding"].to_numpy()).astype(np.float64)
         )
@@ -730,9 +724,10 @@ class KMeansAssign:
         )
 
 
-def semdedup_cluster(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
-    """SemDeDup's per-cluster prune (Abbas et al. 2023), deterministic
-    greedy form: scanning the cluster in vec_id order, a vector is DROPPED
+def semdedup_cluster(frame: pd.DataFrame, threshold: float) -> pd.DataFrame:
+    """``co_partition`` reducer on ``cluster_id``: SemDeDup's per-cluster
+    prune (Abbas et al. 2023) of every cluster in the frame, deterministic
+    greedy form: scanning a cluster in vec_id order, a vector is DROPPED
     iff its cosine similarity to some already-KEPT vector exceeds
     ``threshold`` — so the lowest-id member of every semantic-duplicate
     group survives. One normalized matmul per cluster; the greedy scan is
@@ -740,6 +735,10 @@ def semdedup_cluster(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
     the same partitioning assumption as the LSH buckets: one k-means
     cluster fits one worker (raise k when it doesn't, exactly like
     salting a hot key)."""
+    return per_key(frame, "cluster_id", lambda g: _semdedup_one(g, threshold))
+
+
+def _semdedup_one(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
     g = g.sort_values("vec_id")
     ids = g["vec_id"].to_numpy(np.int64)
     cl = g["cluster_id"].to_numpy(np.int64)

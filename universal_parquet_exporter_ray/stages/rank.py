@@ -1,18 +1,21 @@
-"""Distributed global RANK: range-partition + per-range local rank + exact
-range offsets.
+"""Distributed global RANK and exclusive prefix scans: range-partition +
+per-range local pass + exact range offsets.
 
 The classic scale plan for ``RANK() OVER (ORDER BY v)`` (reference:
 ``/root/reference/examples/advanced_integration_example.py:229``): no global
 sorted pass, no driver-side distinct-value table (``o_totalprice`` is
-near-unique, so that table is corpus-sized).
+near-unique, so that table is corpus-sized). ``_range_plan`` runs it for
+all three entry points:
 
-1. **Splitters** (bounded): a per-batch stride sample of the rank column is
+1. **Splitters** (bounded): a per-batch stride sample of the order column is
    reduced to ≤``max_splitters`` quantile splitters on the driver.
-2. **Exact range counts** (tiny): per-batch ``searchsorted`` + ``bincount``
-   partials summed on the driver → exact exclusive offsets per range
-   (``K`` integers, independent of data size).
-3. **Rank pass**: ``groupby(range).map_groups`` — each range sorts locally
-   and emits ``offset + local_rank`` (``min`` method = SQL RANK ties).
+2. **Exact range totals** (tiny): per-batch ``searchsorted`` + a segmented
+   reduce (row counts, value sums or value maxes) per range, folded in the
+   calling process into exact exclusive offsets per range (``K`` integers,
+   independent of data size).
+3. **Range pass**: ``co_partition`` on the range — each block holds whole
+   ranges, ranks or scans them locally per range and adds the range's
+   offset (``min`` rank method = SQL RANK ties).
 
 Equal values always share a range (ranges are split on sampled values with a
 consistent ``side``), so ties never straddle ranges and the result is exact.
@@ -27,6 +30,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from . import co_partition
+
 
 def _sample_stage(col: str, per_batch: int = 32):
     def fn(df: pd.DataFrame) -> pd.DataFrame:
@@ -39,19 +44,103 @@ def _sample_stage(col: str, per_batch: int = 32):
     return fn
 
 
-def _range_counts_stage(col: str, splitters: np.ndarray, n_ranges: int):
-    ref = ray.put(splitters)
+def _segment_reduce(r, v, ufunc, identity, n_ranges: int) -> np.ndarray:
+    """``ufunc`` over the ``v`` values of each range ``r`` (``identity`` for
+    an empty range): one stable sort + ``reduceat``, not ``ufunc.at``'s
+    unbuffered scatter (10-30x slower, see the KMeansPartial note)."""
+    out = np.full(n_ranges, identity, dtype=np.int64)
+    order = np.argsort(r, kind="stable")
+    present, starts = np.unique(r[order], return_index=True)
+    if len(present):
+        out[present] = ufunc.reduceat(v[order], starts)
+    return out
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        sp = ray.get(ref)
-        r = np.searchsorted(sp, df[col].to_numpy(), side="right")
-        counts = np.bincount(r, minlength=n_ranges)
-        return pd.DataFrame(
-            {
-                "rng": np.arange(n_ranges, dtype=np.int64),
-                "n": counts.astype(np.int64),
-            }
-        )
+
+def _range_plan(
+    ds, col: str, cols, values, ufunc, identity, block_pass, *,
+    max_splitters: int, reverse: bool = False,
+):
+    """The shared plan of this module (steps 1-3 of the module docstring).
+
+    ``values(df)`` gives each row's int64 contribution to its range total
+    (reduced with ``ufunc``, ``identity`` for an empty range); a range's
+    offset is the ``ufunc`` of every range before it (after it when
+    ``reverse``). ``block_pass(block, rng, off)`` gets a block of whole
+    ranges with each row's range and offset and returns the output rows.
+    Returns ``(dataset, totals)``."""
+    sample = (
+        ds.select_columns([col])
+        .map_batches(_sample_stage(col), batch_format="pandas")
+        .to_pandas()[col]
+        .to_numpy()
+    )
+    qs = np.linspace(0, 1, max_splitters + 2)[1:-1]
+    splitters = np.unique(np.quantile(sample, qs)) if len(sample) else np.array([])
+    n_ranges = len(splitters) + 1
+    sp_ref = ray.put(splitters)
+
+    def range_of(df: pd.DataFrame) -> np.ndarray:
+        sp = ray.get(sp_ref)
+        return np.searchsorted(sp, df[col].to_numpy(), side="right").astype(np.int64)
+
+    def batch_totals(df: pd.DataFrame) -> pd.DataFrame:
+        t = _segment_reduce(range_of(df), values(df), ufunc, identity, n_ranges)
+        return pd.DataFrame({"rng": np.arange(n_ranges, dtype=np.int64), "t": t})
+
+    partials = (
+        ds.select_columns(list(cols))
+        .map_batches(batch_totals, batch_format="pandas")
+        .to_pandas()
+    )
+    # the fold reads batches × K partial rows (tiny, so ufunc.at is fine)
+    totals = np.full(n_ranges, identity, dtype=np.int64)
+    ufunc.at(totals, partials["rng"].to_numpy(np.int64), partials["t"].to_numpy(np.int64))
+    t = totals[::-1] if reverse else totals
+    offsets = np.concatenate([[identity], ufunc.accumulate(t)[:-1]]).astype(np.int64)
+    off_ref = ray.put(offsets[::-1].copy() if reverse else offsets)
+
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.copy()
+        df["_rng"] = range_of(df)
+        return df
+
+    def run(block: pd.DataFrame) -> pd.DataFrame:
+        rng = block["_rng"].to_numpy(np.int64)
+        return block_pass(block.drop(columns=["_rng"]), rng, ray.get(off_ref)[rng])
+
+    ranged = co_partition(
+        ds.map_batches(assign, batch_format="pandas"), ["_rng"], run, n_ranges
+    )
+    return ranged, totals
+
+
+def rank_block(col: str, out_col: str, descending: bool):
+    """Range pass of ``distributed_rank``: ``out_col`` = the row's ``min``
+    rank among the rows of its range + the range's offset."""
+
+    def fn(block: pd.DataFrame, rng: np.ndarray, off: np.ndarray) -> pd.DataFrame:
+        local = block[col].groupby(rng).rank(method="min", ascending=not descending)
+        block = block.copy()
+        block[out_col] = local.to_numpy().astype(np.int64) + off
+        return block
+
+    return fn
+
+
+def scan_block(order_col: str, val_col: str, out_col: str, ufunc, identity):
+    """Range pass of the prefix scans: per range in ``order_col`` order,
+    ``out_col`` = ``ufunc`` of the range's offset and of every earlier
+    ``val_col`` of the range (``identity`` before the first)."""
+    scan = {np.add: "cumsum", np.maximum: "cummax"}[ufunc]
+
+    def fn(block: pd.DataFrame, rng: np.ndarray, off: np.ndarray) -> pd.DataFrame:
+        order = np.argsort(block[order_col].to_numpy(), kind="stable")
+        block, rng = block.iloc[order].reset_index(drop=True), rng[order]
+        v = block[val_col].to_numpy(dtype=np.int64)
+        incl = getattr(pd.Series(v).groupby(rng), scan)()
+        excl = incl.groupby(rng).shift(1, fill_value=identity).to_numpy(np.int64)
+        block[out_col] = ufunc(excl, off[order])
+        return block
 
     return fn
 
@@ -70,55 +159,13 @@ def distributed_rank(
     ``return_total=True`` → ``(dataset, n_rows)``: the total is the sum of
     the per-range counts this machinery already computes, so callers that
     need n (PERCENT_RANK's denominator) avoid a second full corpus scan."""
-    # 1. bounded splitter sample (stride per batch → quantiles on the driver)
-    sample = (
-        ds.select_columns([col])
-        .map_batches(_sample_stage(col), batch_format="pandas")
-        .to_pandas()[col]
-        .to_numpy()
-    )
-    qs = np.linspace(0, 1, max_splitters + 2)[1:-1]
-    splitters = np.unique(np.quantile(sample, qs)) if len(sample) else np.array([])
-    n_ranges = len(splitters) + 1
-
-    # 2. exact per-range counts (partial bincount per batch, tiny driver merge)
-    partials = (
-        ds.select_columns([col])
-        .map_batches(_range_counts_stage(col, splitters, n_ranges), batch_format="pandas")
-        .to_pandas()
-    )
-    counts = (
-        partials.groupby("rng")["n"].sum().reindex(range(n_ranges), fill_value=0).to_numpy()
-    )
-    # exclusive offset: rows ranked BEFORE range r. For descending rank the
-    # highest range (largest values) comes first.
-    if descending:
-        offsets = np.concatenate([[0], np.cumsum(counts[::-1])[:-1]])[::-1].copy()
-    else:
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    off_ref = ray.put(offsets)
-    sp_ref = ray.put(splitters)
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        sp = ray.get(sp_ref)
-        df = df.copy()
-        df["_rng"] = np.searchsorted(sp, df[col].to_numpy(), side="right").astype(
-            np.int64
-        )
-        return df
-
-    def rank_group(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        rng = int(g["_rng"].iloc[0])
-        local = g[col].rank(method="min", ascending=not descending).astype("int64")
-        g = g.drop(columns=["_rng"]).copy()
-        g[out_col] = local + int(off[rng])
-        return g
-
-    ranked = (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby("_rng")
-        .map_groups(rank_group, batch_format="pandas")
+    # a range's offset counts the rows ranked before it: for a descending
+    # rank the highest range (largest values) comes first
+    ranked, counts = _range_plan(
+        ds, col, [col],
+        lambda df: np.ones(len(df), dtype=np.int64), np.add, 0,
+        rank_block(col, out_col, descending),
+        max_splitters=max_splitters, reverse=descending,
     )
     if return_total:
         return ranked, int(counts.sum())
@@ -141,58 +188,12 @@ def distributed_prefix_sum(
     O(K) range totals, then a per-range local sort + cumsum + offset.
     ``order_col`` must be unique (a key); equal keys would make the local
     shift order ambiguous."""
-    sample = (
-        ds.select_columns([order_col])
-        .map_batches(_sample_stage(order_col), batch_format="pandas")
-        .to_pandas()[order_col]
-        .to_numpy()
-    )
-    qs = np.linspace(0, 1, max_splitters + 2)[1:-1]
-    splitters = np.unique(np.quantile(sample, qs)) if len(sample) else np.array([])
-    n_ranges = len(splitters) + 1
-    sp_ref = ray.put(splitters)
-
-    def range_sums(df: pd.DataFrame) -> pd.DataFrame:
-        sp = ray.get(sp_ref)
-        r = np.searchsorted(sp, df[order_col].to_numpy(), side="right")
-        v = df[val_col].to_numpy(dtype=np.int64)
-        sums = np.bincount(r, weights=v, minlength=n_ranges).astype(np.int64)
-        return pd.DataFrame(
-            {"rng": np.arange(n_ranges, dtype=np.int64), "s": sums}
-        )
-
-    partials = (
-        ds.select_columns([order_col, val_col])
-        .map_batches(range_sums, batch_format="pandas")
-        .to_pandas()
-    )
-    totals = (
-        partials.groupby("rng")["s"].sum().reindex(range(n_ranges), fill_value=0).to_numpy()
-    )
-    offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-    off_ref = ray.put(offsets)
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        sp = ray.get(sp_ref)
-        df = df.copy()
-        df["_rng"] = np.searchsorted(sp, df[order_col].to_numpy(), side="right").astype(
-            np.int64
-        )
-        return df
-
-    def scan_group(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        rng = int(g["_rng"].iloc[0])
-        g = g.sort_values(order_col).drop(columns=["_rng"]).copy()
-        v = g[val_col].to_numpy(dtype=np.int64)
-        g[out_col] = np.concatenate([[0], np.cumsum(v)[:-1]]) + int(off[rng])
-        return g
-
-    return (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby("_rng")
-        .map_groups(scan_group, batch_format="pandas")
-    )
+    return _range_plan(
+        ds, order_col, [order_col, val_col],
+        lambda df: df[val_col].to_numpy(dtype=np.int64), np.add, 0,
+        scan_block(order_col, val_col, out_col, np.add, 0),
+        max_splitters=max_splitters,
+    )[0]
 
 
 # sentinel: no preceding row exists. It is a reserved value: a ``val_col``
@@ -220,81 +221,27 @@ def distributed_prefix_max(
     nullable Int64 output). ``order_col`` must be unique. int64 min is
     reserved (``_NO_PREV``, the "no preceding row" sentinel): a ``val_col``
     holding it raises ``ValueError``."""
-    sample = (
-        ds.select_columns([order_col])
-        .map_batches(_sample_stage(order_col), batch_format="pandas")
-        .to_pandas()[order_col]
-        .to_numpy()
-    )
-    qs = np.linspace(0, 1, max_splitters + 2)[1:-1]
-    splitters = np.unique(np.quantile(sample, qs)) if len(sample) else np.array([])
-    n_ranges = len(splitters) + 1
-    sp_ref = ray.put(splitters)
 
-    def range_maxes(df: pd.DataFrame) -> pd.DataFrame:
-        sp = ray.get(sp_ref)
-        r = np.searchsorted(sp, df[order_col].to_numpy(), side="right")
+    def values(df: pd.DataFrame) -> np.ndarray:
         v = df[val_col].to_numpy(dtype=np.int64)
         if len(v) and v.min() <= _NO_PREV:
             raise ValueError(
                 f"distributed_prefix_max: {val_col!r} holds int64 min, the "
                 "reserved no-preceding-row sentinel"
             )
-        # segmented max via sort + reduceat: np.maximum.at's unbuffered
-        # scatter is the 10-30x-slower path the codebase avoids elsewhere
-        # (KMeansPartial note), and this runs once per batch of the corpus
-        maxes = np.full(n_ranges, _NO_PREV, dtype=np.int64)
-        order = np.argsort(r, kind="stable")
-        rs, vs = r[order], v[order]
-        present, starts = np.unique(rs, return_index=True)
-        if len(present):
-            maxes[present] = np.maximum.reduceat(vs, starts)
-        return pd.DataFrame(
-            {"rng": np.arange(n_ranges, dtype=np.int64), "m": maxes}
-        )
+        return v
 
-    partials = (
-        ds.select_columns([order_col, val_col])
-        .map_batches(range_maxes, batch_format="pandas")
-        .to_pandas()
-    )
-    totals = (
-        partials.groupby("rng")["m"]
-        .max()
-        .reindex(range(n_ranges), fill_value=_NO_PREV)
-        .to_numpy()
-    )
-    # exclusive running max over the O(K) range maxes: range r's incoming
-    # watermark is the max of every range strictly before it
-    offsets = np.concatenate(
-        [[_NO_PREV], np.maximum.accumulate(totals)[:-1]]
-    ).astype(np.int64)
-    off_ref = ray.put(offsets)
+    scan = scan_block(order_col, val_col, out_col, np.maximum, _NO_PREV)
 
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        sp = ray.get(sp_ref)
-        df = df.copy()
-        df["_rng"] = np.searchsorted(
-            sp, df[order_col].to_numpy(), side="right"
-        ).astype(np.int64)
-        return df
+    def block_pass(block, rng, off):
+        block = scan(block, rng, off)
+        wm = block[out_col].to_numpy()
+        out = pd.array(wm, dtype="Int64")
+        out[wm == _NO_PREV] = pd.NA
+        block[out_col] = out
+        return block
 
-    def scan_group(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
-        rng = int(g["_rng"].iloc[0])
-        g = g.sort_values(order_col).drop(columns=["_rng"]).copy()
-        v = g[val_col].to_numpy(dtype=np.int64)
-        local = np.concatenate(
-            [[_NO_PREV], np.maximum.accumulate(v)[:-1]]
-        )
-        combined = np.maximum(local, int(off[rng]))
-        out = pd.array(combined, dtype="Int64")
-        out[combined == _NO_PREV] = pd.NA
-        g[out_col] = out
-        return g
-
-    return (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby("_rng")
-        .map_groups(scan_group, batch_format="pandas")
-    )
+    return _range_plan(
+        ds, order_col, [order_col, val_col], values, np.maximum, _NO_PREV,
+        block_pass, max_splitters=max_splitters,
+    )[0]
