@@ -210,6 +210,43 @@ def test_co_partition_colocates_keys(ray_session):
     assert co_partition(empty, ["k_int"], lambda g: g, 4).count() == 0
 
 
+def test_co_partition_list_input_stamps_each_side(ray_session):
+    """``co_partition([a, b], ...)`` co-locates the keys of both inputs, as
+    a co-partition of their union does, and stamps each input before the
+    union: the stamp fuses into the map that tags each side."""
+    from universal_parquet_exporter_ray.stages import co_partition
+
+    left = pd.DataFrame({"k": np.arange(40) % 9, "x": np.arange(40)})
+    right = pd.DataFrame({"k": np.arange(30) % 11, "x": -np.arange(30) - 1})
+
+    def tag_left(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(side=0)
+
+    def tag_right(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(side=1)
+
+    def per_key(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False).agg(
+            n=("x", "size"), s=("x", "sum"), sides=("side", "nunique")
+        )
+
+    sides = [
+        ray.data.from_pandas(left).map_batches(tag_left, batch_format="pandas"),
+        ray.data.from_pandas(right).map_batches(tag_right, batch_format="pandas"),
+    ]
+    ds = co_partition(sides, ["k"], per_key, 4).materialize()
+    got = ds.to_pandas().sort_values("k").reset_index(drop=True)
+    union = co_partition(sides[0].union(sides[1]), ["k"], per_key, 4).to_pandas()
+    both = pd.concat([left, right])
+    assert got["k"].is_unique
+    assert got["n"].tolist() == both.groupby("k").size().tolist()
+    assert got["s"].tolist() == both.groupby("k")["x"].sum().tolist()
+    pd.testing.assert_frame_equal(got, union.sort_values("k").reset_index(drop=True))
+    stats = ds.stats()
+    for tag in ("tag_left", "tag_right"):
+        assert f"MapBatches({tag})->MapBatches(stamp)" in stats
+
+
 def test_pair_shingle_emit_and_partition_jaccard(ray_session):
     from universal_parquet_exporter_ray.stages.dedup import (
         PairShingleEmit,
@@ -1227,8 +1264,10 @@ def test_join_multiway_gated_plans_agree(ray_session, sf_small, monkeypatch):
     broadcasts into a hash-joined orders side; at 0, customer⋈nation stays a
     Dataset and no customer rows reach the driver. Each plan returns the
     default (all-broadcast) plan's frame, and matches the DuckDB twin with
-    strict dtypes."""
+    strict dtypes. The default plan reads its dimensions on the driver and
+    runs one Ray Data execution."""
     import duckdb
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from tools.check_oracle import canon, compare, to_pandas
     from universal_parquet_exporter_ray.pipelines import relational
@@ -1245,6 +1284,14 @@ def test_join_multiway_gated_plans_agree(ray_session, sf_small, monkeypatch):
         return joins.hash_join(left, right, **kw)
 
     monkeypatch.setattr(relational, "hash_join", spy)
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
 
     con = duckdb.connect()
     for t in ("lineitem", "orders", "customer", "nation"):
@@ -1252,7 +1299,7 @@ def test_join_multiway_gated_plans_agree(ray_session, sf_small, monkeypatch):
     want = con.execute(__ray_entry__.oracle_sql()["join_multiway"]).fetchdf()
     default = to_pandas(q_join_multiway(sf_small))
     assert compare("join_multiway", default, want, strict=True) == "OK"
-    assert hash_joins == []
+    assert hash_joins == [] and len(executions) == 1
     n_cust = ray.data.read_parquet(f"{sf_small}/customer.parquet").count()
     # the hash joins each plan runs: lineitem⋈orders, then also orders⋈dim
     for limit, plan in ((n_cust, [["o_orderkey"]]), (0, [["c_custkey"], ["o_orderkey"]])):
@@ -1456,6 +1503,17 @@ def test_edge_checksum_ignores_block_layout(ray_session):
     for blocks in (1, 2, 3, 7):
         ds = ray.data.from_pandas(df).repartition(blocks).materialize()
         assert _edge_checksum(ds) == expect, blocks
+
+
+def test_edge_checksum_skips_columnless_empty_block(ray_session):
+    """A sort reducer that gets no rows gives back a block with no columns;
+    such a block adds 0 to the checksum instead of failing on a missing
+    ``u``."""
+    from universal_parquet_exporter_ray.stages.dedup import _edge_checksum
+
+    df = pd.DataFrame({"u": [1, 2, 3], "v": [4, 5, 6]})
+    ds = ray.data.from_pandas([df, pd.DataFrame()]).materialize()
+    assert _edge_checksum(ds) == _edge_checksum(ray.data.from_pandas(df).materialize())
 
 
 def test_connected_components_matches_bruteforce(ray_session):

@@ -646,6 +646,57 @@ def test_lpt_bins_matches_inline_wave_packing():
         assert loads == sorted(loads, reverse=True)
 
 
+def test_block_count_and_wave_bins(monkeypatch):
+    """``block_count`` gives one block per CPU slot and more only once each
+    holds ``MIN_BLOCK_BYTES``; the encode wave packs into that many bins,
+    capped at ``WAVE_BINS_PER_SLOT`` per slot. No Ray: slots and the block
+    size are patched."""
+    from universal_parquet_exporter_ray import context
+    from universal_parquet_exporter_ray.pipelines import encode
+
+    monkeypatch.setattr(context, "cpu_slots", lambda: 2)
+    monkeypatch.setattr(encode, "cpu_slots", lambda: 2)
+    monkeypatch.setattr(context, "MIN_BLOCK_BYTES", 100)
+    assert [context.block_count(b) for b in (0, 1, 200, 201, 1000)] == [2, 2, 2, 3, 10]
+
+    def n_bins(sizes):
+        return len(encode._wave_bins(sizes))
+
+    assert n_bins([10] * 20) == 2  # 200 B: one bin per slot
+    assert n_bins([10] * 30) == 3  # 300 B: one bin per 100 B
+    assert n_bins([10] * 60) == 6  # 600 B
+    assert n_bins([100] * 60) == 2 * encode.WAVE_BINS_PER_SLOT  # capped
+    assert n_bins([1000]) == 1  # never more bins than partitions
+    bins = encode._wave_bins([50, 10, 40, 30, 20, 70])
+    assert sorted(i for b in bins for i in b) == list(range(6))
+
+
+def test_table_reads_sized_by_bytes(ray_session, sf_small, tmp_path, monkeypatch):
+    """A package table read makes ``block_count(on-disk bytes)`` blocks, not
+    Ray's ``2 × CPUs``: a small table or file list is one block per CPU
+    slot (4 here, where Ray's autodetect gives 8), and a smaller
+    ``MIN_BLOCK_BYTES`` gives more blocks."""
+    from universal_parquet_exporter_ray import context
+    from universal_parquet_exporter_ray.sources import load_table, table_path
+    from universal_parquet_exporter_ray.sources.tables import read_parquet_clean
+
+    slots = context.cpu_slots()
+    assert slots == 4
+    for name in ("nation", "lineitem"):
+        assert load_table(sf_small, name).materialize().num_blocks() == slots
+    files = [str(tmp_path / f"nation{i}.parquet") for i in range(2)]
+    for f in files:
+        shutil.copy(table_path(sf_small, "nation"), f)
+    ds = read_parquet_clean(files, columns=["n_name"]).materialize()
+    assert (ds.num_blocks(), ds.count()) == (slots, 50)
+
+    path = table_path(sf_small, "lineitem")
+    monkeypatch.setattr(context, "MIN_BLOCK_BYTES", os.path.getsize(path) // 6)
+    ds = load_table(sf_small, "lineitem", ["l_orderkey"]).materialize()
+    assert ds.num_blocks() == context.block_count(os.path.getsize(path)) > slots
+    assert ds.count() == pq.ParquetFile(path).metadata.num_rows
+
+
 def test_binned_decode_matches_source(ray_session, source_files_path, tmp_path):
     """decoded_dataset packs partition files into fewer blocks than files;
     full, projected and zone-pruned reads still equal the source, with each

@@ -7,9 +7,10 @@ Runs each named ``__ray_entry__.queries()`` entry ``--repeat`` times (default
 5) on the tables in DIR, pulls every result to the driver as pandas, and
 prints one row per query: the Ray Data executions of one run (every call of
 ``StreamingExecutor.execute``: a ``materialize``, a ``count`` that is not a
-metadata read, a ``to_pandas``, an iteration) and the min / median wall
-time over the runs. One warm-up query runs first, so worker start-up is
-not charged to the first query named.
+metadata read, a ``to_pandas``, an iteration), the blocks its table reads
+make (summed over every ``read_parquet_clean`` call of one run) and the min
+/ median wall time over the runs. One warm-up query runs first, so worker
+start-up is not charged to the first query named.
 """
 
 from __future__ import annotations
@@ -37,6 +38,40 @@ def count_executions():
 
     StreamingExecutor.execute = counted
     return calls
+
+
+def record_reads():
+    """Wrap ``sources.tables.read_parquet_clean``; return the list the
+    Datasets it builds are appended to."""
+    from universal_parquet_exporter_ray.sources import tables
+
+    reads = []
+    read = tables.read_parquet_clean
+
+    def recorded(*args, **kwargs):
+        ds = read(*args, **kwargs)
+        reads.append(ds)
+        return ds
+
+    tables.read_parquet_clean = recorded
+    return reads
+
+
+def read_blocks(ds) -> int:
+    """The output blocks of a read Dataset's read, as Ray's
+    ``SetReadParallelismRule`` sizes them at execution."""
+    from ray.data import DataContext
+    from ray.data._internal.logical.rules.set_read_parallelism import (
+        compute_additional_split_factor,
+    )
+
+    op = ds._logical_plan.dag
+    return compute_additional_split_factor(
+        op._datasource_or_legacy_reader,
+        op._parallelism,
+        op._mem_size,
+        DataContext.get_current().target_max_block_size,
+    )[2]
 
 
 def main() -> None:
@@ -68,21 +103,27 @@ def main() -> None:
     )
     DataContext.get_current().enable_progress_bars = False
     calls = count_executions()
+    reads = record_reads()
     to_pandas(registry["count_distinct"](args.tables))
 
-    print(f"{'query':24s} {'executions':>10s} {'min_s':>8s} {'median_s':>8s}")
+    print(
+        f"{'query':24s} {'executions':>10s} {'read_blocks':>11s} "
+        f"{'min_s':>8s} {'median_s':>8s}"
+    )
     for name in args.queries:
         runs, secs = [], []
         for _ in range(args.repeat):
             before = calls[0]
+            reads.clear()
             t0 = time.perf_counter()
             to_pandas(registry[name](args.tables))
             secs.append(time.perf_counter() - t0)
             runs.append(calls[0] - before)
+        blocks = sum(read_blocks(ds) for ds in reads)
         # a query's plan is fixed for given tables, so every run counts the same
         n_exec = runs[0] if len(set(runs)) == 1 else "/".join(map(str, runs))
         print(
-            f"{name:24s} {n_exec!s:>10s} {min(secs):8.3f} "
+            f"{name:24s} {n_exec!s:>10s} {blocks:11d} {min(secs):8.3f} "
             f"{statistics.median(secs):8.3f}"
         )
     ray.shutdown()

@@ -1,19 +1,57 @@
-"""DataContext tuning: size shuffle parallelism to the actual cluster.
+"""Cluster sizing: how many blocks a read or a task wave gets, and the
+DataContext caps on shuffle parallelism.
+
+``block_count(nbytes)`` is the one block-count rule: every package table
+read (``sources.tables.read_parquet_clean``), the decode
+(``pipelines.verify.decoded_dataset``) and the encode wave
+(``pipelines.encode._encode_wave``) size themselves with it. Ray's read
+autodetect floors every read at ``2 × CPUs`` blocks, so a 1.5 KB table
+became 2 blocks on 1 CPU and 8 on 4, each block one more task in every
+downstream operator, and a split read keeps Ray from fusing the next map
+into the read.
 
 Ray Data's defaults (``min_parallelism = 200``, 200-way sort shuffles) are
 sized for large multi-node clusters; on an N-CPU node they turn every
-groupby/sort into 200 reduce tasks of fixed scheduling overhead. We cap the
-defaults at ~2×CPUs (never raising them), which cuts seconds of fixed cost
-per shuffle at small scale and is the right default at cluster scale too
-(Ray recommends ~2 tasks per core). Called lazily by sources.load_table so
-it runs once per session, only after the CALLER has initialised Ray."""
+groupby/sort into 200 reduce tasks of fixed scheduling overhead.
+``tune_for_cluster`` caps the defaults at ~2×CPUs (never raising them),
+which cuts seconds of fixed cost per shuffle at small scale and is the
+right default at cluster scale too (Ray recommends ~2 tasks per core).
+Called lazily by sources.load_table so it runs once per session, only
+after the CALLER has initialised Ray."""
 
 from __future__ import annotations
+
+import math
+
+# smallest input, in bytes, worth one Ray Data block beyond one per CPU
+# slot: below it the fixed per-task cost outweighs the parallelism
+MIN_BLOCK_BYTES = 16 << 20
 
 _tuned = False
 
 
+def cpu_slots() -> int:
+    """CPUs of the Ray cluster (at least 1). Like a Ray Data read, it
+    starts a local Ray when none is running."""
+    import ray
+    from ray._private.auto_init_hook import auto_init_ray
+
+    auto_init_ray()
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def block_count(nbytes: int) -> int:
+    """Blocks (tasks) for ``nbytes`` of input: one per CPU slot, and more
+    only once each would still hold ``MIN_BLOCK_BYTES``."""
+    return max(cpu_slots(), math.ceil(nbytes / MIN_BLOCK_BYTES))
+
+
 def tune_for_cluster() -> None:
+    """Cap the read floor and the hash-shuffle parallelism at
+    ``max(8, 2 × CPUs)``. Package reads pass their own block count
+    (``block_count``), so the ``read_op_min_num_blocks`` cap only still
+    matters for reads a caller builds with Ray's autodetect; it cannot
+    lower Ray's ``2 × CPUs`` read floor."""
     global _tuned
     if _tuned:
         return
@@ -23,8 +61,7 @@ def tune_for_cluster() -> None:
 
         if not ray.is_initialized():
             return
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        target = max(8, 2 * cpus)
+        target = max(8, 2 * cpu_slots())
         ctx = DataContext.get_current()
         # read_op_min_num_blocks is the Ray 2.10+ name; touching the old
         # min_parallelism alias logs a deprecation warning on every job

@@ -55,6 +55,7 @@ import pyarrow as pa
 
 import ray.data
 
+from ..context import block_count, cpu_slots
 from ..stages import co_partition
 from ..stages.encoder import PART_COL, MANIFEST_SCHEMA, choose_codecs
 from ..stages.exchange import ACK_SCHEMA, SpillPartitions, exchange_encode_task, read_ipc_range
@@ -67,15 +68,14 @@ DatasetLike = Union[str, "ray.data.Dataset"]
 # up to this many rows per spill task; a Dataset source spills batches of it
 SPILL_BATCH_ROWS = 100_000
 
-# encode-wave bins per CPU slot: fine enough that Ray's scheduler
+# most encode-wave bins per CPU slot: fine enough that Ray's scheduler
 # work-steals around stragglers, coarse enough that per-task dispatch stays
 # negligible; a bins/slots ratio below ~4 left a measurable straggler tail
-# (byte-balanced bins are only approximately time-balanced)
+# (byte-balanced bins are only approximately time-balanced). A wave gets
+# this many only when each bin still holds ``MIN_BLOCK_BYTES``; a smaller
+# spill gets ``block_count`` bins (one per slot when it is under 16 MiB),
+# since 12 tiny tasks per CPU cost more dispatch than the stragglers they hide
 WAVE_BINS_PER_SLOT = 12
-
-
-def _cpu_slots() -> int:
-    return max(1, int(ray.cluster_resources().get("CPU", 8)))
 
 
 def _file_chunks(files: list[str]) -> list[list[str]]:
@@ -83,7 +83,7 @@ def _file_chunks(files: list[str]) -> list[list[str]]:
     task wave. A file count above the slot count otherwise quantizes into
     several scheduling waves of ~ms tasks, and a serial driver loop costs
     ~ms × #files on every run and every resume (review r5)."""
-    n = min(len(files), _cpu_slots())
+    n = min(len(files), cpu_slots())
     return [files[i::n] for i in range(n)]
 
 
@@ -523,14 +523,22 @@ def _choose(ack_df, exchange_dir: str) -> dict:
     return choose_codecs(read_ipc_range(os.path.join(exchange_dir, f), off, ln))
 
 
+def _wave_bins(sizes: list[int]) -> list[list[int]]:
+    """The encode wave's LPT bins of partition ``sizes`` (acked bytes):
+    ``min(slots × WAVE_BINS_PER_SLOT, block_count(total bytes))`` of them,
+    i.e. the straggler guard while each bin holds ``MIN_BLOCK_BYTES`` and
+    fewer bins (down to one per slot) for a smaller spill."""
+    return lpt_bins(sizes, min(cpu_slots() * WAVE_BINS_PER_SLOT, block_count(sum(sizes))))
+
+
 def _encode_wave(
     ack_df, out_dir: str, exchange_dir: str, lineage: dict, choices: dict
 ) -> list[pa.Table]:
     """Encode phase → the manifest rows the wave wrote, one table per bin.
 
-    Partitions are LPT bin-packed by acked bytes into ``slots ×
-    WAVE_BINS_PER_SLOT`` bins, heaviest first, each bin one plain Ray task
-    on the worker processes the spill already warmed (an actor pool pays
+    Partitions are LPT bin-packed by acked bytes (``_wave_bins``),
+    heaviest first, each bin one plain Ray task on the worker processes
+    the spill already warmed (an actor pool pays
     process spawn + imports per actor, ~100 worker-seconds at 32 CPUs; the
     from_items/map_batches vehicle cost ~1 s of streaming-executor setup per
     wave at 16 workers). Every task gets the job's codec ``choices``. Tasks
@@ -544,7 +552,7 @@ def _encode_wave(
     pid_raw = grouped["raw"].first().to_dict()
     pid_bytes = grouped["bytes"].sum().to_dict()
     pids = sorted(pid_files)
-    bins = lpt_bins([int(pid_bytes[p]) for p in pids], _cpu_slots() * WAVE_BINS_PER_SLOT)
+    bins = _wave_bins([int(pid_bytes[p]) for p in pids])
     items = [[(pid_raw[pids[i]], pid_files[pids[i]]) for i in b] for b in bins]
     encode_fn = functools.partial(
         exchange_encode_task, out_dir=out_dir, exchange_dir=exchange_dir, lineage=lineage
@@ -652,6 +660,7 @@ def encode_dataset(
 
 def read_encoded(out_dir: str) -> "ray.data.Dataset":
     """Dataset of encoded column-blob rows (all partitions)."""
+    from ..sources.tables import read_parquet_clean
     from ..state.manifest import parts_path
 
-    return ray.data.read_parquet(parts_path(out_dir))
+    return read_parquet_clean(parts_path(out_dir))

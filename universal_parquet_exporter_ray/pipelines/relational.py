@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
-from ..sources import load_table
+from ..sources import load_table, table_path
 from ..stages import KEY_BUCKETS, co_partition, per_key, typed_empty
 from ..stages.agg import combiner_groupby
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
@@ -296,29 +296,38 @@ def q_join_multiway(sf_dir: str):
     # above it (the 100-TB path, shuffling the narrowest possible side).
     # Per-batch PARTIAL aggregation before the final tiny groupby keeps
     # the combiner-first pattern either way.
+    import pyarrow.parquet as pq
+
     from ..stages.joins import BROADCAST_ROW_LIMIT
 
+    def footer_rows(name: str) -> int:
+        return pq.ParquetFile(table_path(sf_dir, name)).metadata.num_rows
+
+    def driver_read(name: str, columns: list[str]) -> pd.DataFrame:
+        # a dimension below the broadcast budget reaches the driver whole
+        # anyway: one local read instead of a Ray Data execution
+        return pq.read_table(table_path(sf_dir, name), columns=columns).to_pandas()
+
     li = load_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    orders = load_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = load_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    nation = load_table(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    # size gates on the metadata row counts (a parquet-footer read, no
-    # scan). customer grows with the corpus: above the broadcast budget the
-    # customer⋈nation dim stays a Dataset (nation, 25 rows, broadcasts)
-    # and orders hash-joins it. An inner merge with the dims can only
-    # shrink the orders side, so its pre-merge count is a sound upper bound
-    # for the broadcast decision — no probe pass over the orders pipeline.
-    big_cust = cust.count() > BROADCAST_ROW_LIMIT
+    nation = driver_read("nation", ["n_nationkey", "n_name"])
+    # size gates on the footer row counts (no scan). customer grows with
+    # the corpus: above the broadcast budget the customer⋈nation dim stays
+    # a Dataset (nation, 25 rows, broadcasts) and orders hash-joins it. An
+    # inner merge with the dims can only shrink the orders side, so its
+    # pre-merge count is a sound upper bound for the broadcast decision —
+    # no probe pass over the orders pipeline.
+    big_cust = footer_rows("customer") > BROADCAST_ROW_LIMIT
     if big_cust:
+        cust = load_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
         dim = broadcast_merge(
             cust, nation, left_on=["c_nationkey"], right_on=["n_nationkey"]
         ).select_columns(["c_custkey", "n_name"])
     else:
-        dim = cust.to_pandas().merge(
+        dim = driver_read("customer", ["c_custkey", "c_nationkey"]).merge(
             nation, left_on="c_nationkey", right_on="n_nationkey", sort=False
         )[["c_custkey", "n_name"]]
-    if not big_cust and orders.count() <= BROADCAST_ROW_LIMIT:
-        odf = orders.to_pandas()  # bounded by the broadcast budget
+    if not big_cust and footer_rows("orders") <= BROADCAST_ROW_LIMIT:
+        odf = driver_read("orders", ["o_orderkey", "o_custkey"])
         dim2 = odf.merge(dim, left_on="o_custkey", right_on="c_custkey", sort=False)[
             ["o_orderkey", "n_name"]
         ]
@@ -326,6 +335,7 @@ def q_join_multiway(sf_dir: str):
             li, dim2, left_on=["l_orderkey"], right_on=["o_orderkey"], how="inner"
         )
     else:
+        orders = load_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
         join = hash_join if big_cust else broadcast_merge
         orders_nn = join(orders, dim, left_on=["o_custkey"], right_on=["c_custkey"])
         joined = hash_join(
@@ -1193,12 +1203,12 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
             }
         )
 
-    both = ev.map_batches(tag_events, batch_format="pyarrow").union(
+    both = [
+        ev.map_batches(tag_events, batch_format="pyarrow"),
         # arrow block: union requires matching block types with the tagged
         # event stream
-        ray.data.from_arrow(pa.Table.from_pandas(rep, preserve_index=False))
-    )
-
+        ray.data.from_arrow(pa.Table.from_pandas(rep, preserve_index=False)),
+    ]
     partials = co_partition(both, ["bucket"], interval_partials, KEY_BUCKETS)
     summed = combiner_groupby(
         partials,

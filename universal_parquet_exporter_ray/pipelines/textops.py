@@ -1659,9 +1659,10 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
             }
         )
 
-    both = docs.map_batches(tag_docs, batch_format="pandas").union(
-        drops.map_batches(tag_drops, batch_format="pandas")
-    )
+    both = [
+        docs.map_batches(tag_docs, batch_format="pandas"),
+        drops.map_batches(tag_drops, batch_format="pandas"),
+    ]
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
         doc_side = g["seg_no"] < 0
@@ -2179,6 +2180,7 @@ def _ivf_pruned(
     whose per-query probe mask keeps semantics identical to the in-stream
     plan (a vector in the read union but outside a query's own probes is
     never scored for that query)."""
+    from ..sources.tables import read_parquet_clean
     from ..stages.ann import IvfTopKCosine, build_ivf_layout, kmeans_fit, load_ivf_layout
 
     layout_dir = _ivf_layout_dir(sf_dir, n_clusters, root=layout_root)
@@ -2198,7 +2200,7 @@ def _ivf_pruned(
     probes = np.argsort(-qsims, axis=1)[:, :nprobe]
     needed = np.unique(probes)
     files = manifest[manifest["bucket"].isin(needed)]["path"].tolist()
-    pruned = ray.data.read_parquet(files)
+    pruned = read_parquet_clean(files)
     cands = thresholded_stage(
         pruned,
         IvfTopKCosine,
@@ -2735,9 +2737,10 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
             }
         )
 
-    both = docs.map_batches(tag_docs, batch_format="pyarrow").union(
-        embs.map_batches(tag_embs, batch_format="pyarrow")
-    )
+    both = [
+        docs.map_batches(tag_docs, batch_format="pyarrow"),
+        embs.map_batches(tag_embs, batch_format="pyarrow"),
+    ]
 
     def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
         doc_side = g["lang"].notna()

@@ -25,14 +25,10 @@ import pandas as pd
 
 import ray.data
 
+from ..context import block_count
 from ..stages.encoder import PART_COL, PartitionDecoder
 from ..state.manifest import read_manifest, sanitize_partition_id
 from .encode import make_assigner
-
-# smallest input, in bytes, worth one Ray Data block: below it the fixed
-# per-task cost outweighs the parallelism. Floors the decode block count of
-# ``decoded_dataset``.
-MIN_BLOCK_BYTES = 16 << 20
 
 MASK64 = (1 << 64) - 1
 
@@ -236,10 +232,11 @@ def decoded_dataset(
     The encoded layout is one ``parts/<pid>/data.parquet`` file per
     partition, so partition atomicity is a FILE property — no shuffle is
     needed to regroup blob rows. The files are LPT-packed by size into
-    ``min(files, max(cpus, total_bytes / MIN_BLOCK_BYTES))`` blocks (one
-    decode task each, heaviest first): one task per file paid a fixed
-    per-task cost that was most of a small output's read (23 tasks for
-    3.4 MB). Every decoded row keeps its partition id in ``_part``.
+    ``min(files, block_count(total_bytes))`` blocks (``context.block_count``,
+    the rule every package read uses; one decode task each, heaviest
+    first): one task per file paid a fixed per-task cost that was most of
+    a small output's read (23 tasks for 3.4 MB). Every decoded row keeps
+    its partition id in ``_part``.
 
     ``columns``: decode only these columns. The encoded layout stores one
     blob row per column, so the other columns' payloads are read from disk
@@ -256,7 +253,6 @@ def decoded_dataset(
     prunes every partition gives a zero-row dataset with the typed columns
     of the read (the projection's, or all of them)."""
     import glob
-    import math
     import os
 
     import pyarrow as pa
@@ -328,8 +324,7 @@ def decoded_dataset(
         return pa.concat_tables(outs, promote_options="default")
 
     sizes = [os.path.getsize(f) for f in kept]
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    n_blocks = min(len(kept), max(cpus, math.ceil(sum(sizes) / MIN_BLOCK_BYTES)))
+    n_blocks = min(len(kept), block_count(sum(sizes)))
     items = [{"paths": [kept[i] for i in b]} for b in lpt_bins(sizes, n_blocks)]
     return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
         decode_files, batch_format="pyarrow", batch_size=None

@@ -10,7 +10,7 @@ validation at pipeline build time.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Union
 
 import ray.data
 
@@ -26,31 +26,53 @@ def table_path(sf_dir: str, name: str) -> str:
     return p
 
 
+def _parquet_files(path: Union[str, list[str]]) -> list[str]:
+    """The Parquet files a read of ``path`` covers: the list itself, the
+    one file, or every ``*.parquet`` under the directory, sorted."""
+    if not isinstance(path, str):
+        return list(path)
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(
+        os.path.join(root, f)
+        for root, _dirs, fnames in os.walk(path)
+        for f in fnames
+        if f.endswith(".parquet")
+    )
+
+
 def read_parquet_clean(
-    path: str,
+    path: Union[str, list[str]],
     columns: Optional[list[str]] = None,
 ) -> "ray.data.Dataset":
-    """``read_parquet`` with an explicit metadata-free (projected) schema.
+    """``read_parquet`` of a file, a directory or a list of files, with an
+    explicit metadata-free (projected) schema, in ``block_count`` blocks of
+    the files' on-disk bytes.
 
     Pandas-written parquet (the driver's test tables included) carries a
     ``b'pandas'`` schema-metadata dict that makes ``pyarrow.Schema``
     unhashable in pyarrow 16, which tripped Ray's schema-dedup hash inside
     every read/shuffle of these tables ("Failed to hash the schemas" log
     spam). Stripping at the scan keeps every downstream block schema
-    hashable."""
+    hashable.
+
+    The block count replaces Ray's autodetect, whose ``2 × CPUs`` floor
+    split even a 1.5 KB table into 2 blocks on 1 CPU: each block is one
+    more task in every downstream operator, and a split read keeps Ray
+    from fusing the next map into the read."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    sample = path
-    if os.path.isdir(path):
-        for root, _dirs, fnames in os.walk(path):
-            pqs = sorted(f for f in fnames if f.endswith(".parquet"))
-            if pqs:
-                sample = os.path.join(root, pqs[0])
-                break
+    from ..context import block_count
+
+    files = _parquet_files(path)
+    sample = files[0] if files else path
     full = pq.read_schema(sample).remove_metadata()
     schema = pa.schema([full.field(c) for c in columns]) if columns else full
-    return ray.data.read_parquet(path, columns=columns, schema=schema)
+    nbytes = sum(os.path.getsize(f) for f in files)
+    return ray.data.read_parquet(
+        path, columns=columns, schema=schema, override_num_blocks=block_count(nbytes)
+    )
 
 
 def load_table(

@@ -43,6 +43,10 @@ def co_partition(ds, keys, fn, n: int):
     inside ``fn`` (vectorized pandas groupbys, dedups, pair enumeration)
     are global. ``n`` is the number of hash buckets.
 
+    ``ds`` is one Dataset or a list of them with the same columns (a
+    tagged-union join): each input is stamped before the union, so each
+    stamp fuses into the map that tags its side.
+
     ``fn`` runs once per sorted block, not once per bucket or key: one call
     sees many buckets and many keys, so it must reduce per key itself and
     never assume its frame holds one key. It never sees a zero-row frame.
@@ -67,11 +71,11 @@ def co_partition(ds, keys, fn, n: int):
         if len(block):
             yield fn(block.drop(columns=_BUCKET))
 
-    return (
-        ds.map_batches(stamp, batch_format=None)
-        .sort(_BUCKET)
-        .map_batches(run, batch_size=None, batch_format="pandas")
-    )
+    first, *rest = ds if isinstance(ds, (list, tuple)) else [ds]
+    both = first.map_batches(stamp, batch_format=None)
+    if rest:
+        both = both.union(*(d.map_batches(stamp, batch_format=None) for d in rest))
+    return both.sort(_BUCKET).map_batches(run, batch_size=None, batch_format="pandas")
 
 
 def per_key(frame: pd.DataFrame, key: str, fn) -> pd.DataFrame:

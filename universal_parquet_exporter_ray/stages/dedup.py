@@ -807,6 +807,8 @@ def _edge_checksum(ds) -> tuple[int, int]:
     @ray.remote
     def block_sum(block) -> int:
         df = BlockAccessor.for_block(block).to_pandas()
+        if not len(df):
+            return 0  # a sort reducer that got no rows gives a columnless block
         h = pd.util.hash_pandas_object(
             df["u"].astype("int64") * np.int64(1000003) + df["v"].astype("int64"),
             index=False,
@@ -1083,9 +1085,10 @@ def verify_pairs(
                 }
             )
 
-        both = blobs.map_batches(tag_blobs, batch_format="pandas").union(
-            members_ds.map_batches(tag_members, batch_format="pandas")
-        )
+        both = [
+            blobs.map_batches(tag_blobs, batch_format="pandas"),
+            members_ds.map_batches(tag_members, batch_format="pandas"),
+        ]
 
         def join_group(g: pd.DataFrame):
             m = g[g["role"].to_numpy() == 1]
