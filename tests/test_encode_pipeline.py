@@ -648,9 +648,9 @@ def test_lpt_bins_matches_inline_wave_packing():
 
 def test_block_count_and_wave_bins(monkeypatch):
     """``block_count`` gives one block per CPU slot and more only once each
-    holds ``MIN_BLOCK_BYTES``; the encode wave packs into that many bins,
-    capped at ``WAVE_BINS_PER_SLOT`` per slot. No Ray: slots and the block
-    size are patched."""
+    holds ``MIN_BLOCK_BYTES``; the encode wave packs one bin per slot while
+    ``block_count`` does, else ``WAVE_BINS_PER_SLOT`` per slot. No Ray:
+    slots and the block size are patched."""
     from universal_parquet_exporter_ray import context
     from universal_parquet_exporter_ray.pipelines import encode
 
@@ -663,9 +663,8 @@ def test_block_count_and_wave_bins(monkeypatch):
         return len(encode._wave_bins(sizes))
 
     assert n_bins([10] * 20) == 2  # 200 B: one bin per slot
-    assert n_bins([10] * 30) == 3  # 300 B: one bin per 100 B
-    assert n_bins([10] * 60) == 6  # 600 B
-    assert n_bins([100] * 60) == 2 * encode.WAVE_BINS_PER_SLOT  # capped
+    assert n_bins([10] * 30) == 2 * encode.WAVE_BINS_PER_SLOT  # 300 B
+    assert n_bins([100] * 60) == 2 * encode.WAVE_BINS_PER_SLOT
     assert n_bins([1000]) == 1  # never more bins than partitions
     bins = encode._wave_bins([50, 10, 40, 30, 20, 70])
     assert sorted(i for b in bins for i in b) == list(range(6))

@@ -8,9 +8,11 @@ Runs each named ``__ray_entry__.queries()`` entry ``--repeat`` times (default
 prints one row per query: the Ray Data executions of one run (every call of
 ``StreamingExecutor.execute``: a ``materialize``, a ``count`` that is not a
 metadata read, a ``to_pandas``, an iteration), the blocks its table reads
-make (summed over every ``read_parquet_clean`` call of one run) and the min
-/ median wall time over the runs. One warm-up query runs first, so worker
-start-up is not charged to the first query named.
+make (summed over every ``read_parquet_clean`` call of the last run; each
+of those reads is materialized on its own after the timed runs, and these
+executions are not counted) and the min / median wall time over the runs.
+One warm-up query runs first, so worker start-up is not charged to the
+first query named.
 """
 
 from __future__ import annotations
@@ -55,23 +57,6 @@ def record_reads():
 
     tables.read_parquet_clean = recorded
     return reads
-
-
-def read_blocks(ds) -> int:
-    """The output blocks of a read Dataset's read, as Ray's
-    ``SetReadParallelismRule`` sizes them at execution."""
-    from ray.data import DataContext
-    from ray.data._internal.logical.rules.set_read_parallelism import (
-        compute_additional_split_factor,
-    )
-
-    op = ds._logical_plan.dag
-    return compute_additional_split_factor(
-        op._datasource_or_legacy_reader,
-        op._parallelism,
-        op._mem_size,
-        DataContext.get_current().target_max_block_size,
-    )[2]
 
 
 def main() -> None:
@@ -119,7 +104,7 @@ def main() -> None:
             to_pandas(registry[name](args.tables))
             secs.append(time.perf_counter() - t0)
             runs.append(calls[0] - before)
-        blocks = sum(read_blocks(ds) for ds in reads)
+        blocks = sum(ds.materialize().num_blocks() for ds in reads)
         # a query's plan is fixed for given tables, so every run counts the same
         n_exec = runs[0] if len(set(runs)) == 1 else "/".join(map(str, runs))
         print(

@@ -2,13 +2,15 @@
 DataContext caps on shuffle parallelism.
 
 ``block_count(nbytes)`` is the one block-count rule: every package table
-read (``sources.tables.read_parquet_clean``), the decode
-(``pipelines.verify.decoded_dataset``) and the encode wave
-(``pipelines.encode._encode_wave``) size themselves with it. Ray's read
-autodetect floors every read at ``2 × CPUs`` blocks, so a 1.5 KB table
-became 2 blocks on 1 CPU and 8 on 4, each block one more task in every
-downstream operator, and a split read keeps Ray from fusing the next map
-into the read.
+read (``sources.tables.read_parquet_clean``) and the decode
+(``pipelines.verify.decoded_dataset``) size themselves with it, and the
+encode wave (``pipelines.encode._wave_bins``) packs one bin per slot
+while it gives one block per slot. Ray's read autodetect floors every
+read at ``2 × CPUs`` blocks, so a 1.5 KB table became 2 blocks on 1 CPU
+and 8 on 4, each block one more task in every downstream operator, and a
+split read keeps Ray from fusing the next map into the read. A read counts
+on-disk (compressed) bytes; Ray still splits any read block whose
+estimated in-memory size passes ``target_max_block_size``.
 
 Ray Data's defaults (``min_parallelism = 200``, 200-way sort shuffles) are
 sized for large multi-node clusters; on an N-CPU node they turn every

@@ -68,13 +68,13 @@ DatasetLike = Union[str, "ray.data.Dataset"]
 # up to this many rows per spill task; a Dataset source spills batches of it
 SPILL_BATCH_ROWS = 100_000
 
-# most encode-wave bins per CPU slot: fine enough that Ray's scheduler
+# encode-wave bins per CPU slot: fine enough that Ray's scheduler
 # work-steals around stragglers, coarse enough that per-task dispatch stays
 # negligible; a bins/slots ratio below ~4 left a measurable straggler tail
-# (byte-balanced bins are only approximately time-balanced). A wave gets
-# this many only when each bin still holds ``MIN_BLOCK_BYTES``; a smaller
-# spill gets ``block_count`` bins (one per slot when it is under 16 MiB),
-# since 12 tiny tasks per CPU cost more dispatch than the stragglers they hide
+# (byte-balanced bins are only approximately time-balanced). Only a spill
+# that ``block_count`` gives one block per slot (under ``MIN_BLOCK_BYTES``
+# per slot) gets one bin per slot instead: 12 tiny tasks per CPU there cost
+# more dispatch than the stragglers they hide
 WAVE_BINS_PER_SLOT = 12
 
 
@@ -524,11 +524,12 @@ def _choose(ack_df, exchange_dir: str) -> dict:
 
 
 def _wave_bins(sizes: list[int]) -> list[list[int]]:
-    """The encode wave's LPT bins of partition ``sizes`` (acked bytes):
-    ``min(slots × WAVE_BINS_PER_SLOT, block_count(total bytes))`` of them,
-    i.e. the straggler guard while each bin holds ``MIN_BLOCK_BYTES`` and
-    fewer bins (down to one per slot) for a smaller spill."""
-    return lpt_bins(sizes, min(cpu_slots() * WAVE_BINS_PER_SLOT, block_count(sum(sizes))))
+    """The encode wave's LPT bins of partition ``sizes`` (acked bytes): one
+    per CPU slot when ``block_count(total bytes)`` is one block per slot,
+    else the straggler guard's ``slots × WAVE_BINS_PER_SLOT``."""
+    slots = cpu_slots()
+    per_slot = 1 if block_count(sum(sizes)) <= slots else WAVE_BINS_PER_SLOT
+    return lpt_bins(sizes, slots * per_slot)
 
 
 def _encode_wave(
