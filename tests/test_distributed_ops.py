@@ -1350,11 +1350,9 @@ def test_dedup_clusters_components(ray_session, tmp_path):
         }
     )
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
-    out = (
-        QUERIES["dedup_clusters"](str(tmp_path))
-        .to_pandas()
-        .set_index("doc_id")["cluster_id"]
-    )
+    out = QUERIES["dedup_clusters"](str(tmp_path))
+    assert isinstance(out, pd.DataFrame)  # the pairs are on the driver
+    out = out.set_index("doc_id")["cluster_id"]
     assert out.to_dict() == {10: 10, 11: 10, 12: 10, 20: 20, 21: 20}
 
 
@@ -1464,20 +1462,39 @@ def test_shuffle_order_is_deterministic_permutation(ray_session):
     assert a["pos"].tolist() == b["pos"].tolist()
 
 
-def test_connected_components_chain_graph(ray_session):
+def _components(edges: pd.DataFrame, container: str, monkeypatch, blocks: int):
+    """``connected_components`` of ``edges`` given as a pandas frame or as a
+    ``blocks``-block Dataset, as a pandas frame. The frame form must return
+    a frame without starting a Ray Data execution."""
+    from universal_parquet_exporter_ray.stages.dedup import connected_components
+
+    if container == "dataset":
+        ds = ray.data.from_pandas(edges).repartition(blocks)
+        return connected_components(ds).to_pandas()
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the frame path started a Ray Data execution")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", refuse)
+    out = connected_components(edges)
+    assert isinstance(out, pd.DataFrame)
+    return out
+
+
+@pytest.mark.parametrize("container", ["frame", "dataset"])
+def test_connected_components_chain_graph(ray_session, container, monkeypatch):
     """Worst-case diameter: a chain 0-1-2-...-63 plus a second component.
     The alternating star algorithm must converge in O(log n) rounds with no
     graph-sized driver structure (driver state is one checksum per round)."""
-    from universal_parquet_exporter_ray.stages.dedup import connected_components
-
     n = 64
     chain = pd.DataFrame(
         {"u": np.arange(n - 1, dtype=np.int64) + 100,
          "v": np.arange(1, n, dtype=np.int64) + 100}
     )
     other = pd.DataFrame({"u": [7, 8], "v": [8, 9]})
-    edges = ray.data.from_pandas(pd.concat([chain, other], ignore_index=True)).repartition(5)
-    out = connected_components(edges).to_pandas().sort_values("doc_id")
+    edges = pd.concat([chain, other], ignore_index=True)
+    out = _components(edges, container, monkeypatch, 5).sort_values("doc_id")
     got = dict(zip(out["doc_id"], out["cluster_id"]))
     for i in range(100, 100 + n):
         assert got[i] == 100
@@ -1486,10 +1503,20 @@ def test_connected_components_chain_graph(ray_session):
     assert len(out) == n + 3
 
 
+def test_connected_components_empty_frame(ray_session, monkeypatch):
+    """No edges: a typed-empty int64 (doc_id, cluster_id) frame, so a query
+    with no near-dup pairs needs no empty branch of its own."""
+    empty = pd.DataFrame({"u": pd.Series([], dtype="int64"), "v": pd.Series([], dtype="int64")})
+    out = _components(empty, "frame", monkeypatch, 1)
+    assert list(out.columns) == ["doc_id", "cluster_id"]
+    assert len(out) == 0
+    assert out.dtypes.tolist() == [np.dtype("int64")] * 2
+
+
 def test_edge_checksum_ignores_block_layout(ray_session):
     """The convergence signature of one edge set is the same however its
-    rows are split into blocks, and equals the sum mod 2**64 of the
-    per-row hashes."""
+    rows are split into blocks, equals the signature of the same edges as
+    a pandas frame, and is the sum mod 2**64 of the per-row hashes."""
     from universal_parquet_exporter_ray.stages.dedup import _edge_checksum
 
     rng = np.random.default_rng(5)
@@ -1500,9 +1527,10 @@ def test_edge_checksum_ignores_block_layout(ray_session):
         df["u"] * np.int64(1000003) + df["v"], index=False
     ).to_numpy(np.uint64)
     expect = (len(df), sum(int(x) for x in h) % (1 << 64))
+    assert _edge_checksum(df) == expect
     for blocks in (1, 2, 3, 7):
         ds = ray.data.from_pandas(df).repartition(blocks).materialize()
-        assert _edge_checksum(ds) == expect, blocks
+        assert _edge_checksum(ds) == _edge_checksum(df), blocks
 
 
 def test_edge_checksum_skips_columnless_empty_block(ray_session):
@@ -1516,17 +1544,15 @@ def test_edge_checksum_skips_columnless_empty_block(ray_session):
     assert _edge_checksum(ds) == _edge_checksum(ray.data.from_pandas(df).materialize())
 
 
-def test_connected_components_matches_bruteforce(ray_session):
+@pytest.mark.parametrize("container", ["frame", "dataset"])
+def test_connected_components_matches_bruteforce(ray_session, container, monkeypatch):
     """Random sparse graph vs a reference union-find computed in the test."""
-    from universal_parquet_exporter_ray.stages.dedup import connected_components
-
     rng = np.random.default_rng(11)
     m, n_nodes = 300, 200
     a = rng.integers(0, n_nodes, m).astype(np.int64)
     b = rng.integers(0, n_nodes, m).astype(np.int64)
     keep = a != b
     a, b = a[keep], b[keep]
-    edges = ray.data.from_pandas(pd.DataFrame({"u": a, "v": b})).repartition(4)
 
     parent = {}
     def find(x):
@@ -1546,7 +1572,7 @@ def test_connected_components_matches_bruteforce(ray_session):
         comp_min[find(r)] = min(comp_min.get(find(r), v), v)
     expected = {v: comp_min[find(v)] for v in nodes}
 
-    out = connected_components(edges).to_pandas()
+    out = _components(pd.DataFrame({"u": a, "v": b}), container, monkeypatch, 4)
     got = dict(zip(out["doc_id"], out["cluster_id"]))
     assert got == expected
 

@@ -1,16 +1,24 @@
 """Driver-mimic: run every queries() entry and its oracle_sql() twin on the
 same sf dir, compare row count, column names, and order-insensitive values.
 
-Usage: python tools/check_oracle.py [sf_dir] [query ...]
+Usage: python tools/check_oracle.py SF_DIR [query ...] [--strict-dtypes]
+           [--num-cpus N]
+
+Checks the package of the checkout this script is in, on the driver and on
+the Ray workers, whatever the current directory.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_pandas(obj) -> pd.DataFrame:
@@ -86,19 +94,30 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame, strict: bool 
 
 
 def main():
-    argv = [a for a in sys.argv[1:] if a != "--strict-dtypes"]
-    strict = "--strict-dtypes" in sys.argv[1:]
-    sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
-    only = set(argv[1:])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sf_dir", help="directory of <table>.parquet")
+    ap.add_argument("queries", nargs="*", metavar="query")
+    ap.add_argument("--strict-dtypes", action="store_true")
+    ap.add_argument("--num-cpus", type=int, default=8)
+    args = ap.parse_args()
+    sf_dir, only, strict = os.path.abspath(args.sf_dir), set(args.queries), args.strict_dtypes
 
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+    # Ray workers put the driver's cwd ahead of its PYTHONPATH and ignore
+    # its sys.path, so run from the root whose package is checked
+    sys.path.insert(0, ROOT)
+    os.chdir(ROOT)
+    ray.init(
+        address="local",
+        num_cpus=args.num_cpus,
+        include_dashboard=False,
+        logging_level="ERROR",
+    )
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     queries = entrymod.queries()

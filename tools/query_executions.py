@@ -7,10 +7,12 @@ Runs each named ``__ray_entry__.queries()`` entry ``--repeat`` times (default
 5) on the tables in DIR, pulls every result to the driver as pandas, and
 prints one row per query: the Ray Data executions of one run (every call of
 ``StreamingExecutor.execute``: a ``materialize``, a ``count`` that is not a
-metadata read, a ``to_pandas``, an iteration), the blocks its table reads
-make (summed over every ``read_parquet_clean`` call of the last run; each
-of those reads is materialized on its own after the timed runs, and these
-executions are not counted) and the min / median wall time over the runs.
+metadata read, a ``to_pandas``, an iteration), the sorts of one run (every
+call of ``Dataset.sort``; each ``co_partition`` is one), the blocks its
+table reads make (summed over every ``read_parquet_clean`` call of the last
+run; each of those reads is materialized on its own after the timed runs,
+and these executions are not counted) and the min / median wall time over
+the runs.
 One warm-up query runs first, so worker start-up is not charged to the
 first query named.
 """
@@ -42,6 +44,22 @@ def count_executions():
     return calls
 
 
+def count_sorts():
+    """Wrap ``Dataset.sort``; return a one-item list holding the number of
+    sorts built since the wrap."""
+    from ray.data import Dataset
+
+    calls = [0]
+    sort = Dataset.sort
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return sort(self, *args, **kwargs)
+
+    Dataset.sort = counted
+    return calls
+
+
 def record_reads():
     """Wrap ``sources.tables.read_parquet_clean``; return the list the
     Datasets it builds are appended to."""
@@ -70,8 +88,11 @@ def main() -> None:
     import ray
     from ray.data import DataContext
 
+    args.tables = os.path.abspath(args.tables)
     sys.path.insert(0, ROOT)
     sys.path.insert(0, os.path.join(ROOT, "tools"))
+    # Ray workers import from the driver's cwd, not from its sys.path
+    os.chdir(ROOT)
     import __ray_entry__
     from check_oracle import to_pandas
 
@@ -88,27 +109,32 @@ def main() -> None:
     )
     DataContext.get_current().enable_progress_bars = False
     calls = count_executions()
+    sorts = count_sorts()
     reads = record_reads()
     to_pandas(registry["count_distinct"](args.tables))
 
     print(
-        f"{'query':24s} {'executions':>10s} {'read_blocks':>11s} "
+        f"{'query':24s} {'executions':>10s} {'sorts':>5s} {'read_blocks':>11s} "
         f"{'min_s':>8s} {'median_s':>8s}"
     )
     for name in args.queries:
-        runs, secs = [], []
+        runs, sorted_, secs = [], [], []
         for _ in range(args.repeat):
-            before = calls[0]
+            before, sorts_before = calls[0], sorts[0]
             reads.clear()
             t0 = time.perf_counter()
             to_pandas(registry[name](args.tables))
             secs.append(time.perf_counter() - t0)
             runs.append(calls[0] - before)
+            sorted_.append(sorts[0] - sorts_before)
         blocks = sum(ds.materialize().num_blocks() for ds in reads)
         # a query's plan is fixed for given tables, so every run counts the same
-        n_exec = runs[0] if len(set(runs)) == 1 else "/".join(map(str, runs))
+        n_exec, n_sort = (
+            c[0] if len(set(c)) == 1 else "/".join(map(str, c))
+            for c in (runs, sorted_)
+        )
         print(
-            f"{name:24s} {n_exec!s:>10s} {blocks:11d} {min(secs):8.3f} "
+            f"{name:24s} {n_exec!s:>10s} {n_sort!s:>5s} {blocks:11d} {min(secs):8.3f} "
             f"{statistics.median(secs):8.3f}"
         )
     ray.shutdown()

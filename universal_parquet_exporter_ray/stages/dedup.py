@@ -744,7 +744,7 @@ class SimHashStage:
 
 
 # ---------------------------------------------------------------------------
-# Distributed connected components over the near-dup pair graph
+# Connected components over the near-dup pair graph
 # ---------------------------------------------------------------------------
 
 def _large_star(g: pd.DataFrame) -> pd.DataFrame:
@@ -795,69 +795,92 @@ def _orient_max_min(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"u": np.maximum(u, v), "v": np.minimum(u, v)})
 
 
-def _edge_checksum(ds) -> tuple[int, int]:
-    """(row count, order-insensitive uint64 checksum) of a materialized,
-    deduped edge dataset, without a second Ray Data execution: the count
-    is the materialized metadata, the checksum one plain Ray task per block
-    returning one int. It is the sum mod 2**64 of per-row edge hashes, so
-    it does not depend on how the rows are split into blocks."""
+def _edge_hash_sum(df: pd.DataFrame) -> int:
+    """Sum mod 2**64 of per-row hashes of one frame of (``u``, ``v``)
+    edges: order-insensitive, so sums of parts add up to the sum of the
+    whole."""
+    if not len(df):
+        return 0  # a sort reducer that got no rows gives a columnless block
+    h = pd.util.hash_pandas_object(
+        df["u"].astype("int64") * np.int64(1000003) + df["v"].astype("int64"),
+        index=False,
+    ).to_numpy(np.uint64)
+    return int(h.sum(dtype=np.uint64))
+
+
+def _edge_checksum(edges) -> tuple[int, int]:
+    """(row count, order-insensitive uint64 checksum) of a deduped edge
+    frame or materialized edge Dataset. A Dataset costs no second Ray Data
+    execution: the count is the materialized metadata, the checksum one
+    plain Ray task per block returning its ``_edge_hash_sum``. The same
+    edges give the same pair in either container, however they are split
+    into blocks."""
+    if isinstance(edges, pd.DataFrame):
+        return len(edges), _edge_hash_sum(edges)
+
     import ray
     from ray.data.block import BlockAccessor
 
     @ray.remote
     def block_sum(block) -> int:
-        df = BlockAccessor.for_block(block).to_pandas()
-        if not len(df):
-            return 0  # a sort reducer that got no rows gives a columnless block
-        h = pd.util.hash_pandas_object(
-            df["u"].astype("int64") * np.int64(1000003) + df["v"].astype("int64"),
-            index=False,
-        ).to_numpy(np.uint64)
-        return int(h.sum(dtype=np.uint64))
+        return _edge_hash_sum(BlockAccessor.for_block(block).to_pandas())
 
-    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    refs = [r for b in edges.iter_internal_ref_bundles() for r in b.block_refs]
     sums = ray.get([block_sum.remote(r) for r in refs])
-    return ds.count(), sum(sums) % (1 << 64)
+    return edges.count(), sum(sums) % (1 << 64)
 
 
 def connected_components(edges, max_rounds: int = 64):
-    """Connected components of an undirected edge Dataset (``u``, ``v``)
-    via alternating large-star / small-star rounds (Kiveris et al.,
-    *Connected Components in MapReduce and Beyond*, SoCC'14) — the
-    100-TB-shaped replacement for a driver-side union-find:
+    """Connected components of an undirected (``u``, ``v``) edge set via
+    alternating large-star / small-star rounds (Kiveris et al.,
+    *Connected Components in MapReduce and Beyond*, SoCC'14). The rounds
+    run where the edges are:
 
-    - every round is two 32-bucket ``co_partition`` passes on ``u`` (all
-      rows of a node in one call, so per-node mins there are GLOBAL)
-      with fully vectorized pandas bodies — the edge set never leaves the
-      workers;
-    - the driver holds ONE (count, checksum) pair per round for convergence
-      detection, O(rounds) state total;
-    - converges to per-component stars rooted at the component minimum in
-      O(log n) rounds (chain graphs — the worst case — included).
+    - a pandas frame (edges already on the driver) runs them on the
+      driver and returns a pandas frame. The whole frame is one
+      co-partition: every star body is vectorized over all the keys of
+      its input, so one call per step is exact, with no Ray Data
+      execution and no shuffle;
+    - a Dataset runs every round as two 32-bucket ``co_partition`` passes
+      on ``u`` (all rows of a node in one call, so per-node mins there
+      are global) and returns a lazy Dataset. The edge set never leaves
+      the workers; the driver holds one (count, checksum) pair per round.
 
-    Returns a Dataset with columns (``doc_id``, ``cluster_id``) covering
-    every node incident to an edge; ``cluster_id`` is the component's
-    minimum node id.
+    Both containers run the same loop and the same bodies below, so they
+    reach the same fixpoint: per-component stars rooted at the component
+    minimum, in O(log n) rounds (chain graphs, the worst case, included).
+
+    The result has columns (``doc_id``, ``cluster_id``) int64, one row per
+    node incident to an edge; ``cluster_id`` is the component's minimum
+    node id. An empty edge frame gives a zero-row frame of those columns.
     """
     from . import co_partition
 
-    cur = edges.map_batches(_orient_max_min, batch_format="pandas").materialize()
+    if isinstance(edges, pd.DataFrame):
+        def each(df, fn):
+            return fn(df)
+
+        def group(df, keys, fn):
+            return fn(df)
+
+        def settle(df):
+            return df
+    else:
+        def each(ds, fn):
+            return ds.map_batches(fn, batch_format="pandas")
+
+        def group(ds, keys, fn):
+            return co_partition(ds, keys, fn, 32)
+
+        def settle(ds):
+            return ds.materialize()
+
+    cur = settle(each(edges, _orient_max_min))
     prev_sig = None
     for _ in range(max_rounds):
-        large = co_partition(
-            cur.map_batches(_symmetrize, batch_format="pandas"),
-            ["u"],
-            _large_star,
-            32,
-        )
-        small = co_partition(
-            large.map_batches(_orient_max_min, batch_format="pandas"),
-            ["u"],
-            _small_star,
-            32,
-        ).materialize()
-        sig = _edge_checksum(small)
-        cur = small
+        large = group(each(cur, _symmetrize), ["u"], _large_star)
+        cur = settle(group(each(large, _orient_max_min), ["u"], _small_star))
+        sig = _edge_checksum(cur)
         if sig == prev_sig:
             break
         prev_sig = sig
@@ -881,10 +904,10 @@ def connected_components(edges, max_rounds: int = 64):
             }
         ).drop_duplicates()
 
-    labels = cur.map_batches(to_labels, batch_format="pandas")
+    labels = each(cur, to_labels)
     # global dedup: a node's (doc_id, cluster_id) row is identical in every
     # batch at convergence, so a doc_id co-partition drop_duplicates is exact
-    return co_partition(labels, ["doc_id"], lambda g: g.drop_duplicates(), 32)
+    return group(labels, ["doc_id"], lambda g: g.drop_duplicates(ignore_index=True))
 
 
 # Candidate-pair verification budget: membership tables below this many
