@@ -118,7 +118,7 @@ def main() -> None:
         f"{'min_s':>8s} {'median_s':>8s}"
     )
     for name in args.queries:
-        runs, sorted_, secs = [], [], []
+        runs, sort_runs, secs = [], [], []
         for _ in range(args.repeat):
             before, sorts_before = calls[0], sorts[0]
             reads.clear()
@@ -126,12 +126,12 @@ def main() -> None:
             to_pandas(registry[name](args.tables))
             secs.append(time.perf_counter() - t0)
             runs.append(calls[0] - before)
-            sorted_.append(sorts[0] - sorts_before)
+            sort_runs.append(sorts[0] - sorts_before)
         blocks = sum(ds.materialize().num_blocks() for ds in reads)
         # a query's plan is fixed for given tables, so every run counts the same
         n_exec, n_sort = (
             c[0] if len(set(c)) == 1 else "/".join(map(str, c))
-            for c in (runs, sorted_)
+            for c in (runs, sort_runs)
         )
         print(
             f"{name:24s} {n_exec!s:>10s} {n_sort!s:>5s} {blocks:11d} {min(secs):8.3f} "
