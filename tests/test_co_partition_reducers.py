@@ -1,7 +1,7 @@
 """Every ``co_partition`` reducer of the package gets a block holding many
 keys. Ray-free properties: one call on a shuffled many-key frame gives the
 same rows as one call per key; and no module calls Ray's ``map_groups``
-(``co_partition`` is the one grouped shuffle)."""
+or ``groupby().aggregate`` (``co_partition`` is the one grouped shuffle)."""
 
 from __future__ import annotations
 
@@ -235,15 +235,37 @@ def test_range_sums_1h_matches_bruteforce(seed, n, n_users):
     assert len(got) == n == len(out)
 
 
+def _grouped_shuffle(node) -> bool:
+    """A call of Ray's sort-shuffle groupby: ``.map_groups(...)``, or an
+    ``.aggregate(...)`` chained on a ``.groupby(...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr == "map_groups":
+        return True
+    inner = node.func.value
+    return (
+        node.func.attr == "aggregate"
+        and isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Attribute)
+        and inner.func.attr == "groupby"
+    )
+
+
 def test_no_module_calls_map_groups():
     """``stages.co_partition`` is the package's one grouped shuffle: no
-    module calls Ray's ``groupby(...).map_groups``."""
+    module calls Ray's ``groupby(...).map_groups`` or
+    ``groupby(...).aggregate``."""
     calls = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "map_groups"
+        if _grouped_shuffle(node)
     ]
     assert calls == []
+    # the scan sees both forms, and not a plain global ``ds.aggregate``
+    sample = ast.parse(
+        "ds.groupby('k').map_groups(f)\n"
+        "ds.groupby(['k']).aggregate(Count())\n"
+        "ds.aggregate(Count())\n"
+    )
+    assert sum(map(_grouped_shuffle, ast.walk(sample))) == 2

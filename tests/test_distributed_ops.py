@@ -83,30 +83,6 @@ def test_pair_group_all_pairs_exact(ray_session):
     assert pairs["cos_ppm"].tolist() == ppm.tolist()
 
 
-def test_shingle_stage_and_pair_jaccard():
-    from universal_parquet_exporter_ray.stages.dedup import (
-        ShingleStage,
-        jaccard_from_sets,
-        pair_jaccard_batch,
-        word_shingle_hashes,
-    )
-
-    a = "the quick brown fox jumps over the lazy dog again and again"
-    b = "the quick brown fox jumps over the lazy cat again and again"
-    sh = ShingleStage()(pd.DataFrame({"doc_id": [1, 2], "text": [a, b]}))
-    assert sh["n_sh"].tolist() == [len(word_shingle_hashes(a)), len(word_shingle_hashes(b))]
-    joined = pd.DataFrame(
-        {
-            "doc_a": [1], "doc_b": [2],
-            "sh_a": [sh["sh"].iloc[0]], "sh_b": [sh["sh"].iloc[1]],
-            "n_a": [sh["n_sh"].iloc[0]], "n_b": [sh["n_sh"].iloc[1]],
-        }
-    )
-    out = pair_jaccard_batch(joined)
-    jac = jaccard_from_sets(word_shingle_hashes(a), word_shingle_hashes(b))
-    assert out["inter"].iloc[0] / out["union"].iloc[0] == pytest.approx(jac)
-
-
 def test_bucket_partition_colocates_and_enumerates_pairs():
     import numpy as np
 
@@ -326,11 +302,10 @@ def test_verify_pairs_broadcast_and_distributed_agree(ray_session):
 
 
 def test_shingle_explode_and_posting_pairs():
-    import numpy as np
-
+    """ShingleExplode emits the posting rows of the shingle index: one row
+    per distinct shingle of a doc, with the doc's shingle count on each."""
     from universal_parquet_exporter_ray.stages.dedup import (
         ShingleExplode,
-        posting_list_pairs,
         word_shingle_hashes,
     )
 
@@ -341,11 +316,11 @@ def test_shingle_explode_and_posting_pairs():
     # one row per distinct shingle, n carried on every row
     na, nb = len(word_shingle_hashes(a)), len(word_shingle_hashes(b))
     assert (ex[ex.doc_id == 1]["n"] == na).all() and len(ex[ex.doc_id == 1]) == na
+    assert (ex[ex.doc_id == 2]["n"] == nb).all() and len(ex[ex.doc_id == 2]) == nb
     # docs 1 and 2 share exactly the shingle "w1 w2 w3"; doc 3 shares none
-    hits = posting_list_pairs(ex)
-    assert len(hits) == 1
-    r = hits.iloc[0]
-    assert (r["doc_a"], r["doc_b"], r["n_a"], r["n_b"]) == (1, 2, na, nb)
+    shared = set(ex[ex.doc_id == 1]["sh"]) & set(ex[ex.doc_id == 2]["sh"])
+    assert len(shared) == 1
+    assert not shared & set(ex[ex.doc_id == 3]["sh"])
 
 
 def test_asof_prev_group_matches_latest_prior():
@@ -1057,43 +1032,6 @@ def test_user_window_blocks_match_bruteforce(events):
     assert all(str(out[c].dtype) == "int64" for c in out.columns)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    docs=st.lists(
-        st.text(alphabet="ab ", min_size=0, max_size=40), min_size=2, max_size=12
-    )
-)
-def test_posting_pair_counts_equal_exact_intersections(docs):
-    """pair-hit rows grouped per pair must count the EXACT shingle-set
-    intersection — the invariant the ngram_jaccard pipeline rests on."""
-    import numpy as np
-
-    from universal_parquet_exporter_ray.stages.dedup import (
-        ShingleExplode,
-        posting_list_pairs,
-        word_shingle_hashes,
-    )
-
-    df = pd.DataFrame(
-        {"doc_id": np.arange(len(docs), dtype=np.int64), "text": docs}
-    )
-    ex = ShingleExplode()(df)
-    # run the pair stage once per shingle: a co-partition on sh holds every
-    # row of a shingle, so this is the pipeline's finest bucket layout
-    hits = pd.concat(
-        [posting_list_pairs(g) for _, g in ex.groupby("sh")],
-        ignore_index=True,
-    )
-    counted = (
-        hits.groupby(["doc_a", "doc_b"]).size().to_dict() if len(hits) else {}
-    )
-    sets = [set(word_shingle_hashes(t).tolist()) for t in docs]
-    for a in range(len(docs)):
-        for b in range(a + 1, len(docs)):
-            inter = len(sets[a] & sets[b])
-            assert counted.get((a, b), 0) == inter
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     vals=st.lists(
@@ -1633,14 +1571,15 @@ def test_tfidf_min_df_cutoff_is_exact(ray_session):
         assert idf_cut[t] == idf_all[t]
 
 
-def test_combiner_groupby_small_and_distributed_finals_agree(ray_session):
+def test_combiner_groupby_small_and_distributed_finals_agree(ray_session, monkeypatch):
     """combiner_groupby must produce identical grouped SUM/AVG/MIN/MAX/COUNT
     results whether the thresholded final reduce runs driver-side (pandas)
-    or distributed (forced with final_cap=0)."""
+    or distributed (forced with FINAL_REDUCE_CAP = 0)."""
     import numpy as np
     import pandas as pd
     import ray
 
+    from universal_parquet_exporter_ray.stages import agg
     from universal_parquet_exporter_ray.stages.agg import combiner_groupby
 
     rng = np.random.default_rng(11)
@@ -1665,7 +1604,8 @@ def test_combiner_groupby_small_and_distributed_finals_agree(ray_session):
     )
     small = combiner_groupby(ds, ["k"], **kwargs)
     assert isinstance(small, pd.DataFrame)  # under the cap -> driver final
-    large = combiner_groupby(ds, ["k"], final_cap=0, **kwargs)
+    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    large = combiner_groupby(ds, ["k"], **kwargs)
     assert not isinstance(large, pd.DataFrame)  # forced distributed final
     large = large.to_pandas()
 
@@ -1688,12 +1628,13 @@ def test_combiner_groupby_small_and_distributed_finals_agree(ray_session):
     pd.testing.assert_frame_equal(small, canon(exp), check_dtype=False)
 
 
-def test_combiner_groupby_empty_input_honors_return_shape(ray_session):
-    """ADVICE r4: on an EMPTY partial stream, final_cap=0 must still return
-    a Dataset (the documented 'final_cap=0 => Dataset' contract), and the
-    default path a typed DataFrame via empty_like."""
+def test_combiner_groupby_empty_input_honors_return_shape(ray_session, monkeypatch):
+    """ADVICE r4: on an EMPTY partial stream, a zero FINAL_REDUCE_CAP must
+    still return a Dataset (the documented 'zero cap => Dataset' contract),
+    and the default path a typed DataFrame via empty_like."""
     import ray
 
+    from universal_parquet_exporter_ray.stages import agg
     from universal_parquet_exporter_ray.stages.agg import combiner_groupby
 
     empty = pd.DataFrame(
@@ -1706,12 +1647,17 @@ def test_combiner_groupby_empty_input_honors_return_shape(ray_session):
     assert isinstance(small, pd.DataFrame) and len(small) == 0
     assert small["sum_v"].dtype == "int64"
 
-    forced = combiner_groupby(ds, ["k"], final_cap=0, **kwargs)
+    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    forced = combiner_groupby(ds, ["k"], **kwargs)
     assert not isinstance(forced, pd.DataFrame)  # Dataset, per contract
     assert forced.count() == 0
     # the empty Dataset still carries the typed result schema (Ray's own
     # to_pandas() drops columns on a 0-block stream, so check schema())
     assert set(forced.schema().names) == {"k", "sum_v", "n"}
+    # and to_frame turns it into the same typed empty frame
+    got = agg.to_frame(forced)
+    assert len(got) == 0
+    assert got.dtypes.astype(str).to_dict() == small.dtypes.astype(str).to_dict()
 
 
 def test_hopping_window_normalizes_ts_unit(ray_session, tmp_path):
@@ -1891,21 +1837,6 @@ def test_keep_best_partial_merge_algebra():
         pd.testing.assert_frame_equal(
             merged.sort_values("cluster_id").reset_index(drop=True), direct
         )
-
-
-def test_keep_best_distributed_final_matches_driver(ray_session, monkeypatch):
-    """q_dedup_keep_best's distributed coarse-partition final reduce (forced
-    by a zero cap) must equal the driver pandas merge path."""
-    from universal_parquet_exporter_ray.pipelines.textops import (
-        q_dedup_keep_best,
-    )
-    from universal_parquet_exporter_ray.stages import agg
-
-    sf = "/root/testdata/sf0.001"
-    driver = q_dedup_keep_best(sf)
-    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
-    dist = q_dedup_keep_best(sf)
-    pd.testing.assert_frame_equal(driver, dist)
 
 
 def test_lsh_band_emit_banding_properties():
@@ -2170,31 +2101,66 @@ def test_exact_substr_no_duplicates_empty(ray_session, tmp_path):
         assert all(str(t) == "int64" for t in df.dtypes)
 
 
-def test_exact_substr_distributed_final_preserves_hashes(ray_session):
-    """Regression for the sf0.1 incident: with the combiner's final reduce
-    FORCED distributed (final_cap=0 -> Ray groupby over the hash keys), the
-    dup table must keep exact 64-bit hashes (int64 bit view, never float64)
-    and the result must equal the driver-final plan."""
-    from universal_parquet_exporter_ray.pipelines.textops import QUERIES
+# every query whose grouped aggregate ends in ``stages.agg.final_reduce``
+# and whose step after it is written once for both result shapes
+FINAL_PLAN_QUERIES = [
+    "case_bucket",
+    "having",
+    "distinct_rows",
+    "datediff",
+    "dedup_exact",
+    "decontaminate_neardup",
+    "curate_corpus",
+    "heavy_hitters",
+    "exact_substr_dedup",
+    "group_agg",
+    "count_distinct",
+    "join_left_coalesce",
+    "dedup_keep_best",
+]
 
-    sf = "/root/testdata/sf0.001"
-    a = (
-        QUERIES["exact_substr_dedup"](sf)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+
+@pytest.mark.parametrize("name", FINAL_PLAN_QUERIES)
+def test_final_plans_agree(ray_session, monkeypatch, name):
+    """A query gives the same frame, with the same column order and dtypes,
+    whether its finals run on the driver (the default on sf0.001) or, with
+    ``FINAL_REDUCE_CAP = 0``, as co-partitions; only the forced run goes
+    through the shared final's ``co_partition``. For ``exact_substr_dedup``
+    this pins the sf0.1 incident too: the distributed final must keep the
+    exact 64-bit window hashes (int64 bit view, never float64)."""
+    from universal_parquet_exporter_ray.pipelines.relational import (
+        QUERIES as REL,
     )
-    b = (
-        QUERIES["exact_substr_dedup"](sf, final_cap=0)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert len(a) > 0
-    assert a.equals(b)
+    from universal_parquet_exporter_ray.pipelines.textops import QUERIES as TXT
+    from universal_parquet_exporter_ray.stages import agg
+
+    query = {**REL, **TXT}[name]
+    calls, real = [], agg.co_partition
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(agg, "co_partition", spy)
+
+    def run():
+        out = query("/root/testdata/sf0.001")
+        df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    driver = run()
+    assert calls == []
+    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    forced = run()
+    assert calls
+    assert len(driver) > 0
+    if name == "exact_substr_dedup":
+        assert all(str(t) == "int64" for t in driver.dtypes)
+    assert list(forced.columns) == list(driver.columns)
+    pd.testing.assert_frame_equal(forced, driver)
 
 
-def test_combiner_groupby_distributed_final_string_and_null_keys(ray_session):
+def test_combiner_groupby_distributed_final_string_and_null_keys(ray_session, monkeypatch):
     """The bucket-hash distributed final must co-partition string and NULL
     keys consistently across partial blocks: exactly one output row per
     (k1, k2) group including the null-key groups, equal to the driver
@@ -2203,6 +2169,7 @@ def test_combiner_groupby_distributed_final_string_and_null_keys(ray_session):
 
     import ray
 
+    from universal_parquet_exporter_ray.stages import agg
     from universal_parquet_exporter_ray.stages.agg import combiner_groupby
 
     rng = np.random.default_rng(7)
@@ -2218,7 +2185,8 @@ def test_combiner_groupby_distributed_final_string_and_null_keys(ray_session):
     ds = ray.data.from_pandas(df).repartition(8)
     kwargs = dict(sums={"v": "sum_v"}, count="n_rows")
     small = combiner_groupby(ds, ["k1", "k2"], **kwargs)
-    large = combiner_groupby(ds, ["k1", "k2"], final_cap=0, **kwargs).to_pandas()
+    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    large = combiner_groupby(ds, ["k1", "k2"], **kwargs).to_pandas()
 
     canon = lambda d: (
         d.sort_values(["k1", "k2"], na_position="last")
@@ -2233,7 +2201,7 @@ def test_combiner_groupby_distributed_final_string_and_null_keys(ray_session):
     # each value must still form ONE group
     k3 = pa.array([None, None] + rng.integers(0, 3, n - 2).tolist(), pa.int64())
     ds3 = ray.data.from_arrow(pa.table({"k3": k3, "v": df["v"]})).repartition(8)
-    out3 = combiner_groupby(ds3, ["k3"], count="n_rows", final_cap=0).to_pandas()
+    out3 = combiner_groupby(ds3, ["k3"], count="n_rows").to_pandas()
     assert len(out3) == 4 and int(out3["n_rows"].sum()) == n
 
 

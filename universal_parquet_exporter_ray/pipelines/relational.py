@@ -31,7 +31,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table, table_path
 from ..stages import KEY_BUCKETS, co_partition, per_key, typed_empty
-from ..stages.agg import combiner_groupby
+from ..stages.agg import combiner_groupby, map_any, to_frame
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 
 QUERIES: dict[str, Callable] = {}
@@ -80,15 +80,7 @@ def scale_cols(ds, spec: dict[str, tuple[str, float]]):
                 df = df.drop(columns=[old])
         return df
 
-    return _map_any(ds, fn)
-
-
-def _map_any(out, fn):
-    """Apply a per-batch pandas transform to a Dataset OR directly to a
-    pandas DataFrame (combiner_groupby's driver-side final)."""
-    if isinstance(out, pd.DataFrame):
-        return fn(out)
-    return out.map_batches(fn, batch_format="pandas")
+    return map_any(ds, fn)
 
 
 def _rename(ds: "ray.data.Dataset", mapping: dict[str, str]) -> "ray.data.Dataset":
@@ -208,8 +200,6 @@ def q_case_bucket(sf_dir: str):
         sums={"c_acctbal": "sum_bal"},
         count="n",
     )
-    # match the historical column order (n before sum_bal)
-    out = out[["bal_bucket", "n", "sum_bal"]] if isinstance(out, pd.DataFrame) else out
     return scale_cols(out, {"sum_bal": ("sum_bal_c", 100.0)})
 
 
@@ -483,7 +473,7 @@ def q_count_distinct(sf_dir: str):
         )
         out["n_custs"] = out["n_custs"].astype("int64")
         return out
-    return pairs.groupby("o_orderpriority").aggregate(Count(alias_name="n_custs"))
+    return combiner_groupby(pairs, ["o_orderpriority"], count="n_custs")
 
 
 @q(
@@ -497,11 +487,7 @@ def q_having(sf_dir: str):
     # on whichever final form the threshold picked
     ds = load_table(sf_dir, "orders", ["o_custkey"])
     out = combiner_groupby(ds, ["o_custkey"], count="n_orders")
-    if isinstance(out, pd.DataFrame):
-        return out[out["n_orders"] > 15].reset_index(drop=True)
-    return out.map_batches(
-        lambda t: t.filter(pc.greater(t["n_orders"], 15)), batch_format="pyarrow"
-    )
+    return map_any(out, lambda df: df[df["n_orders"] > 15].reset_index(drop=True))
 
 
 @q(
@@ -582,9 +568,9 @@ def q_distinct_rows(sf_dir: str):
     # partials (combiner), thresholded final — hash-partition above the cap
     ds = load_table(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
     out = combiner_groupby(ds, ["l_returnflag", "l_linestatus"], count="_c")
-    if isinstance(out, pd.DataFrame):
-        return out[["l_returnflag", "l_linestatus"]].reset_index(drop=True)
-    return out.select_columns(["l_returnflag", "l_linestatus"])
+    return map_any(
+        out, lambda df: df[["l_returnflag", "l_linestatus"]].reset_index(drop=True)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -610,25 +596,15 @@ def q_datediff(sf_dir: str):
     agg = combiner_groupby(
         days, ["o_custkey"], mins={"day": "min_day"}, maxs={"day": "max_day"}
     )
-    if isinstance(agg, pd.DataFrame):
-        return pd.DataFrame(
+    return map_any(
+        agg,
+        lambda df: pd.DataFrame(
             {
-                "o_custkey": agg["o_custkey"].to_numpy(dtype=np.int64),
-                "span_days": (agg["max_day"] - agg["min_day"]).astype("int64"),
+                "o_custkey": df["o_custkey"].to_numpy(dtype=np.int64),
+                "span_days": (df["max_day"] - df["min_day"]).astype("int64"),
             }
-        )
-
-    def span(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_custkey": t["o_custkey"],
-                "span_days": pc.cast(
-                    pc.subtract(t["max_day"], t["min_day"]), pa.int64()
-                ),
-            }
-        )
-
-    return agg.map_batches(span, batch_format="pyarrow")
+        ),
+    )
 
 
 @q(
@@ -895,8 +871,7 @@ def q_rollup_agg(sf_dir: str):
         sums={"l_extendedprice": "s"},
         count="n",
     )
-    if not isinstance(fine, pd.DataFrame):
-        fine = fine.to_pandas()  # groups-sized
+    fine = to_frame(fine)  # groups-sized
     lvl2 = fine.copy()
     # dropna=False: NULL keys form a group (SQL GROUP BY convention the
     # combiner documents) and must appear in subtotal levels too (review r5)
@@ -1018,8 +993,7 @@ def q_cube_agg(sf_dir: str):
         sums={"l_extendedprice": "s"},
         count="n",
     )
-    if not isinstance(fine, pd.DataFrame):
-        fine = fine.to_pandas()
+    fine = to_frame(fine)
     by_flag = (
         fine.groupby("l_returnflag", as_index=False, dropna=False)
         .agg(s=("s", "sum"), n=("n", "sum"))
@@ -1153,8 +1127,7 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
         batch_format="pyarrow",
     )
     mins = combiner_groupby(low, ["user_id"], mins={"ts_us": "t0"})
-    if not isinstance(mins, pd.DataFrame):
-        mins = mins.to_pandas()  # ≤ n_users rows by construction
+    mins = to_frame(mins)  # ≤ n_users rows by construction
     iv = pd.DataFrame(
         {
             "iv_id": mins["user_id"].to_numpy(np.int64),
@@ -1216,8 +1189,7 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
         sums={"n": "n_events", "s": "sum_value"},
         empty_like=typed_empty(_IV_PARTIALS),
     )
-    if not isinstance(summed, pd.DataFrame):
-        summed = summed.to_pandas()  # interval-bounded
+    summed = to_frame(summed)  # interval-bounded
     out = iv[["iv_id"]].merge(summed, on="iv_id", how="left")
     out["n_events"] = out["n_events"].fillna(0).astype(np.int64)
     out["sum_value_dm"] = scaled_int(
@@ -1322,13 +1294,10 @@ def q_quantiles_hist(sf_dir: str, bins: int = 4096):
             {"bin": nz.astype(np.int64), "c": counts[nz].astype(np.int64)}
         )
 
-    from ..stages.agg import combiner_groupby
-
     out = combiner_groupby(
         ds.map_batches(hist, batch_format="pandas"), ["bin"], sums={"c": "c"}
     )
-    if not isinstance(out, pd.DataFrame):  # bins ≤ 4096 — always driver
-        out = out.to_pandas()
+    out = to_frame(out)  # bins ≤ 4096 — always driver
     hdf = out.sort_values("bin")
     cum = hdf["c"].to_numpy(dtype=np.int64).cumsum()
     bin_ids = hdf["bin"].to_numpy(dtype=np.int64)
@@ -1386,7 +1355,7 @@ def q_pivot_events(sf_dir: str):
             }
         )
 
-    return _map_any(agg, finish)
+    return map_any(agg, finish)
 
 
 @q(
@@ -1484,8 +1453,7 @@ def q_cte_share(sf_dir: str):
     seg = combiner_groupby(
         joined, ["c_mktsegment"], sums={"o_totalprice": "seg_sales"}
     )
-    if not isinstance(seg, pd.DataFrame):
-        seg = seg.to_pandas()  # segment-cardinality result, driver-safe
+    seg = to_frame(seg)  # segment-cardinality result, driver-safe
     seg["seg_sales_c"] = scaled_int(seg["seg_sales"], 100.0)
     total = int(seg["seg_sales_c"].sum())
     seg["share_ppm"] = scaled_int(seg["seg_sales_c"] * 1000000.0 / total, 1.0)
@@ -1799,8 +1767,7 @@ def q_hll_count_distinct(sf_dir: str, p: int = 12):
         ["reg"],
         maxs={"rho": "rho"},
     )
-    if not isinstance(regs, pd.DataFrame):  # ≤ 2^p rows — always driver
-        regs = regs.to_pandas()
+    regs = to_frame(regs)  # ≤ 2^p rows — always driver
     M = np.zeros(m, dtype=np.int64)
     M[regs["reg"].to_numpy(np.int64)] = regs["rho"].to_numpy(np.int64)
     alpha = 0.7213 / (1 + 1.079 / m)

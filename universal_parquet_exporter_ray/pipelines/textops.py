@@ -26,7 +26,7 @@ from ..stages import (
     thresholded_stage,
     typed_empty,
 )
-from ..stages.agg import combiner_groupby
+from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
 from ..stages.multimodal import MediaDecodeStage, to_media_table
@@ -77,13 +77,11 @@ def q_dedup_exact(sf_dir: str):
     hashed = ds.map_batches(add_hash, batch_format="pandas")
     # combiner-first: per-batch duplicates collapse before anything moves;
     # hash cardinality scales with the corpus, so above the cap the final
-    # reduce stays a distributed groupby over 64-hex rows (the 100-TB plan)
+    # reduce co-partitions the 64-hex rows (the 100-TB plan)
     out = combiner_groupby(
         hashed, ["h"], mins={"doc_id": "doc_id"}, count="n_copies"
     )
-    if isinstance(out, pd.DataFrame):
-        return out[["doc_id", "n_copies"]].reset_index(drop=True)
-    return out.select_columns(["doc_id", "n_copies"])
+    return map_any(out, lambda df: df[["doc_id", "n_copies"]].reset_index(drop=True))
 
 
 MINHASH_ORACLE_SQL = """
@@ -298,9 +296,7 @@ def q_decontaminate_neardup(
         ),
     )
     cols = ["doc_id", "n_bench_matches", "max_jac_ppm"]
-    if isinstance(out, pd.DataFrame):
-        return out[cols].reset_index(drop=True)
-    return out.select_columns(cols)
+    return map_any(out, lambda df: df[cols].reset_index(drop=True))
 
 
 _CLUSTERS_ORACLE_SQL = """
@@ -424,18 +420,17 @@ def q_dedup_keep_best(sf_dir: str):
     components on the driver frame of verified pairs) yields the
     OUTPUT-sized doc→component map as a pandas frame (only docs incident to
     a verified edge appear). The map broadcasts through
-    ``thresholded_stage`` — task-closure under the 4 MiB budget, by-value
-    actor pool above it — into ONE corpus pass that emits per-batch
+    ``thresholded_stage`` into ONE corpus pass that emits per-batch
     per-cluster ARGMAX PARTIALS (algebraic: sum counts, argmax of
-    argmaxes), so only cluster-sized rows ever leave a worker. The final
-    reduce is size-thresholded like ``stages/agg.py``: driver pandas merge
-    under the cap, a ``cluster_id`` co-partition merge above it (the 100-TB
-    path, where cluster count scales with the corpus). On a dup-heavy
-    crawl whose component map outgrows any broadcast budget, the doc→label
-    tagging falls back to the distributed hash join (``verify_pairs``'s
-    documented switch) — the partial/merge stages are unchanged."""
+    argmaxes), so only cluster-sized rows ever leave a worker. The map
+    always broadcasts: in the task closure while it is within
+    ``UPXR_TASK_BROADCAST_BUDGET`` (4 MiB), else by value once per actor
+    of a ``ClusterBestPartial`` pool. There is no join fallback, so the
+    map must fit a worker heap. The partials merge through
+    ``stages.agg.final_reduce``: a driver pandas merge within its caps, a
+    ``cluster_id`` co-partition merge above them (the 100-TB path, where
+    cluster count scales with the corpus)."""
     from ..stages import thresholded_stage
-    from ..stages.agg import FINAL_REDUCE_CAP
     from ..stages.dedup import ClusterBestPartial, merge_keep_best_partials
 
     cdf = q_dedup_clusters(sf_dir)
@@ -456,12 +451,9 @@ def q_dedup_keep_best(sf_dir: str):
         batch_format="pandas",
     ).materialize()
 
-    if partials.count() <= FINAL_REDUCE_CAP:
-        out = merge_keep_best_partials(partials.to_pandas())
-    else:
-        out = co_partition(
-            partials, ["cluster_id"], merge_keep_best_partials, 64
-        ).to_pandas()
+    out = to_frame(
+        final_reduce(partials, ["cluster_id"], merge_keep_best_partials)
+    )
     return (
         out[["cluster_id", "kept_doc", "best_tok", "n_members"]]
         .sort_values("cluster_id")
@@ -814,8 +806,6 @@ def q_repetition_ratio(sf_dir: str):
 def q_quality_by_lang(sf_dir: str):
     """Composition: per-batch token counting feeding a grouped aggregate —
     the text-analysis → corpus-statistics pipeline shape."""
-    from ray.data.aggregate import Mean
-
     ds = load_table(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
 
     def add_tokens(df: pd.DataFrame) -> pd.DataFrame:
@@ -836,9 +826,7 @@ def q_quality_by_lang(sf_dir: str):
         df["avg_tokens_c"] = scaled_int(df["avg_tokens"], 100.0)
         return df[["lang", "n_docs", "avg_chars_c", "avg_tokens_c"]]
 
-    from .relational import _map_any
-
-    return _map_any(out, scale)
+    return map_any(out, scale)
 
 
 def _lang_id_oracle_sql() -> str:
@@ -957,8 +945,7 @@ def q_mixture_sample(sf_dir: str):
 
     ds = load_table(sf_dir, "documents", ["doc_id", "lang"])
     counts = combiner_groupby(ds, ["lang"], count="n")
-    if not isinstance(counts, pd.DataFrame):
-        counts = counts.to_pandas()  # ≤ #languages rows
+    counts = to_frame(counts)  # ≤ #languages rows
     n_tot = int(counts["n"].sum())
     k = len(counts)
     uniform = n_tot // k if k else 0
@@ -1731,7 +1718,6 @@ def q_exact_substr_dedup(
     w: int = 8,
     force_distributed: bool = False,
     n_buckets: int = 32,
-    final_cap: int | None = None,
 ):
     """Exact-substring dedup (Lee et al. ACL 2022 "ExactSubstr", the
     sliding-window complement of the tumbling ``segment_dedup``): every
@@ -1772,23 +1758,15 @@ def q_exact_substr_dedup(
             return emit_token_windows(df, w)[["h1", "h2", "packed"]]
 
         wins = docs.map_batches(emit, batch_format="pandas")
-        cap_kw = {} if final_cap is None else {"final_cap": final_cap}
         agg = combiner_groupby(
-            wins, ["h1", "h2"], count="c", mins={"packed": "first"}, **cap_kw
+            wins, ["h1", "h2"], count="c", mins={"packed": "first"}
         )
-        if isinstance(agg, pd.DataFrame):
-            dup = agg[agg["c"] >= 2]
-        else:
-            import pyarrow.compute as pc
-
-            dup_ds = agg.map_batches(
-                lambda t: t.filter(pc.greater_equal(t["c"], 2)),
-                batch_format="pyarrow",
-            ).materialize()
-            if dup_ds.count() <= dup_budget:
-                dup = dup_ds.to_pandas()
-            # else: dup table exceeds the broadcast budget (dup-heavy
-            # corpus) — fall through to the distributed plan
+        dup = map_any(agg, lambda df: df[df["c"] >= 2])
+        if not isinstance(dup, pd.DataFrame):
+            dup = dup.materialize()
+            # a dup table past the broadcast budget (dup-heavy corpus)
+            # falls through to the distributed plan
+            dup = dup.to_pandas() if dup.count() <= dup_budget else None
 
     if dup is not None and len(dup) == 0:
         # nothing duplicated anywhere: typed empty, free on the driver
@@ -1872,9 +1850,7 @@ def q_curate_corpus(sf_dir: str):
 
     gated = ds.map_batches(gate, batch_format="pandas")
     out = combiner_groupby(gated, ["h"], mins={"doc_id": "doc_id"})
-    if isinstance(out, pd.DataFrame):
-        return out[["doc_id"]].reset_index(drop=True)
-    return out.select_columns(["doc_id"])
+    return map_any(out, lambda df: df[["doc_id"]].reset_index(drop=True))
 
 
 # ----------------------------------------------------------------------
@@ -2049,8 +2025,7 @@ def _near_dup_lsh(
     out = combiner_groupby(
         pairs, ["id_a", "id_b"], maxs={"cos_ppm": "cos_ppm"}
     )
-    if not isinstance(out, pd.DataFrame):
-        out = out.to_pandas()
+    out = to_frame(out)
     out = typed_empty(PAIRS_PPM, out)
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
@@ -2343,24 +2318,23 @@ def q_heavy_hitters(sf_dir: str, k: int = 20, m: int = 4096):
         lambda df: mg_partial(df, m), batch_format="pandas"
     )
     merged = combiner_groupby(partials, ["token"], sums={"c": "c"})
-    if not isinstance(merged, pd.DataFrame):
-        # distributed final: per-block top-(k+1) partials are lossless for
-        # a top-k of already-final per-token sums; sentinel fetched apart
-        def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-            # same (c desc, token asc) order as the global head(k) so the
-            # block prune can never drop a tied token the global tie-break
-            # would have kept (plan-equivalence across finals)
-            keep = (
-                df[df["token"] != _MG_DEDUCT]
-                .sort_values(["c", "token"], ascending=[False, True], kind="stable")
-                .head(k)
-            )
-            sent = df[df["token"] == _MG_DEDUCT]
-            return pd.concat([keep, sent], ignore_index=True)
 
-        merged = merged.map_batches(
-            local_topk, batch_format="pandas"
-        ).to_pandas()
+    # each final block holds already-final per-token sums, so its top-k plus
+    # the sentinel is lossless for the global top-k, on the driver frame
+    # (one block) or per distributed block
+    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
+        # same (c desc, token asc) order as the global head(k) so the
+        # block prune can never drop a tied token the global tie-break
+        # would have kept (plan-equivalence across finals)
+        keep = (
+            df[df["token"] != _MG_DEDUCT]
+            .sort_values(["c", "token"], ascending=[False, True], kind="stable")
+            .head(k)
+        )
+        sent = df[df["token"] == _MG_DEDUCT]
+        return pd.concat([keep, sent], ignore_index=True)
+
+    merged = to_frame(map_any(merged, local_topk))
     sent = merged[merged["token"] == _MG_DEDUCT]
     deducted = int(sent["c"].sum()) if len(sent) else 0
     body = merged[merged["token"] != _MG_DEDUCT]
@@ -2528,8 +2502,7 @@ def q_bloom_decontaminate(
         count="n_",
         empty_like=pd.DataFrame({"bit": pd.Series([], dtype="int64")}),
     )
-    if not isinstance(bit_rows, pd.DataFrame):
-        bit_rows = bit_rows.to_pandas()  # ≤ m rows by construction
+    bit_rows = to_frame(bit_rows)  # ≤ m rows by construction
     bitmap = np.zeros(1 << (log2_m - 3), dtype=np.uint8)
     set_bits = bit_rows["bit"].to_numpy(np.int64)
     np.bitwise_or.at(bitmap, set_bits >> 3, (1 << (set_bits & 7)).astype(np.uint8))
@@ -2619,8 +2592,7 @@ def _kmeans_centroids(sf_dir: str, k: int, iters: int) -> "np.ndarray":
             batch_format="pandas",
         )
         reduced = combiner_groupby(partials, ["cluster", "dim"], sums={"s": "s"})
-        if not isinstance(reduced, pd.DataFrame):  # ≤ k×(dim+1) rows
-            reduced = reduced.to_pandas()
+        reduced = to_frame(reduced)  # ≤ k×(dim+1) rows
         cent = kmeans_update(reduced, cent)
     return cent
 

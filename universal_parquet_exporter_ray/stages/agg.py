@@ -1,27 +1,34 @@
-"""Combiner-first grouped aggregation (SURVEY.md §2.5 at scale).
+"""Grouped aggregation: per-batch partials and one shared final.
 
-``Dataset.groupby().aggregate()`` sort-shuffles EVERY input row to its key
-partition before reducing — correct, but for low-cardinality keys (TPC-H
-Q1's 6 groups, per-nation revenue's 25) the all-to-all costs ~0.8 s of pure
-coordination at any input size, and at 100 TB moves the whole corpus.  The
-engine's standing pattern (VERDICT r2/r3: "push aggregation partial") is a
-per-batch pandas combiner that collapses each block to at most #groups
-partial rows, so only combiner-sized partials ever reach the exchange.
+Every grouped aggregate in the package ends the same way. A per-batch
+combiner collapses each block to at most one partial row per key, the
+partial stream is materialized (it is combiner-sized, never corpus-sized),
+and ``final_reduce(partials, keys, finish)`` decides where the final
+combine runs. It is the one place the package makes that choice:
 
-``combiner_groupby`` packages that pattern with a size-thresholded FINAL
-reduce, mirroring ``joins.thresholded_join``: the partial stream is
-materialized (object-store-light — it is combiner-sized, never
-corpus-sized), its row count read from metadata, and
+- at most ``FINAL_REDUCE_CAP`` partial rows, or at most
+  ``FINAL_REDUCE_BYTES`` of them, and ``finish`` runs once on the driver
+  over ``partials.to_pandas()``, returning a pandas DataFrame. Both are
+  metadata reads of the materialized stream. Driver memory is the real
+  constraint, so a narrow many-row stream (hash-keyed dedup partials)
+  stays a ~0.1 s pandas combine instead of a sort shuffle;
+- above both, the partials ``co_partition`` on the key columns and the
+  same ``finish`` runs once per sorted block, returning a Dataset: the
+  100-TB path, where the key space scales with the corpus.
 
-- below ``final_cap`` rows OR ``UPXR_FINAL_REDUCE_BYTES`` (64 MB default —
-  driver memory is the true constraint) the final combine runs driver-side
-  in pandas, returning a pandas DataFrame; ``final_cap=0`` forces the
-  distributed path (tests, scale rehearsal);
-- above both gates the final combine co-partitions the partials on the
-  key columns (``stages.co_partition``) and runs the same vectorized pandas
-  ``finish`` once per sorted block — NOT ``groupby().aggregate()``,
-  which iterates groups in per-row Python at block boundaries and measured
-  285× slower at 236k groups — returning a Dataset.
+``FINAL_REDUCE_CAP`` is read when the final runs, and 0 forces the
+distributed final (``monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)``
+in the tests that pin plan agreement).
+
+``combiner_groupby`` is SUM / AVG / MIN / MAX / COUNT(*) on top of it. Ray's
+``groupby().aggregate()`` is not used anywhere: it sort-shuffles every
+input row before reducing (~0.8 s of coordination for TPC-H Q1's 6 groups
+at any input size), and at 236k groups its per-group Python measured 285×
+slower than one vectorized ``finish`` per block.
+
+What a query does after its final is written once for both shapes:
+``map_any`` applies one pandas body to a frame or to each batch of a
+Dataset, and ``to_frame`` collects a result bounded by construction.
 
 Float determinism note: partial sums change the summation ORDER, exactly as
 Ray's own block-parallel Sum does; every consumer exports sums through
@@ -31,20 +38,63 @@ value, so the oracle hash comparison is unaffected.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import pandas as pd
 
 from . import co_partition
 
-__all__ = ["combiner_groupby", "FINAL_REDUCE_CAP"]
+__all__ = [
+    "FINAL_REDUCE_BYTES",
+    "FINAL_REDUCE_CAP",
+    "combiner_groupby",
+    "final_reduce",
+    "map_any",
+    "to_frame",
+]
 
-# Partial rows below this go to a driver-side pandas combine; above it the
-# final reduce stays a distributed groupby.  200k narrow rows is a few MB —
-# trivially driver-safe — while corpus-scaling key spaces (user ids at
-# 100 TB) blow past it and shuffle.
+# Partial rows up to this go to the driver final.  200k narrow rows is a
+# few MB, trivially driver-safe, while corpus-scaling key spaces (user ids
+# at 100 TB) blow past it and co-partition.
 FINAL_REDUCE_CAP = 200_000
+# Partial bytes up to this go to the driver final whatever their row count.
+FINAL_REDUCE_BYTES = 64 << 20
+
+
+def final_reduce(partials, keys: list[str], finish):
+    """``finish`` over a materialized partial stream, on the driver (a
+    pandas DataFrame) when the stream is within ``FINAL_REDUCE_CAP`` rows
+    or ``FINAL_REDUCE_BYTES`` bytes, else once per sorted block of a
+    ``keys`` co-partition (a Dataset). ``finish`` must reduce per key over
+    any split of the partial rows. The bucket count scales with the
+    stream, so one bucket stays worker-heap-sized."""
+    n = partials.count()
+    if FINAL_REDUCE_CAP and (
+        n <= FINAL_REDUCE_CAP or partials.size_bytes() <= FINAL_REDUCE_BYTES
+    ):
+        return finish(partials.to_pandas())
+    return co_partition(partials, keys, finish, max(32, n // 1_000_000))
+
+
+def map_any(out, fn):
+    """One per-batch pandas body ``fn`` over a final's result: applied to a
+    pandas DataFrame directly, or to each batch of a Dataset."""
+    if isinstance(out, pd.DataFrame):
+        return fn(out)
+    return out.map_batches(fn, batch_format="pandas")
+
+
+def to_frame(out) -> pd.DataFrame:
+    """A final's result as a pandas DataFrame. Only for results bounded by
+    construction (groups, languages, bins, registers), never corpus-sized."""
+    if isinstance(out, pd.DataFrame):
+        return out
+    frame = out.to_pandas()
+    if frame.columns.empty and out.schema() is not None:
+        # Ray's to_pandas() drops the columns of an all-empty Dataset; the
+        # schema of combiner_groupby's typed empty still holds them
+        return out.schema().base_schema.empty_table().to_pandas()
+    return frame
 
 
 class _AggSpec:
@@ -118,11 +168,10 @@ def combiner_groupby(
     mins: Optional[dict[str, str]] = None,
     maxs: Optional[dict[str, str]] = None,
     count: Optional[str] = None,
-    final_cap: int = FINAL_REDUCE_CAP,
     empty_like: Optional[pd.DataFrame] = None,
 ):
     """Grouped SUM / AVG / MIN / MAX / COUNT(*) with per-batch partials and
-    a size-thresholded final reduce.
+    the shared ``final_reduce``.
 
     ``sums``/``means``/``mins``/``maxs`` map input column -> output name;
     ``count`` names a COUNT(*) output.  AVG follows SQL semantics (ignores
@@ -133,9 +182,9 @@ def combiner_groupby(
     MIN/MAX of an all-null group is null on both.  Null
     keys form a group, as in SQL GROUP BY.  Returns a pandas DataFrame
     (driver final) or a Dataset (distributed final) — both shapes are
-    accepted by the oracle comparison and by ``scale_cols``.  With
-    ``final_cap=0`` the result is ALWAYS a Dataset, including on empty
-    inputs, so scale rehearsals can rely on the return shape.
+    accepted by the oracle comparison, by ``map_any`` and by ``to_frame``.
+    With ``FINAL_REDUCE_CAP = 0`` the result is ALWAYS a Dataset, including
+    on empty inputs, so scale rehearsals can rely on the return shape.
     """
     spec = _AggSpec(keys, dict(sums or {}), dict(means or {}),
                     dict(mins or {}), dict(maxs or {}), count)
@@ -145,11 +194,10 @@ def combiner_groupby(
     partial, finish = make_partial(spec), make_finish(spec)
 
     # combiner-sized stream: materializing it is object-store-light and
-    # makes the row count a free metadata read for the threshold decision
+    # makes the row count a free metadata read for the final's gate
     partials = ds.map_batches(partial, batch_format="pandas").materialize()
 
-    n_partials = partials.count()
-    if n_partials == 0:
+    if partials.count() == 0:
         cols = (
             list(keys)
             + list(sum_cols.values())
@@ -170,37 +218,14 @@ def combiner_groupby(
             if empty_like is not None
             else finish(pd.DataFrame({c: [] for c in cols}))
         )
-        if final_cap == 0:
-            # final_cap=0 explicitly forces the distributed path, so honor
-            # the documented 'final_cap=0 => Dataset' return-shape contract
-            # on empty inputs too (ADVICE r4); an Arrow block keeps the
-            # zero-row schema where an empty pandas block would lose it
+        if FINAL_REDUCE_CAP == 0:
+            # a zero cap forces the distributed final, so honor the
+            # 'zero cap => Dataset' return-shape contract on empty inputs
+            # too (ADVICE r4); an Arrow block keeps the zero-row schema
+            # where an empty pandas block would lose it
             import pyarrow as pa
             import ray.data as rd
 
             return rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
         return empty
-    # The driver final is gated on BYTES as well as rows: driver memory is
-    # the real constraint, and a narrow 300k-row / few-MB partial stream
-    # (hash-keyed dedup partials at bench scale) costs a full sort shuffle
-    # under a rows-only gate while being a ~0.1 s pandas combine.  Both
-    # metadata reads are free on the materialized stream.  final_cap=0
-    # explicitly forces the distributed final (tests, scale rehearsal).
-    bytes_cap = int(os.environ.get("UPXR_FINAL_REDUCE_BYTES", str(64 << 20)))
-    if final_cap and (
-        n_partials <= final_cap or partials.size_bytes() <= bytes_cap
-    ):
-        return finish(partials.to_pandas())
-
-    # Distributed final: co-partition the partial rows on the key COLUMNS
-    # and run the SAME vectorized pandas ``finish`` on each sorted block.
-    # ``groupby(keys).aggregate(...)`` would be semantically identical but
-    # iterates groups in per-row Python at block boundaries — measured
-    # 45.7 s vs 0.16 s on a 248k-row / 236k-group partial stream (285×),
-    # which at corpus-scaling key cardinality is the difference between a
-    # working 100-TB final and a stalled one.  Bucket count scales with the
-    # partial stream so one bucket (the least a sorted block holds) stays
-    # worker-heap-sized.
-    return co_partition(
-        partials, keys, finish, max(32, n_partials // 1_000_000)
-    )
+    return final_reduce(partials, keys, finish)

@@ -198,59 +198,6 @@ class MinHashBandStage:
         )
 
 
-class ShingleStage:
-    """(doc_id, text) → (doc_id, sh, n_sh): the doc's distinct word-w-gram
-    shingle hashes as a sorted list column, for the DISTRIBUTED Jaccard
-    verify (pairs ⋈ shingles ⋈ shingles, then a per-pair intersect inside
-    map_batches — no driver-side text dict).
-
-    Hashes are stored as the int64 BIT VIEW of the uint64 values: a raw
-    uint64 column degrades to float64 through pandas blocks and corrupts
-    low bits."""
-
-    def __init__(self, w: int = 3, text_col: str = "text"):
-        self.w = w
-        self.text_col = text_col
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        shs = [
-            word_shingle_hashes(t if isinstance(t, str) else "", self.w).view(np.int64)
-            for t in df[self.text_col]
-        ]
-        # packed little-endian int64 BYTES, not a list column: Arrow's acero
-        # join rejects list-typed non-key fields (and raw uint64 would
-        # degrade to float64 through pandas anyway)
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
-                "sh": [s.tobytes() for s in shs],
-                "n_sh": np.array([len(s) for s in shs], dtype=np.int64),
-            }
-        )
-
-
-def pair_jaccard_batch(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-pair exact Jaccard from pre-joined shingle lists. Emits integer
-    (inter, union) so the ≥-threshold filter and the ppm scaling are exact
-    and identical to the SQL oracle."""
-    inters = np.empty(len(df), dtype=np.int64)
-    for i, (sa, sb) in enumerate(zip(df["sh_a"], df["sh_b"])):
-        inters[i] = np.intersect1d(
-            np.frombuffer(sa, dtype=np.int64),
-            np.frombuffer(sb, dtype=np.int64),
-            assume_unique=True,
-        ).size
-    union = df["n_a"].to_numpy(dtype=np.int64) + df["n_b"].to_numpy(dtype=np.int64) - inters
-    return pd.DataFrame(
-        {
-            "doc_a": df["doc_a"].to_numpy(dtype=np.int64),
-            "doc_b": df["doc_b"].to_numpy(dtype=np.int64),
-            "inter": inters,
-            "union": union,
-        }
-    )
-
-
 _EMPTY_PAIRS = pd.DataFrame(
     {"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64")}
 )
@@ -529,57 +476,6 @@ class ShingleExplode:
         )
 
 
-_EMPTY_POSTING_PAIRS = pd.DataFrame(
-    {
-        c: pd.Series([], dtype="int64")
-        for c in ("doc_a", "doc_b", "n_a", "n_b")
-    }
-)
-
-
-def posting_list_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """One shingle co-partition → (doc_a, doc_b, n_a, n_b) rows, one per
-    (shared shingle, doc pair). Counting these rows per pair downstream
-    yields the EXACT intersection size (shingles are distinct per doc).
-
-    Scale note: a stop-shingle with document frequency m emits m²/2 pairs —
-    at corpus scale apply prefix filtering (emit only each doc's rarest
-    shingles, exactness-preserving for a fixed threshold) before this
-    stage; exhaustive here because the oracle does the same all-pairs
-    intersection."""
-    dup = g[g.duplicated("sh", keep=False)]
-    if dup.empty:
-        return _EMPTY_POSTING_PAIRS.copy()
-    dup = dup.sort_values(["sh", "doc_id"], kind="stable")
-    sh = dup["sh"].to_numpy()
-    ids = dup["doc_id"].to_numpy(dtype=np.int64)
-    ns = dup["n"].to_numpy(dtype=np.int64)
-    _, starts, counts = np.unique(sh, return_index=True, return_counts=True)
-    out_a, out_b, out_na, out_nb = [], [], [], []
-    triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for s, c in zip(starts, counts):
-        if c < 2:
-            continue
-        tri = triu_cache.get(c)
-        if tri is None:
-            tri = triu_cache[c] = np.triu_indices(c, k=1)
-        ia, ib = tri
-        out_a.append(ids[s + ia])
-        out_b.append(ids[s + ib])
-        out_na.append(ns[s + ia])
-        out_nb.append(ns[s + ib])
-    if not out_a:
-        return _EMPTY_POSTING_PAIRS.copy()
-    return pd.DataFrame(
-        {
-            "doc_a": np.concatenate(out_a),
-            "doc_b": np.concatenate(out_b),
-            "n_a": np.concatenate(out_na),
-            "n_b": np.concatenate(out_nb),
-        }
-    )
-
-
 # ---------------------------------------------------------------------------
 # Prefix filtering (exactness-preserving candidate pruning for the exact
 # n-gram Jaccard join).  Canonical shingle order = (document frequency asc,
@@ -685,11 +581,6 @@ def prefix_posting_pairs(g: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(
         {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)}
     ).drop_duplicates()
-
-
-def exact_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
-    sa, sb = word_shingle_hashes(text_a, k), word_shingle_hashes(text_b, k)
-    return jaccard_from_sets(sa, sb)
 
 
 def jaccard_from_sets(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -1268,10 +1159,10 @@ def emit_token_windows(
     (doc_id, pos) first occurrence.
 
     The window hashes ship as the int64 BIT VIEW of the uint64 polynomial
-    values (the standing repo pattern, see ``posting_list_pairs``): a raw
-    uint64 key column degrades to float64 through Ray's distributed
-    groupby final and pandas blocks, which corrupts hashes above 2^53 —
-    the r4 exact_substr sf0.1 incident."""
+    values (the standing repo pattern, see ``ShingleExplode``): a raw
+    uint64 key column degrades to float64 through pandas blocks, which
+    corrupts hashes above 2^53 — the r4 exact_substr sf0.1 incident, in a
+    distributed final."""
     texts = df[text_col]
     ids = df["doc_id"].to_numpy(dtype=np.int64)
     toks = [t.split() for t in texts]

@@ -33,7 +33,10 @@ def build_partition_plan(
     small keys (count < target/2) are deterministically first-fit bin-packed
     into shared ``sm<j>`` buckets so 10⁶ one-file repos don't become 10⁶
     one-file partitions (per-partition overhead would dominate). Keys keep
-    whole-repo locality: a merged repo lands entirely in one bucket."""
+    whole-repo locality: a merged repo lands entirely in one bucket. Keys
+    are read in sorted order, so the plan does not depend on the order the
+    counts arrive in."""
+    key_counts = dict(sorted(key_counts.items()))
     salt_map = {
         k: math.ceil(c / target_rows)
         for k, c in key_counts.items()
