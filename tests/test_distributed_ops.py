@@ -68,7 +68,7 @@ def test_pair_group_all_pairs_exact(ray_session):
         batch_format="pandas", concurrency=2,
     )
     pairs = (
-        co_partition(rep, ["pg"], all_pairs_group(thr, G), G * G)
+        co_partition(rep, ["pg"], all_pairs_group(thr, G))
         .to_pandas()
         .sort_values(["id_a", "id_b"])
         .reset_index(drop=True)
@@ -109,8 +109,8 @@ def test_co_partition_colocates_keys(ray_session):
     string, two-column and null-bearing keys, under a one-block and a
     seven-block layout; both layouts give the same per-key result and an
     empty input gives 0 rows. ``fn`` runs once per sorted block (one call
-    for a one-block input, however many buckets and keys) and never sees a
-    zero-row frame."""
+    for a one-block input, however many keys; seven calls for a unique key
+    over seven blocks) and never sees a zero-row frame."""
     from universal_parquet_exporter_ray.stages import co_partition, partition_of
 
     def _key_label(g: pd.DataFrame, keys: list[str]) -> pd.Series:
@@ -140,15 +140,15 @@ def test_co_partition_colocates_keys(ray_session):
     )
     cols = set(table.column_names)
     frame = table.to_pandas()
-    # the bucket of a numeric value does not depend on the block's dtype
+    # the hash of a numeric value does not depend on the block's dtype
     assert (
-        partition_of(pd.DataFrame({"k": [1, 2, 3]}), ["k"], 5)
-        == partition_of(pd.DataFrame({"k": [1.0, 2.0, 3.0]}), ["k"], 5)
+        partition_of(pd.DataFrame({"k": [1, 2, 3]}), ["k"])
+        == partition_of(pd.DataFrame({"k": [1.0, 2.0, 3.0]}), ["k"])
     ).all()
 
     def run(keys, layout):
         def fn(g: pd.DataFrame) -> pd.DataFrame:
-            assert set(g.columns) == cols  # the bucket column is private
+            assert set(g.columns) == cols  # the hash column is private
             assert len(g) > 0
             per_row = pd.DataFrame(
                 {"key": _key_label(g, keys), "call": int(g["rid"].min())}
@@ -158,7 +158,7 @@ def test_co_partition_colocates_keys(ray_session):
             )
 
         ds = ray.data.from_arrow(table).repartition(layout)
-        return co_partition(ds, keys, fn, 5).to_pandas()
+        return co_partition(ds, keys, fn).to_pandas()
 
     for keys in (["k_int"], ["k_str"], ["k_str", "k_int"], ["k_null"]):
         expect = _key_label(frame, keys).value_counts().to_dict()
@@ -172,18 +172,29 @@ def test_co_partition_colocates_keys(ray_session):
         assert got[1] == got[7]
     assert "<NA>" in expect  # the null key formed one group
 
-    # one block, 64 buckets, 7 keys: one call sees every key
+    # one block, 7 keys: one call sees every key
     def one_call(g: pd.DataFrame) -> pd.DataFrame:
         assert len(g) > 0
         return pd.DataFrame({"rows": [len(g)], "keys": [g["k_int"].nunique()]})
 
     calls = co_partition(
-        ray.data.from_arrow(table).repartition(1), ["k_int"], one_call, 64
+        ray.data.from_arrow(table).repartition(1), ["k_int"], one_call
     ).to_pandas()
     assert calls.to_dict("records") == [{"rows": n, "keys": 7}]
 
+    # a unique key over seven blocks: one call per block, the input's
+    # blocks and not a bucket count set the shuffle width
+    def by_call(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"rid": g["rid"], "call": int(g["rid"].min())})
+
+    rids = co_partition(
+        ray.data.from_arrow(table).repartition(7), ["rid"], by_call
+    ).to_pandas()
+    assert rids["call"].nunique() == 7
+    assert sorted(rids["rid"]) == list(range(n))
+
     empty = ray.data.from_arrow(table.slice(0, 0))
-    assert co_partition(empty, ["k_int"], lambda g: g, 4).count() == 0
+    assert co_partition(empty, ["k_int"], lambda g: g).count() == 0
 
 
 def test_co_partition_list_input_stamps_each_side(ray_session):
@@ -210,9 +221,9 @@ def test_co_partition_list_input_stamps_each_side(ray_session):
         ray.data.from_pandas(left).map_batches(tag_left, batch_format="pandas"),
         ray.data.from_pandas(right).map_batches(tag_right, batch_format="pandas"),
     ]
-    ds = co_partition(sides, ["k"], per_key, 4).materialize()
+    ds = co_partition(sides, ["k"], per_key).materialize()
     got = ds.to_pandas().sort_values("k").reset_index(drop=True)
-    union = co_partition(sides[0].union(sides[1]), ["k"], per_key, 4).to_pandas()
+    union = co_partition(sides[0].union(sides[1]), ["k"], per_key).to_pandas()
     both = pd.concat([left, right])
     assert got["k"].is_unique
     assert got["n"].tolist() == both.groupby("k").size().tolist()
@@ -246,10 +257,11 @@ def test_pair_shingle_emit_and_partition_jaccard(ray_session):
     assert (g["doc_a"].iloc[0], g["doc_b"].iloc[0]) == (1, 2)
 
 
-def test_verify_pairs_broadcast_and_distributed_agree(ray_session):
+def test_verify_pairs_broadcast_and_distributed_agree(ray_session, monkeypatch):
     """Threshold-switch unit test (VERDICT r3 item 5): verify_pairs must
     produce identical (doc_a, doc_b, inter, union) through the broadcast
     plan and the over-budget distributed-join plan."""
+    from universal_parquet_exporter_ray.stages import dedup
     from universal_parquet_exporter_ray.stages.dedup import verify_pairs
 
     texts = {
@@ -272,20 +284,23 @@ def test_verify_pairs_broadcast_and_distributed_agree(ray_session):
     ).repartition(2)
     # blob plan (default: blob table far under budget on this corpus)
     via_blob = (
-        verify_pairs(docs, cand, broadcast_budget=1_000_000)
+        verify_pairs(docs, cand)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
     )
     # broadcast-pair plan (blob budget forced to 0)
+    monkeypatch.setattr(dedup, "BLOB_BROADCAST_BUDGET", 0)
     via_broadcast = (
-        verify_pairs(docs, cand, broadcast_budget=1_000_000, blob_budget=0)
+        verify_pairs(docs, cand)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
     )
+    # distributed plan (pair budget forced to 0)
+    monkeypatch.setattr(dedup, "BROADCAST_PAIR_BUDGET", 0)
     via_join = (
-        verify_pairs(docs, cand, broadcast_budget=0)
+        verify_pairs(docs, cand)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
@@ -1296,15 +1311,16 @@ def test_dedup_clusters_components(ray_session, tmp_path):
 
 def test_embedding_near_dup_size_guard(ray_session, monkeypatch):
     """The exact all-pairs twin must refuse to run quadratic on a large
-    corpus (VERDICT r4 #3): above UPXR_NEAR_DUP_EXACT_MAX_ROWS it raises
+    corpus (VERDICT r4 #3): above NEAR_DUP_EXACT_MAX_ROWS it raises
     with a pointer to the LSH scale path; under the budget it runs."""
+    from universal_parquet_exporter_ray.pipelines import textops
     from universal_parquet_exporter_ray.pipelines.textops import QUERIES
 
     sf = "/root/testdata/sf0.001"
-    monkeypatch.setenv("UPXR_NEAR_DUP_EXACT_MAX_ROWS", "10")
+    monkeypatch.setattr(textops, "NEAR_DUP_EXACT_MAX_ROWS", 10)
     with pytest.raises(ValueError, match="embedding_near_dup_lsh"):
         QUERIES["embedding_near_dup"](sf)
-    monkeypatch.delenv("UPXR_NEAR_DUP_EXACT_MAX_ROWS")
+    monkeypatch.undo()
     out = QUERIES["embedding_near_dup"](sf)
     assert list(out.columns) == ["id_a", "id_b", "cos_ppm"]
 

@@ -550,13 +550,14 @@ def test_knn_join_ivf_recall_vs_exact(ray_session, tmp_path):
 
 
 def test_ivf_layout_shards_hot_buckets(ray_session, tmp_path, monkeypatch):
-    """A bucket larger than UPXR_IVF_SHARD_ROWS must split into multiple
+    """A bucket larger than IVF_SHARD_ROWS must split into multiple
     atomic shard files inside its bucket dir (never one giant file), with
     one manifest row per shard and row counts conserved."""
     import os
 
     import ray as _ray
 
+    from universal_parquet_exporter_ray.stages import ann
     from universal_parquet_exporter_ray.stages.ann import (
         _normalize,
         build_ivf_layout,
@@ -564,7 +565,7 @@ def test_ivf_layout_shards_hot_buckets(ray_session, tmp_path, monkeypatch):
         load_ivf_layout,
     )
 
-    monkeypatch.setenv("UPXR_IVF_SHARD_ROWS", "40")
+    monkeypatch.setattr(ann, "IVF_SHARD_ROWS", 40)
     rng = np.random.default_rng(21)
     centers = _normalize(rng.normal(0, 1, (2, 8)))
     vecs = np.concatenate([c + rng.normal(0, 0.05, (100, 8)) for c in centers])
@@ -790,10 +791,11 @@ def test_read_manifest_promotes_old_schema(tmp_path):
 
 def test_thresholded_stage_switches_on_payload_budget(ray_session, monkeypatch):
     """thresholded_stage runs small-broadcast stages as plain tasks and
-    falls back to an actor pool above UPXR_TASK_BROADCAST_BUDGET; both
+    falls back to an actor pool above TASK_BROADCAST_BUDGET; both
     forms must produce identical results (the ann call-site contract)."""
     import ray
 
+    from universal_parquet_exporter_ray import stages
     from universal_parquet_exporter_ray.stages import thresholded_stage
     from universal_parquet_exporter_ray.stages.ann import BatchTopKCosine, _normalize
 
@@ -808,7 +810,7 @@ def test_thresholded_stage_switches_on_payload_budget(ray_session, monkeypatch):
     payload = qids.nbytes + qmat.nbytes
 
     def run(budget):
-        monkeypatch.setenv("UPXR_TASK_BROADCAST_BUDGET", str(budget))
+        monkeypatch.setattr(stages, "TASK_BROADCAST_BUDGET", budget)
         out = thresholded_stage(
             ds, BatchTopKCosine, ctor, payload_nbytes=payload,
             concurrency=1, batch_format="pandas",

@@ -30,7 +30,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table, table_path
-from ..stages import KEY_BUCKETS, co_partition, per_key, typed_empty
+from ..stages import co_partition, per_key, typed_empty
 from ..stages.agg import combiner_groupby, map_any, to_frame
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 
@@ -930,10 +930,7 @@ def q_range_window(sf_dir: str):
         )
 
     return co_partition(
-        ds.map_batches(prep, batch_format="pyarrow"),
-        ["user_id"],
-        range_sums_1h,
-        KEY_BUCKETS,
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], range_sums_1h
     )
 
 
@@ -1062,7 +1059,7 @@ def q_latest_event(sf_dir: str):
             }
         )
 
-    return co_partition(partials, ["user_id"], merge, KEY_BUCKETS)
+    return co_partition(partials, ["user_id"], merge)
 
 
 RANGE_JOIN_ORACLE_SQL = """
@@ -1182,7 +1179,7 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
         # event stream
         ray.data.from_arrow(pa.Table.from_pandas(rep, preserve_index=False)),
     ]
-    partials = co_partition(both, ["bucket"], interval_partials, KEY_BUCKETS)
+    partials = co_partition(both, ["bucket"], interval_partials)
     summed = combiner_groupby(
         partials,
         ["iv_id"],
@@ -1409,7 +1406,7 @@ def q_rank_partitioned(sf_dir: str):
     # sqlserver_advanced:185-186): rank within group over a co-partition
     # on the group key.
     ds = load_table(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
-    return co_partition(ds, ["o_orderpriority"], top10_by_priority, KEY_BUCKETS)
+    return co_partition(ds, ["o_orderpriority"], top10_by_priority)
 
 
 def top10_by_priority(frame: pd.DataFrame) -> pd.DataFrame:
@@ -1561,7 +1558,7 @@ def q_sessionization(sf_dir: str):
     # co-partition — the engine's pattern for event-time windowing over a
     # partitioned log; each block sorts once and cuts every user's sessions
     ds = load_table(sf_dir, "events", ["user_id", "ts"])
-    return co_partition(ds, ["user_id"], session_counts, KEY_BUCKETS)
+    return co_partition(ds, ["user_id"], session_counts)
 
 
 @q(
@@ -1589,7 +1586,6 @@ def q_asof_join(sf_dir: str):
         ds,
         ["user_id"],
         asof_prev_group("user_id", "ts", "event_type", "purchase", "click", "event_id"),
-        KEY_BUCKETS,
     )
 
 
@@ -1605,7 +1601,7 @@ def q_lag_gap(sf_dir: str):
     sorted block (``prev_gaps``) — the offset-window family member (LEAD is
     the same shape with the next row)."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return co_partition(ds, ["user_id"], prev_gaps, KEY_BUCKETS)
+    return co_partition(ds, ["user_id"], prev_gaps)
 
 
 @q(
@@ -1622,7 +1618,7 @@ def q_rolling_window(sf_dir: str):
     grouped pandas rolling over each sorted block (``rolling3``) — the
     ordered-frame counterpart of the tumbling ``window_agg``."""
     ds = load_table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    return co_partition(ds, ["user_id"], rolling3, KEY_BUCKETS)
+    return co_partition(ds, ["user_id"], rolling3)
 
 
 @q(

@@ -19,13 +19,7 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources import load_table, table_path
-from ..stages import (
-    KEY_BUCKETS,
-    co_partition,
-    task_stage,
-    thresholded_stage,
-    typed_empty,
-)
+from ..stages import co_partition, task_stage, thresholded_stage, typed_empty
 from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
@@ -107,13 +101,8 @@ WHERE 2 * i >= ca.n + cb.n - i
 """
 
 
-# hash buckets of the LSH (band, band_hash) co-partition; each sorted block
-# of ~|docs|×bands tiny LSH buckets is one vectorized pandas call
-LSH_BUCKETS = 32
-
-
 @q("minhash_lsh_pairs", MINHASH_ORACLE_SQL)
-def q_minhash_lsh_pairs(sf_dir: str, broadcast_budget: int | None = None):
+def q_minhash_lsh_pairs(sf_dir: str):
     """MinHash(64 perms) + LSH(16×4 bands) near-dup candidates, verified with
     exact word-3-gram Jaccard ≥ 0.5 — every corpus-sized stage distributed;
     only the output-sized candidate-pair list touches the driver (as the
@@ -140,16 +129,11 @@ def q_minhash_lsh_pairs(sf_dir: str, broadcast_budget: int | None = None):
     # (_perm_constants) is microseconds, so an actor pool only buys its
     # own spawn cost (~1 s/actor); worker-cached instance instead
     bands = docs.map_batches(task_stage(MinHashBandStage), batch_format="pandas")
-    pair_rows = co_partition(
-        bands, ["band", "band_hash"], partition_to_pairs, LSH_BUCKETS
-    )
+    pair_rows = co_partition(bands, ["band", "band_hash"], partition_to_pairs)
     # exact-Jaccard verify: broadcast membership under the pair budget,
     # hash-partitioned join above it (dup-heavy crawls) — verify_pairs
     # holds the threshold switch; nothing corpus-sized touches the driver
-    kw = {} if broadcast_budget is None else {"broadcast_budget": broadcast_budget}
-    verified = verify_pairs(
-        docs, pair_rows.select_columns(["doc_a", "doc_b"]), **kw
-    )
+    verified = verify_pairs(docs, pair_rows.select_columns(["doc_a", "doc_b"]))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df[2 * df["inter"] >= df["union"]]
@@ -207,9 +191,7 @@ FROM trainpair GROUP BY doc_id
 
 
 @q("decontaminate_neardup", DECON_NEARDUP_ORACLE_SQL)
-def q_decontaminate_neardup(
-    sf_dir: str, bench_mod: int = 10, broadcast_budget: int | None = None
-):
+def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
     """Doc-level fuzzy decontamination — the GPT-3-appendix / FineWeb shape:
     flag every TRAINING document whose word-3-gram Jaccard against any
     HELD-OUT benchmark document reaches 0.5 (vs `contamination_scan`'s
@@ -247,9 +229,7 @@ def q_decontaminate_neardup(
     bands = eligible.map_batches(
         task_stage(MinHashBandStage), batch_format="pandas"
     )
-    pair_rows = co_partition(
-        bands, ["band", "band_hash"], partition_to_pairs, LSH_BUCKETS
-    )
+    pair_rows = co_partition(bands, ["band", "band_hash"], partition_to_pairs)
 
     def cross_set(df: pd.DataFrame) -> pd.DataFrame:
         a_bench = (df["doc_a"].to_numpy(np.int64) % bench_mod) == 0
@@ -259,8 +239,7 @@ def q_decontaminate_neardup(
         )
 
     cand = pair_rows.map_batches(cross_set, batch_format="pandas")
-    kw = {} if broadcast_budget is None else {"broadcast_budget": broadcast_budget}
-    verified = verify_pairs(eligible, cand, **kw)
+    verified = verify_pairs(eligible, cand)
 
     def to_train(df: pd.DataFrame) -> pd.DataFrame:
         from .relational import scaled_int
@@ -424,7 +403,7 @@ def q_dedup_keep_best(sf_dir: str):
     per-cluster ARGMAX PARTIALS (algebraic: sum counts, argmax of
     argmaxes), so only cluster-sized rows ever leave a worker. The map
     always broadcasts: in the task closure while it is within
-    ``UPXR_TASK_BROADCAST_BUDGET`` (4 MiB), else by value once per actor
+    ``stages.TASK_BROADCAST_BUDGET`` (4 MiB), else by value once per actor
     of a ``ClusterBestPartial`` pool. There is no join fallback, so the
     map must fit a worker heap. The partials merge through
     ``stages.agg.final_reduce``: a driver pandas merge within its caps, a
@@ -520,9 +499,9 @@ def q_ngram_jaccard_pairs(sf_dir: str):
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
     # pure-hash stage, trivial ctor at any scale -> plain tasks (see task_stage)
     exploded = docs.map_batches(task_stage(ShingleExplode), batch_format="pandas")
-    routed = co_partition(exploded, ["sh"], df_stamp_route, 64)
-    prefixes = co_partition(routed, ["doc_id"], prefix_select, 64)
-    cand_rows = co_partition(prefixes, ["sh"], prefix_posting_pairs, 64)
+    routed = co_partition(exploded, ["sh"], df_stamp_route)
+    prefixes = co_partition(routed, ["doc_id"], prefix_select)
+    cand_rows = co_partition(prefixes, ["sh"], prefix_posting_pairs)
     # exact-Jaccard verify over the prefix-filtered candidates: broadcast
     # membership under the pair budget, hash-partitioned join above it —
     # same thresholded verify_pairs tail as minhash_lsh_pairs
@@ -1024,7 +1003,6 @@ def q_stratified_sample(sf_dir: str, per_group: int = 20):
         partials,
         ["lang"],
         lambda f: lowest_hash_rows(f, per_group)[["lang", "doc_id"]],
-        KEY_BUCKETS,
     )
 
 
@@ -1060,7 +1038,6 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
     ``lang`` co-partition takes the final top-k. No corpus-sized shuffle,
     no high-cardinality Ray aggregate (see ngram_jaccard_pairs for why)."""
     ds = load_table(sf_dir, "documents", ["text", "lang"])
-    P = 32
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].str.findall(r"\S+")
@@ -1081,9 +1058,9 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
         return top_terms(out, k)
 
     partials = ds.map_batches(partial_counts, batch_format="pandas")
-    summed = co_partition(partials, ["lang", "tok"], sum_partials, P)
+    summed = co_partition(partials, ["lang", "tok"], sum_partials)
     return co_partition(
-        summed, ["lang"], lambda f: top_terms(f, k)[["lang", "tok", "n"]], P
+        summed, ["lang"], lambda f: top_terms(f, k)[["lang", "tok", "n"]]
     )
 
 
@@ -1119,17 +1096,15 @@ FROM s
 _OOV_TOKEN = "\x00<OOV>"
 
 
-def train_unigram_model(
-    ds, P: int = 32, min_count: int = 1
-) -> tuple[pd.Series, float]:
+def train_unigram_model(ds, min_count: int = 1) -> tuple[pd.Series, float]:
     """Pass 1 of CCNet-style unigram scoring: distributed token counting
     with a combiner (per-batch value_counts) -> ``tok`` co-partition exact
-    sum. A token lands in exactly ONE of ``P`` buckets, so ``sum_partials`` sees
-    its GLOBAL total — applying the ``min_count`` cutoff there is exact and
+    sum. A token lands in exactly ONE ``sum_partials`` call, which sees its
+    GLOBAL total — applying the ``min_count`` cutoff there is exact and
     the uncapped vocabulary never reaches the driver: tokens below the
-    cutoff collapse into a single OOV row per partition (≤ P rows) carrying
-    their total mass, so probabilities still normalize over the FULL corpus
-    token count.  At 100 TB the \\S+ vocabulary is hapax-dominated; with a
+    cutoff collapse into a single OOV row per call carrying their total
+    mass, so probabilities still normalize over the FULL corpus token
+    count.  At 100 TB the \\S+ vocabulary is hapax-dominated; with a
     cutoff the broadcast model is bounded by the true high-frequency
     vocabulary, independent of corpus size.
 
@@ -1165,10 +1140,7 @@ def train_unigram_model(
         return tot
 
     freqs = co_partition(
-        ds.map_batches(partial_counts, batch_format="pandas"),
-        ["tok"],
-        sum_partials,
-        P,
+        ds.map_batches(partial_counts, batch_format="pandas"), ["tok"], sum_partials
     ).to_pandas()  # bounded-vocab model table, NOT corpus-sized
     # degenerate corpus: zero tokens anywhere
     freqs = typed_empty({"tok": object, "n": "int64"}, freqs)
@@ -1249,19 +1221,18 @@ SELECT doc_id, tok, tfidf_milli FROM s WHERE rk <= 3
 """
 
 
-def train_doc_freq(
-    ds, P: int = 32, min_df: int = 2
-) -> tuple[pd.Series, float, float]:
+def train_doc_freq(ds, min_df: int = 2) -> tuple[pd.Series, float, float]:
     """Pass 1 of tf-idf: distributed document frequencies with a combiner
     (per-batch (doc, tok) dedup) -> ``tok`` co-partition exact sum, plus
     the corpus doc count.  The ``min_df`` cutoff is applied INSIDE the
-    distributed sum (a token's full df lands in exactly one of ``P``
-    buckets), so the hapax-dominated tail of a 100-TB vocabulary never
-    materializes on the driver.  Crucially ``min_df=2`` is EXACT, not an
-    approximation: a token absent from the broadcast table must have
-    df == 1, so its idf is known precisely — ``ln(n_docs / 1)`` — and is
-    returned as ``default_idf``.  (``min_df > 2`` trades exactness of the
-    default for an even smaller broadcast.)
+    distributed sum (a token's full df lands in exactly one
+    ``sum_partials`` call), so the hapax-dominated tail of a 100-TB
+    vocabulary never materializes on the driver.  Crucially ``min_df=2``
+    is EXACT, not an approximation: a token absent from the broadcast
+    table must have df == 1, so its idf is known precisely —
+    ``ln(n_docs / 1)`` — and is returned as ``default_idf``.
+    (``min_df > 2`` trades exactness of the default for an even smaller
+    broadcast.)
 
     Returns ``(idf, default_idf, n_docs)``."""
 
@@ -1269,7 +1240,7 @@ def train_doc_freq(
     # the separate count_docs Dataset execution was a full second corpus
     # pass, ~1.4 s of pure executor overhead at sf0.1): each batch appends
     # one SENTINEL row tok="" (impossible as a \S+ token) carrying its
-    # non-empty-doc count; the sentinel lands in one ``tok`` bucket like
+    # non-empty-doc count; the sentinel lands in one ``tok`` call like
     # any token and its global sum is exact. The min_df cutoff never drops
     # it (explicit exclusion), and it is peeled off after the final.
     def partial_df(df: pd.DataFrame) -> pd.DataFrame:
@@ -1302,7 +1273,7 @@ def train_doc_freq(
 
     # document frequency: bounded-vocab after the co-partition sum+cutoff
     freqs = co_partition(
-        ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials, P
+        ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials
     ).to_pandas()
     # degenerate corpus: zero tokens anywhere
     freqs = typed_empty({"tok": object, "df": "int64"}, freqs)
@@ -1576,7 +1547,7 @@ FROM marked WHERE c = 1 GROUP BY doc_id
 
 
 @q("segment_dedup", SEGDEDUP_ORACLE_SQL)
-def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
+def q_segment_dedup(sf_dir: str, seg_tokens: int = 8):
     """C4-style duplicate-segment removal at token-window granularity:
     tumbling ``seg_tokens``-token segments that occur more than once
     ANYWHERE in the corpus are deleted from every document; survivors are
@@ -1620,7 +1591,7 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
         # reset: downstream stages build frames from fresh RangeIndex series
         return g.loc[c >= 2, ["doc_id", "seg_no"]].reset_index(drop=True)
 
-    drops = co_partition(segs, ["h"], find_dups, n_buckets)
+    drops = co_partition(segs, ["h"], find_dups)
 
     def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1671,7 +1642,7 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8, n_buckets: int = 32):
             }
         )
 
-    return co_partition(both, ["doc_id"], rebuild, n_buckets)
+    return co_partition(both, ["doc_id"], rebuild)
 
 
 SUBSTR_ORACLE_SQL = r"""
@@ -1712,13 +1683,13 @@ FROM spans GROUP BY doc_id
 """
 
 
+# duplicated-window rows up to this broadcast to the filter scan of
+# exact_substr_dedup; read when the query runs
+SUBSTR_DUP_BUDGET = 2_000_000
+
+
 @q("exact_substr_dedup", SUBSTR_ORACLE_SQL)
-def q_exact_substr_dedup(
-    sf_dir: str,
-    w: int = 8,
-    force_distributed: bool = False,
-    n_buckets: int = 32,
-):
+def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = False):
     """Exact-substring dedup (Lee et al. ACL 2022 "ExactSubstr", the
     sliding-window complement of the tumbling ``segment_dedup``): every
     ``w``-token span occurring more than once ANYWHERE in the corpus is a
@@ -1750,8 +1721,6 @@ def q_exact_substr_dedup(
     )
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    dup_budget = int(os.environ.get("UPXR_SUBSTR_DUP_BUDGET", "2000000"))
-
     dup = None
     if not force_distributed:
         def emit(df: pd.DataFrame) -> pd.DataFrame:
@@ -1766,7 +1735,7 @@ def q_exact_substr_dedup(
             dup = dup.materialize()
             # a dup table past the broadcast budget (dup-heavy corpus)
             # falls through to the distributed plan
-            dup = dup.to_pandas() if dup.count() <= dup_budget else None
+            dup = dup.to_pandas() if dup.count() <= SUBSTR_DUP_BUDGET else None
 
     if dup is not None and len(dup) == 0:
         # nothing duplicated anywhere: typed empty, free on the driver
@@ -1805,16 +1774,12 @@ def q_exact_substr_dedup(
     # re-shuffles it anyway, and the count (a free metadata read) guards the
     # no-dup case — Ray's to_pandas drops the column schema on an all-empty
     # group stream, so emptiness must resolve to a typed driver frame here
-    removals = co_partition(
-        wins_full, ["h1", "h2"], find_rem, n_buckets
-    ).materialize()
+    removals = co_partition(wins_full, ["h1", "h2"], find_rem).materialize()
     if removals.count() == 0:
         from ..stages.dedup import _EMPTY_SUBSTR
 
         return _EMPTY_SUBSTR.copy()
-    return co_partition(
-        removals, ["doc_id"], lambda g: merge_removal_spans(g, w), n_buckets
-    )
+    return co_partition(removals, ["doc_id"], lambda g: merge_removal_spans(g, w))
 
 
 CURATE_ORACLE_SQL = """
@@ -1891,7 +1856,7 @@ def _ppm_topk(cands, k):
         df["cos_ppm"] = scaled_int(df["cos"], 1e6)
         return df[["query_id", "vec_id", "cos_ppm", "rank"]]
 
-    return co_partition(cands, ["query_id"], merge, KEY_BUCKETS)
+    return co_partition(cands, ["query_id"], merge)
 
 
 ANN_TOPK_ORACLE_SQL = """
@@ -1930,20 +1895,25 @@ def q_ann_topk(sf_dir: str, k: int = 5, n_queries: int = 10):
     return _ppm_topk(cands, k)
 
 
+# embeddings rows above which the exact all-pairs twins refuse to run;
+# read when the guard runs
+NEAR_DUP_EXACT_MAX_ROWS = 2_000_000
+
+
 def _exact_twin_row_guard(sf_dir: str, name: str, scale_path: str) -> None:
     """Shared guard for the exact all-pairs conformance twins: refuse to
     run O(n²/G)-per-group work above the row budget and point at the
     sub-quadratic scale path (single source of truth — review r5)."""
     import pyarrow.parquet as _pq
 
-    max_rows = int(os.environ.get("UPXR_NEAR_DUP_EXACT_MAX_ROWS", "2000000"))
     n_rows = _pq.ParquetFile(table_path(sf_dir, "embeddings")).metadata.num_rows
-    if n_rows > max_rows:
+    if n_rows > NEAR_DUP_EXACT_MAX_ROWS:
         raise ValueError(
             f"{name} is the exact all-pairs twin (O(n²/G) per group) and "
-            f"the corpus has {n_rows} rows > UPXR_NEAR_DUP_EXACT_MAX_ROWS="
-            f"{max_rows}; use {scale_path} (sub-quadratic) at this scale, "
-            "or raise the budget explicitly if you really want the exact plan"
+            f"the corpus has {n_rows} rows > NEAR_DUP_EXACT_MAX_ROWS="
+            f"{NEAR_DUP_EXACT_MAX_ROWS}; use {scale_path} (sub-quadratic) at "
+            "this scale, or raise the budget explicitly if you really want "
+            "the exact plan"
         )
 
 
@@ -1971,8 +1941,8 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 4
 
     This is the EXACT conformance twin: per-group work is O(n²/G) by
     construction, so it guards against silently running quadratic on a
-    large corpus (VERDICT r4 #3) — above ``UPXR_NEAR_DUP_EXACT_MAX_ROWS``
-    (default 2M; footer-metadata row count, O(1)) it raises and points at
+    large corpus (VERDICT r4 #3) — above ``NEAR_DUP_EXACT_MAX_ROWS``
+    (2M; footer-metadata row count, O(1)) it raises and points at
     ``embedding_near_dup_lsh``, the sub-quadratic scale path."""
     from ..stages.ann import PairGroupReplicate, all_pairs_group
 
@@ -1982,9 +1952,7 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 4
     rep = ds.map_batches(
         task_stage(PairGroupReplicate, n_buckets=n_buckets), batch_format="pandas"
     )
-    pairs = co_partition(
-        rep, ["pg"], all_pairs_group(threshold, n_buckets), n_buckets * n_buckets
-    )
+    pairs = co_partition(rep, ["pg"], all_pairs_group(threshold, n_buckets))
     out = typed_empty(PAIRS_PPM, pairs.to_pandas())
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
@@ -2021,7 +1989,7 @@ def _near_dup_lsh(
         concurrency=(1, 4),
         batch_format="pandas",
     )
-    pairs = co_partition(cand, ["bh"], lsh_bucket_pairs(threshold), LSH_BUCKETS)
+    pairs = co_partition(cand, ["bh"], lsh_bucket_pairs(threshold))
     out = combiner_groupby(
         pairs, ["id_a", "id_b"], maxs={"cos_ppm": "cos_ppm"}
     )
@@ -2380,7 +2348,7 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
     by id so stable argsort inherits the tie-break).
 
     Exact-twin guard (same as ``embedding_near_dup``): per-group work is
-    O(n²/G), so above ``UPXR_NEAR_DUP_EXACT_MAX_ROWS`` it raises and
+    O(n²/G), so above ``NEAR_DUP_EXACT_MAX_ROWS`` it raises and
     points at ``knn_join_ivf``, the bucketed approximate scale path."""
     from ..stages.ann import PairGroupReplicate, final_knn, knn_group
 
@@ -2390,10 +2358,8 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
         task_stage(PairGroupReplicate, n_buckets=n_buckets),
         batch_format="pandas",
     )
-    partials = co_partition(
-        rep, ["pg"], knn_group(k, n_buckets), n_buckets * n_buckets
-    )
-    out = co_partition(partials, ["vec_id"], final_knn(k), KEY_BUCKETS)
+    partials = co_partition(rep, ["pg"], knn_group(k, n_buckets))
+    out = co_partition(partials, ["vec_id"], final_knn(k))
     out = typed_empty(KNN, out.to_pandas())
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 
@@ -2423,7 +2389,7 @@ def q_knn_join_ivf(sf_dir: str, k: int = 5, n_clusters: int = 16):
         batch_format="pandas",
     )
 
-    out = co_partition(assigned, ["bucket"], bucket_knn(k), n_clusters)
+    out = co_partition(assigned, ["bucket"], bucket_knn(k))
     out = typed_empty(KNN, out.to_pandas())
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 
@@ -2654,7 +2620,7 @@ def q_semdedup(sf_dir: str, k: int = 8, iters: int = 5, threshold: float = 0.8):
 
     labeled = embs.map_batches(label_keep_vec, batch_format="pandas")
     return co_partition(
-        labeled, ["cluster_id"], lambda f: semdedup_cluster(f, threshold), k
+        labeled, ["cluster_id"], lambda f: semdedup_cluster(f, threshold)
     )
 
 
@@ -2669,17 +2635,17 @@ GROUP BY 1, 2
 
 
 @q("lang_centroids", LANG_CENTROIDS_ORACLE_SQL)
-def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
+def q_lang_centroids(sf_dir: str):
     """Grouped vector centroids: the mean embedding per language — the
     class-centroid aggregate of embedding-based curation. Fully
     distributed: documents(doc_id, lang) and embeddings(vec_id, embedding)
-    are ``co_partition``-ed on the id into ``n_buckets`` hash buckets (one
-    shuffle of the union of two tagged datasets); each block joins id→lang
-    vectorized in pandas and reduces to one (langs-in-block × dim)
-    partial-sum matrix. Only vocabulary-sized partials (≤ blocks × n_langs
-    rows of 512-byte sums) ever reach the driver — no corpus-sized
-    structure is built or broadcast anywhere (round-2 verdict item: the old
-    plan to_pandas()'d the doc→lang map)."""
+    are ``co_partition``-ed on the id (one shuffle of the union of two
+    tagged datasets); each block joins id→lang vectorized in pandas and
+    reduces to one (langs-in-block × dim) partial-sum matrix. Only
+    vocabulary-sized partials (≤ blocks × n_langs rows of 512-byte sums)
+    ever reach the driver — no corpus-sized structure is built or
+    broadcast anywhere (round-2 verdict item: the old plan to_pandas()'d
+    the doc→lang map)."""
     docs = load_table(sf_dir, "documents", ["doc_id", "lang"])
     embs = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -2740,7 +2706,7 @@ def q_lang_centroids(sf_dir: str, n_buckets: int = 16):
             )
         return pd.DataFrame(rows, columns=["lang", "n", "sums"])
 
-    partials = co_partition(both, ["id"], bucket_partials, n_buckets).to_pandas()
+    partials = co_partition(both, ["id"], bucket_partials).to_pandas()
     out = []
     for lang, grp in partials.groupby("lang"):
         total = np.zeros(64, dtype=np.float64)

@@ -8,25 +8,25 @@ from .salting import AssignPartitions, build_salt_map  # noqa: F401
 # per-worker-process cache behind task_stage(); one entry per (class, ctor)
 _STAGE_CACHE: dict = {}
 
-# private bucket column stamped by co_partition(); never reaches ``fn``
-_BUCKET = "__co_part"
+# private key-hash column stamped by co_partition(); never reaches ``fn``
+_HASH = "__co_part"
 
-# hash buckets of a co_partition on a key with no natural bucket count
-# (user_id, query_id, vec_id, lang, ...)
-KEY_BUCKETS = 64
+# broadcast payloads up to this ship in a task closure; thresholded_stage
+# reads it when it runs
+TASK_BROADCAST_BUDGET = 4 << 20
 
 
-def partition_of(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
-    """int64 bucket in ``[0, n)`` of each row of ``frame``, a pure function
-    of the ``keys`` column values: the one place the engine computes a
-    hash-bucket id for a groupby or a co-partitioned (tagged-union) join.
+def partition_of(frame: pd.DataFrame, keys) -> np.ndarray:
+    """int64 64-bit hash of each row's ``keys`` values: the one place the
+    engine computes the hash a groupby or a co-partitioned (tagged-union)
+    join shuffles on.
 
     ``pd.util.hash_pandas_object`` is deterministic across processes
     (unlike Python ``hash``), hashes strings by content, combines several
-    key columns, and sends every null key to one bucket. Numeric keys hash
-    as float64 (``-0.0`` folded into ``0.0``) so a value lands in the same
-    bucket whatever dtype its block carries: an Arrow int64 column becomes
-    int64 in a null-free pandas batch but float64 in a batch with nulls."""
+    key columns, and gives every null key one hash. Numeric keys hash as
+    float64 (``-0.0`` folded into ``0.0``) so a value gets the same hash
+    whatever dtype its block carries: an Arrow int64 column becomes int64
+    in a null-free pandas batch but float64 in a batch with nulls."""
     cols = {}
     for i, k in enumerate(keys):
         s = frame[k]
@@ -34,48 +34,52 @@ def partition_of(frame: pd.DataFrame, keys, n: int) -> np.ndarray:
             s = pd.Series(s.to_numpy(np.float64, na_value=np.nan) + 0.0)
         cols[i] = s.reset_index(drop=True)
     h = pd.util.hash_pandas_object(pd.DataFrame(cols), index=False)
-    return (h.to_numpy(np.uint64) % np.uint64(n)).astype(np.int64)
+    return h.to_numpy(np.uint64).view(np.int64)
 
 
-def co_partition(ds, keys, fn, n: int):
-    """``fn`` over hash co-partitions of ``ds``: every row of one ``keys``
+def co_partition(ds, keys, fn):
+    """``fn`` over key co-partitions of ``ds``: every row of one ``keys``
     value reaches exactly one ``fn(frame)`` call, so per-key reductions
     inside ``fn`` (vectorized pandas groupbys, dedups, pair enumeration)
-    are global. ``n`` is the number of hash buckets.
+    are global.
 
     ``ds`` is one Dataset or a list of them with the same columns (a
     tagged-union join): each input is stamped before the union, so each
     stamp fuses into the map that tags its side.
 
-    ``fn`` runs once per sorted block, not once per bucket or key: one call
-    sees many buckets and many keys, so it must reduce per key itself and
-    never assume its frame holds one key. It never sees a zero-row frame.
+    ``fn`` runs once per sorted block, not once per key: one call sees
+    many keys, so it must reduce per key itself and never assume its frame
+    holds one key. It never sees a zero-row frame.
 
-    The bucket column is stamped by a ``map_batches`` in the block's own
-    format (no pandas/Arrow conversion; Ray fuses it into the stage before
-    it) and dropped before ``fn`` sees the frame. ``sort(bucket)`` range-
-    partitions on the bucket, so all rows of a bucket land in one block,
-    with no Python loop over the groups of each block. This is the only
-    shuffle in the package that co-locates the rows of a key."""
+    The key hash (``partition_of``) is stamped by a ``map_batches`` in the
+    block's own format (no pandas/Arrow conversion; Ray fuses it into the
+    stage before it) and dropped before ``fn`` sees the frame.
+    ``sort(hash)`` range-partitions on the hash with sampled boundaries,
+    so all rows of a key land in one block, with no Python loop over the
+    groups of each block. The sort makes one partition per input block,
+    so the input's blocks (sized by bytes, ``context.block_count``) set
+    the shuffle width; no caller picks a bucket count. Besides this, only
+    ``joins.hash_join`` (Ray's ``Dataset.join``, above
+    ``BROADCAST_ROW_LIMIT``) co-locates the rows of a key."""
     keys = list(keys)
 
     def stamp(batch):
         if isinstance(batch, pa.Table):
-            part = partition_of(batch.select(keys).to_pandas(), keys, n)
-            return batch.append_column(_BUCKET, pa.array(part))
+            part = partition_of(batch.select(keys).to_pandas(), keys)
+            return batch.append_column(_HASH, pa.array(part))
         out = batch.copy(deep=False)
-        out[_BUCKET] = partition_of(batch, keys, n)
+        out[_HASH] = partition_of(batch, keys)
         return out
 
     def run(block: pd.DataFrame):
         if len(block):
-            yield fn(block.drop(columns=_BUCKET))
+            yield fn(block.drop(columns=_HASH))
 
     first, *rest = ds if isinstance(ds, (list, tuple)) else [ds]
     both = first.map_batches(stamp, batch_format=None)
     if rest:
         both = both.union(*(d.map_batches(stamp, batch_format=None) for d in rest))
-    return both.sort(_BUCKET).map_batches(run, batch_size=None, batch_format="pandas")
+    return both.sort(_HASH).map_batches(run, batch_size=None, batch_format="pandas")
 
 
 def per_key(frame: pd.DataFrame, key: str, fn) -> pd.DataFrame:
@@ -146,14 +150,11 @@ def thresholded_stage(ds, cls, ctor, payload_nbytes: int, concurrency, **mb):
     """Size-thresholded stage form, mirroring ``joins.thresholded_join``:
     run as plain tasks (closure-captured payload, no actor-pool spawn wait
     — ~1 s/actor measured) when the broadcast payload is under
-    ``UPXR_TASK_BROADCAST_BUDGET`` (default 4 MiB), else as an actor pool
+    ``TASK_BROADCAST_BUDGET`` (4 MiB), else as an actor pool
     that amortizes the by-value payload once per actor. ANN query/centroid
     tables at interactive sizes are KB-scale, so the task form is the
     common case; a 10⁶-query offline matrix stays a pool."""
-    import os
-
-    budget = int(os.environ.get("UPXR_TASK_BROADCAST_BUDGET", str(4 << 20)))
-    if payload_nbytes <= budget:
+    if payload_nbytes <= TASK_BROADCAST_BUDGET:
         return ds.map_batches(task_stage_obj(cls, **ctor), **mb)
     return ds.map_batches(
         cls, fn_constructor_kwargs=ctor, concurrency=concurrency, **mb

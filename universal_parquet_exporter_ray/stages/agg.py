@@ -66,14 +66,16 @@ def final_reduce(partials, keys: list[str], finish):
     pandas DataFrame) when the stream is within ``FINAL_REDUCE_CAP`` rows
     or ``FINAL_REDUCE_BYTES`` bytes, else once per sorted block of a
     ``keys`` co-partition (a Dataset). ``finish`` must reduce per key over
-    any split of the partial rows. The bucket count scales with the
-    stream, so one bucket stays worker-heap-sized."""
-    n = partials.count()
+    any split of the partial rows. A call holds one sort partition, and
+    the sort makes one per block of ``partials``, so a call is about one
+    block of partial rows; a key adds at most one partial row per
+    combined batch."""
     if FINAL_REDUCE_CAP and (
-        n <= FINAL_REDUCE_CAP or partials.size_bytes() <= FINAL_REDUCE_BYTES
+        partials.count() <= FINAL_REDUCE_CAP
+        or partials.size_bytes() <= FINAL_REDUCE_BYTES
     ):
         return finish(partials.to_pandas())
-    return co_partition(partials, keys, finish, max(32, n // 1_000_000))
+    return co_partition(partials, keys, finish)
 
 
 def map_any(out, fn):

@@ -459,6 +459,11 @@ def check_shared_root(out_dir: str) -> None:
             pass
 
 
+# rows per shard file of one IVF bucket; build_ivf_layout reads it when
+# it runs
+IVF_SHARD_ROWS = 1_000_000
+
+
 def build_ivf_layout(ds, centroids: np.ndarray, out_dir: str) -> pd.DataFrame:
     """Write ``ds`` (vec_id, embedding) re-partitioned by IVF bucket:
     ``<out_dir>/bucket=<b>/data.parquet`` one file per bucket (a directory
@@ -481,17 +486,14 @@ def build_ivf_layout(ds, centroids: np.ndarray, out_dir: str) -> pd.DataFrame:
         concurrency=(1, 4),
     )
 
-    # Hot buckets shard into <= shard_rows-row files instead of one giant
+    # Hot buckets shard into <= IVF_SHARD_ROWS-row files instead of one giant
     # file per bucket ("resumable output: never one giant file"): read
     # tasks parallelize per shard, and a probe's file list stays
     # directory-pruned (all shards of a bucket live in its bucket=<b>/
     # dir). Shard writes stay atomic (tmp + rename) and the manifest —
     # written LAST — carries one row per (bucket, shard).
-    shard_rows = int(os.environ.get("UPXR_IVF_SHARD_ROWS", "1000000"))
     manifest = (
-        co_partition(
-            assigned, ["bucket"], bucket_writer(out_dir, shard_rows), len(centroids)
-        )
+        co_partition(assigned, ["bucket"], bucket_writer(out_dir, IVF_SHARD_ROWS))
         .to_pandas()
         .sort_values("bucket")
         .reset_index(drop=True)

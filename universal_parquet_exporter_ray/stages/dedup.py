@@ -732,7 +732,7 @@ def connected_components(edges, max_rounds: int = 64):
       co-partition: every star body is vectorized over all the keys of
       its input, so one call per step is exact, with no Ray Data
       execution and no shuffle;
-    - a Dataset runs every round as two 32-bucket ``co_partition`` passes
+    - a Dataset runs every round as two ``co_partition`` passes
       on ``u`` (all rows of a node in one call, so per-node mins there
       are global) and returns a lazy Dataset. The edge set never leaves
       the workers; the driver holds one (count, checksum) pair per round.
@@ -761,7 +761,7 @@ def connected_components(edges, max_rounds: int = 64):
             return ds.map_batches(fn, batch_format="pandas")
 
         def group(ds, keys, fn):
-            return co_partition(ds, keys, fn, 32)
+            return co_partition(ds, keys, fn)
 
         def settle(ds):
             return ds.materialize()
@@ -811,39 +811,26 @@ BROADCAST_PAIR_BUDGET = 2_000_000
 # Corpus blob-table broadcast budget for the fast verify plan: below this
 # many bytes the per-doc shingle blobs ship ONCE to each worker (flat
 # arrays) and pairs verify with zero blob duplication; above it the corpus
-# side stays distributed. 64 MB default — at 100 TB the blob table is
+# side stays distributed. 64 MB — at 100 TB the blob table is
 # corpus-sized and this plan never triggers, by design.
-import os as _os
-
-BLOB_BROADCAST_BUDGET = int(
-    _os.environ.get("UPXR_BLOB_BROADCAST_BUDGET", str(64 << 20))
-)
+BLOB_BROADCAST_BUDGET = 64 << 20
 
 
-def verify_pairs(
-    docs,
-    cand_rows,
-    *,
-    broadcast_budget: int = BROADCAST_PAIR_BUDGET,
-    w: int = 3,
-    text_col: str = "text",
-    join_partitions: int = 32,
-    concurrency=(1, 8),
-    blob_budget: int = BLOB_BROADCAST_BUDGET,
-):
-    """Exact word-w-gram-Jaccard verification of candidate pairs — the
-    shared tail of ``minhash_lsh_pairs`` and ``ngram_jaccard_pairs``.
+def verify_pairs(docs, cand_rows):
+    """Exact word-3-gram-Jaccard verification of candidate pairs over the
+    ``text`` column of ``docs`` — the shared tail of ``minhash_lsh_pairs``,
+    ``decontaminate_neardup`` and ``ngram_jaccard_pairs``.
 
     ``cand_rows`` is a Dataset of (doc_a, doc_b) candidate rows (duplicates
     allowed, a < b).  Three physical plans, size-thresholded like
     ``stages/joins.py::thresholded_join``:
 
-    - **broadcast-blob** (pair count ≤ budget AND the corpus blob table ≤
-      ``blob_budget`` bytes): the per-doc shingle blobs broadcast ONCE as
-      flat arrays and the pairs stream through ``BlobPairJaccard`` — no
-      per-pair blob duplication, no pq shuffle (round-5: the emit+shuffle
-      plan duplicated each doc's blob per candidate pair, ~80× on the
-      sf0.1 ngram corpus, 4.4 s → 0.9 s).
+    - **broadcast-blob** (pair count ≤ ``BROADCAST_PAIR_BUDGET`` AND the
+      corpus blob table ≤ ``BLOB_BROADCAST_BUDGET`` bytes): the per-doc
+      shingle blobs broadcast ONCE as flat arrays and the pairs stream
+      through ``BlobPairJaccard`` — no per-pair blob duplication, no pq
+      shuffle (round-5: the emit+shuffle plan duplicated each doc's blob
+      per candidate pair, ~80× on the sf0.1 ngram corpus, 4.4 s → 0.9 s).
     - **broadcast-pair** (pair count ≤ budget, blob table too big): the
       deduped membership table ships by value to a ``PairShingleEmit``
       actor pool; one corpus scan emits shingle blobs only for candidate
@@ -852,8 +839,7 @@ def verify_pairs(
       co-partitions, explode to membership rows, and hash-join against a
       full corpus blob scan — no driver materialization of the pair graph.
 
-    ``join_partitions`` is the bucket count of every shuffle here (pair
-    dedup, blob⋈members join, per-pair Jaccard).
+    Both budgets are read when the verify runs.
 
     Returns a Dataset of exact integer (doc_a, doc_b, inter, union)."""
     from . import co_partition
@@ -861,7 +847,7 @@ def verify_pairs(
     pair_keys = ["doc_a", "doc_b"]
     cand = cand_rows.materialize()
     n_upper = cand.count()  # band-duplicate upper bound — safe to broadcast
-    if n_upper <= broadcast_budget:
+    if n_upper <= BROADCAST_PAIR_BUDGET:
         pairs = cand.to_pandas().drop_duplicates(subset=["doc_a", "doc_b"])
         if len(pairs) == 0:
             import ray.data as rd
@@ -877,16 +863,16 @@ def verify_pairs(
         # measure it (the decision probe must not itself be corpus-scale).
         text_proxy_ok = True
         try:
-            text_proxy_ok = docs.size_bytes() <= 4 * blob_budget
+            text_proxy_ok = docs.size_bytes() <= 4 * BLOB_BROADCAST_BUDGET
         except Exception:
             pass
         blobs = None
         if text_proxy_ok:
             blobs = docs.map_batches(
-                _task_stage(ShingleBlobStage, w=w, text_col=text_col),
+                _task_stage(ShingleBlobStage),
                 batch_format="pandas",
             ).materialize()
-        if blobs is not None and blobs.size_bytes() <= blob_budget:
+        if blobs is not None and blobs.size_bytes() <= BLOB_BROADCAST_BUDGET:
             import ray.data as rd
 
             bdf = blobs.to_pandas()
@@ -909,7 +895,7 @@ def verify_pairs(
                     "counts": counts,
                 },
                 payload_nbytes=payload,
-                concurrency=concurrency,
+                concurrency=(1, 8),
                 batch_format="pandas",
             )
         a = pairs["doc_a"].to_numpy(np.int64)
@@ -922,7 +908,7 @@ def verify_pairs(
             }
         )
         # task form under the broadcast budget: the membership table is
-        # 3 int64 columns over 2×pairs rows; below UPXR_TASK_BROADCAST_BUDGET
+        # 3 int64 columns over 2×pairs rows; below TASK_BROADCAST_BUDGET
         # it closure-ships to warm workers instead of paying ~1 s/actor
         # spawn for a microsecond constructor (same gate as the ANN stages)
         from . import thresholded_stage
@@ -930,17 +916,14 @@ def verify_pairs(
         emitted = thresholded_stage(
             docs,
             PairShingleEmit,
-            {"members": members, "w": w, "text_col": text_col},
+            {"members": members},
             payload_nbytes=int(members.memory_usage(index=False).sum()),
-            concurrency=concurrency,
+            concurrency=(1, 8),
             batch_format="pandas",
         )
     else:
         pairs_ds = co_partition(
-            cand,
-            pair_keys,
-            lambda g: g[pair_keys].drop_duplicates(),
-            join_partitions,
+            cand, pair_keys, lambda g: g[pair_keys].drop_duplicates()
         )
 
         def to_members(df: pd.DataFrame) -> pd.DataFrame:
@@ -959,7 +942,7 @@ def verify_pairs(
         from . import task_stage
 
         blobs = docs.map_batches(
-            task_stage(ShingleBlobStage, w=w, text_col=text_col),
+            task_stage(ShingleBlobStage),
             batch_format="pandas",
         )
 
@@ -1014,10 +997,8 @@ def verify_pairs(
             )
             return mm[["doc_a", "doc_b", "doc_id", "sh", "n_sh"]]
 
-        emitted = co_partition(both, ["doc_id"], join_group, join_partitions)
-    return co_partition(
-        emitted, pair_keys, pair_blob_partition_jaccard, join_partitions
-    )
+        emitted = co_partition(both, ["doc_id"], join_group)
+    return co_partition(emitted, pair_keys, pair_blob_partition_jaccard)
 
 
 # typed empty for the tagged-union join stages (see PairShingleEmit note)

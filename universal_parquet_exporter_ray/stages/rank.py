@@ -108,9 +108,8 @@ def _range_plan(
         rng = block["_rng"].to_numpy(np.int64)
         return block_pass(block.drop(columns=["_rng"]), rng, ray.get(off_ref)[rng])
 
-    ranged = co_partition(
-        ds.map_batches(assign, batch_format="pandas"), ["_rng"], run, n_ranges
-    )
+    assigned = ds.map_batches(assign, batch_format="pandas")
+    ranged = co_partition(assigned, ["_rng"], run)
     return ranged, totals
 
 
