@@ -113,18 +113,21 @@ assert len(_TIER1_SURVEY) + len(_TIER2_LLM) == 50, (
 )
 
 
-def queries() -> dict[str, Callable[[str], Any]]:
-    from universal_parquet_exporter_ray.pipelines.relational import QUERIES as REL
-    from universal_parquet_exporter_ray.pipelines.textops import QUERIES as TEXT
+def _registry():
+    """The package's one query registry, once both query modules have
+    registered into it."""
+    from universal_parquet_exporter_ray import pipelines
+    from universal_parquet_exporter_ray.pipelines import relational, textops  # noqa: F401
 
-    merged = {**REL, **TEXT}
-    ordered = {n: merged[n] for n in _COST_ORDER if n in merged}
-    ordered.update({n: f for n, f in merged.items() if n not in ordered})
+    return pipelines
+
+
+def queries() -> dict[str, Callable[[str], Any]]:
+    reg = _registry().QUERIES
+    ordered = {n: reg[n] for n in _COST_ORDER if n in reg}
+    ordered.update({n: f for n, f in reg.items() if n not in ordered})
     return ordered
 
 
 def oracle_sql() -> dict[str, str]:
-    from universal_parquet_exporter_ray.pipelines.relational import ORACLE_SQL as REL
-    from universal_parquet_exporter_ray.pipelines.textops import ORACLE_SQL as TEXT
-
-    return {**REL, **TEXT}
+    return dict(_registry().ORACLE_SQL)

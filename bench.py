@@ -74,9 +74,8 @@ def run_bench() -> dict:
     src = _gen_fixture()
     input_bytes = os.path.getsize(src)
 
+    from __ray_entry__ import queries
     from universal_parquet_exporter_ray.pipelines import encode_dataset
-    from universal_parquet_exporter_ray.pipelines.relational import QUERIES as REL
-    from universal_parquet_exporter_ray.pipelines.textops import QUERIES as TEXT
 
     # warm the page cache so we measure compute + shuffle, not first disk read
     import pyarrow.parquet as pq
@@ -153,6 +152,7 @@ def run_bench() -> dict:
         except AttributeError:
             return res.num_rows  # pyarrow table
 
+    registry = queries()
     for rep in range(reps):
         for name in [
             "group_agg",
@@ -166,7 +166,7 @@ def run_bench() -> dict:
             "ann_topk",
             "exact_substr_dedup",
         ]:
-            fn = REL.get(name) or TEXT.get(name)
+            fn = registry[name]
             t0 = time.perf_counter()
             consume(fn(SF_DIR))
             record(name, time.perf_counter() - t0)

@@ -269,3 +269,41 @@ def test_no_module_calls_map_groups():
         "ds.aggregate(Count())\n"
     )
     assert sum(map(_grouped_shuffle, ast.walk(sample))) == 2
+
+
+def _pool_kwargs(node) -> bool:
+    """A ``.map_batches(...)`` call that sizes or feeds an actor pool
+    itself: it passes ``concurrency=`` or ``fn_constructor_kwargs=``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_batches"
+        and any(
+            kw.arg in ("concurrency", "fn_constructor_kwargs")
+            for kw in node.keywords
+        )
+    )
+
+
+def test_only_map_stage_builds_a_pool():
+    """``stages.map_stage`` is the package's one per-batch stage form: it
+    measures the constructor payload and picks tasks or a pool. No other
+    module passes ``concurrency=`` or ``fn_constructor_kwargs=`` to
+    ``map_batches``."""
+    calls = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "stages" / "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _pool_kwargs(node)
+    ]
+    assert calls == []
+    # the scan sees both keywords, and map_stage itself still sizes a pool
+    sample = ast.parse(
+        "ds.map_batches(Cls, concurrency=(1, 4))\n"
+        "ds.map_batches(Cls, fn_constructor_kwargs={'k': 1})\n"
+        "ds.map_batches(fn, batch_format='pandas')\n"
+    )
+    assert sum(map(_pool_kwargs, ast.walk(sample))) == 2
+    init = PACKAGE / "stages" / "__init__.py"
+    assert sum(map(_pool_kwargs, ast.walk(ast.parse(init.read_text())))) == 1

@@ -1168,9 +1168,10 @@ def test_prefix_filter_bounds_stop_shingle_emission():
     assert len(cands) < m, f"stop-shingle blowup: {len(cands)} candidate rows"
 
 
-def test_thresholded_join_both_plans_agree(ray_session):
+def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
     """The size-thresholded join must produce identical rows whether the
     small side broadcasts (under the limit) or hash-partitions (over it)."""
+    from universal_parquet_exporter_ray.stages import joins
     from universal_parquet_exporter_ray.stages.joins import thresholded_join
 
     large = ray.data.from_pandas(
@@ -1181,14 +1182,9 @@ def test_thresholded_join_both_plans_agree(ray_session):
     )
 
     def run(limit, how):
+        monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", limit)
         out = thresholded_join(
-            large,
-            small,
-            left_on=["k"],
-            right_on=["rk"],
-            how=how,
-            broadcast_limit=limit,
-            num_partitions=4,
+            large, small, left_on=["k"], right_on=["rk"], how=how
         ).to_pandas()
         return (
             out[sorted(out.columns)]

@@ -429,8 +429,6 @@ def test_encode_pipeline_duplicate_identical_batches(tmp_path, ray_session):
 
 
 def test_kmeans_and_ivf_recall_on_clustered_data(ray_session):
-    import ray as _ray
-
     from universal_parquet_exporter_ray.stages.ann import (
         BatchTopKCosine,
         IvfTopKCosine,
@@ -451,13 +449,9 @@ def test_kmeans_and_ivf_recall_on_clustered_data(ray_session):
     qids = ids[:8]
     qmat = _normalize(vecs[:8].astype(np.float64))
     # compare exact vs IVF top-1 neighbor (nprobe=2 of 4 clusters)
-    if not _ray.is_initialized():
-        pytest.skip("needs ray for object store refs")
-    qref = _ray.put((qids, qmat))
-    cref = _ray.put(cent)
     batch = pd.DataFrame({"vec_id": ids, "embedding": list(vecs)})
-    exact = BatchTopKCosine(qref, k=3)(batch)
-    approx = IvfTopKCosine(qref, cref, k=3, nprobe=2)(batch)
+    exact = BatchTopKCosine((qids, qmat), k=3)(batch)
+    approx = IvfTopKCosine((qids, qmat), cent, k=3, nprobe=2)(batch)
     top1_exact = exact.sort_values(["query_id", "cos"], ascending=[True, False]).groupby("query_id").head(1)
     top1_ivf = approx.sort_values(["query_id", "cos"], ascending=[True, False]).groupby("query_id").head(1)
     merged = top1_exact.merge(top1_ivf, on="query_id", suffixes=("_e", "_i"))
@@ -789,14 +783,14 @@ def test_read_manifest_promotes_old_schema(tmp_path):
     assert by_pid["p0"] is None and by_pid["p1"] == "{}"
 
 
-def test_thresholded_stage_switches_on_payload_budget(ray_session, monkeypatch):
-    """thresholded_stage runs small-broadcast stages as plain tasks and
-    falls back to an actor pool above TASK_BROADCAST_BUDGET; both
-    forms must produce identical results (the ann call-site contract)."""
+def test_map_stage_switches_on_payload_budget(ray_session, monkeypatch):
+    """map_stage sizes the pickled constructor kwargs itself: plain tasks
+    within TASK_BROADCAST_BUDGET, an actor pool above it. Both forms give
+    the same frame, and the caller passes no size or pool size."""
     import ray
 
     from universal_parquet_exporter_ray import stages
-    from universal_parquet_exporter_ray.stages import thresholded_stage
+    from universal_parquet_exporter_ray.stages import map_stage
     from universal_parquet_exporter_ray.stages.ann import BatchTopKCosine, _normalize
 
     rng = np.random.default_rng(7)
@@ -807,21 +801,61 @@ def test_thresholded_stage_switches_on_payload_budget(ray_session, monkeypatch):
     qids = np.arange(3, dtype=np.int64)
     qmat = mat[:3]
     ctor = {"queries": (qids, qmat), "k": 4}
-    payload = qids.nbytes + qmat.nbytes
+    forms = []
+    map_batches = ray.data.Dataset.map_batches
+
+    def spy(self, fn, **kw):
+        forms.append("pool" if isinstance(fn, type) else "tasks")
+        return map_batches(self, fn, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
 
     def run(budget):
         monkeypatch.setattr(stages, "TASK_BROADCAST_BUDGET", budget)
-        out = thresholded_stage(
-            ds, BatchTopKCosine, ctor, payload_nbytes=payload,
-            concurrency=1, batch_format="pandas",
-        )
-        return (
-            out.to_pandas()
-            .sort_values(["query_id", "vec_id"])
-            .reset_index(drop=True)
-        )
+        out = map_stage(ds, BatchTopKCosine, ctor, batch_format="pandas")
+        frame = out.to_pandas().sort_values(["query_id", "vec_id"])
+        return frame.reset_index(drop=True)
 
-    task_form = run(payload + 1)  # under budget -> plain tasks
-    pool_form = run(payload - 1)  # over budget -> actor pool
+    task_form = run(4 << 20)  # KB payload: plain tasks
+    pool_form = run(0)  # every payload is over: actor pool
+    assert forms == ["tasks", "pool"]
     pd.testing.assert_frame_equal(task_form, pool_form)
     assert len(task_form) > 0
+
+
+def test_stage_queries_finish_on_one_cpu(sf_small):
+    """The media stages and the two broadcast-model scorers run as tasks,
+    so each query finishes and matches its oracle in a 1-CPU Ray session.
+    (As actor pools, the media queries never finished there: the one
+    actor held the only CPU that the read feeding it needed.)"""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    names = [
+        "multimodal_features", "media_resize", "media_frame_sample",
+        "unigram_logprob", "tfidf_keywords",
+    ]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # own process group: a stalled run's Ray processes are killed with it
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(root, "tools", "check_oracle.py"),
+         sf_small, *names, "--strict-dtypes", "--num-cpus", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    verdicts = {
+        line.split()[0]: line.split()[1]
+        for line in out.splitlines()
+        if line.split()[:1] and line.split()[0] in names
+    }
+    assert verdicts == dict.fromkeys(names, "OK"), out[-2000:]
+    assert proc.returncode == 0, err[-2000:]

@@ -4,8 +4,8 @@ Data.
 The reference delegates every one of these to a SQL engine via query text
 (``/root/reference/src/query/query_executor.py:8-37``); here each is a named
 Ray Data pipeline. Each ``q_*`` function takes ``sf_dir`` and returns a
-Dataset / DataFrame; ``ORACLE_SQL`` holds the DuckDB twin with IDENTICAL
-column names (driver contract).
+Dataset / DataFrame; ``pipelines.ORACLE_SQL`` holds the DuckDB twin with
+IDENTICAL column names (driver contract).
 
 Conventions:
 - float aggregates are rounded on BOTH sides (``round_half_away``) so the
@@ -19,8 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -33,19 +31,7 @@ from ..sources import load_table, table_path
 from ..stages import co_partition, per_key, typed_empty
 from ..stages.agg import combiner_groupby, map_any, to_frame
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
-
-QUERIES: dict[str, Callable] = {}
-ORACLE_SQL: dict[str, str] = {}
-
-
-def q(name: str, sql: str | None = None):
-    def deco(fn):
-        QUERIES[name] = fn
-        if sql is not None:
-            ORACLE_SQL[name] = sql
-        return fn
-
-    return deco
+from . import ORACLE_SQL, QUERIES, q  # noqa: F401
 
 
 def _ts_us_i64(col):

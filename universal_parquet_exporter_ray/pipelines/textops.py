@@ -2,28 +2,27 @@
 dedup (exact, MinHash-LSH, SimHash, n-gram Jaccard), similarity search,
 text analysis, multimodal plumbing, and the codec-engine round-trip query.
 
-Same registry shape as relational.py; entries without an oracle are
-non-SQL-expressible (driver records the weaker rows-only check)."""
+Registers into the same ``pipelines.QUERIES`` registry as relational.py;
+entries without an oracle are non-SQL-expressible (driver records the
+weaker rows-only check)."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import tempfile
-from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-import ray.data
 from ..sources import load_table, table_path
-from ..stages import co_partition, task_stage, thresholded_stage, typed_empty
+from ..stages import co_partition, map_stage, typed_empty
 from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
 from ..stages.multimodal import MediaDecodeStage, to_media_table
+from . import ORACLE_SQL, QUERIES, q  # noqa: F401
 from ..stages.text import (
     FingerprintStage,
     LangIdStage,
@@ -34,21 +33,8 @@ from ..stages.text import (
     token_count,
 )
 
-QUERIES: dict[str, Callable] = {}
-ORACLE_SQL: dict[str, str] = {}
-
 # column → dtype of the verified doc-pair results (``typed_empty``)
 DOC_PAIRS = {"doc_a": "int64", "doc_b": "int64", "jac_ppm": "int64"}
-
-
-def q(name: str, sql: str | None = None):
-    def deco(fn):
-        QUERIES[name] = fn
-        if sql is not None:
-            ORACLE_SQL[name] = sql
-        return fn
-
-    return deco
 
 
 # ----------------------------------------------------------------------
@@ -125,10 +111,7 @@ def q_minhash_lsh_pairs(sf_dir: str):
     from ..stages.dedup import partition_to_pairs, verify_pairs
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    # plain tasks on already-warm workers: the stage's per-actor setup
-    # (_perm_constants) is microseconds, so an actor pool only buys its
-    # own spawn cost (~1 s/actor); worker-cached instance instead
-    bands = docs.map_batches(task_stage(MinHashBandStage), batch_format="pandas")
+    bands = map_stage(docs, MinHashBandStage, batch_format="pandas")
     pair_rows = co_partition(bands, ["band", "band_hash"], partition_to_pairs)
     # exact-Jaccard verify: broadcast membership under the pair budget,
     # hash-partitioned join above it (dup-heavy crawls) — verify_pairs
@@ -200,8 +183,8 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
     ``hash_split``). Emits per flagged training doc its benchmark-match
     count and max Jaccard — the drop ledger plus the audit evidence.
 
-    Plan: the standing minhash machinery end to end — banding (per-worker
-    cached stage) → LSH-bucket co-partition pair enumeration → a CHEAP
+    Plan: the standing minhash machinery end to end — banding (a
+    ``map_stage``) → LSH-bucket co-partition pair enumeration → a CHEAP
     cross-set filter on the output-sized candidate list (train-train and
     bench-bench candidates never reach the exact verify, the expensive
     stage) → size-thresholded exact-Jaccard verify (broadcast under the
@@ -226,9 +209,7 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
         ].reset_index(drop=True)
 
     eligible = docs.map_batches(drop_short, batch_format="pandas")
-    bands = eligible.map_batches(
-        task_stage(MinHashBandStage), batch_format="pandas"
-    )
+    bands = map_stage(eligible, MinHashBandStage, batch_format="pandas")
     pair_rows = co_partition(bands, ["band", "band_hash"], partition_to_pairs)
 
     def cross_set(df: pd.DataFrame) -> pd.DataFrame:
@@ -399,17 +380,16 @@ def q_dedup_keep_best(sf_dir: str):
     components on the driver frame of verified pairs) yields the
     OUTPUT-sized doc→component map as a pandas frame (only docs incident to
     a verified edge appear). The map broadcasts through
-    ``thresholded_stage`` into ONE corpus pass that emits per-batch
-    per-cluster ARGMAX PARTIALS (algebraic: sum counts, argmax of
-    argmaxes), so only cluster-sized rows ever leave a worker. The map
-    always broadcasts: in the task closure while it is within
-    ``stages.TASK_BROADCAST_BUDGET`` (4 MiB), else by value once per actor
-    of a ``ClusterBestPartial`` pool. There is no join fallback, so the
+    ``map_stage`` into ONE corpus pass that emits per-batch per-cluster
+    ARGMAX PARTIALS (algebraic: sum counts, argmax of argmaxes), so only
+    cluster-sized rows ever leave a worker. The map always broadcasts: in
+    the task closure while it is within ``stages.TASK_BROADCAST_BUDGET``
+    (4 MiB), else by value once per actor of a ``ClusterBestPartial``
+    pool. There is no join fallback, so the
     map must fit a worker heap. The partials merge through
     ``stages.agg.final_reduce``: a driver pandas merge within its caps, a
     ``cluster_id`` co-partition merge above them (the 100-TB path, where
     cluster count scales with the corpus)."""
-    from ..stages import thresholded_stage
     from ..stages.dedup import ClusterBestPartial, merge_keep_best_partials
 
     cdf = q_dedup_clusters(sf_dir)
@@ -421,12 +401,10 @@ def q_dedup_keep_best(sf_dir: str):
     map_vals = cdf["cluster_id"].to_numpy(dtype=np.int64)
 
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    partials = thresholded_stage(
+    partials = map_stage(
         ds,
         ClusterBestPartial,
         {"map_keys": map_keys, "map_vals": map_vals},
-        payload_nbytes=map_keys.nbytes + map_vals.nbytes + 64,
-        concurrency=(1, 4),
         batch_format="pandas",
     ).materialize()
 
@@ -497,8 +475,7 @@ def q_ngram_jaccard_pairs(sf_dir: str):
     )
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    # pure-hash stage, trivial ctor at any scale -> plain tasks (see task_stage)
-    exploded = docs.map_batches(task_stage(ShingleExplode), batch_format="pandas")
+    exploded = map_stage(docs, ShingleExplode, batch_format="pandas")
     routed = co_partition(exploded, ["sh"], df_stamp_route)
     prefixes = co_partition(routed, ["doc_id"], prefix_select)
     cand_rows = co_partition(prefixes, ["sh"], prefix_posting_pairs)
@@ -555,7 +532,7 @@ def q_simhash64(sf_dir: str):
     md5-low64 so the DuckDB twin (``md5_number_upper`` + per-bit votes) is an
     exact oracle."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(task_stage(SimHashStage), batch_format="pandas")
+    return map_stage(ds, SimHashStage, batch_format="pandas")
 
 
 def _fingerprint_oracle_sql(k: int = 8, base: int = 1099511628211) -> str:
@@ -584,7 +561,7 @@ def q_fingerprint(sf_dir: str):
     """Karp–Rabin rolling-hash min-fingerprint per document, with an exact
     polynomial-reformulation SQL oracle."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(task_stage(FingerprintStage), batch_format="pandas")
+    return map_stage(ds, FingerprintStage, batch_format="pandas")
 
 
 # ----------------------------------------------------------------------
@@ -840,12 +817,10 @@ FROM documents d LEFT JOIN best b ON b.doc_id = d.doc_id AND b.rn = 1
 
 @q("lang_id", _lang_id_oracle_sql())
 def q_lang_id(sf_dir: str):
-    """Stopword-table language-ID heuristic (actor pool), with an exact SQL
-    twin over the same stopword tables."""
+    """Stopword-table language-ID heuristic (``LangIdStage``), with an
+    exact SQL twin over the same stopword tables."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    # trivial ctor (regex + frozen stopword tables) -> plain tasks with the
-    # per-worker cached instance; an actor pool only buys spawn cost here
-    return ds.map_batches(task_stage(LangIdStage), batch_format="pandas")
+    return map_stage(ds, LangIdStage, batch_format="pandas")
 
 
 HASH_SPLIT_ORACLE_SQL = """
@@ -1158,6 +1133,34 @@ def train_unigram_model(ds, min_count: int = 1) -> tuple[pd.Series, float]:
     return logp, oov_logp
 
 
+class UnigramScoreStage:
+    """Mean negative log-likelihood per doc, in milli-nats, under the
+    unigram model ``logp`` (token → log-prob) with ``oov_logp`` for cut
+    tokens."""
+
+    def __init__(self, logp: pd.Series, oov_logp: float):
+        self.logp, self.oov_logp = logp, oov_logp
+
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        toks = df["text"].str.findall(r"\S+")
+        n_tok = toks.str.len().to_numpy(np.int64)
+        keep = n_tok > 0  # zero-token docs drop out (SQL: no unnest rows)
+        ex = toks[keep].reset_index(drop=True).explode()
+        lp = self.logp.reindex(ex.to_numpy()).to_numpy(np.float64)
+        lp[np.isnan(lp)] = self.oov_logp  # cut tokens → OOV bucket
+        sums = np.zeros(int(keep.sum()), dtype=np.float64)
+        np.add.at(sums, ex.index.to_numpy(np.int64), lp)
+        v = -sums / n_tok[keep] * 1000.0
+        return pd.DataFrame(
+            {
+                "doc_id": df["doc_id"].to_numpy()[keep],
+                "mean_nll_milli": (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(
+                    np.int64
+                ),
+            }
+        )
+
+
 @q("unigram_logprob", _UNIGRAM_ORACLE_SQL)
 def q_unigram_logprob(sf_dir: str, min_count: int = 1):
     """Model-based quality scoring, the two-pass broadcast-model shape used
@@ -1165,40 +1168,19 @@ def q_unigram_logprob(sf_dir: str, min_count: int = 1):
     TRAINS a unigram LM over the whole corpus (``train_unigram_model``:
     combiner-first counting with the min-count cutoff + OOV bucket applied
     INSIDE the distributed sum, so the broadcast stays bounded at any corpus
-    size); the tiny model is broadcast once via ``ray.put``; pass 2 scores
-    every doc with mean negative log-likelihood in an actor-pool stage whose
-    __init__ materializes the log-prob table once per actor.  The default
-    ``min_count=1`` cuts nothing — exact oracle parity at test scale; a
-    100-TB run sets it to the CCNet-style threshold.  Scores are milli-nats
-    as int64 for exact oracle parity."""
+    size); pass 2 scores every doc with mean negative log-likelihood in
+    ``UnigramScoreStage``, which gets the model by value through
+    ``map_stage``.  The default ``min_count=1`` cuts nothing — exact oracle
+    parity at test scale; a 100-TB run sets it to the CCNet-style threshold.
+    Scores are milli-nats as int64 for exact oracle parity."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
     logp, oov_logp = train_unigram_model(ds, min_count=min_count)
-    model_ref = ray.put((logp, oov_logp))
-
-    class UnigramScoreStage:
-        def __init__(self):
-            self.logp, self.oov_logp = ray.get(model_ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            toks = df["text"].str.findall(r"\S+")
-            n_tok = toks.str.len().to_numpy(np.int64)
-            keep = n_tok > 0  # zero-token docs drop out (SQL: no unnest rows)
-            ex = toks[keep].reset_index(drop=True).explode()
-            lp = self.logp.reindex(ex.to_numpy()).to_numpy(np.float64)
-            lp[np.isnan(lp)] = self.oov_logp  # cut tokens → OOV bucket
-            sums = np.zeros(int(keep.sum()), dtype=np.float64)
-            np.add.at(sums, ex.index.to_numpy(np.int64), lp)
-            v = -sums / n_tok[keep] * 1000.0
-            return pd.DataFrame(
-                {
-                    "doc_id": df["doc_id"].to_numpy()[keep],
-                    "mean_nll_milli": (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(
-                        np.int64
-                    ),
-                }
-            )
-
-    return ds.map_batches(UnigramScoreStage, batch_format="pandas", concurrency=(1, 4))
+    return map_stage(
+        ds,
+        UnigramScoreStage,
+        {"logp": logp, "oov_logp": oov_logp},
+        batch_format="pandas",
+    )
 
 
 _TFIDF_ORACLE_SQL = """
@@ -1289,6 +1271,50 @@ def train_doc_freq(ds, min_df: int = 2) -> tuple[pd.Series, float, float]:
     return idf, default_idf, n_docs
 
 
+class TfIdfStage:
+    """Each doc's top ``k`` tokens by tf × idf, ties on token ascending;
+    ``idf`` is token → idf, and a token missing from it (df == 1) takes
+    ``default_idf``."""
+
+    def __init__(self, idf: pd.Series, default_idf: float, k: int):
+        self.idf, self.default_idf, self.k = idf, default_idf, k
+
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        toks = df["text"].str.findall(r"\S+")
+        ids = df["doc_id"].to_numpy()
+        ex = toks.reset_index(drop=True).explode().dropna()
+        if len(ex) == 0:
+            return pd.DataFrame(
+                {
+                    "doc_id": pd.Series([], dtype=df["doc_id"].dtype),
+                    "tok": pd.Series([], dtype="object"),
+                    "tfidf_milli": pd.Series([], dtype="int64"),
+                }
+            )
+        flat = pd.DataFrame(
+            {"i": ids[ex.index.to_numpy(np.int64)], "tok": ex.to_numpy()}
+        )
+        tf = flat.groupby(["i", "tok"], sort=False).size().reset_index(name="tf")
+        tok_idf = self.idf.reindex(tf["tok"].to_numpy()).to_numpy(np.float64)
+        tok_idf[np.isnan(tok_idf)] = self.default_idf  # cut ⟺ df == 1
+        tf["score"] = tf["tf"].to_numpy(np.float64) * tok_idf
+        top = (
+            tf.sort_values(["i", "score", "tok"], ascending=[True, False, True])
+            .groupby("i", sort=False)
+            .head(self.k)
+        )
+        v = top["score"].to_numpy(np.float64) * 1000.0
+        return pd.DataFrame(
+            {
+                "doc_id": top["i"].to_numpy(),
+                "tok": top["tok"].to_numpy(),
+                "tfidf_milli": (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(
+                    np.int64
+                ),
+            }
+        )
+
+
 @q("tfidf_keywords", _TFIDF_ORACLE_SQL)
 def q_tfidf_keywords(sf_dir: str, k: int = 3, min_df: int = 2):
     """Per-document keyword extraction: top-k tokens by tf-idf. Pass 1
@@ -1303,49 +1329,12 @@ def q_tfidf_keywords(sf_dir: str, k: int = 3, min_df: int = 2):
     and exact ties break on token ascending."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
     idf, default_idf, _ = train_doc_freq(ds, min_df=min_df)
-    idf_ref = ray.put((idf, default_idf))
-
-    class TfIdfStage:
-        def __init__(self):
-            self.idf, self.default_idf = ray.get(idf_ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            toks = df["text"].str.findall(r"\S+")
-            ids = df["doc_id"].to_numpy()
-            ex = toks.reset_index(drop=True).explode().dropna()
-            if len(ex) == 0:
-                return pd.DataFrame(
-                    {
-                        "doc_id": pd.Series([], dtype=df["doc_id"].dtype),
-                        "tok": pd.Series([], dtype="object"),
-                        "tfidf_milli": pd.Series([], dtype="int64"),
-                    }
-                )
-            flat = pd.DataFrame(
-                {"i": ids[ex.index.to_numpy(np.int64)], "tok": ex.to_numpy()}
-            )
-            tf = flat.groupby(["i", "tok"], sort=False).size().reset_index(name="tf")
-            tok_idf = self.idf.reindex(tf["tok"].to_numpy()).to_numpy(np.float64)
-            tok_idf[np.isnan(tok_idf)] = self.default_idf  # cut ⟺ df == 1
-            score = tf["tf"].to_numpy(np.float64) * tok_idf
-            tf["score"] = score
-            top = (
-                tf.sort_values(["i", "score", "tok"], ascending=[True, False, True])
-                .groupby("i", sort=False)
-                .head(k)
-            )
-            v = top["score"].to_numpy(np.float64) * 1000.0
-            return pd.DataFrame(
-                {
-                    "doc_id": top["i"].to_numpy(),
-                    "tok": top["tok"].to_numpy(),
-                    "tfidf_milli": (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(
-                        np.int64
-                    ),
-                }
-            )
-
-    return ds.map_batches(TfIdfStage, batch_format="pandas", concurrency=(1, 4))
+    return map_stage(
+        ds,
+        TfIdfStage,
+        {"idf": idf, "default_idf": default_idf, "k": k},
+        batch_format="pandas",
+    )
 
 
 CONTAMINATION_ORACLE_SQL = """
@@ -1370,8 +1359,8 @@ def q_contamination_scan(sf_dir: str, n_probes: int = 5):
     search into the sorted probe-hash index, byte-exact verification — so
     per-byte scan cost is independent of the probe COUNT, which is what
     the real decontamination regime (10⁴–10⁶ probes from published
-    benchmark suites) requires. The probe index builds once per actor in
-    ``__init__`` (probes passed by value in constructor kwargs)."""
+    benchmark suites) requires. The probe index builds in
+    ``__init__`` from the probes ``map_stage`` passes by value."""
     import pyarrow.parquet as pq_
 
     probe_tbl = pq_.read_table(
@@ -1384,18 +1373,9 @@ def q_contamination_scan(sf_dir: str, n_probes: int = 5):
         (int(r.doc_id), r.text[16:56]) for r in probe_tbl.itertuples()
     ]
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    # probe set is KB-scale here -> task form (closure payload); a 10^6-probe
-    # decontamination list would exceed the budget and keep the actor pool,
-    # amortizing the per-length hash-index build per actor
-    payload = sum(len(s.encode()) + 16 for _, s in probes)
-    return thresholded_stage(
-        ds,
-        ProbeScanStage,
-        {"probes": probes},
-        payload_nbytes=payload,
-        concurrency=(1, 4),
-        batch_format="pandas",
-    )
+    # the probe set is KB-scale here (task form); a 10^6-probe list is past
+    # the budget and builds its per-length hash index once per pool actor
+    return map_stage(ds, ProbeScanStage, {"probes": probes}, batch_format="pandas")
 
 
 REDACT_ORACLE_SQL = """
@@ -1418,14 +1398,13 @@ FROM documents
 def q_redact_pii(sf_dir: str):
     """PII / blocklist redaction scan over the corpus: email + IPv4 regexes
     plus a blocklist-term pattern, applied in order, with per-row hit counts.
-    Pure per-row map — no shuffle; patterns compile once per actor
-    (``stages/text.py`` RedactStage), batches stay vectorized pandas str
-    kernels. At 100 TB this is exactly the shape you want: embarrassingly
-    parallel, output written partition-aligned with the input."""
+    Pure per-row map — no shuffle; ``stages/text.py`` RedactStage holds
+    the patterns (``re`` caches their compiled form per process), batches
+    stay vectorized pandas str kernels. At 100 TB this is exactly the
+    shape you want: embarrassingly parallel, output written
+    partition-aligned with the input."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    # patterns compile once per WORKER via the task_stage cache — same
-    # amortization as an actor pool, none of the spawn cost
-    return ds.map_batches(task_stage(RedactStage), batch_format="pandas")
+    return map_stage(ds, RedactStage, batch_format="pandas")
 
 
 SEQPACK_ORACLE_SQL = """
@@ -1704,7 +1683,7 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
       (only (h1, h2, count, min-packed) rows, never text, reach the
       exchange) → ``combiner_groupby`` count/min with its own thresholded
       final → dup table (OUTPUT-sized: corpus-duplicated windows only)
-      broadcast via ``thresholded_stage`` → second corpus scan filters and
+      broadcast via ``map_stage`` → second corpus scan filters and
       merges spans in-batch (each doc's windows stay in its batch — no
       second shuffle).
     - **distributed** (dup-heavy corpus): one co-partition on the window
@@ -1743,8 +1722,7 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
 
         return _EMPTY_SUBSTR.copy()
     if dup is not None:
-        payload = int(len(dup) * 24)
-        return thresholded_stage(
+        return map_stage(
             docs,
             SubstrFilterStage,
             {
@@ -1753,8 +1731,6 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
                 "first": dup["first"].to_numpy(np.int64),
                 "w": w,
             },
-            payload_nbytes=payload,
-            concurrency=(1, 8),
             batch_format="pandas",
         )
 
@@ -1884,13 +1860,8 @@ def q_ann_topk(sf_dir: str, k: int = 5, n_queries: int = 10):
     SQL twin (integer-scaled cosines, vec_id tie-break) is a real oracle."""
     ds = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     qids, qmat = _fetch_queries(sf_dir, n_queries)
-    cands = thresholded_stage(
-        ds,
-        BatchTopKCosine,
-        {"queries": (qids, qmat), "k": k},
-        payload_nbytes=qids.nbytes + qmat.nbytes,
-        concurrency=(1, 4),
-        batch_format="pandas",
+    cands = map_stage(
+        ds, BatchTopKCosine, {"queries": (qids, qmat), "k": k}, batch_format="pandas"
     )
     return _ppm_topk(cands, k)
 
@@ -1948,9 +1919,8 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 4
 
     _exact_twin_row_guard(sf_dir, "embedding_near_dup", "embedding_near_dup_lsh")
     ds = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    # pure-hash replication stage, hashable ctor -> plain tasks (task_stage)
-    rep = ds.map_batches(
-        task_stage(PairGroupReplicate, n_buckets=n_buckets), batch_format="pandas"
+    rep = map_stage(
+        ds, PairGroupReplicate, {"n_buckets": n_buckets}, batch_format="pandas"
     )
     pairs = co_partition(rep, ["pg"], all_pairs_group(threshold, n_buckets))
     out = typed_empty(PAIRS_PPM, pairs.to_pandas())
@@ -1981,12 +1951,10 @@ def _near_dup_lsh(
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((bands * rows_per_band, dim))
     ds = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    cand = thresholded_stage(
+    cand = map_stage(
         ds,
         LshBandEmit,
         {"planes": planes, "bands": bands, "rows_per_band": rows_per_band},
-        payload_nbytes=planes.nbytes,
-        concurrency=(1, 4),
         batch_format="pandas",
     )
     pairs = co_partition(cand, ["bh"], lsh_bucket_pairs(threshold))
@@ -2042,12 +2010,10 @@ def _ivf_topk(
     mat = _normalize(np.stack(fit_df["embedding"].to_numpy()).astype(np.float64))
     centroids = kmeans_fit(mat, n_clusters)
     qids, qmat = _fetch_queries(sf_dir, n_queries)
-    cands = thresholded_stage(
+    cands = map_stage(
         ds,
         IvfTopKCosine,
         {"queries": (qids, qmat), "centroids": centroids, "k": k, "nprobe": nprobe},
-        payload_nbytes=qids.nbytes + qmat.nbytes + centroids.nbytes,
-        concurrency=4,
         batch_format="pandas",
     )
     return _ppm_topk(cands, k)
@@ -2138,12 +2104,10 @@ def _ivf_pruned(
     needed = np.unique(probes)
     files = manifest[manifest["bucket"].isin(needed)]["path"].tolist()
     pruned = read_parquet_clean(files)
-    cands = thresholded_stage(
+    cands = map_stage(
         pruned,
         IvfTopKCosine,
         {"queries": (qids, qmat), "centroids": centroids, "k": k, "nprobe": nprobe},
-        payload_nbytes=qids.nbytes + qmat.nbytes + centroids.nbytes,
-        concurrency=4,
         batch_format="pandas",
     )
     return _ppm_topk(cands, k)
@@ -2193,7 +2157,7 @@ def _multimodal_oracle_sql(dim: int = 8) -> str:
 
 @q("multimodal_features", _multimodal_oracle_sql())
 def q_multimodal_features(sf_dir: str):
-    """Binary media column → actor-pool feature extraction. The payloads are
+    """Binary media column → per-batch feature extraction. The payloads are
     the documents' utf-8 bytes standing in for image blobs; decode is a
     deterministic sha256-based fake (real decoders are
     NotImplementedError-gated), which gives the whole pipeline an exact SQL
@@ -2204,12 +2168,8 @@ def q_multimodal_features(sf_dir: str):
         batch_format="pandas",
     )
     # small batches: wide binary rows (multimodal memory rule)
-    feats = media.map_batches(
-        MediaDecodeStage,
-        fn_constructor_kwargs={"fake": True},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
+    feats = map_stage(
+        media, MediaDecodeStage, {"fake": True}, batch_format="pyarrow", batch_size=256
     )
 
     def widen(df: pd.DataFrame) -> pd.DataFrame:
@@ -2354,9 +2314,8 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
 
     _exact_twin_row_guard(sf_dir, "knn_join", "knn_join_ivf")
     ds = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    rep = ds.map_batches(
-        task_stage(PairGroupReplicate, n_buckets=n_buckets),
-        batch_format="pandas",
+    rep = map_stage(
+        ds, PairGroupReplicate, {"n_buckets": n_buckets}, batch_format="pandas"
     )
     partials = co_partition(rep, ["pg"], knn_group(k, n_buckets))
     out = co_partition(partials, ["vec_id"], final_knn(k))
@@ -2380,13 +2339,8 @@ def q_knn_join_ivf(sf_dir: str, k: int = 5, n_clusters: int = 16):
     fit_df = ds.limit(65536).to_pandas()
     mat = _normalize(np.stack(fit_df["embedding"].to_numpy()).astype(np.float64))
     centroids = kmeans_fit(mat, n_clusters)
-    assigned = thresholded_stage(
-        ds,
-        AssignBucket,
-        {"centroids": centroids},
-        payload_nbytes=int(centroids.nbytes),
-        concurrency=(1, 4),
-        batch_format="pandas",
+    assigned = map_stage(
+        ds, AssignBucket, {"centroids": centroids}, batch_format="pandas"
     )
 
     out = co_partition(assigned, ["bucket"], bucket_knn(k))
@@ -2505,14 +2459,8 @@ def q_bloom_decontaminate(
                 }
             )
 
-    out = thresholded_stage(
-        docs,
-        BloomProbe,
-        {"bits": bitmap},
-        payload_nbytes=int(bitmap.nbytes),
-        concurrency=(1, 8),
-        batch_format="pandas",
-    ).to_pandas()
+    out = map_stage(docs, BloomProbe, {"bits": bitmap}, batch_format="pandas")
+    out = out.to_pandas()
     out = typed_empty({"doc_id": "int64", "n_hits": "int64"}, out)
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -2549,13 +2497,8 @@ def _kmeans_centroids(sf_dir: str, k: int, iters: int) -> "np.ndarray":
     # too — Ray's object store pins the blocks and spills under pressure.
     embs = load_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
     for _ in range(iters):
-        partials = thresholded_stage(
-            embs,
-            KMeansPartial,
-            {"centroids": cent},
-            payload_nbytes=int(cent.nbytes),
-            concurrency=(1, 8),
-            batch_format="pandas",
+        partials = map_stage(
+            embs, KMeansPartial, {"centroids": cent}, batch_format="pandas"
         )
         reduced = combiner_groupby(partials, ["cluster", "dim"], sums={"s": "s"})
         reduced = to_frame(reduced)  # ≤ k×(dim+1) rows
@@ -2587,14 +2530,7 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 8, iters: int = 5):
 
     cent = _kmeans_centroids(sf_dir, k, iters)
     embs = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return thresholded_stage(
-        embs,
-        KMeansAssign,
-        {"centroids": cent},
-        payload_nbytes=int(cent.nbytes),
-        concurrency=(1, 8),
-        batch_format="pandas",
-    )
+    return map_stage(embs, KMeansAssign, {"centroids": cent}, batch_format="pandas")
 
 
 @q("semdedup")  # rows-only: iterative kmeans upstream — no SQL equivalent
@@ -2734,7 +2670,7 @@ def q_lang_centroids(sf_dir: str):
     "sha256(left(text, 256)) AS resized_sha FROM documents",
 )
 def q_media_resize(sf_dir: str):
-    """Multimodal resize plumbing: binary payloads through an actor-pool
+    """Multimodal resize plumbing: binary payloads through a
     resize stage (deterministic prefix-truncate fake standing in for a real
     decoder+resampler — sha of the resized payload gives an exact SQL
     twin). Small batches for wide binary rows."""
@@ -2745,12 +2681,8 @@ def q_media_resize(sf_dir: str):
         lambda df: to_media_table(df, "doc_id", "text", "image"),
         batch_format="pandas",
     )
-    out = media.map_batches(
-        MediaResizeStage,
-        fn_constructor_kwargs={"fake": True},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
+    out = map_stage(
+        media, MediaResizeStage, {"fake": True}, batch_format="pyarrow", batch_size=256
     )
     return out.drop_columns(["payload"])
 
@@ -2766,7 +2698,7 @@ def q_media_resize(sf_dir: str):
 def q_media_frame_sample(sf_dir: str):
     """Multimodal frame sampling (video stand-in): every 4th 64-byte frame
     of each payload emitted as its own row — the row-expanding flat_map
-    shape of frame extraction at scale, via an actor-pool stage with small
+    shape of frame extraction at scale, via a stage with small
     batches. Byte-slicing fake ⇒ exact SQL twin on ASCII payloads."""
     from ..stages.multimodal import FrameSampleStage
 
@@ -2775,12 +2707,8 @@ def q_media_frame_sample(sf_dir: str):
         lambda df: to_media_table(df, "doc_id", "text", "video"),
         batch_format="pandas",
     )
-    return media.map_batches(
-        FrameSampleStage,
-        fn_constructor_kwargs={"fake": True},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
+    return map_stage(
+        media, FrameSampleStage, {"fake": True}, batch_format="pyarrow", batch_size=256
     )
 
 

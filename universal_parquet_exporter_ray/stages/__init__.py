@@ -2,18 +2,20 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
+
 from .encoder import PART_COL, PartitionDecoder, PartitionEncoder  # noqa: F401
 from .salting import AssignPartitions, build_salt_map  # noqa: F401
-
-# per-worker-process cache behind task_stage(); one entry per (class, ctor)
-_STAGE_CACHE: dict = {}
 
 # private key-hash column stamped by co_partition(); never reaches ``fn``
 _HASH = "__co_part"
 
-# broadcast payloads up to this ship in a task closure; thresholded_stage
-# reads it when it runs
+# stage constructor kwargs up to this many pickled bytes ship in each
+# task's closure; map_stage reads it when it runs
 TASK_BROADCAST_BUDGET = 4 << 20
+
+# (min, max) actors of a map_stage pool, for kwargs above the budget
+STAGE_POOL = (1, 4)
 
 
 def partition_of(frame: pd.DataFrame, keys) -> np.ndarray:
@@ -103,59 +105,28 @@ def typed_empty(dtypes: dict, out: pd.DataFrame | None = None) -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in dtypes.items()})
 
 
-def task_stage(cls, **ctor):
-    """Task-form adapter for a callable-class stage whose __init__ is cheap
-    at ANY scale (pure-hash stages: no model, no index, no broadcast table).
+def map_stage(ds, cls, ctor=None, **mb):
+    """``ds.map_batches`` of the callable-class stage ``cls(**ctor)``: the
+    package's one per-batch stage form. It sizes its own payload, the
+    constructor kwargs as Ray pickles them, and makes the broadcast choice
+    in one place.
 
-    ``map_batches(task_stage(Cls))`` runs as plain tasks on the worker
-    processes earlier stages already warmed — an actor pool would pay
-    process spawn + imports per actor (~1 s each, measured) to amortize a
-    microsecond constructor. The instance is cached per worker process
-    keyed by (class, ctor kwargs). Stages with real per-actor setup (media
-    decoders, probe indexes, vocab broadcasts, ANN query matrices) must
-    stay actor pools: their state is worth amortizing and their kwargs are
-    too big to ship per task."""
-    key = (cls, tuple(sorted(ctor.items())))
+    Within ``TASK_BROADCAST_BUDGET`` the stage runs as plain tasks on the
+    workers earlier stages already warmed, and each batch builds
+    ``cls(**ctor)`` from the closure: every stage constructor stores its
+    arrays or compiles a few regexes, microseconds against an actor's
+    process spawn and imports (~1 s). Above the budget the payload is too
+    big to ship with every task, so an actor pool of ``STAGE_POOL`` actors
+    receives it once per actor, by value (no ``ray.put`` ref reaches a
+    constructor: an actor restart cannot race a lost ref, ray#53727)."""
+    ctor = ctor or {}
+    if len(ray.cloudpickle.dumps(ctor)) <= TASK_BROADCAST_BUDGET:
 
-    def fn(batch):
-        stage = _STAGE_CACHE.get(key)
-        if stage is None:
-            stage = _STAGE_CACHE[key] = cls(**ctor)
-        return stage(batch)
+        def run(batch):
+            return cls(**ctor)(batch)
 
-    fn.__name__ = f"task_{cls.__name__}"
-    return fn
-
-
-def task_stage_obj(cls, **ctor):
-    """Task-form adapter for a stage whose ctor payload is SMALL but
-    unhashable — numpy broadcast tables (ANN query matrices, IVF
-    centroids). The instance is rebuilt per batch, which is valid only
-    when ``__init__`` is per-batch-cheap (stores arrays / one tiny
-    matmul); unlike ``task_stage`` there is no worker cache, so numpy
-    kwargs need no hashing and a worker serving two corpora can never
-    reuse a stale instance. Callers MUST size-gate the payload (see
-    ``thresholded_stage``): Ray ships the pickled closure to each worker
-    once via the GCS function table, so a multi-MB payload belongs in an
-    actor pool's by-value constructor kwargs instead."""
-
-    def fn(batch):
-        return cls(**ctor)(batch)
-
-    fn.__name__ = f"task_{cls.__name__}"
-    return fn
-
-
-def thresholded_stage(ds, cls, ctor, payload_nbytes: int, concurrency, **mb):
-    """Size-thresholded stage form, mirroring ``joins.thresholded_join``:
-    run as plain tasks (closure-captured payload, no actor-pool spawn wait
-    — ~1 s/actor measured) when the broadcast payload is under
-    ``TASK_BROADCAST_BUDGET`` (4 MiB), else as an actor pool
-    that amortizes the by-value payload once per actor. ANN query/centroid
-    tables at interactive sizes are KB-scale, so the task form is the
-    common case; a 10⁶-query offline matrix stays a pool."""
-    if payload_nbytes <= TASK_BROADCAST_BUDGET:
-        return ds.map_batches(task_stage_obj(cls, **ctor), **mb)
+        run.__name__ = cls.__name__
+        return ds.map_batches(run, **mb)
     return ds.map_batches(
-        cls, fn_constructor_kwargs=ctor, concurrency=concurrency, **mb
+        cls, fn_constructor_kwargs=ctor, concurrency=STAGE_POOL, **mb
     )

@@ -2,11 +2,11 @@
 (``list<float>``).
 
 Baseline: brute-force cosine top-k — the query matrix is normalized once on
-the driver and broadcast once per actor pool (by-value constructor kwargs:
-Ray stores them once and every actor fetches the same copy), and every batch
-does ONE numpy matmul against it, emitting only its batch-local top-k
-candidates; a final tiny per-query reduction merges candidates. At 100 TB the same shape holds (candidates are
-k × #batches rows, not the corpus); the scale path adds an IVF-style
+the driver and broadcast by value (``stages.map_stage`` constructor kwargs),
+and every batch does ONE numpy matmul against it, emitting only its
+batch-local top-k candidates; a final tiny per-query reduction merges
+candidates. At 100 TB the same shape holds (candidates are k × #batches
+rows, not the corpus); the scale path adds an IVF-style
 pre-bucketing (``kmeans_bucket``) so each batch only scores queries assigned
 to its bucket.
 """
@@ -18,7 +18,7 @@ import pandas as pd
 
 import ray
 
-from . import co_partition, per_key, typed_empty
+from . import co_partition, map_stage, per_key, typed_empty
 
 # column → dtype of the candidate, pair and kNN frames (``typed_empty``)
 CANDIDATES = {"query_id": "int64", "vec_id": "int64", "cos": "float64"}
@@ -36,16 +36,11 @@ class BatchTopKCosine:
     """map_batches stage: emit batch-local top-k (query_id, vec_id, cos) rows.
 
     ``queries``: (query_ids int64 array, normalized float64 query matrix),
-    passed BY VALUE in fn_constructor_kwargs — Ray ships it to the object
-    store once per pool and each actor deserializes it once in __init__;
-    no user-held ObjectRef, so actor restarts can't race a lost ref
-    (ray#53727). An ObjectRef is still accepted for callers that already
-    ``ray.put`` a shared copy."""
+    passed BY VALUE as ``map_stage`` constructor kwargs — no user-held
+    ObjectRef, so actor restarts can't race a lost ref (ray#53727)."""
 
     def __init__(self, queries, k: int, exclude_self: bool = True):
-        self.qids, self.qmat = (
-            ray.get(queries) if isinstance(queries, ray.ObjectRef) else queries
-        )
+        self.qids, self.qmat = queries
         self.k = k
         self.exclude_self = exclude_self
 
@@ -123,13 +118,9 @@ class IvfTopKCosine:
     nprobe/k of its rows — the scale path when brute force is too wide."""
 
     def __init__(self, queries, centroids, k: int, nprobe: int = 4):
-        # by-value broadcast kwargs, ref-tolerant — see BatchTopKCosine
-        self.qids, self.qmat = (
-            ray.get(queries) if isinstance(queries, ray.ObjectRef) else queries
-        )
-        self.centroids = (
-            ray.get(centroids) if isinstance(centroids, ray.ObjectRef) else centroids
-        )
+        # by-value broadcast kwargs — see BatchTopKCosine
+        self.qids, self.qmat = queries
+        self.centroids = centroids
         self.k = k
         qsims = self.qmat @ self.centroids.T
         order = np.argsort(-qsims, axis=1)
@@ -367,10 +358,8 @@ class AssignBucket:
     (argmax cosine against the broadcast centroids)."""
 
     def __init__(self, centroids):
-        # by-value broadcast kwarg, ref-tolerant — see BatchTopKCosine
-        self.centroids = (
-            ray.get(centroids) if isinstance(centroids, ray.ObjectRef) else centroids
-        )
+        # by-value broadcast kwarg — see BatchTopKCosine
+        self.centroids = centroids
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.copy()
@@ -479,11 +468,8 @@ def build_ivf_layout(ds, centroids: np.ndarray, out_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
 
     check_shared_root(out_dir)
-    assigned = ds.map_batches(
-        AssignBucket,
-        fn_constructor_kwargs={"centroids": centroids},
-        batch_format="pandas",
-        concurrency=(1, 4),
+    assigned = map_stage(
+        ds, AssignBucket, {"centroids": centroids}, batch_format="pandas"
     )
 
     # Hot buckets shard into <= IVF_SHARD_ROWS-row files instead of one giant
@@ -577,7 +563,7 @@ class LshBandEmit:
     Scale shape: shuffle volume is bands × data (vs G × data for the exact
     plan, but bucket groups are tiny: n / 2^rows_per_band expected, not
     2n/G), and the planes payload is (bands·rows_per_band × dim) float64 —
-    KB-scale, closure-shipped via ``thresholded_stage``. Skew assumption: a
+    KB-scale, closure-shipped via ``map_stage``. Skew assumption: a
     bucket holds one near-dup cluster's members plus hash collisions; a
     corpus whose single densest cosine-cluster does not fit one worker needs
     rows_per_band raised (finer buckets), exactly like salting a hot key.
@@ -665,7 +651,7 @@ class KMeansPartial:
     per-cluster PARTIAL sums in long form — (cluster, dim, s) rows plus a
     (cluster, -1, count) row per non-empty cluster — so only
     (k × (dim+1))-sized partials ever reach the exchange. KB ctor payload:
-    ships closure-captured via ``thresholded_stage``. Sums are fixed-point
+    ships closure-captured via ``map_stage``. Sums are fixed-point
     int64 (``KMEANS_FP_SCALE``) — see the scale note above."""
 
     def __init__(self, centroids: np.ndarray):

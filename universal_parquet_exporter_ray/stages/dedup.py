@@ -132,7 +132,7 @@ def batch_word_shingle_sets(texts, w: int = 3) -> tuple[np.ndarray, np.ndarray]:
 class MinHashBandStage:
     """batch(doc_id, text) → exploded (band, band_hash, doc_id) rows.
 
-    Permutation constants are built once per actor (__init__)."""
+    ``__init__`` builds the permutation constants (microseconds)."""
 
     def __init__(self, k: int = 3, text_col: str = "text", shingle: str = "word"):
         self.a, self.b = _perm_constants()
@@ -229,9 +229,8 @@ class PairShingleEmit:
     """Distributed Jaccard-verify feeder: batch(doc_id, text) → one row per
     (candidate pair, member doc) with the doc's shingle set as packed int64
     bytes. The doc→pair membership table is the BROADCAST small side, passed
-    BY VALUE in ``fn_constructor_kwargs`` (Ray ships it to the object store
-    once per pool; no explicit ObjectRef in the constructor args, so actor
-    restarts can't race a lost ref — ray#53727). Candidate pairs are
+    BY VALUE as ``map_stage`` constructor kwargs (no ``ray.put`` ref, so an
+    actor restart can't race a lost ref — ray#53727). Candidate pairs are
     output-sized LSH hits under the broadcast budget, never the corpus;
     texts/shingles stay on workers.
 
@@ -336,8 +335,7 @@ class BlobPairJaccard:
     broadcast budget. The per-pair blob gathers and intersection counts are
     one vectorized pass per batch (``_grouped_arange`` gather + the shared
     lexsort kernel); nothing is shuffled and no blob is ever duplicated
-    per pair. Constructor args ship by value once per worker
-    (``thresholded_stage`` semantics)."""
+    per pair. Constructor args ship by value through ``map_stage``."""
 
     def __init__(self, doc_ids, flat, starts, counts):
         doc_ids = np.asarray(doc_ids, dtype=np.int64)
@@ -832,9 +830,9 @@ def verify_pairs(docs, cand_rows):
       shuffle (round-5: the emit+shuffle plan duplicated each doc's blob
       per candidate pair, ~80× on the sf0.1 ngram corpus, 4.4 s → 0.9 s).
     - **broadcast-pair** (pair count ≤ budget, blob table too big): the
-      deduped membership table ships by value to a ``PairShingleEmit``
-      actor pool; one corpus scan emits shingle blobs only for candidate
-      docs, then the pair co-partition reducer.
+      deduped membership table ships by value to ``PairShingleEmit``
+      through ``map_stage``; one corpus scan emits shingle blobs only for
+      candidate docs, then the pair co-partition reducer.
     - **distributed** (over budget): pairs dedup inside pair
       co-partitions, explode to membership rows, and hash-join against a
       full corpus blob scan — no driver materialization of the pair graph.
@@ -842,7 +840,7 @@ def verify_pairs(docs, cand_rows):
     Both budgets are read when the verify runs.
 
     Returns a Dataset of exact integer (doc_a, doc_b, inter, union)."""
-    from . import co_partition
+    from . import co_partition, map_stage
 
     pair_keys = ["doc_a", "doc_b"]
     cand = cand_rows.materialize()
@@ -853,9 +851,6 @@ def verify_pairs(docs, cand_rows):
             import ray.data as rd
 
             return rd.from_pandas(_EMPTY_PAIR_JAC.copy())
-        from . import task_stage as _task_stage
-        from . import thresholded_stage as _thr
-
         # CHEAP pre-gate before any corpus work (review r5): the blob table
         # is ~8 bytes per token ≈ 1-2× the raw text bytes, so a corpus whose
         # TEXT already exceeds 4× the budget cannot fit it — skip straight
@@ -868,10 +863,8 @@ def verify_pairs(docs, cand_rows):
             pass
         blobs = None
         if text_proxy_ok:
-            blobs = docs.map_batches(
-                _task_stage(ShingleBlobStage),
-                batch_format="pandas",
-            ).materialize()
+            blobs = map_stage(docs, ShingleBlobStage, batch_format="pandas")
+            blobs = blobs.materialize()
         if blobs is not None and blobs.size_bytes() <= BLOB_BROADCAST_BUDGET:
             import ray.data as rd
 
@@ -882,10 +875,7 @@ def verify_pairs(docs, cand_rows):
             pairs_ds = rd.from_pandas(pairs.reset_index(drop=True))
             if len(pairs) > 65536:
                 pairs_ds = pairs_ds.repartition(32)
-            payload = int(
-                flat.nbytes + 3 * counts.nbytes + len(bdf) * 8
-            )
-            return _thr(
+            return map_stage(
                 pairs_ds,
                 BlobPairJaccard,
                 {
@@ -894,8 +884,6 @@ def verify_pairs(docs, cand_rows):
                     "starts": starts,
                     "counts": counts,
                 },
-                payload_nbytes=payload,
-                concurrency=(1, 8),
                 batch_format="pandas",
             )
         a = pairs["doc_a"].to_numpy(np.int64)
@@ -907,19 +895,9 @@ def verify_pairs(docs, cand_rows):
                 "doc_b": np.concatenate([b, b]),
             }
         )
-        # task form under the broadcast budget: the membership table is
-        # 3 int64 columns over 2×pairs rows; below TASK_BROADCAST_BUDGET
-        # it closure-ships to warm workers instead of paying ~1 s/actor
-        # spawn for a microsecond constructor (same gate as the ANN stages)
-        from . import thresholded_stage
-
-        emitted = thresholded_stage(
-            docs,
-            PairShingleEmit,
-            {"members": members},
-            payload_nbytes=int(members.memory_usage(index=False).sum()),
-            concurrency=(1, 8),
-            batch_format="pandas",
+        # the membership table is 3 int64 columns over 2×pairs rows
+        emitted = map_stage(
+            docs, PairShingleEmit, {"members": members}, batch_format="pandas"
         )
     else:
         pairs_ds = co_partition(
@@ -938,13 +916,7 @@ def verify_pairs(docs, cand_rows):
             )
 
         members_ds = pairs_ds.map_batches(to_members, batch_format="pandas")
-        # pure-hash stage, trivial hashable ctor -> plain tasks (task_stage)
-        from . import task_stage
-
-        blobs = docs.map_batches(
-            task_stage(ShingleBlobStage),
-            batch_format="pandas",
-        )
+        blobs = map_stage(docs, ShingleBlobStage, batch_format="pandas")
 
         # co-partitioned join: ONE ``co_partition`` of the tagged union on
         # doc_id — robust to empty hash partitions, no acero operators, all
@@ -1230,8 +1202,8 @@ class SubstrFilterStage:
     are in its own batch, so the span merge needs no shuffle.
 
     ``dup`` ships as three flat numpy arrays (h1, h2, first_packed) via
-    ``thresholded_stage``: task-closure under the broadcast budget, actor
-    pool by value above it."""
+    ``map_stage``: task-closure under the broadcast budget, actor pool by
+    value above it."""
 
     def __init__(self, h1: np.ndarray, h2: np.ndarray, first: np.ndarray, w: int):
         self.dup = pd.DataFrame(

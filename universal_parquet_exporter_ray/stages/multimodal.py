@@ -1,19 +1,21 @@
 """Multimodal column plumbing: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+with typed metadata, processed by callable-class stages that
+``stages.map_stage`` runs.
 
 The actual media decode is STUBBED (this environment ships no image/audio
 libraries): ``MediaDecodeStage`` raises ``NotImplementedError`` unless
 ``fake=True``, in which case a deterministic fake decoder (blake2b-seeded
 feature vector) stands in. Everything Ray-side — schema, binary batch
-handling, actor signature, small batch sizes for wide binary rows, output
+handling, stage signature, small batch sizes for wide binary rows, output
 layout — is real and tested.
 
 Each stage also exposes an INJECTION SEAM (VERDICT r4 #5): pass a real
 callable (``decoder=`` / ``resizer=`` / ``demuxer=``) and it replaces the
 fake/stub without any code change — a production deployment hands in
 PIL/torchaudio/ffmpeg wrappers and the Ray-side plumbing is untouched. The
-callable is cloudpickled into the actor constructor once per actor, never
-per batch.
+callable rides in the stage's constructor kwargs: pickled once with the
+task closure, or once per actor when the kwargs are past the broadcast
+budget.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ def to_media_table(df: pd.DataFrame, id_col: str, payload_col: str, kind: str) -
 
 
 class MediaDecodeStage:
-    """Actor-pool decode/feature-extract stage.
+    """Decode/feature-extract stage.
 
     Real deployments plug a decoder (PIL/torchaudio/ffmpeg) into ``_decode``;
     here the deterministic fake produces an 8-dim feature from a blake2b
-    digest of the payload so the full pipeline (small ``batch_size``, actor
-    ``__init__``-once model load, Arrow binary in/out) is exercised end to
+    digest of the payload so the full pipeline (small ``batch_size``, the
+    ``__init__`` model-load seam, Arrow binary in/out) is exercised end to
     end."""
 
     FEATURE_DIM = 8
@@ -74,7 +76,8 @@ class MediaDecodeStage:
         # injection seam: a real decoder (payload bytes -> 1-D float
         # feature vector) drops in here without code changes
         self.decoder = decoder
-        # model-load stand-in: built once per actor
+        # model-load stand-in (microseconds: map_stage's task form builds
+        # the stage once per batch)
         self._mixer = np.arange(1, self.FEATURE_DIM + 1, dtype=np.float64)
 
     def _decode(self, payload: bytes) -> np.ndarray:
@@ -110,7 +113,7 @@ class MediaDecodeStage:
 
 
 class MediaResizeStage:
-    """Actor-pool resize stage. A real deployment decodes, resamples and
+    """Resize stage. A real deployment decodes, resamples and
     re-encodes in ``_resize``; the deterministic fake (prefix-truncate to
     ``target_bytes``) keeps the plumbing — binary in/out, per-row byte
     budget, small batches — exercised with an exact SQL twin. Emits the
@@ -159,7 +162,7 @@ class MediaResizeStage:
 
 
 class FrameSampleStage:
-    """Actor-pool frame-sampling stage (video stand-in): the payload is
+    """Frame-sampling stage (video stand-in): the payload is
     treated as ``frame_bytes``-sized frames; every ``every``-th FULL frame
     is emitted as its own row (row-expanding map over binary payloads —
     the flat_map shape frame extraction has at scale). Fake = byte

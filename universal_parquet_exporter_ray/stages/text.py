@@ -2,8 +2,10 @@
 counting, quality scoring, language-ID heuristic, rolling-hash fingerprints.
 
 All are vectorized ``map_batches`` bodies (pandas str kernels / numpy); the
-language-ID and fingerprint stages are callable classes so their tables /
-compiled regexes are built once per actor, not per batch.
+language-ID, redaction, probe-scan and fingerprint stages are callable
+classes that ``stages.map_stage`` runs, building each from its constructor
+kwargs per batch (tasks) or once per actor (a pool, above the broadcast
+budget).
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ _STOPWORDS = {
 
 
 class LangIdStage:
-    """n-gram/stopword language-ID heuristic. Actor-pool stage: the stopword
-    tables and the token regex are compiled once per actor in __init__."""
+    """n-gram/stopword language-ID heuristic. ``__init__`` freezes the
+    stopword tables and compiles the token regex (microseconds)."""
 
     def __init__(self):
         self.word = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -180,8 +182,8 @@ REDACTION_PATTERNS: list[tuple[str, str, str]] = [
 class RedactStage:
     """PII / blocklist-term redaction — the training-data hygiene pass that
     scrubs emails, IP addresses, and a configurable blocklist before a
-    corpus ships. Actor-pool stage: patterns compile once per actor in
-    ``__init__``; ``__call__`` is vectorized pandas ``str.replace`` /
+    corpus ships. Patterns compile in ``__init__`` (``re`` caches them per
+    process); ``__call__`` is vectorized pandas ``str.replace`` /
     ``str.count`` over the batch. Hit counts are measured against the
     ORIGINAL text per pattern (order-independent, exactly what the SQL twin
     computes with ``len(regexp_extract_all(text, pat))``)."""
@@ -255,12 +257,13 @@ class ProbeScanStage:
     ``str.contains`` loop and to the SQL ``contains()`` oracle. Scan work
     is O(batch bytes x #distinct probe lengths + hits*log #probes): at the
     real decontamination regime (10^4-10^6 probes from published benchmark
-    suites) the probe count appears only in the one-time per-actor index
-    build, never in the per-byte loop.
+    suites) the probe count appears only in the index build, never in the
+    per-byte loop.
 
-    Actor-pool stage: pass the probe list (``[(probe_id, text), ...]``) by
-    value in ``fn_constructor_kwargs``; the per-length hash indexes build
-    once per actor in ``__init__``. UTF-8 byte matching equals str
+    Pass the probe list (``[(probe_id, text), ...]``) as ``map_stage``
+    constructor kwargs; the per-length hash indexes build in ``__init__``,
+    once per batch in the task form and once per actor above the
+    broadcast budget. UTF-8 byte matching equals str
     containment because UTF-8 is self-synchronizing (a byte-exact match of
     a whole valid sequence is always codepoint-aligned).
     """
