@@ -307,3 +307,43 @@ def test_only_map_stage_builds_a_pool():
     assert sum(map(_pool_kwargs, ast.walk(sample))) == 2
     init = PACKAGE / "stages" / "__init__.py"
     assert sum(map(_pool_kwargs, ast.walk(ast.parse(init.read_text())))) == 1
+
+
+def _ray_read_parquet(node) -> bool:
+    """A call of Ray's reader, ``<ray>.data.read_parquet(...)`` under any
+    name for ``ray``, or an import of ``read_parquet`` from Ray."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "ray" and any(
+            alias.name == "read_parquet" for alias in node.names
+        )
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "read_parquet"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "data"
+    )
+
+
+def test_no_module_calls_ray_read_parquet():
+    """Every package read goes through ``sources.tables.read_parquet_clean``,
+    planned from the footers: no module calls ``ray.data.read_parquet``,
+    which builds a ``ParquetDataset`` and waits on a sampling task for
+    every read."""
+    calls = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _ray_read_parquet(node)
+    ]
+    assert calls == []
+    # the scan sees the call under any alias and the import, and not
+    # pandas' reader or DuckDB's SQL function
+    sample = ast.parse(
+        "ray.data.read_parquet(p)\n"
+        "_ray.data.read_parquet(p, columns=c)\n"
+        "from ray.data import read_parquet\n"
+        "pd.read_parquet(p)\n"
+        "con.execute(\"SELECT * FROM read_parquet('x')\")\n"
+    )
+    assert sum(map(_ray_read_parquet, ast.walk(sample))) == 3

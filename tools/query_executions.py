@@ -11,8 +11,11 @@ metadata read, a ``to_pandas``, an iteration), the sorts of one run (every
 call of ``Dataset.sort``; each ``co_partition`` is one), the blocks its
 table reads make (summed over every ``read_parquet_clean`` call of the last
 run; each of those reads is materialized on its own after the timed runs,
-and these executions are not counted) and the min / median wall time over
-the runs.
+and these executions are not counted), the min / median wall time over
+the runs, and ``plan_s``: the min over the runs of the driver wall time
+from the query call to the start of its first Ray Data execution (the
+whole run for a query that starts none), where building its reads and
+plans is spent.
 One warm-up query runs first, so worker start-up is not charged to the
 first query named.
 """
@@ -29,15 +32,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def count_executions():
-    """Wrap ``StreamingExecutor.execute``; return a one-item list holding
-    the number of executions started since the wrap."""
+    """Wrap ``StreamingExecutor.execute``; return a two-item list holding
+    the number of executions started since the wrap, and the
+    ``time.perf_counter()`` at which the first execution started since the
+    caller last set the second item to ``None``."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    calls = [0]
+    calls = [0, None]
     execute = StreamingExecutor.execute
 
     def counted(self, *args, **kwargs):
         calls[0] += 1
+        if calls[1] is None:
+            calls[1] = time.perf_counter()
         return execute(self, *args, **kwargs)
 
     StreamingExecutor.execute = counted
@@ -115,16 +122,19 @@ def main() -> None:
 
     print(
         f"{'query':24s} {'executions':>10s} {'sorts':>5s} {'read_blocks':>11s} "
-        f"{'min_s':>8s} {'median_s':>8s}"
+        f"{'min_s':>8s} {'median_s':>8s} {'plan_s':>8s}"
     )
     for name in args.queries:
-        runs, sort_runs, secs = [], [], []
+        runs, sort_runs, secs, plans = [], [], [], []
         for _ in range(args.repeat):
             before, sorts_before = calls[0], sorts[0]
             reads.clear()
+            calls[1] = None
             t0 = time.perf_counter()
             to_pandas(registry[name](args.tables))
-            secs.append(time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            secs.append(t1 - t0)
+            plans.append((calls[1] or t1) - t0)
             runs.append(calls[0] - before)
             sort_runs.append(sorts[0] - sorts_before)
         blocks = sum(ds.materialize().num_blocks() for ds in reads)
@@ -135,7 +145,7 @@ def main() -> None:
         )
         print(
             f"{name:24s} {n_exec!s:>10s} {n_sort!s:>5s} {blocks:11d} {min(secs):8.3f} "
-            f"{statistics.median(secs):8.3f}"
+            f"{statistics.median(secs):8.3f} {min(plans):8.4f}"
         )
     ray.shutdown()
 

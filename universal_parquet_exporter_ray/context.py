@@ -5,12 +5,18 @@ DataContext caps on shuffle parallelism.
 read (``sources.tables.read_parquet_clean``) and the decode
 (``pipelines.verify.decoded_dataset``) size themselves with it, and the
 encode wave (``pipelines.encode._wave_bins``) packs one bin per slot
-while it gives one block per slot. Ray's read autodetect floors every
-read at ``2 × CPUs`` blocks, so a 1.5 KB table became 2 blocks on 1 CPU
-and 8 on 4, each block one more task in every downstream operator, and a
-split read keeps Ray from fusing the next map into the read. A read counts
-on-disk (compressed) bytes; Ray still splits any read block whose
+while it gives one block per slot. A read counts on-disk (compressed)
+bytes and asks for ``block_count`` blocks; Ray's own autodetect would
+floor it at ``2 × CPUs`` (a 1.5 KB table became 2 blocks on 1 CPU and 8
+on 4), each block one more task in every downstream operator. A table
+read makes one read task per contiguous range of row groups, at most one
+per block: a file of at least ``block_count`` row groups gives one task
+per block, and the next map fuses into the read; a file of fewer row
+groups gives fewer tasks, whose output Ray splits to the block count, and
+a splitting read does not fuse. Ray still splits any read block whose
 estimated in-memory size passes ``target_max_block_size``.
+``file_chunks`` deals the files of a task wave (the footer pass of a
+many-file read, the encode's key counts) into one chunk per CPU slot.
 
 Ray Data's defaults (``min_parallelism = 200``, 200-way sort shuffles) are
 sized for large multi-node clusters; on an N-CPU node they turn every
@@ -46,6 +52,15 @@ def block_count(nbytes: int) -> int:
     """Blocks (tasks) for ``nbytes`` of input: one per CPU slot, and more
     only once each would still hold ``MIN_BLOCK_BYTES``."""
     return max(cpu_slots(), math.ceil(nbytes / MIN_BLOCK_BYTES))
+
+
+def file_chunks(files: list[str]) -> list[list[str]]:
+    """``files`` dealt round-robin into at most one chunk per CPU slot: ONE
+    task wave. A file count above the slot count otherwise quantizes into
+    several scheduling waves of ~ms tasks, and a serial driver loop costs
+    ~ms × #files on every run and every resume (review r5)."""
+    n = min(len(files), cpu_slots())
+    return [files[i::n] for i in range(n)]
 
 
 def tune_for_cluster() -> None:

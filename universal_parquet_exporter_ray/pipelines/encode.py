@@ -55,7 +55,8 @@ import pyarrow as pa
 
 import ray.data
 
-from ..context import block_count, cpu_slots
+from ..context import block_count, cpu_slots, file_chunks
+from ..sources.tables import parquet_files, row_groups
 from ..stages.agg import combiner_groupby, to_frame
 from ..stages.encoder import PART_COL, MANIFEST_SCHEMA, choose_codecs
 from ..stages.exchange import ACK_SCHEMA, SpillPartitions, exchange_encode_task, read_ipc_range
@@ -76,15 +77,6 @@ SPILL_BATCH_ROWS = 100_000
 # per slot) gets one bin per slot instead: 12 tiny tasks per CPU there cost
 # more dispatch than the stragglers they hide
 WAVE_BINS_PER_SLOT = 12
-
-
-def _file_chunks(files: list[str]) -> list[list[str]]:
-    """``files`` dealt round-robin into at most one chunk per CPU slot: ONE
-    task wave. A file count above the slot count otherwise quantizes into
-    several scheduling waves of ~ms tasks, and a serial driver loop costs
-    ~ms × #files on every run and every resume (review r5)."""
-    n = min(len(files), cpu_slots())
-    return [files[i::n] for i in range(n)]
 
 
 def lpt_bins(sizes: list[int], n: int) -> list[list[int]]:
@@ -111,15 +103,6 @@ def lpt_bins(sizes: list[int], n: int) -> list[list[int]]:
         loads[j] = load + sizes[i]
         heapq.heappush(heap, (loads[j], j))
     return [bins[j] for j in sorted(range(n), key=lambda j: -loads[j]) if bins[j]]
-
-
-def _list_parquet_files(source: str) -> list[str]:
-    if os.path.isdir(source):
-        out: list[str] = []
-        for root, _dirs, fnames in os.walk(source):
-            out += [os.path.join(root, f) for f in fnames if f.endswith(".parquet")]
-        return sorted(out)
-    return [source]
 
 
 def _plan_cache_path(files: list[str], key: str) -> Optional[str]:
@@ -210,7 +193,7 @@ def _plan_key_counts(files: list[str], key: str) -> dict[str, int]:
         ]
         return pd.concat(acc).groupby(level=0, sort=False).sum()
 
-    parts = ray.get([count_files.remote(c) for c in _file_chunks(files)])
+    parts = ray.get([count_files.remote(c) for c in file_chunks(files)])
     parts = [p for p in parts if len(p)]
     counts = (
         pd.concat(parts).groupby(level=0, sort=False).sum().astype(int).to_dict()
@@ -284,23 +267,6 @@ def make_assigner(
     return assign
 
 
-def _row_group_rows(files: list[str]) -> dict[str, list[int]]:
-    """Rows per row group of every file, from the footers, in one task wave."""
-
-    @ray.remote(num_cpus=1)
-    def rg_counts(paths: list[str]) -> list:
-        import pyarrow.parquet as pq
-
-        out = []
-        for p in paths:
-            md = pq.read_metadata(p)
-            out.append((p, [md.row_group(i).num_rows for i in range(md.num_row_groups)]))
-        return out
-
-    waves = ray.get([rg_counts.remote(c) for c in _file_chunks(files)])
-    return dict(x for part in waves for x in part)
-
-
 def _default_hash_cols(names: list[str], partition_by: Optional[str]) -> list[str]:
     """The tie-break column must NOT be the partition key: hashing only
     partition_by gives every row of a hot key the same hash, so the salt
@@ -320,8 +286,8 @@ def _plan(
 ):
     """Plan phase → ``(assign, hash_cols, spill_items)``. A path source
     never builds a Dataset: the schema is one footer read, the key counts a
-    task wave over the key column (or the plan cache), the row-group counts a
-    footer task wave. ``spill_items`` bundles consecutive row groups of a
+    task wave over the key column (or the plan cache), the row-group counts
+    the reader's footer pass (``sources.tables.row_groups``). ``spill_items`` bundles consecutive row groups of a
     file into ~``SPILL_BATCH_ROWS``-row spill tasks; ``None`` for a Dataset
     source, which spills its own blocks."""
     if not isinstance(source, str):
@@ -335,11 +301,11 @@ def _plan(
         return assign, hash_cols, None
     import pyarrow.parquet as pq
 
-    files = _list_parquet_files(source)
+    files = parquet_files(source)
     if hash_cols is None:
         hash_cols = _default_hash_cols(pq.read_schema(files[0]).names, partition_by)
     mark("schema")
-    rg_rows = _row_group_rows(files)
+    rg_rows = [[rows for rows, _nbytes in rgs] for rgs in row_groups(files)]
     assign = make_assigner(
         None,
         partition_by,
@@ -347,14 +313,14 @@ def _plan(
         target_rows,
         num_partitions,
         key_counts=_plan_key_counts(files, partition_by) if partition_by else None,
-        total_rows=sum(sum(r) for r in rg_rows.values()),
+        total_rows=sum(map(sum, rg_rows)),
     )
     mark("assign_plan")
     items = []
-    for f in files:
+    for f, rows in zip(files, rg_rows):
         cur: list[int] = []
         cur_rows = 0
-        for rg, nrows in enumerate(rg_rows[f]):
+        for rg, nrows in enumerate(rows):
             cur.append(rg)
             cur_rows += nrows
             if cur_rows >= SPILL_BATCH_ROWS:
