@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import types
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -105,7 +106,7 @@ def test_multi_file_reads_match_pyarrow(
 ):
     """A directory of 3 files × 3 row groups (4 read tasks at 4 CPUs, two of
     them across a file boundary), the same files as a list in another
-    order, and a zero-row file; the directory again with its footer pass
+    order, and zero-row files; the directory again with its footer pass
     run as a task wave."""
     from universal_parquet_exporter_ray.sources import tables
     from universal_parquet_exporter_ray.sources.tables import read_parquet_clean
@@ -123,15 +124,26 @@ def test_multi_file_reads_match_pyarrow(
     columns = ["n_name", "n_nationkey"]
     _assert_same(read_parquet_clean(listed, columns), _want(listed, columns))
 
+    # a zero-row file, as pyarrow writes it (one empty row group) and with
+    # no row group at all
     empty = str(tmp_path / "empty.parquet")
     pq.write_table(pq.read_table(files[0]).slice(0, 0), empty)
-    ds = read_parquet_clean(empty)
-    assert ds.count() == 0
-    assert ds.schema().base_schema.equals(_want([empty]).schema)
-    _assert_same(ds, _want([empty]))
+    no_rg = str(tmp_path / "no_row_groups.parquet")
+    pq.ParquetWriter(no_rg, pq.read_schema(files[0])).close()
+    assert [pq.read_metadata(f).num_row_groups for f in (empty, no_rg)] == [1, 0]
+    for path in (empty, no_rg):
+        ds = read_parquet_clean(path)
+        assert ds.count() == 0
+        assert ds.schema().base_schema.equals(_want([path]).schema)
+        _assert_same(ds, _want([path]))
 
+    # the footer pass as a task wave: one task per file here (3 files, 4 CPUs)
+    chunks, task = [], tables._footer_task
+    spy = types.SimpleNamespace(remote=lambda c: chunks.append(c) or task.remote(c))
+    monkeypatch.setattr(tables, "_footer_task", spy)
     monkeypatch.setattr(tables, "FOOTER_WAVE_FILES", 0)
     assert tables.row_groups(files) == tables._footers(files)
+    assert sorted(chunks) == [[f] for f in files]
     _assert_same(read_parquet_clean(str(tmp_path / "d")), _want(files))
 
 

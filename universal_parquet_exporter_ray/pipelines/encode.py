@@ -287,9 +287,10 @@ def _plan(
     """Plan phase → ``(assign, hash_cols, spill_items)``. A path source
     never builds a Dataset: the schema is one footer read, the key counts a
     task wave over the key column (or the plan cache), the row-group counts
-    the reader's footer pass (``sources.tables.row_groups``). ``spill_items`` bundles consecutive row groups of a
-    file into ~``SPILL_BATCH_ROWS``-row spill tasks; ``None`` for a Dataset
-    source, which spills its own blocks."""
+    the reader's footer pass (``sources.tables.row_groups``).
+    ``spill_items`` bundles consecutive row groups of a file into
+    ~``SPILL_BATCH_ROWS``-row spill tasks; ``None`` for a Dataset source,
+    which spills its own blocks."""
     if not isinstance(source, str):
         if hash_cols is None:
             hash_cols = _default_hash_cols(source.schema().names, partition_by)

@@ -9,14 +9,15 @@ Every package read (``read_parquet_clean``; ``load_table`` calls it) is
 planned from the files' Parquet footers by ``FooterDatasource``, not by
 ``ray.data.read_parquet``. Ray's reader builds a ``pyarrow.ParquetDataset``
 on every call and blocks on a remote sampling task before the Dataset
-exists: 13–23 ms per read on one CPU, before any execution starts. Here
-one footer pass per file (``row_groups``) gives each read task its exact
-row count and Ray's size estimate, and the encoding-ratio sample is read
-on the driver.
+exists: 11–19 ms per read of an sf0.01 table on one CPU, before any
+execution starts. Here one footer pass per file (``row_groups``) gives
+each read task its exact row count and Ray's size estimate, and the
+encoding-ratio sample is read on the driver: 4–8 ms per read.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Optional, Union
 
@@ -91,7 +92,7 @@ def row_groups(files: list[str]) -> list[list[tuple[int, int]]]:
     return [by_file[f] for f in files]
 
 
-def _encoding_ratio(
+def _schema_and_ratio(
     files: list[str], footers: list, columns: Optional[list[str]]
 ) -> tuple[pa.Schema, float]:
     """The read's metadata-free (projected) schema, from the first file, and
@@ -172,12 +173,10 @@ class FooterDatasource(Datasource):
     def get_name(self) -> str:
         return "Parquet"
 
-    def estimate_inmemory_data_size(self) -> Optional[int]:
+    def estimate_inmemory_data_size(self) -> float:
         return sum(u[3] for u in self._units) * self._ratio
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        import functools
-
         target = ray.data.DataContext.get_current().target_max_block_size
         n = max(1, min(parallelism, len(self._units)))
         step, extra = divmod(len(self._units), n)
@@ -192,7 +191,8 @@ class FooterDatasource(Datasource):
                 ranges[-1][1].append(i)
             rows = sum(u[2] for u in units)
             size = int(sum(u[3] for u in units) * self._ratio)
-            batch_rows = rows if not target or not size else target * rows // size
+            # tables of at most target_max_block_size, by the size estimate
+            batch_rows = min(rows, target * rows // size) if target and size else rows
             meta = BlockMetadata(
                 num_rows=rows,
                 size_bytes=size,
@@ -204,7 +204,7 @@ class FooterDatasource(Datasource):
                 ranges,
                 self._columns,
                 self._schema,
-                max(1, min(rows, batch_rows)),
+                max(1, batch_rows),
             )
             tasks.append(ReadTask(read, meta, schema=self._schema))
         return tasks
@@ -226,7 +226,7 @@ def read_parquet_clean(
     hashable.
 
     The plan comes from one footer pass (``row_groups``) and a driver-side
-    sample (``_encoding_ratio``): no ``ParquetDataset`` and no sampling
+    sample (``_schema_and_ratio``): no ``ParquetDataset`` and no sampling
     task. ``count()`` and ``size_bytes()`` are answered from the read tasks'
     metadata without an execution. ``block_count`` replaces Ray's
     autodetect, whose ``2 × CPUs`` floor split even a 1.5 KB table into 2
@@ -238,7 +238,7 @@ def read_parquet_clean(
     if not files:
         raise FileNotFoundError(f"no Parquet files under {path!r}")
     footers = row_groups(files)
-    schema, ratio = _encoding_ratio(files, footers, columns)
+    schema, ratio = _schema_and_ratio(files, footers, columns)
     source = FooterDatasource(files, footers, columns, schema, ratio)
     nbytes = sum(os.path.getsize(f) for f in files)
     return ray.data.read_datasource(source, override_num_blocks=block_count(nbytes))
