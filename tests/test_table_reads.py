@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-import types
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -102,12 +101,17 @@ def test_table_read_matches_pyarrow(
 
 
 def test_multi_file_reads_match_pyarrow(
-    ray_session, sf_small, ordered, tmp_path, monkeypatch
+    ray_session, sf_small, ordered, executions, tmp_path, monkeypatch
 ):
     """A directory of 3 files × 3 row groups (4 read tasks at 4 CPUs, two of
     them across a file boundary), the same files as a list in another
-    order, and zero-row files; the directory again with its footer pass
-    run as a task wave."""
+    order, and zero-row files. Where a file has several row groups Ray
+    samples only the first one against the whole file's footer bytes/row:
+    ``size_bytes()`` is still Ray's, with and without
+    ``decoding_size_estimation``, and runs no execution."""
+    import ray
+    from ray.data import DataContext
+
     from universal_parquet_exporter_ray.sources import tables
     from universal_parquet_exporter_ray.sources.tables import read_parquet_clean
 
@@ -124,6 +128,28 @@ def test_multi_file_reads_match_pyarrow(
     columns = ["n_name", "n_nationkey"]
     _assert_same(read_parquet_clean(listed, columns), _want(listed, columns))
 
+    # nation's sampled ratio is below Ray's floor of 1; part's is above it,
+    # and its first row group's footer bytes/row differ from its file's
+    parts = _copies(tables.table_path(sf_small, "part"), tmp_path / "p", 3, 67)
+    assert [pq.read_metadata(f).num_row_groups for f in parts] == [3, 3, 3]
+    assert read_parquet_clean(parts)._logical_plan.dag._datasource._ratio > 1
+    opts = DataContext.get_current()
+    for estimate in (True, False):
+        monkeypatch.setattr(opts, "decoding_size_estimation", estimate)
+        for path, cols, first in [
+            (str(tmp_path / "d"), None, files[0]),
+            (listed, columns, files[0]),
+            (str(tmp_path / "p"), None, parts[0]),
+            (parts[::-1], ["p_name", "p_retailprice"], parts[0]),
+        ]:
+            before = executions[0]
+            size = read_parquet_clean(path, cols).size_bytes()
+            assert executions[0] == before
+            full = pq.read_schema(first).remove_metadata()
+            sch = pa.schema([full.field(c) for c in cols]) if cols else full
+            ray_read = ray.data.read_parquet(path, columns=cols, schema=sch)
+            assert size == ray_read.size_bytes(), (path, cols, estimate)
+
     # a zero-row file, as pyarrow writes it (one empty row group) and with
     # no row group at all
     empty = str(tmp_path / "empty.parquet")
@@ -136,15 +162,6 @@ def test_multi_file_reads_match_pyarrow(
         assert ds.count() == 0
         assert ds.schema().base_schema.equals(_want([path]).schema)
         _assert_same(ds, _want([path]))
-
-    # the footer pass as a task wave: one task per file here (3 files, 4 CPUs)
-    chunks, task = [], tables._footer_task
-    spy = types.SimpleNamespace(remote=lambda c: chunks.append(c) or task.remote(c))
-    monkeypatch.setattr(tables, "_footer_task", spy)
-    monkeypatch.setattr(tables, "FOOTER_WAVE_FILES", 0)
-    assert tables.row_groups(files) == tables._footers(files)
-    assert sorted(chunks) == [[f] for f in files]
-    _assert_same(read_parquet_clean(str(tmp_path / "d")), _want(files))
 
 
 def _operators(ds) -> list[str]:

@@ -15,8 +15,8 @@ per block, and the next map fuses into the read; a file of fewer row
 groups gives fewer tasks, whose output Ray splits to the block count, and
 a splitting read does not fuse. Ray still splits any read block whose
 estimated in-memory size passes ``target_max_block_size``.
-``file_chunks`` deals the files of a task wave (the footer pass of a
-many-file read, the encode's key counts) into one chunk per CPU slot.
+``file_chunks`` deals the files of a task wave (the encode's key counts)
+into one chunk per CPU slot.
 
 Ray Data's defaults (``min_parallelism = 200``, 200-way sort shuffles) are
 sized for large multi-node clusters; on an N-CPU node they turn every

@@ -32,16 +32,6 @@ TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
 ).split()
 
-# a read of more files than this runs its footer pass as one task wave
-# (``context.file_chunks``); fewer are read in a driver loop, which costs
-# less than one task round trip
-FOOTER_WAVE_FILES = 64
-
-# Ray's encoding-ratio sample (``ray.data``'s Parquet reader): the first
-# rows of the first row group of a few evenly spaced files
-SAMPLE_ROWS = 1024
-SAMPLE_FILES = 10
-
 
 def table_path(sf_dir: str, name: str) -> str:
     p = os.path.join(sf_dir, f"{name}.parquet")
@@ -65,7 +55,9 @@ def parquet_files(path: Union[str, list[str]]) -> list[str]:
     )
 
 
-def _footers(files: list[str]) -> list[list[tuple[int, int]]]:
+def row_groups(files: list[str]) -> list[list[tuple[int, int]]]:
+    """``(rows, total_byte_size)`` of every row group of every file, in
+    file order, from the footers, read in a driver loop."""
     out = []
     for f in files:
         md = pq.read_metadata(f)
@@ -74,59 +66,48 @@ def _footers(files: list[str]) -> list[list[tuple[int, int]]]:
     return out
 
 
-_footer_task = ray.remote(num_cpus=1)(_footers)
-
-
-def row_groups(files: list[str]) -> list[list[tuple[int, int]]]:
-    """``(rows, total_byte_size)`` of every row group of every file, in
-    file order, from the footers: a driver loop up to ``FOOTER_WAVE_FILES``
-    files, else one task wave."""
-    if len(files) <= FOOTER_WAVE_FILES:
-        return _footers(files)
-    from ..context import file_chunks
-
-    chunks = file_chunks(files)
-    by_file = {}
-    for chunk, sizes in zip(chunks, ray.get([_footer_task.remote(c) for c in chunks])):
-        by_file.update(zip(chunk, sizes))
-    return [by_file[f] for f in files]
-
-
 def _schema_and_ratio(
     files: list[str], footers: list, columns: Optional[list[str]]
 ) -> tuple[pa.Schema, float]:
     """The read's metadata-free (projected) schema, from the first file, and
-    Ray's Parquet encoding ratio: the mean over up to ``SAMPLE_FILES``
-    evenly spaced files of sampled Arrow bytes/row ÷ footer bytes/row, at
-    least 1. Each sample is the first ``SAMPLE_ROWS`` rows of the file's
-    first row group, projected; a file without rows counts as 1. The same
-    files, rows and arithmetic as ``ray.data.read_parquet``, so a read's
-    ``size_bytes()`` and Ray's split decisions are the ones Ray's reader
-    gives."""
+    Ray's Parquet encoding ratio: the mean over a few evenly spaced files
+    of sampled Arrow bytes/row ÷ the file's footer bytes/row, at least 1.
+    Each sample is the first rows of the file's first row group, projected;
+    a file without rows counts as 1. Files, rows, constants and arithmetic
+    are those of ``ray.data.read_parquet`` (its constants are imported, and
+    ``DataContext.decoding_size_estimation = False`` gives its default
+    ratio), so a read's ``size_bytes()`` and Ray's split decisions are the
+    ones Ray's reader gives."""
     import numpy as np
+    from ray.data._internal.datasource import parquet_datasource as rp
 
+    first = pq.ParquetFile(files[0])
+    schema = first.schema_arrow.remove_metadata()
+    if columns:
+        schema = pa.schema([schema.field(c) for c in columns])
+    if not ray.data.DataContext.get_current().decoding_size_estimation:
+        return schema, float(rp.PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT)
     n = len(files)
-    k = max(min(int(n * 0.01), min(SAMPLE_FILES, n)), min(2, n))
-    schema, ratios = None, []
+    k = int(n * rp.PARQUET_ENCODING_RATIO_ESTIMATE_SAMPLING_RATIO)
+    k = min(k, min(rp.PARQUET_ENCODING_RATIO_ESTIMATE_MAX_NUM_SAMPLES, n))
+    k = max(k, min(rp.PARQUET_ENCODING_RATIO_ESTIMATE_MIN_NUM_SAMPLES, n))
+    floor = float(rp.PARQUET_ENCODING_RATIO_ESTIMATE_LOWER_BOUND)
+    ratios = []
     for i in np.linspace(0, n - 1, k).astype(int).tolist():
-        pf = pq.ParquetFile(files[i])
-        if schema is None:
-            full = pf.schema_arrow.remove_metadata()
-            schema = pa.schema([full.field(c) for c in columns]) if columns else full
         rows = sum(r for r, _ in footers[i])
-        batches = pf.iter_batches(
-            batch_size=max(1, min(rows, SAMPLE_ROWS)),
+        batches = (first if i == 0 else pq.ParquetFile(files[i])).iter_batches(
+            batch_size=max(1, min(rows, rp.PARQUET_ENCODING_RATIO_ESTIMATE_NUM_ROWS)),
             row_groups=[0] if footers[i] else [],
             columns=columns,
             use_threads=False,
         )
         batch = next(batches, None)
         if batch is None or not batch.num_rows:
-            ratios.append(1.0)
+            ratios.append(floor)
             continue
         footer_bytes = sum(b for _, b in footers[i])
         ratios.append((batch.nbytes / batch.num_rows) / (footer_bytes / rows))
-    return schema, max(float(np.mean(ratios)), 1.0)
+    return schema, max(float(np.mean(ratios)), floor)
 
 
 def _read_ranges(
