@@ -272,8 +272,8 @@ def test_no_module_calls_map_groups():
 
 
 def _pool_kwargs(node) -> bool:
-    """A ``.map_batches(...)`` call that sizes or feeds an actor pool
-    itself: it passes ``concurrency=`` or ``fn_constructor_kwargs=``."""
+    """A ``.map_batches(...)`` call that sizes or feeds an actor pool: it
+    passes ``concurrency=`` or ``fn_constructor_kwargs=``."""
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
@@ -285,28 +285,52 @@ def _pool_kwargs(node) -> bool:
     )
 
 
-def test_only_map_stage_builds_a_pool():
-    """``stages.map_stage`` is the package's one per-batch stage form: it
-    measures the constructor payload and picks tasks or a pool. No other
-    module passes ``concurrency=`` or ``fn_constructor_kwargs=`` to
-    ``map_batches``."""
-    calls = [
-        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+def _ray_put(node) -> bool:
+    """A ``ray.put(...)`` call."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "put"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ray"
+    )
+
+
+def test_stage_state_rides_in_the_closure():
+    """Driver state reaches a stage one way: in its ``map_batches``
+    closure (``stages.map_stage``'s constructor kwargs, or a captured
+    frame, key set or splitter array), which Ray Data puts in the object
+    store once per operator. No module, ``stages/__init__.py`` included,
+    passes ``concurrency=`` or ``fn_constructor_kwargs=`` to
+    ``map_batches``, and ``ray.put`` appears only in the encode's raw-task
+    wave, as its tasks' argument."""
+    trees = {
+        str(path.relative_to(PACKAGE)): ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.rglob("*.py"))
-        if path != PACKAGE / "stages" / "__init__.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    }
+    pools = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
         if _pool_kwargs(node)
     ]
-    assert calls == []
-    # the scan sees both keywords, and map_stage itself still sizes a pool
+    assert pools == []
+    puts = {
+        name: sum(map(_ray_put, ast.walk(tree)))
+        for name, tree in trees.items()
+        if any(map(_ray_put, ast.walk(tree)))
+    }
+    assert puts == {"pipelines/encode.py": 1}
+    # the scans see both keywords and the put, and not a plain stage
     sample = ast.parse(
         "ds.map_batches(Cls, concurrency=(1, 4))\n"
         "ds.map_batches(Cls, fn_constructor_kwargs={'k': 1})\n"
         "ds.map_batches(fn, batch_format='pandas')\n"
+        "ref = ray.put(small)\n"
+        "d.put(k, v)\n"
     )
     assert sum(map(_pool_kwargs, ast.walk(sample))) == 2
-    init = PACKAGE / "stages" / "__init__.py"
-    assert sum(map(_pool_kwargs, ast.walk(ast.parse(init.read_text())))) == 1
+    assert sum(map(_ray_put, ast.walk(sample))) == 1
 
 
 def _ray_read_parquet(node) -> bool:

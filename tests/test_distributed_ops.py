@@ -1170,21 +1170,28 @@ def test_prefix_filter_bounds_stop_shingle_emission():
 
 def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
     """The size-thresholded join must produce identical rows whether the
-    small side broadcasts (under the limit) or hash-partitions (over it)."""
+    small side broadcasts (under the limit) or hash-partitions (over it),
+    with distinct or identical key names on the two sides. A pandas small
+    side is already on the driver: it broadcasts at any limit."""
     from universal_parquet_exporter_ray.stages import joins
     from universal_parquet_exporter_ray.stages.joins import thresholded_join
 
-    large = ray.data.from_pandas(
-        pd.DataFrame({"k": [1, 2, 2, 3, 5], "v": [10, 20, 21, 30, 50]})
-    )
-    small = ray.data.from_pandas(
-        pd.DataFrame({"rk": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]})
-    )
+    large_df = pd.DataFrame({"k": [1, 2, 2, 3, 5], "v": [10, 20, 21, 30, 50]})
+    small_df = pd.DataFrame({"rk": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]})
+    large = ray.data.from_pandas(large_df)
+    hash_joins, real = [], joins.hash_join
 
-    def run(limit, how):
+    def spy(left, right, **kw):
+        hash_joins.append(kw["right_on"])
+        return real(left, right, **kw)
+
+    monkeypatch.setattr(joins, "hash_join", spy)
+
+    def run(limit, how, small, right_on):
         monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", limit)
+        hash_joins.clear()
         out = thresholded_join(
-            large, small, left_on=["k"], right_on=["rk"], how=how
+            large, small, left_on=["k"], right_on=right_on, how=how
         ).to_pandas()
         return (
             out[sorted(out.columns)]
@@ -1198,13 +1205,54 @@ def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
         # as not-equal in assert_frame_equal
         return df.astype(object).where(pd.notna(df), None)
 
+    same_df = small_df.rename(columns={"rk": "k"})
     for how in ("inner", "left"):
-        bcast = run(10**6, how)
-        hashed = run(0, how)
-        assert list(bcast.columns) == list(hashed.columns)
-        pd.testing.assert_frame_equal(
-            norm_nulls(bcast), norm_nulls(hashed), check_dtype=False
-        )
+        for small, right_on in ((small_df, ["rk"]), (same_df, None)):
+            ds = ray.data.from_pandas(small)
+            bcast = run(10**6, how, ds, right_on)
+            assert hash_joins == []
+            hashed = run(0, how, ds, right_on)
+            assert hash_joins == [right_on or ["k"]]
+            frame = run(0, how, small, right_on)
+            assert hash_joins == []
+            assert list(bcast.columns) == list(hashed.columns) == ["k", "name", "v"]
+            pd.testing.assert_frame_equal(
+                norm_nulls(bcast), norm_nulls(hashed), check_dtype=False
+            )
+            pd.testing.assert_frame_equal(frame, bcast)
+
+
+@pytest.mark.parametrize("name", ["join_compound", "join_left_coalesce"])
+def test_gated_joins_hash_plan_agrees(ray_session, monkeypatch, name):
+    """A query that joins a grouped aggregate gives its default frame
+    (driver final, broadcast) when the final runs as co-partitions and the
+    join hash-partitions (``FINAL_REDUCE_CAP = 0``,
+    ``BROADCAST_ROW_LIMIT = 0``). ``join_compound`` hash-joins on the
+    same key names on both sides."""
+    from universal_parquet_exporter_ray.pipelines.relational import QUERIES
+    from universal_parquet_exporter_ray.stages import agg, joins
+
+    hash_joins, real = [], joins.hash_join
+
+    def spy(left, right, **kw):
+        hash_joins.append(kw["right_on"])
+        return real(left, right, **kw)
+
+    monkeypatch.setattr(joins, "hash_join", spy)
+
+    def run():
+        out = QUERIES[name]("/root/testdata/sf0.001")
+        df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    default = run()
+    assert hash_joins == [] and len(default) > 0
+    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", 0)
+    forced = run()
+    keys = {"join_compound": ["user_id", "event_type"], "join_left_coalesce": ["o_custkey"]}
+    assert hash_joins == [keys[name]]
+    pd.testing.assert_frame_equal(forced, default)
 
 
 def test_join_multiway_gated_plans_agree(ray_session, sf_small, monkeypatch):

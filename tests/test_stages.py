@@ -783,44 +783,93 @@ def test_read_manifest_promotes_old_schema(tmp_path):
     assert by_pid["p0"] is None and by_pid["p1"] == "{}"
 
 
-def test_map_stage_switches_on_payload_budget(ray_session, monkeypatch):
-    """map_stage sizes the pickled constructor kwargs itself: plain tasks
-    within TASK_BROADCAST_BUDGET, an actor pool above it. Both forms give
-    the same frame, and the caller passes no size or pool size."""
-    import ray
+# run in a fresh 1-CPU session by test_map_stage_ships_a_large_payload_as_tasks:
+# a 16 MiB lookup table reaches every batch of a read-fed stage
+_LARGE_PAYLOAD_STAGE = """
+import json, os, sys
 
-    from universal_parquet_exporter_ray import stages
-    from universal_parquet_exporter_ray.stages import map_stage
-    from universal_parquet_exporter_ray.stages.ann import BatchTopKCosine, _normalize
+root = sys.argv[1]
+sys.path.insert(0, root)
+os.chdir(root)
 
-    rng = np.random.default_rng(7)
-    mat = _normalize(rng.normal(size=(200, 16)))
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"vec_id": np.arange(200, dtype=np.int64), "embedding": list(mat)})
+import numpy as np
+import pandas as pd
+import ray
+from ray.data._internal.execution.operators.actor_pool_map_operator import (
+    ActorPoolMapOperator,
+)
+
+from universal_parquet_exporter_ray.stages import map_stage
+
+pools = []
+init = ActorPoolMapOperator.__init__
+
+
+def spy(self, *args, **kwargs):
+    pools.append(1)
+    init(self, *args, **kwargs)
+
+
+ActorPoolMapOperator.__init__ = spy
+
+
+class Lookup:
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, batch):
+        batch["v"] = self.table[batch["id"].to_numpy() % len(self.table)]
+        return batch
+
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+ctor = {"table": np.random.default_rng(3).integers(0, 1 << 40, 2 << 20)}
+n = 20_000
+ds = ray.data.range(n, override_num_blocks=8)
+got = map_stage(ds, Lookup, ctor, batch_format="pandas").to_pandas()
+got = got.sort_values("id").reset_index(drop=True)
+want = Lookup(**ctor)(pd.DataFrame({"id": np.arange(n, dtype=np.int64)}))
+print(json.dumps({
+    "payload_mib": ctor["table"].nbytes / 2**20,
+    "pools": len(pools),
+    "equal": bool(got.equals(want)),
+}))
+"""
+
+
+def test_map_stage_ships_a_large_payload_as_tasks(tmp_path):
+    """map_stage runs plain tasks whatever its constructor payload: a
+    16 MiB table (above the 4 MiB at which the stage once switched to an
+    actor pool) rides in the closure of a read-fed stage, the stage gives
+    the frame ``cls(**ctor)`` gives on the driver, no
+    ``ActorPoolMapOperator`` is built, and it finishes in a 1-CPU session
+    (where a pool's actor can hold the only CPU its read needs)."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "large_payload_stage.py"
+    script.write_text(_LARGE_PAYLOAD_STAGE)
+    # own process group: a stalled run's Ray processes are killed with it
+    proc = subprocess.Popen(
+        [sys.executable, str(script), root],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
     )
-    qids = np.arange(3, dtype=np.int64)
-    qmat = mat[:3]
-    ctor = {"queries": (qids, qmat), "k": 4}
-    forms = []
-    map_batches = ray.data.Dataset.map_batches
-
-    def spy(self, fn, **kw):
-        forms.append("pool" if isinstance(fn, type) else "tasks")
-        return map_batches(self, fn, **kw)
-
-    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
-
-    def run(budget):
-        monkeypatch.setattr(stages, "TASK_BROADCAST_BUDGET", budget)
-        out = map_stage(ds, BatchTopKCosine, ctor, batch_format="pandas")
-        frame = out.to_pandas().sort_values(["query_id", "vec_id"])
-        return frame.reset_index(drop=True)
-
-    task_form = run(4 << 20)  # KB payload: plain tasks
-    pool_form = run(0)  # every payload is over: actor pool
-    assert forms == ["tasks", "pool"]
-    pd.testing.assert_frame_equal(task_form, pool_form)
-    assert len(task_form) > 0
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+    assert proc.returncode == 0, err[-2000:]
+    got = json.loads(out.strip().splitlines()[-1])
+    assert got == {"payload_mib": 16.0, "pools": 0, "equal": True}
 
 
 def test_stage_queries_finish_on_one_cpu(sf_small):

@@ -69,13 +69,6 @@ def scale_cols(ds, spec: dict[str, tuple[str, float]]):
     return map_any(ds, fn)
 
 
-def _rename(ds: "ray.data.Dataset", mapping: dict[str, str]) -> "ray.data.Dataset":
-    def fn(t: pa.Table) -> pa.Table:
-        return t.rename_columns([mapping.get(c, c) for c in t.column_names])
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 # ----------------------------------------------------------------------
 # M-ops: projections & filters
 # ----------------------------------------------------------------------
@@ -225,7 +218,8 @@ def q_join_inner(sf_dir: str):
 def q_join_left_coalesce(sf_dir: str):
     # J2 + M8 (reference: LEFT JOIN + COALESCE(SUM(o.price),0), advanced:166-171)
     # the per-customer aggregate scales with the corpus: size-thresholded
-    # (broadcast at test scale, Dataset.join beyond the broadcast budget)
+    # (a driver frame or a probed Dataset within the budget broadcasts,
+    # Dataset.join beyond it)
     orders = load_table(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
     per_cust = combiner_groupby(
         orders,
@@ -234,15 +228,9 @@ def q_join_left_coalesce(sf_dir: str):
         count="n_orders",
     )
     cust = load_table(sf_dir, "customer", ["c_custkey", "c_name"])
-    if isinstance(per_cust, pd.DataFrame):
-        # the aggregate landed driver-side under the cap -> broadcast it
-        joined = broadcast_merge(
-            cust, per_cust, left_on=["c_custkey"], right_on=["o_custkey"], how="left"
-        )
-    else:
-        joined = thresholded_join(
-            cust, per_cust, left_on=["c_custkey"], right_on=["o_custkey"], how="left"
-        )
+    joined = thresholded_join(
+        cust, per_cust, left_on=["c_custkey"], right_on=["o_custkey"], how="left"
+    )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df["total_spent_c"] = scaled_int(df["total_spent"].fillna(0.0), 100.0)
@@ -1648,8 +1636,9 @@ def q_join_compound(sf_dir: str):
     # J4: composite join key + extra join predicate (reference:
     # sqlserver_basic_example.py:144 — ON t.object_id = p.object_id AND
     # p.index_id IN (0,1)). Physical plan: IN-filter pushed below the join
-    # on both sides, Ray hash join on the COMPOUND key (user_id, event_type),
-    # then combiner-first partial aggregation.
+    # on both sides, a size-thresholded join on the COMPOUND key (user_id,
+    # event_type), same key names on both sides, then combiner-first
+    # partial aggregation.
     kinds = ("click", "view")
 
     def in_kinds(t: pa.Table) -> pa.Table:
@@ -1663,20 +1652,7 @@ def q_join_compound(sf_dir: str):
         ["user_id", "event_type"],
         mins={"ts": "min_ts"},
     )
-    if isinstance(firsts, pd.DataFrame):
-        # compound-key dim landed driver-side under the cap: broadcast it
-        # (same key names both sides -> plain merge, no rename dance)
-        joined = broadcast_merge(
-            ev, firsts, left_on=["user_id", "event_type"], how="inner"
-        )
-    else:
-        firsts = _rename(firsts, {"user_id": "f_user", "event_type": "f_kind"})
-        joined = hash_join(
-            ev,
-            firsts,
-            left_on=["user_id", "event_type"],
-            right_on=["f_user", "f_kind"],
-        )
+    joined = thresholded_join(ev, firsts, left_on=["user_id", "event_type"])
 
     def later(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["ts"] > df["min_ts"]]

@@ -382,11 +382,9 @@ def q_dedup_keep_best(sf_dir: str):
     a verified edge appear). The map broadcasts through
     ``map_stage`` into ONE corpus pass that emits per-batch per-cluster
     ARGMAX PARTIALS (algebraic: sum counts, argmax of argmaxes), so only
-    cluster-sized rows ever leave a worker. The map always broadcasts: in
-    the task closure while it is within ``stages.TASK_BROADCAST_BUDGET``
-    (4 MiB), else by value once per actor of a ``ClusterBestPartial``
-    pool. There is no join fallback, so the
-    map must fit a worker heap. The partials merge through
+    cluster-sized rows ever leave a worker. The map always broadcasts, in
+    the stage's closure (one object-store copy per operator). There is no
+    join fallback, so the map must fit a worker heap. The partials merge through
     ``stages.agg.final_reduce``: a driver pandas merge within its caps, a
     ``cluster_id`` co-partition merge above them (the 100-TB path, where
     cluster count scales with the corpus)."""
@@ -1169,7 +1167,7 @@ def q_unigram_logprob(sf_dir: str, min_count: int = 1):
     combiner-first counting with the min-count cutoff + OOV bucket applied
     INSIDE the distributed sum, so the broadcast stays bounded at any corpus
     size); pass 2 scores every doc with mean negative log-likelihood in
-    ``UnigramScoreStage``, which gets the model by value through
+    ``UnigramScoreStage``, which gets the model in its closure through
     ``map_stage``.  The default ``min_count=1`` cuts nothing — exact oracle
     parity at test scale; a 100-TB run sets it to the CCNet-style threshold.
     Scores are milli-nats as int64 for exact oracle parity."""
@@ -1360,7 +1358,7 @@ def q_contamination_scan(sf_dir: str, n_probes: int = 5):
     per-byte scan cost is independent of the probe COUNT, which is what
     the real decontamination regime (10⁴–10⁶ probes from published
     benchmark suites) requires. The probe index builds in
-    ``__init__`` from the probes ``map_stage`` passes by value."""
+    ``__init__`` from the probes ``map_stage`` passes in the closure."""
     import pyarrow.parquet as pq_
 
     probe_tbl = pq_.read_table(
@@ -1373,8 +1371,6 @@ def q_contamination_scan(sf_dir: str, n_probes: int = 5):
         (int(r.doc_id), r.text[16:56]) for r in probe_tbl.itertuples()
     ]
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
-    # the probe set is KB-scale here (task form); a 10^6-probe list is past
-    # the budget and builds its per-length hash index once per pool actor
     return map_stage(ds, ProbeScanStage, {"probes": probes}, batch_format="pandas")
 
 

@@ -2,20 +2,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-
 from .encoder import PART_COL, PartitionDecoder, PartitionEncoder  # noqa: F401
 from .salting import AssignPartitions, build_salt_map  # noqa: F401
 
 # private key-hash column stamped by co_partition(); never reaches ``fn``
 _HASH = "__co_part"
-
-# stage constructor kwargs up to this many pickled bytes ship in each
-# task's closure; map_stage reads it when it runs
-TASK_BROADCAST_BUDGET = 4 << 20
-
-# (min, max) actors of a map_stage pool, for kwargs above the budget
-STAGE_POOL = (1, 4)
 
 
 def partition_of(frame: pd.DataFrame, keys) -> np.ndarray:
@@ -107,26 +98,20 @@ def typed_empty(dtypes: dict, out: pd.DataFrame | None = None) -> pd.DataFrame:
 
 def map_stage(ds, cls, ctor=None, **mb):
     """``ds.map_batches`` of the callable-class stage ``cls(**ctor)``: the
-    package's one per-batch stage form. It sizes its own payload, the
-    constructor kwargs as Ray pickles them, and makes the broadcast choice
-    in one place.
+    package's one per-batch stage form, and its one way to ship driver
+    state (models, idf tables, blob arrays, probe sets) to a stage.
 
-    Within ``TASK_BROADCAST_BUDGET`` the stage runs as plain tasks on the
-    workers earlier stages already warmed, and each batch builds
-    ``cls(**ctor)`` from the closure: every stage constructor stores its
-    arrays or compiles a few regexes, microseconds against an actor's
-    process spawn and imports (~1 s). Above the budget the payload is too
-    big to ship with every task, so an actor pool of ``STAGE_POOL`` actors
-    receives it once per actor, by value (no ``ray.put`` ref reaches a
-    constructor: an actor restart cannot race a lost ref, ray#53727)."""
+    ``ctor`` rides in the closure, which Ray Data puts in the object store
+    once per operator, so every task of the stage fetches it from there
+    and no caller sizes a payload or holds a ref. The stage runs as plain
+    tasks on the workers earlier stages already warmed, and each batch
+    builds ``cls(**ctor)``: every stage constructor stores its arrays or
+    compiles a few regexes, microseconds against an actor's process spawn
+    and imports (~1 s)."""
     ctor = ctor or {}
-    if len(ray.cloudpickle.dumps(ctor)) <= TASK_BROADCAST_BUDGET:
 
-        def run(batch):
-            return cls(**ctor)(batch)
+    def run(batch):
+        return cls(**ctor)(batch)
 
-        run.__name__ = cls.__name__
-        return ds.map_batches(run, **mb)
-    return ds.map_batches(
-        cls, fn_constructor_kwargs=ctor, concurrency=STAGE_POOL, **mb
-    )
+    run.__name__ = cls.__name__
+    return ds.map_batches(run, **mb)

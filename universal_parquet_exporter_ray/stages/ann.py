@@ -2,8 +2,8 @@
 (``list<float>``).
 
 Baseline: brute-force cosine top-k — the query matrix is normalized once on
-the driver and broadcast by value (``stages.map_stage`` constructor kwargs),
-and every batch does ONE numpy matmul against it, emitting only its
+the driver and rides in the stage's closure (``stages.map_stage``
+constructor kwargs, one object-store copy per operator), and every batch does ONE numpy matmul against it, emitting only its
 batch-local top-k candidates; a final tiny per-query reduction merges
 candidates. At 100 TB the same shape holds (candidates are k × #batches
 rows, not the corpus); the scale path adds an IVF-style
@@ -36,8 +36,8 @@ class BatchTopKCosine:
     """map_batches stage: emit batch-local top-k (query_id, vec_id, cos) rows.
 
     ``queries``: (query_ids int64 array, normalized float64 query matrix),
-    passed BY VALUE as ``map_stage`` constructor kwargs — no user-held
-    ObjectRef, so actor restarts can't race a lost ref (ray#53727)."""
+    passed as ``map_stage`` constructor kwargs, so it rides in the stage's
+    closure."""
 
     def __init__(self, queries, k: int, exclude_self: bool = True):
         self.qids, self.qmat = queries

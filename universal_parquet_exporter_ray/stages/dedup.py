@@ -229,8 +229,8 @@ class PairShingleEmit:
     """Distributed Jaccard-verify feeder: batch(doc_id, text) → one row per
     (candidate pair, member doc) with the doc's shingle set as packed int64
     bytes. The doc→pair membership table is the BROADCAST small side, passed
-    BY VALUE as ``map_stage`` constructor kwargs (no ``ray.put`` ref, so an
-    actor restart can't race a lost ref — ray#53727). Candidate pairs are
+    as ``map_stage`` constructor kwargs, so it rides in the stage's closure
+    (one object-store copy per operator). Candidate pairs are
     output-sized LSH hits under the broadcast budget, never the corpus;
     texts/shingles stay on workers.
 
@@ -335,7 +335,7 @@ class BlobPairJaccard:
     broadcast budget. The per-pair blob gathers and intersection counts are
     one vectorized pass per batch (``_grouped_arange`` gather + the shared
     lexsort kernel); nothing is shuffled and no blob is ever duplicated
-    per pair. Constructor args ship by value through ``map_stage``."""
+    per pair. Constructor args ride in the closure through ``map_stage``."""
 
     def __init__(self, doc_ids, flat, starts, counts):
         doc_ids = np.asarray(doc_ids, dtype=np.int64)
@@ -830,7 +830,7 @@ def verify_pairs(docs, cand_rows):
       shuffle (round-5: the emit+shuffle plan duplicated each doc's blob
       per candidate pair, ~80× on the sf0.1 ngram corpus, 4.4 s → 0.9 s).
     - **broadcast-pair** (pair count ≤ budget, blob table too big): the
-      deduped membership table ships by value to ``PairShingleEmit``
+      deduped membership table rides in ``PairShingleEmit``'s closure
       through ``map_stage``; one corpus scan emits shingle blobs only for
       candidate docs, then the pair co-partition reducer.
     - **distributed** (over budget): pairs dedup inside pair
@@ -1004,8 +1004,8 @@ class ClusterBestPartial:
     cluster-sized rows ever reach an exchange, never documents.
 
     The doc_id → cluster map (OUTPUT-sized: only docs incident to a
-    verified near-dup edge appear) is passed by value as two flat int64
-    arrays — no driver-side Python dict is ever built. Unmapped docs are
+    verified near-dup edge appear) rides in the stage's closure as two flat
+    int64 arrays — no driver-side Python dict is ever built. Unmapped docs are
     their own singleton cluster. The lookup is a vectorized Int64 reindex
     — no float round-trip, so 2^53+ doc ids stay exact."""
 
@@ -1201,9 +1201,8 @@ class SubstrFilterStage:
     and merge the surviving removal spans per doc — all of a doc's windows
     are in its own batch, so the span merge needs no shuffle.
 
-    ``dup`` ships as three flat numpy arrays (h1, h2, first_packed) via
-    ``map_stage``: task-closure under the broadcast budget, actor pool by
-    value above it."""
+    ``dup`` ships as three flat numpy arrays (h1, h2, first_packed) in the
+    stage's closure, via ``map_stage``."""
 
     def __init__(self, h1: np.ndarray, h2: np.ndarray, first: np.ndarray, w: int):
         self.dup = pd.DataFrame(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-import ray
 import ray.data
 
 from . import co_partition
@@ -77,11 +76,9 @@ def _range_plan(
     qs = np.linspace(0, 1, max_splitters + 2)[1:-1]
     splitters = np.unique(np.quantile(sample, qs)) if len(sample) else np.array([])
     n_ranges = len(splitters) + 1
-    sp_ref = ray.put(splitters)
 
     def range_of(df: pd.DataFrame) -> np.ndarray:
-        sp = ray.get(sp_ref)
-        return np.searchsorted(sp, df[col].to_numpy(), side="right").astype(np.int64)
+        return np.searchsorted(splitters, df[col].to_numpy(), side="right").astype(np.int64)
 
     def batch_totals(df: pd.DataFrame) -> pd.DataFrame:
         t = _segment_reduce(range_of(df), values(df), ufunc, identity, n_ranges)
@@ -97,7 +94,8 @@ def _range_plan(
     ufunc.at(totals, partials["rng"].to_numpy(np.int64), partials["t"].to_numpy(np.int64))
     t = totals[::-1] if reverse else totals
     offsets = np.concatenate([[identity], ufunc.accumulate(t)[:-1]]).astype(np.int64)
-    off_ref = ray.put(offsets[::-1].copy() if reverse else offsets)
+    if reverse:
+        offsets = offsets[::-1]
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -106,7 +104,7 @@ def _range_plan(
 
     def run(block: pd.DataFrame) -> pd.DataFrame:
         rng = block["_rng"].to_numpy(np.int64)
-        return block_pass(block.drop(columns=["_rng"]), rng, ray.get(off_ref)[rng])
+        return block_pass(block.drop(columns=["_rng"]), rng, offsets[rng])
 
     assigned = ds.map_batches(assign, batch_format="pandas")
     ranged = co_partition(assigned, ["_rng"], run)

@@ -3,9 +3,8 @@ counting, quality scoring, language-ID heuristic, rolling-hash fingerprints.
 
 All are vectorized ``map_batches`` bodies (pandas str kernels / numpy); the
 language-ID, redaction, probe-scan and fingerprint stages are callable
-classes that ``stages.map_stage`` runs, building each from its constructor
-kwargs per batch (tasks) or once per actor (a pool, above the broadcast
-budget).
+classes that ``stages.map_stage`` runs as plain tasks, building each from
+its constructor kwargs once per batch.
 """
 
 from __future__ import annotations
@@ -262,8 +261,7 @@ class ProbeScanStage:
 
     Pass the probe list (``[(probe_id, text), ...]``) as ``map_stage``
     constructor kwargs; the per-length hash indexes build in ``__init__``,
-    once per batch in the task form and once per actor above the
-    broadcast budget. UTF-8 byte matching equals str
+    once per batch. UTF-8 byte matching equals str
     containment because UTF-8 is self-synchronizing (a byte-exact match of
     a whole valid sequence is always codepoint-aligned).
     """
