@@ -234,9 +234,12 @@ def test_co_partition_list_input_stamps_each_side(ray_session):
         assert f"MapBatches({tag})->MapBatches(stamp)" in stats
 
 
-def test_pair_shingle_emit_and_partition_jaccard(ray_session):
+def test_pair_shingle_emit_and_partition_jaccard():
+    """``PairShingleEmit`` is a membership merge over the blob rows: it
+    keeps the candidate docs' blobs as they are, re-shingling nothing."""
     from universal_parquet_exporter_ray.stages.dedup import (
         PairShingleEmit,
+        ShingleBlobStage,
         jaccard_from_sets,
         pair_blob_partition_jaccard,
         word_shingle_hashes,
@@ -246,11 +249,16 @@ def test_pair_shingle_emit_and_partition_jaccard(ray_session):
     b = "the quick brown fox jumps over the lazy cat again and again"
     c = "completely different text with other words entirely here now"
     members = pd.DataFrame({"doc_id": [1, 2], "doc_a": [1, 1], "doc_b": [2, 2]})
-    out = PairShingleEmit(members=members)(
-        pd.DataFrame({"doc_id": [1, 2, 3], "text": [a, b, c]})
-    )
+    blobs = ShingleBlobStage()(pd.DataFrame({"doc_id": [1, 2, 3], "text": [a, b, c]}))
+    out = PairShingleEmit(members=members)(blobs)
     # doc 3 is not a candidate → only the pair's two rows are emitted
     assert len(out) == 2 and set(zip(out["doc_a"], out["doc_b"])) == {(1, 2)}
+    assert list(out.columns) == ["doc_a", "doc_b", "doc_id", "sh", "n_sh"]
+    by_id = blobs.set_index("doc_id")
+    for _, row in out.iterrows():
+        assert row["sh"] == by_id.loc[row["doc_id"], "sh"]
+        assert row["n_sh"] == by_id.loc[row["doc_id"], "n_sh"]
+    assert len(PairShingleEmit(members=members)(blobs[blobs.doc_id == 3])) == 0
     g = pair_blob_partition_jaccard(out)
     jac = jaccard_from_sets(word_shingle_hashes(a), word_shingle_hashes(b))
     assert g["inter"].iloc[0] / g["union"].iloc[0] == pytest.approx(jac)
@@ -259,10 +267,13 @@ def test_pair_shingle_emit_and_partition_jaccard(ray_session):
 
 def test_verify_pairs_broadcast_and_distributed_agree(ray_session, monkeypatch):
     """Threshold-switch unit test (VERDICT r3 item 5): verify_pairs must
-    produce identical (doc_a, doc_b, inter, union) through the broadcast
-    plan and the over-budget distributed-join plan."""
+    produce identical (doc_a, doc_b, inter, union) through all its plans
+    over one materialized shingle table: the broadcast-blob verify on the
+    driver (a frame) and over pair blocks (the pair cut at 0, a Dataset),
+    the broadcast-pair merge and the over-budget distributed join."""
     from universal_parquet_exporter_ray.stages import dedup
-    from universal_parquet_exporter_ray.stages.dedup import verify_pairs
+    from universal_parquet_exporter_ray.stages.agg import to_frame
+    from universal_parquet_exporter_ray.stages.dedup import shingle_table, verify_pairs
 
     texts = {
         1: "the quick brown fox jumps over the lazy dog again and again",
@@ -276,50 +287,42 @@ def test_verify_pairs_broadcast_and_distributed_agree(ray_session, monkeypatch):
             {"doc_id": list(texts), "text": [texts[k] for k in texts]}
         )
     ).repartition(3)
+    blobs = shingle_table(docs)
     cand = ray.data.from_pandas(
         pd.DataFrame(
             # duplicated candidate rows on purpose (band dups must dedup)
             {"doc_a": [1, 3, 1, 1], "doc_b": [2, 4, 5, 2]}
         )
     ).repartition(2)
-    # blob plan (default: blob table far under budget on this corpus)
-    via_blob = (
-        verify_pairs(docs, cand)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
+
+    def run():
+        out = verify_pairs(blobs, cand)
+        frame = to_frame(out)[["doc_a", "doc_b", "inter", "union"]]
+        return out, frame.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+    # blob plan on the driver (default: blob table far under budget)
+    out, via_driver = run()
+    assert isinstance(out, pd.DataFrame)
+    # blob plan over pair blocks (the driver pair cut forced to 0)
+    monkeypatch.setattr(dedup, "DRIVER_VERIFY_PAIRS", 0)
+    out, via_blob = run()
+    assert isinstance(out, ray.data.Dataset)
     # broadcast-pair plan (blob budget forced to 0)
     monkeypatch.setattr(dedup, "BLOB_BROADCAST_BUDGET", 0)
-    via_broadcast = (
-        verify_pairs(docs, cand)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
+    _, via_broadcast = run()
     # distributed plan (pair budget forced to 0)
     monkeypatch.setattr(dedup, "BROADCAST_PAIR_BUDGET", 0)
-    via_join = (
-        verify_pairs(docs, cand)
-        .to_pandas()
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
-    assert len(via_broadcast) == 3  # (1,2), (1,5), (3,4) — deduped
-    pd.testing.assert_frame_equal(
-        via_broadcast[["doc_a", "doc_b", "inter", "union"]],
-        via_join[["doc_a", "doc_b", "inter", "union"]],
-    )
-    pd.testing.assert_frame_equal(
-        via_blob[["doc_a", "doc_b", "inter", "union"]],
-        via_join[["doc_a", "doc_b", "inter", "union"]],
-    )
+    _, via_join = run()
+    assert len(via_join) == 3  # (1,2), (1,5), (3,4) — deduped
+    for other in (via_driver, via_blob, via_broadcast):
+        pd.testing.assert_frame_equal(other, via_join)
 
 
 def test_shingle_explode_and_posting_pairs():
     """ShingleExplode emits the posting rows of the shingle index: one row
     per distinct shingle of a doc, with the doc's shingle count on each."""
     from universal_parquet_exporter_ray.stages.dedup import (
+        ShingleBlobStage,
         ShingleExplode,
         word_shingle_hashes,
     )
@@ -327,7 +330,9 @@ def test_shingle_explode_and_posting_pairs():
     a = "w1 w2 w3 w4 w5"
     b = "w1 w2 w3 x y"
     c = "p q r s t"
-    ex = ShingleExplode()(pd.DataFrame({"doc_id": [1, 2, 3], "text": [a, b, c]}))
+    ex = ShingleExplode()(
+        ShingleBlobStage()(pd.DataFrame({"doc_id": [1, 2, 3], "text": [a, b, c]}))
+    )
     # one row per distinct shingle, n carried on every row
     na, nb = len(word_shingle_hashes(a)), len(word_shingle_hashes(b))
     assert (ex[ex.doc_id == 1]["n"] == na).all() and len(ex[ex.doc_id == 1]) == na
@@ -1093,13 +1098,14 @@ def _prefix_pipeline_sim(df):
     keys, one group per key value: explode → per-sh df stamp → per-doc_id
     prefix select → per-sh pair emit."""
     from universal_parquet_exporter_ray.stages.dedup import (
+        ShingleBlobStage,
         ShingleExplode,
         df_stamp_route,
         prefix_posting_pairs,
         prefix_select,
     )
 
-    ex = ShingleExplode()(df)
+    ex = ShingleExplode()(ShingleBlobStage()(df))
     routed = pd.concat(
         [df_stamp_route(g) for _, g in ex.groupby("sh")], ignore_index=True
     )
@@ -1220,6 +1226,68 @@ def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
                 norm_nulls(bcast), norm_nulls(hashed), check_dtype=False
             )
             pd.testing.assert_frame_equal(frame, bcast)
+
+
+_HASH_JOIN_FRESH_SESSION = r"""
+import json
+import sys
+
+import pandas as pd
+import ray
+from ray.data import DataContext, Dataset
+
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from universal_parquet_exporter_ray.stages.joins import hash_join
+
+planned, join = [], Dataset.join
+
+
+def spy(self, *args, **kw):
+    planned.append(kw["num_partitions"])
+    return join(self, *args, **kw)
+
+
+Dataset.join = spy
+left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "v": [10, 20, 21, 30, 50]})
+right = pd.DataFrame({"k": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]})
+got = hash_join(
+    ray.data.from_pandas(left), ray.data.from_pandas(right), left_on=["k"]
+).to_pandas()
+want = left.merge(right, on="k")
+cols = sorted(want.columns)
+got = got[cols].sort_values(cols).reset_index(drop=True)
+want = want[cols].sort_values(cols).reset_index(drop=True)
+pd.testing.assert_frame_equal(got, want, check_dtype=False)
+print(json.dumps({"planned": planned}))
+"""
+
+
+def test_hash_join_sizes_itself_in_a_fresh_session(tmp_path):
+    """``hash_join`` tunes the context before it reads the shuffle
+    parallelism, so a join of a caller's own Datasets in a fresh 2-CPU
+    session (no table read has run there) plans at most ``max(8, 2 × CPUs)``
+    partitions instead of Ray's 200, and matches the pandas merge. Runs in
+    its own process: this session's context is tuned already."""
+    import json
+    import subprocess
+    import sys
+
+    script = tmp_path / "hash_join_fresh.py"
+    script.write_text(_HASH_JOIN_FRESH_SESSION)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # Ray workers import the package from the driver's cwd
+    res = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": root},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    planned = json.loads(res.stdout.strip().splitlines()[-1])["planned"]
+    assert len(planned) == 1 and planned[0] <= max(8, 2 * 2)
 
 
 @pytest.mark.parametrize("name", ["join_compound", "join_left_coalesce"])

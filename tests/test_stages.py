@@ -9,8 +9,12 @@ import pyarrow as pa
 import pytest
 
 from universal_parquet_exporter_ray.stages.dedup import (
+    BAND_ROWS,
+    N_PERMS,
     MinHashBandStage,
+    ShingleBlobStage,
     SimHashStage,
+    _perm_constants,
     jaccard_from_sets,
     word_shingle_hashes,
 )
@@ -73,12 +77,17 @@ def test_assign_hash_mode_balanced():
 # ---- dedup -------------------------------------------------------------
 
 
+def _blob_rows(texts) -> pd.DataFrame:
+    """The ``ShingleBlobStage`` rows of ``texts``, doc ids 0, 1, ..."""
+    return ShingleBlobStage()(pd.DataFrame({"doc_id": range(len(texts)), "text": texts}))
+
+
 def test_minhash_similar_docs_share_bands():
     st = MinHashBandStage()
     base = "the quick brown fox jumps over the lazy dog " * 20
     near = base.replace("lazy", "sleepy", 1)
     far = "completely different words entirely unrelated text " * 20
-    sigs = st.signatures([base, near, far])
+    sigs = st.signatures(_blob_rows([base, near, far]))
     sim_near = (sigs[0] == sigs[1]).mean()
     sim_far = (sigs[0] == sigs[2]).mean()
     # signature agreement estimates true Jaccard (0.75 here)
@@ -89,10 +98,45 @@ def test_minhash_similar_docs_share_bands():
 
 def test_minhash_band_rows_shape():
     st = MinHashBandStage()
-    df = pd.DataFrame({"doc_id": [1, 2], "text": ["a b c d e f", "x y z w v u"]})
-    out = st(df)
+    out = st(_blob_rows(["a b c d e f", "x y z w v u"]))
     assert len(out) == 2 * 16
     assert set(out.columns) == {"band", "band_hash", "doc_id"}
+    assert out["doc_id"].tolist() == [0] * 16 + [1] * 16
+
+
+def test_minhash_bands_from_blobs_match_per_doc_reference():
+    """Bands built from the blob rows (each doc's DISTINCT shingle set) are
+    the bands of the per-doc reference shingles ``word_shingle_hashes``:
+    empty, 1-, 2- and 3-token docs, a long one, a ``None`` text (an empty
+    doc's 0-sentinel) and repeated tokens."""
+    texts = [
+        "",
+        "one",
+        "one two",
+        "one two three",
+        " ".join(f"w{i % 37}" for i in range(400)),
+        None,
+        "a a a a a a b a a a a",
+    ]
+    a, b = _perm_constants()
+    n_bands = N_PERMS // BAND_ROWS
+    want = []
+    for t in texts:
+        h = word_shingle_hashes(t or "")
+        sig = (a[:, None] * h[None, :] + b[:, None]).min(axis=1)
+        bh = np.full(n_bands, 1469598103934665603, dtype=np.uint64)
+        for r in range(BAND_ROWS):
+            bh = (bh ^ sig.reshape(n_bands, BAND_ROWS)[:, r]) * np.uint64(
+                1099511628211
+            )
+        want.append(bh)
+    blobs = _blob_rows(texts)
+    assert blobs["n_sh"].tolist() == [len(word_shingle_hashes(t or "")) for t in texts]
+    out = MinHashBandStage()(blobs)
+    assert out["band"].tolist() == list(range(n_bands)) * len(texts)
+    np.testing.assert_array_equal(
+        out["band_hash"].to_numpy(np.uint64), np.concatenate(want)
+    )
 
 
 def test_jaccard_exact():

@@ -203,3 +203,29 @@ def test_map_fuses_into_a_multi_row_group_read(ray_session, sf_small, tmp_path):
         "MapBatches(same): 4 tasks",
     ]
     assert (ds.num_blocks(), ds.count()) == (4, 6000)
+
+
+@pytest.mark.parametrize(
+    "name, n_exec",
+    [
+        ("minhash_lsh_pairs", 2),
+        ("dedup_clusters", 2),
+        # the driver final's collect of its from_pandas partials is the third
+        ("decontaminate_neardup", 3),
+        ("ngram_jaccard_pairs", 2),
+    ],
+)
+def test_near_dup_queries_scan_documents_once(
+    ray_session, sf_small, executions, name, n_exec
+):
+    """A near-dup query shingles ``documents`` once: banding (or the prefix
+    index) and the verify read one materialized shingle table, and the
+    in-budget verify runs on the driver. Pinned on sf0.001: its Ray Data
+    executions and its table scans (``ReadParquet`` operators executed,
+    the ``scans`` column of ``tools/query_executions.py``)."""
+    from universal_parquet_exporter_ray.pipelines.textops import QUERIES
+    from universal_parquet_exporter_ray.stages.agg import to_frame
+
+    before, scans_before = executions[0], executions[2]
+    assert len(to_frame(QUERIES[name](sf_small))) > 0
+    assert (executions[0] - before, executions[2] - scans_before) == (n_exec, 1)

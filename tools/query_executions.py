@@ -8,7 +8,9 @@ Runs each named ``__ray_entry__.queries()`` entry ``--repeat`` times (default
 prints one row per query: the Ray Data executions of one run (every call of
 ``StreamingExecutor.execute``: a ``materialize``, a ``count`` that is not a
 metadata read, a ``to_pandas``, an iteration), the sorts of one run (every
-call of ``Dataset.sort``; each ``co_partition`` is one), the blocks its
+call of ``Dataset.sort``; each ``co_partition`` is one), the table scans
+of one run (the ``ReadParquet`` operators, fused or not, in the plans of
+those executions; a scan of a materialized Dataset is not one), the blocks its
 table reads make (summed over every ``read_parquet_clean`` call of the last
 run; each of those reads is materialized on its own after the timed runs,
 and these executions are not counted), the min / median wall time over
@@ -31,21 +33,36 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def read_operators(dag) -> int:
+    """The ``ReadParquet`` operators (a fused ``ReadParquet->MapBatches(…)``
+    counts) in the physical plan ending at ``dag``."""
+    seen, stack, n = set(), [dag], 0
+    while stack:
+        op = stack.pop()
+        if id(op) not in seen:
+            seen.add(id(op))
+            n += "ReadParquet" in op.name
+            stack.extend(op.input_dependencies)
+    return n
+
+
 def count_executions():
-    """Wrap ``StreamingExecutor.execute``; return a two-item list holding
-    the number of executions started since the wrap, and the
+    """Wrap ``StreamingExecutor.execute``; return a three-item list holding
+    the number of executions started since the wrap, the
     ``time.perf_counter()`` at which the first execution started since the
-    caller last set the second item to ``None``."""
+    caller last set the second item to ``None``, and the number of table
+    scans (``read_operators``) those executions ran."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    calls = [0, None]
+    calls = [0, None, 0]
     execute = StreamingExecutor.execute
 
-    def counted(self, *args, **kwargs):
+    def counted(self, dag, *args, **kwargs):
         calls[0] += 1
+        calls[2] += read_operators(dag)
         if calls[1] is None:
             calls[1] = time.perf_counter()
-        return execute(self, *args, **kwargs)
+        return execute(self, dag, *args, **kwargs)
 
     StreamingExecutor.execute = counted
     return calls
@@ -121,13 +138,14 @@ def main() -> None:
     to_pandas(registry["count_distinct"](args.tables))
 
     print(
-        f"{'query':24s} {'executions':>10s} {'sorts':>5s} {'read_blocks':>11s} "
+        f"{'query':24s} {'executions':>10s} {'scans':>5s} {'sorts':>5s} "
+        f"{'read_blocks':>11s} "
         f"{'min_s':>8s} {'median_s':>8s} {'plan_s':>8s}"
     )
     for name in args.queries:
-        runs, sort_runs, secs, plans = [], [], [], []
+        runs, scan_runs, sort_runs, secs, plans = [], [], [], [], []
         for _ in range(args.repeat):
-            before, sorts_before = calls[0], sorts[0]
+            before, scans_before, sorts_before = calls[0], calls[2], sorts[0]
             reads.clear()
             calls[1] = None
             t0 = time.perf_counter()
@@ -136,15 +154,17 @@ def main() -> None:
             secs.append(t1 - t0)
             plans.append((calls[1] or t1) - t0)
             runs.append(calls[0] - before)
+            scan_runs.append(calls[2] - scans_before)
             sort_runs.append(sorts[0] - sorts_before)
         blocks = sum(ds.materialize().num_blocks() for ds in reads)
         # a query's plan is fixed for given tables, so every run counts the same
-        n_exec, n_sort = (
+        n_exec, n_scan, n_sort = (
             c[0] if len(set(c)) == 1 else "/".join(map(str, c))
-            for c in (runs, sort_runs)
+            for c in (runs, scan_runs, sort_runs)
         )
         print(
-            f"{name:24s} {n_exec!s:>10s} {n_sort!s:>5s} {blocks:11d} {min(secs):8.3f} "
+            f"{name:24s} {n_exec!s:>10s} {n_scan!s:>5s} {n_sort!s:>5s} "
+            f"{blocks:11d} {min(secs):8.3f} "
             f"{statistics.median(secs):8.3f} {min(plans):8.4f}"
         )
     ray.shutdown()

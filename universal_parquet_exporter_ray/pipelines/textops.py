@@ -99,24 +99,29 @@ def q_minhash_lsh_pairs(sf_dir: str):
     16×4 bands recalls every pair with J ≥ 0.5 on this corpus (verified at
     sf0.001/sf0.01; integer (2·inter ≥ union) threshold on both sides).
 
-    Physical plan (2 small shuffles, no hash-join operators — measured 3×
-    faster than the join formulation, whose per-join actor machinery cost
-    ~10 s fixed each):
-    1. band rows → ``co_partition`` on the LSH bucket (band, band_hash) →
-       vectorized pair enumeration once per sorted block;
-    2. the candidate PAIR list (output-sized LSH hits, not corpus data)
-       drives a broadcast doc→pairs map; a second corpus scan emits shingle
-       rows only for candidate docs;
-    3. groupby(pair_id) → exact integer Jaccard per pair."""
-    from ..stages.dedup import partition_to_pairs, verify_pairs
+    Physical plan (one corpus scan, one small shuffle, no hash-join
+    operators — measured 3× faster than the join formulation, whose
+    per-join actor machinery cost ~10 s fixed each):
+    1. one scan shingles every doc into its distinct shingle set
+       (``shingle_table``; materialized while the read's footer size is
+       within the blob gate, so banding and the verify share it);
+    2. band rows from those sets → ``co_partition`` on the LSH bucket
+       (band, band_hash) → vectorized pair enumeration once per sorted
+       block;
+    3. the candidate PAIR list (output-sized LSH hits, not corpus data)
+       reaches the driver, and ``verify_pairs`` computes the exact integer
+       Jaccard per pair: on the driver against the broadcast blob arrays
+       at sf0.01, as a membership merge or a pair co-partition when the
+       blobs or the pairs are over their budgets.
+    On sf0.01 that is 2 Ray Data executions (the blob table, the
+    candidate pairs)."""
+    from ..stages.dedup import partition_to_pairs, shingle_table, verify_pairs
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    bands = map_stage(docs, MinHashBandStage, batch_format="pandas")
+    blobs = shingle_table(docs)
+    bands = map_stage(blobs, MinHashBandStage, batch_format="pandas")
     pair_rows = co_partition(bands, ["band", "band_hash"], partition_to_pairs)
-    # exact-Jaccard verify: broadcast membership under the pair budget,
-    # hash-partitioned join above it (dup-heavy crawls) — verify_pairs
-    # holds the threshold switch; nothing corpus-sized touches the driver
-    verified = verify_pairs(docs, pair_rows.select_columns(["doc_a", "doc_b"]))
+    verified = verify_pairs(blobs, pair_rows.select_columns(["doc_a", "doc_b"]))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df[2 * df["inter"] >= df["union"]]
@@ -135,8 +140,7 @@ def q_minhash_lsh_pairs(sf_dir: str):
             }
         )
 
-    out = verified.map_batches(finish, batch_format="pandas").to_pandas()
-    out = typed_empty(DOC_PAIRS, out)
+    out = typed_empty(DOC_PAIRS, to_frame(map_any(verified, finish)))
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -183,17 +187,19 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
     ``hash_split``). Emits per flagged training doc its benchmark-match
     count and max Jaccard — the drop ledger plus the audit evidence.
 
-    Plan: the standing minhash machinery end to end — banding (a
-    ``map_stage``) → LSH-bucket co-partition pair enumeration → a CHEAP
-    cross-set filter on the output-sized candidate list (train-train and
-    bench-bench candidates never reach the exact verify, the expensive
-    stage) → size-thresholded exact-Jaccard verify (broadcast under the
+    Plan: the standing minhash machinery end to end — one
+    ``shingle_table`` scan of the eligible docs, shared by banding (a
+    ``map_stage``) and the verify → LSH-bucket co-partition pair
+    enumeration → a CHEAP cross-set filter on the output-sized candidate
+    list (train-train and bench-bench candidates never reach the exact
+    verify, the expensive stage) → size-thresholded exact-Jaccard verify (broadcast under the
     pair budget, hash-partitioned join above) → flip each surviving pair
     to its training side → ``combiner_groupby`` count/max with its
-    thresholded final. Oracle recall argument is inherited verbatim from
+    thresholded final (its partials on the driver when the verify ran
+    there). Oracle recall argument is inherited verbatim from
     ``minhash_lsh_pairs``: 16×4 banding recalls every J ≥ 0.5 pair on this
     corpus, and the verify is exact, so the cross-set subset is exact."""
-    from ..stages.dedup import partition_to_pairs, verify_pairs
+    from ..stages.dedup import partition_to_pairs, shingle_table, verify_pairs
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -201,15 +207,16 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
     # oracle (range(1, len(t)-1)) emits nothing for it, while the engine
     # shingler would hand it a 0-sentinel / zero-padded shingle that collides
     # in every band (two empty docs straddling the split would be flagged
-    # with jac_ppm=1000000). Drop them from banding AND verify so the two
-    # sides agree; vectorized regex count, no token materialization.
+    # with jac_ppm=1000000). Drop them before the shingle scan that
+    # banding AND verify share, so the two sides agree; vectorized regex
+    # count, no token materialization.
     def drop_short(df: pd.DataFrame) -> pd.DataFrame:
         return df[
             df["text"].fillna("").str.count(r"\S+") >= 3
         ].reset_index(drop=True)
 
-    eligible = docs.map_batches(drop_short, batch_format="pandas")
-    bands = map_stage(eligible, MinHashBandStage, batch_format="pandas")
+    blobs = shingle_table(docs, drop_short)
+    bands = map_stage(blobs, MinHashBandStage, batch_format="pandas")
     pair_rows = co_partition(bands, ["band", "band_hash"], partition_to_pairs)
 
     def cross_set(df: pd.DataFrame) -> pd.DataFrame:
@@ -220,7 +227,7 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
         )
 
     cand = pair_rows.map_batches(cross_set, batch_format="pandas")
-    verified = verify_pairs(eligible, cand)
+    verified = verify_pairs(blobs, cand)
 
     def to_train(df: pd.DataFrame) -> pd.DataFrame:
         from .relational import scaled_int
@@ -240,7 +247,7 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
             }
         )
 
-    flagged = verified.map_batches(to_train, batch_format="pandas")
+    flagged = map_any(verified, to_train)
     out = combiner_groupby(
         flagged,
         ["doc_id"],
@@ -295,9 +302,11 @@ def q_dedup_clusters(sf_dir: str):
     """Near-dup CLUSTERS: connected components over the verified near-dup
     pair graph (the step after pair finding in a production dedup pipeline:
     each cluster keeps one canonical doc, the min doc_id). Every
-    corpus-sized stage is the distributed minhash/verify plan of
-    ``minhash_lsh_pairs``, which already returns the verified pairs as a
-    pandas frame on the driver. ``stages/dedup.py::connected_components``
+    corpus-sized stage is the minhash/verify plan of
+    ``minhash_lsh_pairs`` (one shingle scan shared by banding and the
+    verify; 2 Ray Data executions on sf0.01), which already returns the
+    verified pairs as a pandas frame on the driver.
+    ``stages/dedup.py::connected_components``
     runs its large-star/small-star rounds (Kiveris et al., SoCC'14) where
     its input is, so it runs them on that frame, on the driver, and returns
     a frame. No size gate is needed: the edges are on the driver already,
@@ -446,8 +455,9 @@ def q_ngram_jaccard_pairs(sf_dir: str):
     counterpart of ``minhash_lsh_pairs`` (LSH at 16×4 bands recalls ~17%
     of pairs at J = 0.33; this plan recalls all of them):
 
-    1. docs → one row per distinct shingle, carrying the doc's shingle
-       count ``n`` on every row (no doc→n broadcast needed later);
+    1. docs → their distinct shingle sets (``shingle_table``) → one row
+       per distinct shingle, carrying the doc's shingle count ``n`` on
+       every row (no doc→n broadcast needed later);
     2. ``co_partition`` on ``sh`` → stamp each shingle's EXACT global
        document frequency (a shingle lives in one partition), drop
        df == 1 shingles (they cannot intersect anything);
@@ -458,9 +468,12 @@ def q_ngram_jaccard_pairs(sf_dir: str):
        hot-shingle pair blowup of an exhaustive posting join is gone);
     4. ``co_partition`` on the prefix ``sh`` → distinct candidate pairs,
        bounded by the pruned index;
-    5. the output-sized candidate list drives the same broadcast-map
-       distributed exact-Jaccard verify as minhash_lsh_pairs
-       (groupby(pair) → integer intersect of full shingle sets).
+    5. the output-sized candidate list goes through the same
+       size-thresholded ``verify_pairs`` as minhash_lsh_pairs (integer
+       intersect of full shingle sets; on the driver against the
+       broadcast blob arrays while the pairs and blobs are within their
+       budgets), reading the same ``shingle_table`` rows step 1 exploded,
+       so the corpus is scanned and shingled once.
 
     Three small shuffles + an output-sized verify, no joins, nothing
     corpus-sized on the driver."""
@@ -469,18 +482,17 @@ def q_ngram_jaccard_pairs(sf_dir: str):
         df_stamp_route,
         prefix_posting_pairs,
         prefix_select,
+        shingle_table,
         verify_pairs,
     )
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    exploded = map_stage(docs, ShingleExplode, batch_format="pandas")
+    blobs = shingle_table(docs)
+    exploded = map_stage(blobs, ShingleExplode, batch_format="pandas")
     routed = co_partition(exploded, ["sh"], df_stamp_route)
     prefixes = co_partition(routed, ["doc_id"], prefix_select)
     cand_rows = co_partition(prefixes, ["sh"], prefix_posting_pairs)
-    # exact-Jaccard verify over the prefix-filtered candidates: broadcast
-    # membership under the pair budget, hash-partitioned join above it —
-    # same thresholded verify_pairs tail as minhash_lsh_pairs
-    verified = verify_pairs(docs, cand_rows.select_columns(["doc_a", "doc_b"]))
+    verified = verify_pairs(blobs, cand_rows.select_columns(["doc_a", "doc_b"]))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         from .relational import scaled_int
@@ -500,8 +512,7 @@ def q_ngram_jaccard_pairs(sf_dir: str):
             }
         )
 
-    out = verified.map_batches(finish, batch_format="pandas").to_pandas()
-    out = typed_empty(DOC_PAIRS, out)
+    out = typed_empty(DOC_PAIRS, to_frame(map_any(verified, finish)))
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 

@@ -182,7 +182,8 @@ def combiner_groupby(
     every consumer that can hit that case wraps the sum in COALESCE(x, 0)
     on both the engine and oracle sides, so the two conventions agree;
     MIN/MAX of an all-null group is null on both.  Null
-    keys form a group, as in SQL GROUP BY.  Returns a pandas DataFrame
+    keys form a group, as in SQL GROUP BY.  ``ds`` is a Dataset or a
+    pandas frame already on the driver.  Returns a pandas DataFrame
     (driver final) or a Dataset (distributed final) — both shapes are
     accepted by the oracle comparison, by ``map_any`` and by ``to_frame``.
     With ``FINAL_REDUCE_CAP = 0`` the result is ALWAYS a Dataset, including
@@ -196,8 +197,14 @@ def combiner_groupby(
     partial, finish = make_partial(spec), make_finish(spec)
 
     # combiner-sized stream: materializing it is object-store-light and
-    # makes the row count a free metadata read for the final's gate
-    partials = ds.map_batches(partial, batch_format="pandas").materialize()
+    # makes the row count a free metadata read for the final's gate; a
+    # driver frame's partials are built where it is, with no map execution
+    if isinstance(ds, pd.DataFrame):
+        import ray.data as rd
+
+        partials = rd.from_pandas(partial(ds))
+    else:
+        partials = ds.map_batches(partial, batch_format="pandas").materialize()
 
     if partials.count() == 0:
         cols = (

@@ -31,16 +31,6 @@ def _perm_constants(seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
-    """Distinct k-byte (character) shingle hashes of a document (uint64)."""
-    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    if len(b) < k:
-        b = np.pad(b, (0, k - len(b)))
-    win = np.lib.stride_tricks.sliding_window_view(b, k).astype(np.uint64)
-    powers = np.uint64(1099511628211) ** np.arange(k, dtype=np.uint64)
-    return np.unique((win * powers).sum(axis=1, dtype=np.uint64))
-
-
 def word_shingle_hashes(text: str, w: int = 3) -> np.ndarray:
     """Distinct word w-gram shingle hashes (uint64). Word-level shingling is
     the standard choice for near-dup over natural/code text: character
@@ -82,8 +72,7 @@ def batch_word_shingles(texts, w: int = 3) -> tuple[np.ndarray, np.ndarray]:
     Per-shingle values are identical to ``word_shingle_hashes`` (same token
     hash, same polynomial window mix, same zero-padding for short docs and
     the 0-sentinel for empty docs); the only difference is that duplicates
-    are NOT removed — harmless for minhash, where the per-permutation MIN
-    ignores multiplicity."""
+    are NOT removed (``batch_word_shingle_sets`` removes them)."""
     tok_lists = [t.split() if isinstance(t, str) else [] for t in texts]
     n = np.array([len(t) for t in tok_lists], dtype=np.int64)
     # padded token counts: short non-empty docs pad with 0-hashes to w
@@ -129,37 +118,34 @@ def batch_word_shingle_sets(texts, w: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return Hu, np.bincount(du, minlength=len(counts)).astype(np.int64)
 
 
+def _blob_hashes(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated shingle hashes (uint64) and the per-doc shingle
+    counts of a batch of ``ShingleBlobStage`` rows: one ``b"".join`` and a
+    zero-copy ``frombuffer``."""
+    return (
+        np.frombuffer(b"".join(df["sh"]), dtype=np.uint64),
+        df["n_sh"].to_numpy(np.int64),
+    )
+
+
 class MinHashBandStage:
-    """batch(doc_id, text) → exploded (band, band_hash, doc_id) rows.
+    """batch of ``ShingleBlobStage`` rows (doc_id, sh, n_sh) → exploded
+    (band, band_hash, doc_id) rows.
 
-    ``__init__`` builds the permutation constants (microseconds)."""
+    The per-permutation min over a doc's distinct shingle set equals the
+    min over its shingle multiset, so the bands are those of the doc's
+    word-3-gram shingles, with the same zero padding of short docs and the
+    same 0-sentinel of empty ones. ``__init__`` builds the permutation
+    constants (microseconds)."""
 
-    def __init__(self, k: int = 3, text_col: str = "text", shingle: str = "word"):
+    def __init__(self):
         self.a, self.b = _perm_constants()
-        self.k = k
-        self.text_col = text_col
-        self.word = shingle == "word"
-        self.shingler = word_shingle_hashes if self.word else shingle_hashes
 
-    def signature(self, text: str) -> np.ndarray:
-        h = self.shingler(text, self.k)
-        # (a*h + b) mod p, min over shingles, per permutation
-        vals = self.a[:, None] * h[None, :] + self.b[:, None]  # mod 2^64
-        return vals.min(axis=1)
-
-    def signatures(self, texts) -> np.ndarray:
-        """Batch-vectorized signatures: one batch-level shingle-hash pass
-        (``batch_word_shingles``) + one permutation pass over the
-        CONCATENATED shingle array with ``np.minimum.reduceat`` per-doc
-        reduction — no per-doc pandas objects anywhere."""
-        if self.word:
-            H, sizes = batch_word_shingles(texts, self.k)
-        else:
-            hash_lists = [
-                self.shingler(t if isinstance(t, str) else "", self.k) for t in texts
-            ]
-            sizes = np.array([len(h) for h in hash_lists], dtype=np.int64)
-            H = np.concatenate(hash_lists)
+    def signatures(self, df: pd.DataFrame) -> np.ndarray:
+        """One permutation pass over the batch's concatenated shingle
+        hashes with a per-doc ``np.minimum.reduceat``; every doc has at
+        least one shingle (the 0-sentinel of an empty doc)."""
+        H, sizes = _blob_hashes(df)
         bounds = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         sigs = np.empty((len(sizes), N_PERMS), dtype=np.uint64)
         chunk = 16  # bounded temporaries: (chunk, total_shingles) per pass
@@ -181,7 +167,7 @@ class MinHashBandStage:
                     "doc_id": pd.Series([], dtype="int64"),
                 }
             )
-        sigs = self.signatures(df[self.text_col])
+        sigs = self.signatures(df)
         # FNV-1a-style vectorized band mixing (deterministic)
         s3 = sigs.reshape(n_docs, n_bands, BAND_ROWS)
         bh = np.full((n_docs, n_bands), 1469598103934665603, dtype=np.uint64)
@@ -225,28 +211,49 @@ def partition_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-class PairShingleEmit:
-    """Distributed Jaccard-verify feeder: batch(doc_id, text) → one row per
-    (candidate pair, member doc) with the doc's shingle set as packed int64
-    bytes. The doc→pair membership table is the BROADCAST small side, passed
-    as ``map_stage`` constructor kwargs, so it rides in the stage's closure
-    (one object-store copy per operator). Candidate pairs are
-    output-sized LSH hits under the broadcast budget, never the corpus;
-    texts/shingles stay on workers.
-
-    Round-4: membership lookup is a vectorized pandas merge (was a Python
-    dict probe per row); only the per-doc shingle hashing — the adjudicated
-    per-row surface — loops, and only over the batch's candidate docs."""
-
-    def __init__(self, members: pd.DataFrame, w: int = 3, text_col: str = "text"):
-        self.members = members  # columns: doc_id, doc_a, doc_b
-        self.w = w
-        self.text_col = text_col
+class ShingleBlobStage:
+    """batch(doc_id, text) → (doc_id, sh, n_sh): each doc's distinct sorted
+    word-3-gram shingle hashes as packed int64 bytes, and their count. The
+    one shingle pass of a near-dup query: banding (``MinHashBandStage``),
+    the prefix index (``ShingleExplode``) and every ``verify_pairs`` plan
+    read these rows (``shingle_table``)."""
 
     # empty batches return a TYPED arrow table: a size-0 pandas object
     # column ('sh') trips Ray's pandas block-size estimator
     # ("cannot call `vectorize` on size 0 inputs"); arrow blocks are sized
     # natively and mixed pandas/arrow blocks are fine within one operator
+    _EMPTY_SCHEMA = pa.schema(
+        [("doc_id", pa.int64()), ("sh", pa.binary()), ("n_sh", pa.int64())]
+    )
+
+    def __call__(self, df: pd.DataFrame):
+        if df.empty:
+            return self._EMPTY_SCHEMA.empty_table()
+        H, sizes = batch_word_shingle_sets(list(df["text"]))
+        ends = np.cumsum(sizes)
+        Hi = H.view(np.int64)
+        blobs = [Hi[e - c : e].tobytes() for e, c in zip(ends, sizes)]
+        return pd.DataFrame(
+            {
+                "doc_id": df["doc_id"].to_numpy(np.int64),
+                "sh": pd.Series(blobs, dtype=object),
+                "n_sh": sizes,
+            }
+        )
+
+
+class PairShingleEmit:
+    """Broadcast-pair verify feeder: batch of ``ShingleBlobStage`` rows →
+    one (doc_a, doc_b, doc_id, sh, n_sh) row per (candidate pair, member
+    doc), by one pandas merge. The doc→pair membership table is the
+    BROADCAST small side, passed as ``map_stage`` constructor kwargs, so it
+    rides in the stage's closure (one object-store copy per operator).
+    Candidate pairs are output-sized LSH hits under the broadcast budget,
+    never the corpus; the blobs stay on workers."""
+
+    def __init__(self, members: pd.DataFrame):
+        self.members = members  # columns: doc_id, doc_a, doc_b
+
     _EMPTY_SCHEMA = pa.schema(
         [
             ("doc_a", pa.int64()),
@@ -258,60 +265,11 @@ class PairShingleEmit:
     )
 
     def __call__(self, df: pd.DataFrame):
-        hits = df[["doc_id", self.text_col]].merge(self.members, on="doc_id")
+        hits = df[["doc_id", "sh", "n_sh"]].merge(self.members, on="doc_id")
         if hits.empty:
+            # typed arrow empty — see ShingleBlobStage._EMPTY_SCHEMA
             return self._EMPTY_SCHEMA.empty_table()
-        uniq = hits.drop_duplicates("doc_id")
-        H, cnt = batch_word_shingle_sets(list(uniq[self.text_col]), self.w)
-        ends = np.cumsum(cnt)
-        Hi = H.view(np.int64)
-        blobs = {}
-        sizes = {}
-        for j, d in enumerate(uniq["doc_id"]):
-            blobs[int(d)] = Hi[ends[j] - cnt[j] : ends[j]].tobytes()
-            sizes[int(d)] = int(cnt[j])
-        da = hits["doc_a"].to_numpy(np.int64)
-        db = hits["doc_b"].to_numpy(np.int64)
-        ids = hits["doc_id"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "doc_a": da,
-                "doc_b": db,
-                "doc_id": ids,
-                "sh": pd.Series([blobs[int(d)] for d in ids], dtype=object),
-                "n_sh": np.array([sizes[int(d)] for d in ids], dtype=np.int64),
-            }
-        )
-
-
-class ShingleBlobStage:
-    """batch(doc_id, text) → (doc_id, sh blob, n_sh) for EVERY doc — the
-    corpus side of the distributed (over-budget) verify join, where no
-    broadcast membership exists to prune the scan."""
-
-    def __init__(self, w: int = 3, text_col: str = "text"):
-        self.w = w
-        self.text_col = text_col
-
-    _EMPTY_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("sh", pa.binary()), ("n_sh", pa.int64())]
-    )
-
-    def __call__(self, df: pd.DataFrame):
-        if df.empty:
-            # typed arrow empty — see PairShingleEmit._EMPTY_SCHEMA
-            return self._EMPTY_SCHEMA.empty_table()
-        H, sizes = batch_word_shingle_sets(list(df[self.text_col]), self.w)
-        ends = np.cumsum(sizes)
-        Hi = H.view(np.int64)
-        blobs = [Hi[e - c : e].tobytes() for e, c in zip(ends, sizes)]
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].to_numpy(np.int64),
-                "sh": pd.Series(blobs, dtype=object),
-                "n_sh": sizes,
-            }
-        )
+        return hits[self._EMPTY_SCHEMA.names]
 
 
 def _count_pair_intersections(
@@ -419,10 +377,8 @@ def pair_blob_partition_jaccard(g: pd.DataFrame) -> pd.DataFrame:
     ):
         raise ValueError("pair partition rows are misaligned")
     n_pairs = len(a_rows)
-    na = a_rows["n_sh"].to_numpy(np.int64)
-    nb = b_rows["n_sh"].to_numpy(np.int64)
-    sh_a = np.frombuffer(b"".join(a_rows["sh"]), dtype=np.int64)
-    sh_b = np.frombuffer(b"".join(b_rows["sh"]), dtype=np.int64)
+    sh_a, na = _blob_hashes(a_rows)
+    sh_b, nb = _blob_hashes(b_rows)
     if len(sh_a) != int(na.sum()) or len(sh_b) != int(nb.sum()):
         raise ValueError("shingle blob length disagrees with n_sh")
     pair_idx = np.concatenate(
@@ -445,17 +401,14 @@ def pair_blob_partition_jaccard(g: pd.DataFrame) -> pd.DataFrame:
 
 
 class ShingleExplode:
-    """batch(doc_id, text) → one row per DISTINCT word-w-gram shingle:
-    (sh, doc_id, n) where ``n`` is the doc's total distinct-shingle count,
-    carried on every row so the downstream pair aggregation can compute
-    Jaccard without a second pass or a corpus-sized doc→n broadcast."""
-
-    def __init__(self, w: int = 3, text_col: str = "text"):
-        self.w = w
-        self.text_col = text_col
+    """batch of ``ShingleBlobStage`` rows → one row per DISTINCT word-3-gram
+    shingle: (sh, doc_id, n) where ``n`` is the doc's total distinct-shingle
+    count, carried on every row so the downstream pair aggregation can
+    compute Jaccard without a second pass or a corpus-sized doc→n
+    broadcast."""
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        sh, sizes = batch_word_shingle_sets(list(df[self.text_col]), self.w)
+        sh, sizes = _blob_hashes(df)
         if sizes.sum() == 0:
             return pd.DataFrame(
                 {
@@ -486,7 +439,7 @@ class ShingleExplode:
 # appear in any intersection, and removing them from the ordered list only
 # shifts true df ≥ 2 prefix members EARLIER, so the kept set still contains
 # every theorem-guaranteed witness.  Candidates are then verified with the
-# exact distributed Jaccard (PairShingleEmit → per-pair intersect), which
+# exact Jaccard of ``verify_pairs`` (per-pair intersect), which
 # restores the exact intersection counts the pruned index no longer carries.
 # ---------------------------------------------------------------------------
 
@@ -806,6 +759,12 @@ def connected_components(edges, max_rounds: int = 64):
 # join, and nothing pair-graph-sized ever reaches the driver.
 BROADCAST_PAIR_BUDGET = 2_000_000
 
+# Broadcast-blob verify on the driver: at or under this many deduped pairs
+# the pairs and the blob arrays are already driver frames, and one
+# ``from_pandas`` block of them was one task anyway, so ``BlobPairJaccard``
+# runs there; above it the pairs spread over 32 blocks of stage tasks.
+DRIVER_VERIFY_PAIRS = 65536
+
 # Corpus blob-table broadcast budget for the fast verify plan: below this
 # many bytes the per-doc shingle blobs ship ONCE to each worker (flat
 # arrays) and pairs verify with zero blob duplication; above it the corpus
@@ -814,76 +773,91 @@ BROADCAST_PAIR_BUDGET = 2_000_000
 BLOB_BROADCAST_BUDGET = 64 << 20
 
 
-def verify_pairs(docs, cand_rows):
-    """Exact word-3-gram-Jaccard verification of candidate pairs over the
-    ``text`` column of ``docs`` — the shared tail of ``minhash_lsh_pairs``,
-    ``decontaminate_neardup`` and ``ngram_jaccard_pairs``.
+def shingle_table(docs, keep=None):
+    """The (doc_id, sh, n_sh) ``ShingleBlobStage`` rows of the table read
+    ``docs`` (after the per-batch pandas row filter ``keep``, if given):
+    the one shingle scan a near-dup query's banding and its
+    ``verify_pairs`` share.
+
+    Materialized when ``docs.size_bytes()`` — a free footer estimate on a
+    table read — is within 4 × ``BLOB_BROADCAST_BUDGET``: the blob table is
+    ~8 bytes per token ≈ 1-2× the raw text bytes, so a larger text cannot
+    give a broadcastable blob table. Above that the rows stay lazy and
+    stream, and each consumer rescans the corpus; a 100-TB corpus is never
+    materialized. (``size_bytes()`` of a mapped Dataset runs the whole map,
+    hence the read.)"""
+    from . import map_stage
+
+    rows = docs if keep is None else docs.map_batches(keep, batch_format="pandas")
+    blobs = map_stage(rows, ShingleBlobStage, batch_format="pandas")
+    if docs.size_bytes() <= 4 * BLOB_BROADCAST_BUDGET:
+        return blobs.materialize()
+    return blobs
+
+
+def verify_pairs(blobs, cand_rows):
+    """Exact word-3-gram-Jaccard verification of candidate pairs against
+    the ``shingle_table`` rows ``blobs`` — the shared tail of
+    ``minhash_lsh_pairs``, ``decontaminate_neardup`` and
+    ``ngram_jaccard_pairs``.
 
     ``cand_rows`` is a Dataset of (doc_a, doc_b) candidate rows (duplicates
     allowed, a < b).  Three physical plans, size-thresholded like
     ``stages/joins.py::thresholded_join``:
 
     - **broadcast-blob** (pair count ≤ ``BROADCAST_PAIR_BUDGET`` AND the
-      corpus blob table ≤ ``BLOB_BROADCAST_BUDGET`` bytes): the per-doc
-      shingle blobs broadcast ONCE as flat arrays and the pairs stream
-      through ``BlobPairJaccard`` — no per-pair blob duplication, no pq
+      blob table materialized and ≤ ``BLOB_BROADCAST_BUDGET`` bytes): the
+      per-doc shingle blobs become flat arrays and ``BlobPairJaccard``
+      verifies the pairs against them — no per-pair blob duplication, no
       shuffle (round-5: the emit+shuffle plan duplicated each doc's blob
       per candidate pair, ~80× on the sf0.1 ngram corpus, 4.4 s → 0.9 s).
-    - **broadcast-pair** (pair count ≤ budget, blob table too big): the
-      deduped membership table rides in ``PairShingleEmit``'s closure
-      through ``map_stage``; one corpus scan emits shingle blobs only for
-      candidate docs, then the pair co-partition reducer.
+      Within ``DRIVER_VERIFY_PAIRS`` pairs it runs on the driver, where
+      both inputs already are; above it the arrays ride in the closure of
+      a ``map_stage`` over 32 pair blocks.
+    - **broadcast-pair** (pair count ≤ budget, blob table lazy or too
+      big): the deduped membership table rides in ``PairShingleEmit``'s
+      closure through ``map_stage``; one merge over the blob rows keeps
+      the candidate docs' blobs, then the pair co-partition reducer.
     - **distributed** (over budget): pairs dedup inside pair
-      co-partitions, explode to membership rows, and hash-join against a
-      full corpus blob scan — no driver materialization of the pair graph.
+      co-partitions, explode to membership rows, and a ``doc_id``
+      co-partition of the tagged union joins them to the blob rows — no
+      driver materialization of the pair graph.
 
-    Both budgets are read when the verify runs.
+    Every budget and the cut are read when the verify runs.
 
-    Returns a Dataset of exact integer (doc_a, doc_b, inter, union)."""
+    Returns exact integer (doc_a, doc_b, inter, union): a pandas frame
+    from the driver verify (and for no candidates), else a Dataset."""
+    from ray.data.dataset import MaterializedDataset
+
     from . import co_partition, map_stage
 
     pair_keys = ["doc_a", "doc_b"]
     cand = cand_rows.materialize()
     n_upper = cand.count()  # band-duplicate upper bound — safe to broadcast
+    if n_upper == 0:
+        return _EMPTY_PAIR_JAC.copy()
     if n_upper <= BROADCAST_PAIR_BUDGET:
-        pairs = cand.to_pandas().drop_duplicates(subset=["doc_a", "doc_b"])
-        if len(pairs) == 0:
-            import ray.data as rd
-
-            return rd.from_pandas(_EMPTY_PAIR_JAC.copy())
-        # CHEAP pre-gate before any corpus work (review r5): the blob table
-        # is ~8 bytes per token ≈ 1-2× the raw text bytes, so a corpus whose
-        # TEXT already exceeds 4× the budget cannot fit it — skip straight
-        # to the broadcast-pair plan without shingling the corpus just to
-        # measure it (the decision probe must not itself be corpus-scale).
-        text_proxy_ok = True
-        try:
-            text_proxy_ok = docs.size_bytes() <= 4 * BLOB_BROADCAST_BUDGET
-        except Exception:
-            pass
-        blobs = None
-        if text_proxy_ok:
-            blobs = map_stage(docs, ShingleBlobStage, batch_format="pandas")
-            blobs = blobs.materialize()
-        if blobs is not None and blobs.size_bytes() <= BLOB_BROADCAST_BUDGET:
-            import ray.data as rd
-
+        pairs = cand.to_pandas().drop_duplicates(subset=pair_keys, ignore_index=True)
+        if (
+            isinstance(blobs, MaterializedDataset)
+            and blobs.size_bytes() <= BLOB_BROADCAST_BUDGET
+        ):
             bdf = blobs.to_pandas()
-            counts = bdf["n_sh"].to_numpy(np.int64)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            flat = np.frombuffer(b"".join(bdf["sh"]), dtype=np.int64)
-            pairs_ds = rd.from_pandas(pairs.reset_index(drop=True))
-            if len(pairs) > 65536:
-                pairs_ds = pairs_ds.repartition(32)
+            flat, counts = _blob_hashes(bdf)
+            ctor = {
+                "doc_ids": bdf["doc_id"].to_numpy(np.int64),
+                "flat": flat.view(np.int64),
+                "starts": np.concatenate([[0], np.cumsum(counts)[:-1]]),
+                "counts": counts,
+            }
+            if len(pairs) <= DRIVER_VERIFY_PAIRS:
+                return BlobPairJaccard(**ctor)(pairs)
+            import ray.data as rd
+
             return map_stage(
-                pairs_ds,
+                rd.from_pandas(pairs).repartition(32),
                 BlobPairJaccard,
-                {
-                    "doc_ids": bdf["doc_id"].to_numpy(np.int64),
-                    "flat": flat,
-                    "starts": starts,
-                    "counts": counts,
-                },
+                ctor,
                 batch_format="pandas",
             )
         a = pairs["doc_a"].to_numpy(np.int64)
@@ -897,7 +871,7 @@ def verify_pairs(docs, cand_rows):
         )
         # the membership table is 3 int64 columns over 2×pairs rows
         emitted = map_stage(
-            docs, PairShingleEmit, {"members": members}, batch_format="pandas"
+            blobs, PairShingleEmit, {"members": members}, batch_format="pandas"
         )
     else:
         pairs_ds = co_partition(
@@ -916,7 +890,6 @@ def verify_pairs(docs, cand_rows):
             )
 
         members_ds = pairs_ds.map_batches(to_members, batch_format="pandas")
-        blobs = map_stage(docs, ShingleBlobStage, batch_format="pandas")
 
         # co-partitioned join: ONE ``co_partition`` of the tagged union on
         # doc_id — robust to empty hash partitions, no acero operators, all
@@ -973,7 +946,7 @@ def verify_pairs(docs, cand_rows):
     return co_partition(emitted, pair_keys, pair_blob_partition_jaccard)
 
 
-# typed empty for the tagged-union join stages (see PairShingleEmit note)
+# typed empty for the tagged-union join stages (see ShingleBlobStage note)
 _TAGGED_SCHEMA = pa.schema(
     [
         ("role", pa.int64()),

@@ -88,6 +88,10 @@ def hash_join(
     in 5 minutes)."""
     from ray.data import DataContext
 
+    from ..context import tune_for_cluster
+
+    # Ray's default parallelism is 200 until something tunes the context
+    tune_for_cluster()
     ctx = DataContext.get_current()
     n = num_partitions or ctx.default_hash_shuffle_parallelism
     res = ray.cluster_resources()
