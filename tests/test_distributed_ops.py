@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray.data
@@ -110,7 +111,8 @@ def test_co_partition_colocates_keys(ray_session):
     seven-block layout; both layouts give the same per-key result and an
     empty input gives 0 rows. ``fn`` runs once per sorted block (one call
     for a one-block input, however many keys; seven calls for a unique key
-    over seven blocks) and never sees a zero-row frame."""
+    over seven blocks) and never sees a zero-row frame, also when a filter
+    empties input blocks and the sort leaves partitions empty."""
     from universal_parquet_exporter_ray.stages import co_partition, partition_of
 
     def _key_label(g: pd.DataFrame, keys: list[str]) -> pd.Series:
@@ -195,6 +197,62 @@ def test_co_partition_colocates_keys(ray_session):
 
     empty = ray.data.from_arrow(table.slice(0, 0))
     assert co_partition(empty, ["k_int"], lambda g: g).count() == 0
+
+    # a filter that empties six of seven input blocks, and four keys over
+    # seven sort partitions: zero-row blocks on both sides of the sort,
+    # and ``fn`` still only gets rows
+    def sizes(g: pd.DataFrame) -> pd.DataFrame:
+        assert len(g) > 0
+        return pd.DataFrame({"rows": [len(g)]})
+
+    few = ray.data.from_arrow(table).repartition(7).map_batches(
+        lambda t: t.filter(pc.less(t["rid"], 8)), batch_format="pyarrow"
+    )
+    got = co_partition(few, ["k_str"], sizes).to_pandas()
+    assert got["rows"].sum() == 8 and len(got) <= 4
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+@pytest.mark.parametrize("batch_size", ["default", None])
+def test_map_batches_skips_zero_row_blocks(ray_session, batch_format, batch_size):
+    """The contract the package's per-batch stages and ``co_partition``
+    reducers rely on instead of an empty-input branch: Ray's
+    ``map_batches`` never calls its function on a zero-row block, whether
+    the block comes from the source, from a filtering map fused before it,
+    or from a materialized filtering map, at the default ``batch_size``
+    and at ``None``, in pandas and pyarrow format. If a Ray upgrade breaks
+    this, this test fails first."""
+    n = 40
+    table = pa.table({"rid": pa.array(np.arange(n), pa.int64())})
+    # zero-row source blocks between full ones
+    src = ray.data.from_arrow(
+        [table.slice(0, 0), table.slice(0, 20), table.slice(20, 0), table.slice(20, 20)]
+    )
+    kw = {} if batch_size == "default" else {"batch_size": None}
+
+    def keep_below(limit):
+        def fn(batch):
+            if batch_format == "pyarrow":
+                return batch.filter(pc.less(batch["rid"], limit))
+            return batch[batch["rid"] < limit]
+
+        return fn
+
+    def sizes(batch):
+        # one row per call: a zero-row call would show up as n == 0
+        return pd.DataFrame({"n": [len(batch)]})
+
+    def call_sizes(ds) -> list[int]:
+        calls = ds.map_batches(sizes, batch_format=batch_format, **kw).to_pandas()
+        return calls["n"].tolist() if len(calls) else []  # no call: no columns
+
+    for limit, kept in ((5, 5), (-1, 0)):
+        filtered = src.map_batches(keep_below(limit), batch_format=batch_format)
+        for ds in (filtered, filtered.materialize()):  # fusable, then not
+            seen = call_sizes(ds)
+            assert all(k > 0 for k in seen) and sum(seen) == kept, seen
+    seen = call_sizes(src)
+    assert all(k > 0 for k in seen) and sum(seen) == n, seen
 
 
 def test_co_partition_list_input_stamps_each_side(ray_session):
@@ -1757,9 +1815,9 @@ def test_combiner_groupby_small_and_distributed_finals_agree(ray_session, monkey
 
 
 def test_combiner_groupby_empty_input_honors_return_shape(ray_session, monkeypatch):
-    """ADVICE r4: on an EMPTY partial stream, a zero FINAL_REDUCE_CAP must
-    still return a Dataset (the documented 'zero cap => Dataset' contract),
-    and the default path a typed DataFrame via empty_like."""
+    """On an EMPTY partial stream, a zero FINAL_REDUCE_CAP must still
+    return a Dataset (the documented 'zero cap => Dataset' contract), and
+    the default path a DataFrame, both typed from the input's own schema."""
     import ray
 
     from universal_parquet_exporter_ray.stages import agg
@@ -1769,7 +1827,7 @@ def test_combiner_groupby_empty_input_honors_return_shape(ray_session, monkeypat
         {"k": pd.Series([], dtype="int64"), "v": pd.Series([], dtype="int64")}
     )
     ds = ray.data.from_pandas(empty)
-    kwargs = dict(sums={"v": "sum_v"}, count="n", empty_like=empty)
+    kwargs = dict(sums={"v": "sum_v"}, count="n")
 
     small = combiner_groupby(ds, ["k"], **kwargs)
     assert isinstance(small, pd.DataFrame) and len(small) == 0
@@ -1786,6 +1844,36 @@ def test_combiner_groupby_empty_input_honors_return_shape(ray_session, monkeypat
     got = agg.to_frame(forced)
     assert len(got) == 0
     assert got.dtypes.astype(str).to_dict() == small.dtypes.astype(str).to_dict()
+
+
+@pytest.mark.parametrize("cap", ["default", 0])
+def test_combiner_groupby_types_a_filtered_out_input(ray_session, monkeypatch, cap):
+    """A Dataset whose filtering map keeps no row still has a schema, and
+    the empty grouped result takes its dtypes from it: an int64 and a
+    string key stay int64 and object under the driver final and the
+    forced distributed one (they came back float64 when the empty result
+    was typed from the partial column names alone)."""
+    from universal_parquet_exporter_ray.stages import agg
+    from universal_parquet_exporter_ray.stages.agg import combiner_groupby, to_frame
+
+    if cap == 0:
+        monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    src = pd.DataFrame(
+        {
+            "doc_id": np.arange(30, dtype=np.int64),
+            "h": [f"h{i % 4}" for i in range(30)],
+            "lang": "de",
+        }
+    )
+    gated = ray.data.from_pandas(src).repartition(3).map_batches(
+        lambda df: df.loc[df["lang"] == "en", ["doc_id", "h"]],
+        batch_format="pandas",
+    )
+    out = combiner_groupby(gated, ["h"], mins={"doc_id": "doc_id"})
+    assert isinstance(out, pd.DataFrame) == (cap == "default")
+    got = to_frame(out)
+    assert len(got) == 0
+    assert got.dtypes.astype(str).to_dict() == {"h": "object", "doc_id": "int64"}
 
 
 def test_hopping_window_normalizes_ts_unit(ray_session, tmp_path):
@@ -2227,6 +2315,93 @@ def test_exact_substr_no_duplicates_empty(ray_session, tmp_path):
         assert len(df) == 0
         assert list(df.columns) == ["doc_id", "dup_windows", "removed_tokens"]
         assert all(str(t) == "int64" for t in df.dtypes)
+
+
+def _distinct_docs(n=12, n_tok=30):
+    return [" ".join(f"u{i}_{j}" for j in range(n_tok)) for i in range(n)]
+
+
+# query, the kwargs of its plan, the kwargs that empty the result, and a
+# small corpus that gives no result row: (texts, lang) for ``documents``,
+# or None for a random ``embeddings`` table
+EMPTY_RESULT_CASES = {
+    "minhash_lsh_pairs": ("minhash_lsh_pairs", {}, {}, (_distinct_docs(), "en")),
+    "ngram_jaccard_pairs": ("ngram_jaccard_pairs", {}, {}, (_distinct_docs(), "en")),
+    "decontaminate_neardup": (
+        "decontaminate_neardup", {}, {}, (_distinct_docs(), "en")
+    ),
+    # distinct texts: every doc is its own cluster, so rows, not none
+    "dedup_keep_best": ("dedup_keep_best", {}, {}, (_distinct_docs(), "en")),
+    "exact_substr_dedup[broadcast]": (
+        "exact_substr_dedup", {}, {}, (["a b c d e"] * 6, "en")
+    ),
+    "exact_substr_dedup[distributed]": (
+        "exact_substr_dedup",
+        {"force_distributed": True},
+        {},
+        (["a b c d e"] * 6, "en"),
+    ),
+    "curate_corpus": ("curate_corpus", {}, {}, (_distinct_docs(n_tok=40), "de")),
+    # doc ids 0 and 10 are the bench docs, both under 3 tokens
+    "bloom_decontaminate": (
+        "bloom_decontaminate",
+        {},
+        {},
+        (
+            ["x y" if i % 10 == 0 else t for i, t in enumerate(_distinct_docs(14))],
+            "en",
+        ),
+    ),
+    "embedding_near_dup": ("embedding_near_dup", {}, {"threshold": 1.5}, None),
+    "embedding_near_dup_lsh": (
+        "embedding_near_dup_lsh", {}, {"threshold": 1.5}, None
+    ),
+}
+
+
+def _as_frame(out) -> pd.DataFrame:
+    return out if isinstance(out, pd.DataFrame) else out.to_pandas()
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_RESULT_CASES))
+def test_empty_result_keeps_the_query_dtypes(ray_session, tmp_path, sf_small, case):
+    """A query whose per-batch bodies and reducers have no empty-input
+    branch still returns a typed result when a real corpus gives no result
+    row: the same columns and dtypes as its sf0.001 result, typed once at
+    the collect (``agg.to_frame``) or by ``combiner_groupby`` from its
+    input."""
+    import pyarrow.parquet as pq
+
+    from universal_parquet_exporter_ray.pipelines.textops import QUERIES
+
+    name, plan_kw, empty_kw, corpus = EMPTY_RESULT_CASES[case]
+    if corpus is None:
+        rng = np.random.default_rng(0)
+        emb = rng.standard_normal((24, 8)).astype(np.float32)
+        tbl = pa.table(
+            {
+                "vec_id": pa.array(np.arange(24), pa.int64()),
+                "embedding": pa.array(list(emb), pa.list_(pa.float32())),
+            }
+        )
+        pq.write_table(tbl, tmp_path / "embeddings.parquet")
+    else:
+        texts, lang = corpus
+        tbl = pa.table(
+            {
+                "doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+                "lang": pa.array([lang] * len(texts), pa.string()),
+            }
+        )
+        pq.write_table(tbl, tmp_path / "documents.parquet")
+
+    got = _as_frame(QUERIES[name](str(tmp_path), **plan_kw, **empty_kw))
+    ref = _as_frame(QUERIES[name](sf_small, **plan_kw))
+    assert len(ref) > 0
+    assert len(got) == (len(texts) if name == "dedup_keep_best" else 0)
+    assert list(got.columns) == list(ref.columns)
+    assert got.dtypes.astype(str).to_dict() == ref.dtypes.astype(str).to_dict()
 
 
 # every query whose grouped aggregate ends in ``stages.agg.final_reduce``
@@ -2807,3 +2982,23 @@ def test_mg_partial_merge_bounds_any_split(docs, n_splits, m):
     for tok, true in exact.items():
         lo = int(merged.get(tok, 0))
         assert lo <= true <= lo + deducted, (tok, lo, true, deducted)
+
+
+def test_mg_partial_tokens_match_str_split():
+    """``mg_partial`` counts Arrow ``utf8_split_whitespace`` tokens; they
+    are exactly Python ``str.split()``'s, including the ASCII separators
+    \\x1c-\\x1f and the Unicode spaces \\xa0, \\u2028 and \\u3000, and
+    leading, trailing and repeated whitespace adds no empty token."""
+    from universal_parquet_exporter_ray.pipelines.textops import mg_partial
+
+    docs = [
+        "a\x1cb\x1dc\x1ed\x1fe",
+        " \xa0f\u2028g\u3000\u3000h\t\n",
+        "",
+        "   ",
+        "a a  b",
+    ]
+    got = mg_partial(pd.DataFrame({"text": docs}), 100)
+    want = pd.Series([t for d in docs for t in d.split()]).value_counts()
+    assert dict(zip(got["token"], got["c"])) == want.to_dict()
+    assert got["c"].dtype == "int64" and got["token"].dtype == object

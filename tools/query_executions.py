@@ -14,10 +14,14 @@ those executions; a scan of a materialized Dataset is not one), the blocks its
 table reads make (summed over every ``read_parquet_clean`` call of the last
 run; each of those reads is materialized on its own after the timed runs,
 and these executions are not counted), the min / median wall time over
-the runs, and ``plan_s``: the min over the runs of the driver wall time
+the runs, ``plan_s``: the min over the runs of the driver wall time
 from the query call to the start of its first Ray Data execution (the
 whole run for a query that starts none), where building its reads and
-plans is spent.
+plans is spent, and ``schema_warn``: Ray Data's "Operator produced a
+RefBundle with a different schema" warnings of one run (a block whose
+columns differ from its operator's earlier blocks, such as the columnless
+block of an empty sort partition or of a map task that got only zero-row
+blocks).
 One warm-up query runs first, so worker start-up is not charged to the
 first query named.
 """
@@ -25,6 +29,7 @@ first query named.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import statistics
 import sys
@@ -84,6 +89,22 @@ def count_sorts():
     return calls
 
 
+SCHEMA_WARNING = "Operator produced a RefBundle with a different schema"
+
+
+def count_schema_warnings():
+    """Attach a handler to the ``ray.data`` logger; return a one-item
+    list holding the number of ``SCHEMA_WARNING`` records logged since."""
+    calls = [0]
+
+    class Counted(logging.Handler):
+        def emit(self, record):
+            calls[0] += record.getMessage().startswith(SCHEMA_WARNING)
+
+    logging.getLogger("ray.data").addHandler(Counted(logging.WARNING))
+    return calls
+
+
 def record_reads():
     """Wrap ``sources.tables.read_parquet_clean``; return the list the
     Datasets it builds are appended to."""
@@ -135,17 +156,19 @@ def main() -> None:
     calls = count_executions()
     sorts = count_sorts()
     reads = record_reads()
+    warns = count_schema_warnings()
     to_pandas(registry["count_distinct"](args.tables))
 
     print(
         f"{'query':24s} {'executions':>10s} {'scans':>5s} {'sorts':>5s} "
         f"{'read_blocks':>11s} "
-        f"{'min_s':>8s} {'median_s':>8s} {'plan_s':>8s}"
+        f"{'min_s':>8s} {'median_s':>8s} {'plan_s':>8s} {'schema_warn':>11s}"
     )
     for name in args.queries:
-        runs, scan_runs, sort_runs, secs, plans = [], [], [], [], []
+        runs, scan_runs, sort_runs, warn_runs, secs, plans = [], [], [], [], [], []
         for _ in range(args.repeat):
             before, scans_before, sorts_before = calls[0], calls[2], sorts[0]
+            warns_before = warns[0]
             reads.clear()
             calls[1] = None
             t0 = time.perf_counter()
@@ -156,16 +179,17 @@ def main() -> None:
             runs.append(calls[0] - before)
             scan_runs.append(calls[2] - scans_before)
             sort_runs.append(sorts[0] - sorts_before)
+            warn_runs.append(warns[0] - warns_before)
         blocks = sum(ds.materialize().num_blocks() for ds in reads)
         # a query's plan is fixed for given tables, so every run counts the same
-        n_exec, n_scan, n_sort = (
+        n_exec, n_scan, n_sort, n_warn = (
             c[0] if len(set(c)) == 1 else "/".join(map(str, c))
-            for c in (runs, scan_runs, sort_runs)
+            for c in (runs, scan_runs, sort_runs, warn_runs)
         )
         print(
             f"{name:24s} {n_exec!s:>10s} {n_scan!s:>5s} {n_sort!s:>5s} "
             f"{blocks:11d} {min(secs):8.3f} "
-            f"{statistics.median(secs):8.3f} {min(plans):8.4f}"
+            f"{statistics.median(secs):8.3f} {min(plans):8.4f} {n_warn!s:>11s}"
         )
     ray.shutdown()
 

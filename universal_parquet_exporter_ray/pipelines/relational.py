@@ -28,7 +28,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table, table_path
-from ..stages import co_partition, per_key, typed_empty
+from ..stages import co_partition, per_key
 from ..stages.agg import combiner_groupby, map_any, to_frame
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 from . import ORACLE_SQL, QUERIES, q  # noqa: F401
@@ -361,8 +361,8 @@ def q_anti_join(sf_dir: str):
         batch_format="pyarrow",
     ).unique("o_custkey")
     cust = load_table(sf_dir, "customer", ["c_custkey", "c_name"])
-    out = broadcast_semi(cust, set(keys), "c_custkey", anti=True).to_pandas()
-    return typed_empty({"c_custkey": "int64", "c_name": "object"}, out)
+    out = broadcast_semi(cust, set(keys), "c_custkey", anti=True)
+    return to_frame(out, {"c_custkey": "int64", "c_name": "object"})
 
 
 @q(
@@ -705,17 +705,12 @@ def q_hopping_window(sf_dir: str):
         if ts.null_count:
             raise ValueError("hopping_window: null ts not supported")
         # row replication via take keeps every column's Arrow type intact
-        # (empty blocks included) and never round-trips strings through
-        # Python objects
+        # and never round-trips strings through Python objects
         idx = np.repeat(np.arange(len(t), dtype=np.int64), k)
         rep = t.select(["event_type", "value"]).take(pa.array(idx))
         # normalize the unit BEFORE the integer math: a ns- or ms-unit
         # source would otherwise silently produce wrong hops (ADVICE r4)
-        us = (
-            _ts_us_i64(ts).to_numpy()
-            if len(t)
-            else np.empty(0, np.int64)
-        )
+        us = _ts_us_i64(ts).to_numpy()
         base = us // hop_us
         j = np.tile(np.arange(k, dtype=np.int64), len(us))
         starts = ((np.repeat(base, k) - j) * hop_us).astype("datetime64[us]")
@@ -1158,7 +1153,6 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
         partials,
         ["iv_id"],
         sums={"n": "n_events", "s": "sum_value"},
-        empty_like=typed_empty(_IV_PARTIALS),
     )
     summed = to_frame(summed)  # interval-bounded
     out = iv[["iv_id"]].merge(summed, on="iv_id", how="left")
@@ -1171,10 +1165,6 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
     ).reset_index(drop=True)
 
 
-# column → dtype of ``interval_partials``' rows
-_IV_PARTIALS = {"iv_id": "int64", "n": "int64", "s": "float64"}
-
-
 def interval_partials(frame: pd.DataFrame) -> pd.DataFrame:
     """``range_join``'s bucket pass: per time bucket of the tagged union
     (role 1 = interval, role 0 = event carrying its ts in ``t0``), each
@@ -1185,8 +1175,6 @@ def interval_partials(frame: pd.DataFrame) -> pd.DataFrame:
 def _match_bucket(g: pd.DataFrame) -> pd.DataFrame:
     ivs = g[g["role"].to_numpy() == 1]
     evs = g[g["role"].to_numpy() == 0]
-    if ivs.empty:
-        return typed_empty(_IV_PARTIALS)
     ts = evs["t0"].to_numpy(np.int64)
     val = evs["value"].to_numpy(np.float64)
     out_id, out_n, out_s = [], [], []
@@ -1444,7 +1432,7 @@ def q_union_all(sf_dir: str):
 
         def fn(t: pa.Table) -> pa.Table:
             t = t.filter(pred(t))
-            return t.append_column("tier", pa.array([tier] * t.num_rows))
+            return t.append_column("tier", pa.array([tier] * t.num_rows, pa.string()))
 
         return ds.map_batches(fn, batch_format="pyarrow")
 

@@ -15,9 +15,10 @@ import tempfile
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sources import load_table, table_path
-from ..stages import co_partition, map_stage, typed_empty
+from ..stages import co_partition, map_stage
 from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
@@ -33,7 +34,7 @@ from ..stages.text import (
     token_count,
 )
 
-# column → dtype of the verified doc-pair results (``typed_empty``)
+# column → dtype of the verified doc-pair results (``to_frame``)
 DOC_PAIRS = {"doc_a": "int64", "doc_b": "int64", "jac_ppm": "int64"}
 
 
@@ -140,7 +141,7 @@ def q_minhash_lsh_pairs(sf_dir: str):
             }
         )
 
-    out = typed_empty(DOC_PAIRS, to_frame(map_any(verified, finish)))
+    out = to_frame(map_any(verified, finish), DOC_PAIRS)
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -253,14 +254,6 @@ def q_decontaminate_neardup(sf_dir: str, bench_mod: int = 10):
         ["doc_id"],
         count="n_bench_matches",
         maxs={"jac_ppm": "max_jac_ppm"},
-        # a clean corpus legitimately yields an empty flagged stream; the
-        # typed exemplar keeps the empty result int64 (strict-dtype oracle)
-        empty_like=pd.DataFrame(
-            {
-                "doc_id": pd.Series([], dtype="int64"),
-                "jac_ppm": pd.Series([], dtype="int64"),
-            }
-        ),
     )
     cols = ["doc_id", "n_bench_matches", "max_jac_ppm"]
     return map_any(out, lambda df: df[cols].reset_index(drop=True))
@@ -512,7 +505,7 @@ def q_ngram_jaccard_pairs(sf_dir: str):
             }
         )
 
-    out = typed_empty(DOC_PAIRS, to_frame(map_any(verified, finish)))
+    out = to_frame(map_any(verified, finish), DOC_PAIRS)
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -1028,7 +1021,7 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
         flat = pd.DataFrame(
             {
                 "lang": df["lang"].repeat(toks.str.len()),
-                "tok": np.concatenate(toks.to_numpy()) if len(df) else [],
+                "tok": np.concatenate(toks.to_numpy()),
             }
         )
         return flat.groupby(["lang", "tok"], sort=False).size().reset_index(name="n")
@@ -1123,11 +1116,12 @@ def train_unigram_model(ds, min_count: int = 1) -> tuple[pd.Series, float]:
                 )
         return tot
 
-    freqs = co_partition(
-        ds.map_batches(partial_counts, batch_format="pandas"), ["tok"], sum_partials
-    ).to_pandas()  # bounded-vocab model table, NOT corpus-sized
-    # degenerate corpus: zero tokens anywhere
-    freqs = typed_empty({"tok": object, "n": "int64"}, freqs)
+    freqs = to_frame(  # bounded-vocab model table, NOT corpus-sized
+        co_partition(
+            ds.map_batches(partial_counts, batch_format="pandas"), ["tok"], sum_partials
+        ),
+        {"tok": object, "n": "int64"},  # degenerate corpus: zero tokens anywhere
+    )
     # the OOV rows (at most one per co_partition call) merge into one
     is_oov = freqs["tok"].to_numpy() == _OOV_TOKEN
     oov_mass = float(freqs.loc[is_oov, "n"].sum())
@@ -1263,11 +1257,12 @@ def train_doc_freq(ds, min_df: int = 2) -> tuple[pd.Series, float, float]:
         return tot
 
     # document frequency: bounded-vocab after the co-partition sum+cutoff
-    freqs = co_partition(
-        ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials
-    ).to_pandas()
-    # degenerate corpus: zero tokens anywhere
-    freqs = typed_empty({"tok": object, "df": "int64"}, freqs)
+    freqs = to_frame(
+        co_partition(
+            ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials
+        ),
+        {"tok": object, "df": "int64"},  # degenerate corpus: zero tokens anywhere
+    )
 
     sentinel = freqs["tok"].to_numpy() == ""
     n_docs = float(freqs.loc[sentinel, "df"].sum())
@@ -1701,6 +1696,7 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
     streams) make divergence from the text-equality oracle vanishingly
     unlikely."""
     from ..stages.dedup import (
+        _EMPTY_SUBSTR,
         SubstrFilterStage,
         emit_token_windows,
         merge_removal_spans,
@@ -1725,8 +1721,6 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
 
     if dup is not None and len(dup) == 0:
         # nothing duplicated anywhere: typed empty, free on the driver
-        from ..stages.dedup import _EMPTY_SUBSTR
-
         return _EMPTY_SUBSTR.copy()
     if dup is not None:
         return map_stage(
@@ -1759,8 +1753,6 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
     # group stream, so emptiness must resolve to a typed driver frame here
     removals = co_partition(wins_full, ["h1", "h2"], find_rem).materialize()
     if removals.count() == 0:
-        from ..stages.dedup import _EMPTY_SUBSTR
-
         return _EMPTY_SUBSTR.copy()
     return co_partition(removals, ["doc_id"], lambda g: merge_removal_spans(g, w))
 
@@ -1786,8 +1778,6 @@ def q_curate_corpus(sf_dir: str):
 
     def gate(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["lang"] == "en"]
-        if len(df) == 0:
-            return typed_empty({"doc_id": "int64", "h": "object"})
         n_tok = df["text"].str.count(r"\S+")
         n_alpha = df["text"].str.count(r"[A-Za-z]")
         keep = (
@@ -1930,7 +1920,7 @@ def q_embedding_near_dup(sf_dir: str, threshold: float = 0.4, n_buckets: int = 4
         ds, PairGroupReplicate, {"n_buckets": n_buckets}, batch_format="pandas"
     )
     pairs = co_partition(rep, ["pg"], all_pairs_group(threshold, n_buckets))
-    out = typed_empty(PAIRS_PPM, pairs.to_pandas())
+    out = to_frame(pairs, PAIRS_PPM)
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -1968,8 +1958,7 @@ def _near_dup_lsh(
     out = combiner_groupby(
         pairs, ["id_a", "id_b"], maxs={"cos_ppm": "cos_ppm"}
     )
-    out = to_frame(out)
-    out = typed_empty(PAIRS_PPM, out)
+    out = to_frame(out, PAIRS_PPM)
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -2199,27 +2188,22 @@ def mg_partial(df: pd.DataFrame, m: int) -> pd.DataFrame:
     most ``m`` survivors by subtracting the (m+1)-th largest count from all
     (Berinde et al.'s mergeable-summaries reduction); the subtracted mass
     accumulates in a sentinel row so the merged sketch carries its own
-    error bound. Tokens come from a Python ``str.split`` per document; the
-    count is one ``value_counts`` per batch."""
-    toks = pd.Series(
-        [t for doc in df["text"] for t in doc.split()], dtype="object"
-    )
-    total = len(toks)
-    if total == 0:
-        return pd.DataFrame(
-            {"token": pd.Series([], dtype="object"),
-             "c": pd.Series([], dtype="int64")}
-        )
-    vc = toks.value_counts()
-    cut = 0
-    if len(vc) > m:
-        cut = int(vc.iloc[m])
-        vc = vc - cut
-        vc = vc[vc > 0]
+    error bound. The tokens and their counts are one Arrow pass per batch:
+    ``utf8_split_whitespace`` splits on exactly ``str.split()``'s
+    whitespace, and only adds empty strings at a doc's edges, which are
+    dropped (``test_mg_partial_tokens_match_str_split``)."""
+    toks = pc.list_flatten(pc.utf8_split_whitespace(pa.array(df["text"], pa.string())))
+    vc = pc.value_counts(toks)
     out = pd.DataFrame(
-        {"token": vc.index.to_numpy(dtype=object),
-         "c": vc.to_numpy(dtype=np.int64)}
+        {"token": vc.field("values").to_numpy(zero_copy_only=False),
+         "c": vc.field("counts").to_numpy().astype(np.int64)}
     )
+    out = out[out["token"] != ""]
+    cut = 0
+    if len(out) > m:
+        cut = int(np.sort(out["c"].to_numpy())[-m - 1])
+        out = out.assign(c=out["c"] - cut)
+        out = out[out["c"] > 0]
     if cut:
         # the PER-TOKEN undercount of this summary is at most `cut` (every
         # count was reduced by exactly cut, then clamped at zero), NOT the
@@ -2326,7 +2310,7 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
     )
     partials = co_partition(rep, ["pg"], knn_group(k, n_buckets))
     out = co_partition(partials, ["vec_id"], final_knn(k))
-    out = typed_empty(KNN, out.to_pandas())
+    out = to_frame(out, KNN)
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 
 
@@ -2351,7 +2335,7 @@ def q_knn_join_ivf(sf_dir: str, k: int = 5, n_clusters: int = 16):
     )
 
     out = co_partition(assigned, ["bucket"], bucket_knn(k))
-    out = typed_empty(KNN, out.to_pandas())
+    out = to_frame(out, KNN)
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 
 
@@ -2417,8 +2401,6 @@ def q_bloom_decontaminate(
             ((df["doc_id"].to_numpy(np.int64) % bench_mod) == 0)
             & (df["text"].fillna("").str.count(r"\S+") >= 3)
         ]
-        if len(sel) == 0:
-            return pd.DataFrame({"bit": pd.Series([], dtype="int64")})
         sh, _ = batch_word_shingle_sets(list(sel["text"]), 3)
         bits = np.unique(_bloom_bits(sh, k_hashes, log2_m))
         return pd.DataFrame({"bit": bits})
@@ -2427,7 +2409,6 @@ def q_bloom_decontaminate(
         docs.map_batches(bench_bits, batch_format="pandas"),
         ["bit"],
         count="n_",
-        empty_like=pd.DataFrame({"bit": pd.Series([], dtype="int64")}),
     )
     bit_rows = to_frame(bit_rows)  # ≤ m rows by construction
     bitmap = np.zeros(1 << (log2_m - 3), dtype=np.uint8)
@@ -2445,12 +2426,7 @@ def q_bloom_decontaminate(
                 ((df["doc_id"].to_numpy(np.int64) % bench_mod) != 0)
                 & (df["text"].fillna("").str.count(r"\S+") >= 3)
             ]
-            empty = typed_empty({"doc_id": "int64", "n_hits": "int64"})
-            if len(train) == 0:
-                return empty
             sh, sizes = batch_word_shingle_sets(list(train["text"]), 3)
-            if sizes.sum() == 0:
-                return empty
             idx = _bloom_bits(sh, k_hashes, log2_m)
             hit = np.ones(len(sh), dtype=bool)
             for i in range(k_hashes):
@@ -2467,8 +2443,7 @@ def q_bloom_decontaminate(
             )
 
     out = map_stage(docs, BloomProbe, {"bits": bitmap}, batch_format="pandas")
-    out = out.to_pandas()
-    out = typed_empty({"doc_id": "int64", "n_hits": "int64"}, out)
+    out = to_frame(out, {"doc_id": "int64", "n_hits": "int64"})
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2892,8 +2867,6 @@ def q_zonemap_pruned_read(sf_dir: str):
     target = max(50, ds.count() // 10)
 
     def with_year(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return t.append_column(
             "o_year", pc.cast(pc.year(t["o_orderdate"]), pa.string())
         )
@@ -2942,8 +2915,6 @@ def q_decimal_roundtrip(sf_dir: str):
     decimal128(12,2), push it through the full encode→decode codec pipeline,
     and return exact integer cents — a hash match proves the decimal column
     survived the codec layer bit-identically."""
-    import pyarrow.compute as pc
-
     from .encode import encode_dataset
     from .relational import scaled_int
     from .verify import decoded_dataset

@@ -42,7 +42,10 @@ def co_partition(ds, keys, fn):
 
     ``fn`` runs once per sorted block, not once per key: one call sees
     many keys, so it must reduce per key itself and never assume its frame
-    holds one key. It never sees a zero-row frame.
+    holds one key. It never sees a zero-row frame: the sort's empty
+    partitions are zero-row blocks, and Ray's ``map_batches`` never calls
+    its function on one (``test_map_batches_skips_zero_row_blocks``), so
+    no ``fn`` and no per-batch stage needs an empty-input branch.
 
     The key hash (``partition_of``) is stamped by a ``map_batches`` in the
     block's own format (no pandas/Arrow conversion; Ray fuses it into the
@@ -65,8 +68,7 @@ def co_partition(ds, keys, fn):
         return out
 
     def run(block: pd.DataFrame):
-        if len(block):
-            yield fn(block.drop(columns=_HASH))
+        return fn(block.drop(columns=_HASH))
 
     first, *rest = ds if isinstance(ds, (list, tuple)) else [ds]
     both = first.map_batches(stamp, batch_format=None)
@@ -84,16 +86,6 @@ def per_key(frame: pd.DataFrame, key: str, fn) -> pd.DataFrame:
         [fn(g) for _, g in frame.groupby(key, sort=False, dropna=False)],
         ignore_index=True,
     )
-
-
-def typed_empty(dtypes: dict, out: pd.DataFrame | None = None) -> pd.DataFrame:
-    """``out`` when it has rows, else a zero-row frame with the columns and
-    dtypes of ``dtypes`` (column → dtype). An all-empty Ray Dataset loses
-    its schema in ``to_pandas()``, so a query whose result can be empty
-    returns this instead."""
-    if out is not None and len(out):
-        return out
-    return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in dtypes.items()})
 
 
 def map_stage(ds, cls, ctor=None, **mb):

@@ -30,6 +30,13 @@ What a query does after its final is written once for both shapes:
 ``map_any`` applies one pandas body to a frame or to each batch of a
 Dataset, and ``to_frame`` collects a result bounded by construction.
 
+A zero-row result is typed in one place. ``map_batches`` never calls its
+function on a zero-row block, so no per-batch body or ``co_partition``
+reducer has an empty-input branch, and an input that filters to nothing
+leaves a stream with no blocks at all. ``to_frame(out, dtypes)`` gives
+such a result the query's declared columns and dtypes at the collect,
+and ``combiner_groupby`` types its empty result from its own input.
+
 Float determinism note: partial sums change the summation ORDER, exactly as
 Ray's own block-parallel Sum does; every consumer exports sums through
 ``scaled_int`` fixed-point columns where a ulp of drift cannot change the
@@ -41,6 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 import pandas as pd
+import pyarrow as pa
 
 from . import co_partition
 
@@ -86,17 +94,35 @@ def map_any(out, fn):
     return out.map_batches(fn, batch_format="pandas")
 
 
-def to_frame(out) -> pd.DataFrame:
+def to_frame(out, dtypes: Optional[dict] = None) -> pd.DataFrame:
     """A final's result as a pandas DataFrame. Only for results bounded by
-    construction (groups, languages, bins, registers), never corpus-sized."""
-    if isinstance(out, pd.DataFrame):
-        return out
-    frame = out.to_pandas()
-    if frame.columns.empty and out.schema() is not None:
-        # Ray's to_pandas() drops the columns of an all-empty Dataset; the
-        # schema of combiner_groupby's typed empty still holds them
-        return out.schema().base_schema.empty_table().to_pandas()
-    return frame
+    construction (groups, languages, bins, registers), never corpus-sized.
+
+    A result with no rows comes back with the columns and dtypes of
+    ``dtypes`` (column → dtype) when given, else with the Dataset's own
+    schema: Ray's ``to_pandas()`` drops the columns of an all-empty
+    Dataset, so a query whose result can be empty collects it here."""
+    frame = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    if len(frame):
+        return frame
+    if dtypes is not None:
+        return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in dtypes.items()})
+    return frame if isinstance(out, pd.DataFrame) else _zero_rows(out)
+
+
+def _zero_rows(ds) -> pd.DataFrame:
+    """A zero-row frame with the columns and dtypes of Dataset ``ds``'s
+    schema (pandas or Arrow blocks); a schemaless (blockless) Dataset
+    gives a columnless frame."""
+    schema = ds.schema()
+    if schema is None:
+        return pd.DataFrame()
+    base = schema.base_schema
+    if isinstance(base, pa.Schema):
+        return base.empty_table().to_pandas()
+    return pd.DataFrame(
+        {c: pd.Series([], dtype=t) for c, t in zip(base.names, base.types)}
+    )
 
 
 class _AggSpec:
@@ -105,6 +131,7 @@ class _AggSpec:
 
     def __init__(self, keys, sums, means, mins, maxs, count):
         self.keys = list(keys)
+        self.inputs = list(dict.fromkeys([*keys, *sums, *means, *mins, *maxs]))
         self.sums, self.means = sums, means
         self.mins, self.maxs, self.count = mins, maxs, count
         self.sum_cols = {c: f"__s_{c}" for c in {**sums, **means}}
@@ -170,7 +197,6 @@ def combiner_groupby(
     mins: Optional[dict[str, str]] = None,
     maxs: Optional[dict[str, str]] = None,
     count: Optional[str] = None,
-    empty_like: Optional[pd.DataFrame] = None,
 ):
     """Grouped SUM / AVG / MIN / MAX / COUNT(*) with per-batch partials and
     the shared ``final_reduce``.
@@ -188,12 +214,14 @@ def combiner_groupby(
     accepted by the oracle comparison, by ``map_any`` and by ``to_frame``.
     With ``FINAL_REDUCE_CAP = 0`` the result is ALWAYS a Dataset, including
     on empty inputs, so scale rehearsals can rely on the return shape.
+
+    An input with no rows gives a zero-row result with the dtypes the
+    input's own columns give: the partial and the final run on a zero-row
+    frame of the input (a driver frame's ``iloc[:0]``, a Dataset's
+    ``schema()``, read only on this path).
     """
     spec = _AggSpec(keys, dict(sums or {}), dict(means or {}),
                     dict(mins or {}), dict(maxs or {}), count)
-    sum_cols, cnt_cols, min_cols, max_cols = (
-        spec.sum_cols, spec.cnt_cols, spec.min_cols, spec.max_cols
-    )
     partial, finish = make_partial(spec), make_finish(spec)
 
     # combiner-sized stream: materializing it is object-store-light and
@@ -207,32 +235,16 @@ def combiner_groupby(
         partials = ds.map_batches(partial, batch_format="pandas").materialize()
 
     if partials.count() == 0:
-        cols = (
-            list(keys)
-            + list(sum_cols.values())
-            + list(cnt_cols.values())
-            + list(min_cols.values())
-            + list(max_cols.values())
-            + (["__rows"] if count is not None else [])
-        )
-        # Ray keeps NO dtype evidence for an all-empty stream (schema() is
-        # None and iter_batches yields nothing, both verified), so typed
-        # emptiness must come from the caller: ``empty_like`` is a zero-row
-        # TYPED exemplar of the input batch; running the partial on it
-        # reproduces the exact partial dtypes.  Callers whose input can be
-        # legitimately empty AND whose result feeds a dtype-strict consumer
-        # should pass it; without it the empty result is float64-typed.
-        empty = (
-            finish(partial(empty_like.iloc[0:0]))
-            if empty_like is not None
-            else finish(pd.DataFrame({c: [] for c in cols}))
-        )
+        # ``partial`` never ran (Ray skips zero-row blocks), so the
+        # partials carry no schema; the input's zero rows type the result
+        # (a blockless Dataset has no schema: its columns come back float64)
+        zero = ds.iloc[:0] if isinstance(ds, pd.DataFrame) else _zero_rows(ds)
+        empty = finish(partial(zero.reindex(columns=spec.inputs)))
         if FINAL_REDUCE_CAP == 0:
             # a zero cap forces the distributed final, so honor the
             # 'zero cap => Dataset' return-shape contract on empty inputs
-            # too (ADVICE r4); an Arrow block keeps the zero-row schema
-            # where an empty pandas block would lose it
-            import pyarrow as pa
+            # too; an Arrow block keeps the zero-row schema where an empty
+            # pandas block would lose it
             import ray.data as rd
 
             return rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))

@@ -18,10 +18,9 @@ import pandas as pd
 
 import ray
 
-from . import co_partition, map_stage, per_key, typed_empty
+from . import co_partition, map_stage, per_key
 
-# column → dtype of the candidate, pair and kNN frames (``typed_empty``)
-CANDIDATES = {"query_id": "int64", "vec_id": "int64", "cos": "float64"}
+# column → dtype of the pair and kNN results (``agg.to_frame``)
 PAIRS_PPM = {"id_a": "int64", "id_b": "int64", "cos_ppm": "int64"}
 KNN = {"vec_id": "int64", "nbr": "int64", "cos_ppm": "int64"}
 
@@ -45,8 +44,6 @@ class BatchTopKCosine:
         self.exclude_self = exclude_self
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return typed_empty(CANDIDATES)
         vec_ids = batch["vec_id"].to_numpy(dtype=np.int64)
         emb = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
         emb = _normalize(emb)
@@ -127,8 +124,6 @@ class IvfTopKCosine:
         self.probes = order[:, :nprobe]  # (n_queries, nprobe)
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if len(batch) == 0:
-            return typed_empty(CANDIDATES)
         vec_ids = batch["vec_id"].to_numpy(dtype=np.int64)
         emb = _normalize(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
         buckets = np.argmax(emb @ self.centroids.T, axis=1)
@@ -173,11 +168,6 @@ class PairGroupReplicate:
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         G = self.G
         n = len(batch)
-        if n == 0:
-            out = batch.copy()
-            out["pg"] = pd.Series([], dtype="int64")
-            out["bkt"] = pd.Series([], dtype="int64")
-            return out
         b = (batch["vec_id"].to_numpy(dtype=np.int64) % G).astype(np.int64)
         rep = batch.iloc[np.repeat(np.arange(n), G)].reset_index(drop=True)
         bb = np.repeat(b, G)
@@ -212,8 +202,6 @@ def all_pairs_group(threshold: float, n_buckets: int, scale: float = 1e6):
             a, b, c = ids[ai], ids[bi], sims[ai, bi]
         else:
             li, ri = np.flatnonzero(bkt == i), np.flatnonzero(bkt == j)
-            if len(li) == 0 or len(ri) == 0:
-                return typed_empty(PAIRS_PPM)
             sims = emb[li] @ emb[ri].T
             ai, bi = np.nonzero(sims >= threshold)
             a, b, c = ids[li][ai], ids[ri][bi], sims[ai, bi]
@@ -221,8 +209,6 @@ def all_pairs_group(threshold: float, n_buckets: int, scale: float = 1e6):
             a2 = np.where(swap, b, a)
             b2 = np.where(swap, a, b)
             a, b = a2, b2
-        if len(a) == 0:
-            return typed_empty(PAIRS_PPM)
         ppm = (np.sign(c * scale) * np.floor(np.abs(c * scale) + 0.5)).astype(np.int64)
         return pd.DataFrame(
             {
@@ -297,8 +283,6 @@ def knn_group(k: int, n_buckets: int, scale: float = 1e6):
             np.fill_diagonal(S, -int(3 * scale))  # self is never a neighbor
             return _topk_rows(ids, S, ids, k, drop_below=floor)
         li, ri = np.flatnonzero(bkt == i), np.flatnonzero(bkt == j)
-        if len(li) == 0 or len(ri) == 0:
-            return typed_empty(KNN)
         S = to_ppm(emb[li] @ emb[ri].T)
         return pd.concat(
             [
@@ -363,9 +347,6 @@ class AssignBucket:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.copy()
-        if len(batch) == 0:
-            out["bucket"] = pd.Series([], dtype="int64")
-            return out
         emb = _normalize(np.stack(batch["embedding"].to_numpy()).astype(np.float64))
         out["bucket"] = np.argmax(emb @ self.centroids.T, axis=1).astype(np.int64)
         return out
@@ -579,10 +560,6 @@ class LshBandEmit:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         n = len(batch)
-        if n == 0:
-            out = batch.copy()
-            out["bh"] = pd.Series([], dtype="int64")
-            return out
         if self.r == 0:
             out = batch.copy()
             out["bh"] = np.zeros(n, dtype=np.int64)
@@ -608,8 +585,6 @@ def lsh_bucket_pairs(threshold: float, scale: float = 1e6):
 
     def one(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["vec_id"])
-        if len(g) < 2:
-            return typed_empty(PAIRS_PPM)
         ids = g["vec_id"].to_numpy(dtype=np.int64)
         order = np.argsort(ids)
         ids = ids[order]
@@ -618,8 +593,6 @@ def lsh_bucket_pairs(threshold: float, scale: float = 1e6):
         )
         sims = emb @ emb.T
         ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
-        if len(ai) == 0:
-            return typed_empty(PAIRS_PPM)
         c = sims[ai, bi]
         ppm = (np.sign(c * scale) * np.floor(np.abs(c * scale) + 0.5)).astype(np.int64)
         return pd.DataFrame(
@@ -659,8 +632,6 @@ class KMeansPartial:
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         k, dim = self.cent.shape
-        if len(df) == 0:
-            return typed_empty({"cluster": "int64", "dim": "int64", "s": "int64"})
         emb = _normalize(
             np.stack(df["embedding"].to_numpy()).astype(np.float64)
         )
@@ -697,8 +668,6 @@ class KMeansAssign:
         self.cent = np.asarray(centroids, dtype=np.float64)
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return typed_empty({"vec_id": "int64", "cluster_id": "int64"})
         emb = _normalize(
             np.stack(df["embedding"].to_numpy()).astype(np.float64)
         )

@@ -17,7 +17,6 @@ import hashlib
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 MERSENNE = np.uint64((1 << 61) - 1)
 N_PERMS = 64
@@ -78,15 +77,15 @@ def batch_word_shingles(texts, w: int = 3) -> tuple[np.ndarray, np.ndarray]:
     # padded token counts: short non-empty docs pad with 0-hashes to w
     m = np.where(n == 0, 0, np.maximum(n, w))
     F = np.zeros(int(m.sum()), dtype=np.uint64)
+    # exclusive prefix sums, also for a batch of no texts
+    doc_starts = np.cumsum(m) - m
     flat_tokens = [tok for lst in tok_lists for tok in lst]
     if flat_tokens:
         th = pd.util.hash_pandas_object(
             pd.Series(flat_tokens), index=False
         ).to_numpy(np.uint64)
-        doc_starts = np.concatenate([[0], np.cumsum(m)[:-1]])
         F[np.repeat(doc_starts, n) + _grouped_arange(n)] = th
     n_win = np.where(n == 0, 0, m - w + 1)  # windows per non-empty doc
-    doc_starts = np.concatenate([[0], np.cumsum(m)[:-1]])
     win_pos = np.repeat(doc_starts, n_win) + _grouped_arange(n_win)
     powers = np.uint64(1099511628211) ** np.arange(w, dtype=np.uint64)
     S = np.zeros(len(win_pos), dtype=np.uint64)
@@ -95,7 +94,7 @@ def batch_word_shingles(texts, w: int = 3) -> tuple[np.ndarray, np.ndarray]:
     counts = np.where(n == 0, 1, n_win)  # empty docs emit one 0-sentinel
     if (n == 0).any():
         H = np.zeros(int(counts.sum()), dtype=np.uint64)
-        out_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        out_starts = np.cumsum(counts) - counts
         H[np.repeat(out_starts, n_win) + _grouped_arange(n_win)] = S
     else:
         H = S
@@ -159,14 +158,6 @@ class MinHashBandStage:
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         n_docs = len(df)
         n_bands = N_PERMS // BAND_ROWS
-        if n_docs == 0:
-            return pd.DataFrame(
-                {
-                    "band": pd.Series([], dtype="int64"),
-                    "band_hash": pd.Series([], dtype="uint64"),
-                    "doc_id": pd.Series([], dtype="int64"),
-                }
-            )
         sigs = self.signatures(df)
         # FNV-1a-style vectorized band mixing (deterministic)
         s3 = sigs.reshape(n_docs, n_bands, BAND_ROWS)
@@ -194,8 +185,6 @@ def partition_to_pairs(g: pd.DataFrame) -> pd.DataFrame:
     with ≥2 members (vectorized duplicated mask), then enumerate pairs only
     in those collision buckets."""
     dup = g[g.duplicated(["band", "band_hash"], keep=False)]
-    if dup.empty:
-        return _EMPTY_PAIRS.copy()
     out_a, out_b = [], []
     for _, sub in dup.groupby(["band", "band_hash"], sort=False):
         ids = np.unique(sub["doc_id"].to_numpy(dtype=np.int64))
@@ -218,17 +207,7 @@ class ShingleBlobStage:
     the prefix index (``ShingleExplode``) and every ``verify_pairs`` plan
     read these rows (``shingle_table``)."""
 
-    # empty batches return a TYPED arrow table: a size-0 pandas object
-    # column ('sh') trips Ray's pandas block-size estimator
-    # ("cannot call `vectorize` on size 0 inputs"); arrow blocks are sized
-    # natively and mixed pandas/arrow blocks are fine within one operator
-    _EMPTY_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("sh", pa.binary()), ("n_sh", pa.int64())]
-    )
-
-    def __call__(self, df: pd.DataFrame):
-        if df.empty:
-            return self._EMPTY_SCHEMA.empty_table()
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         H, sizes = batch_word_shingle_sets(list(df["text"]))
         ends = np.cumsum(sizes)
         Hi = H.view(np.int64)
@@ -240,6 +219,10 @@ class ShingleBlobStage:
                 "n_sh": sizes,
             }
         )
+
+
+# the (pair, member doc) blob rows the pair co-partition verifies
+_MEMBER_BLOB_COLS = ["doc_a", "doc_b", "doc_id", "sh", "n_sh"]
 
 
 class PairShingleEmit:
@@ -254,22 +237,9 @@ class PairShingleEmit:
     def __init__(self, members: pd.DataFrame):
         self.members = members  # columns: doc_id, doc_a, doc_b
 
-    _EMPTY_SCHEMA = pa.schema(
-        [
-            ("doc_a", pa.int64()),
-            ("doc_b", pa.int64()),
-            ("doc_id", pa.int64()),
-            ("sh", pa.binary()),
-            ("n_sh", pa.int64()),
-        ]
-    )
-
-    def __call__(self, df: pd.DataFrame):
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         hits = df[["doc_id", "sh", "n_sh"]].merge(self.members, on="doc_id")
-        if hits.empty:
-            # typed arrow empty — see ShingleBlobStage._EMPTY_SCHEMA
-            return self._EMPTY_SCHEMA.empty_table()
-        return hits[self._EMPTY_SCHEMA.names]
+        return hits[_MEMBER_BLOB_COLS]
 
 
 def _count_pair_intersections(
@@ -310,8 +280,6 @@ class BlobPairJaccard:
         return self.flat[idx], n
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return _EMPTY_PAIR_JAC.copy()
         a = df["doc_a"].to_numpy(np.int64)
         b = df["doc_b"].to_numpy(np.int64)
         sa = self.slot.reindex(a)
@@ -363,8 +331,6 @@ def pair_blob_partition_jaccard(g: pd.DataFrame) -> pd.DataFrame:
     g = g.sort_values(["doc_a", "doc_b", "doc_id"], kind="stable").reset_index(
         drop=True
     )
-    if len(g) == 0:
-        return _EMPTY_PAIR_JAC.copy()
     if len(g) % 2:
         raise ValueError("pair partition has an unmatched member row")
     a_rows = g.iloc[0::2]
@@ -409,14 +375,6 @@ class ShingleExplode:
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         sh, sizes = _blob_hashes(df)
-        if sizes.sum() == 0:
-            return pd.DataFrame(
-                {
-                    "sh": pd.Series([], dtype="int64"),
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
         doc_ids = np.repeat(df["doc_id"].to_numpy(dtype=np.int64), sizes)
         return pd.DataFrame(
             {
@@ -462,11 +420,6 @@ def df_stamp_route(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-_EMPTY_PREFIX = pd.DataFrame(
-    {c: pd.Series([], dtype="int64") for c in ("sh", "doc_id")}
-)
-
-
 def prefix_select(g: pd.DataFrame, t_num: int = 1, t_den: int = 3) -> pd.DataFrame:
     """One doc co-partition → each doc's prefix shingles in canonical
     (dfreq, sh) order.  Prefix length p = n − ⌈t·n⌉ + 1 uses the doc's FULL
@@ -482,8 +435,6 @@ def prefix_select(g: pd.DataFrame, t_num: int = 1, t_den: int = 3) -> pd.DataFra
     the theorem's prefix — WITHOUT this correction a stop-shingle whose doc
     has only unique other shingles would re-enter every prefix and the m²/2
     blowup would return."""
-    if g.empty:
-        return _EMPTY_PREFIX.copy()
     g = g.sort_values(["doc_id", "dfreq", "sh"], kind="stable")
     rank_local = g.groupby("doc_id", sort=False).cumcount().to_numpy()
     m2 = g.groupby("doc_id", sort=False)["sh"].transform("size").to_numpy(np.int64)
@@ -510,8 +461,6 @@ def prefix_posting_pairs(g: pd.DataFrame) -> pd.DataFrame:
     prefix pruning upstream — the stop-shingle m²/2 blowup cannot occur
     because max-df shingles sort out of every prefix."""
     dup = g[g.duplicated("sh", keep=False)]
-    if dup.empty:
-        return _EMPTY_CAND.copy()
     dup = dup.sort_values(["sh", "doc_id"], kind="stable")
     sh = dup["sh"].to_numpy()
     ids = dup["doc_id"].to_numpy(dtype=np.int64)
@@ -896,9 +845,7 @@ def verify_pairs(blobs, cand_rows):
         # vectorized pandas inside each block. role 0 = blob row, role 1 =
         # membership row; sentinel zeros keep every column non-null
         # int64/bytes so no float upcast can corrupt large ids.
-        def tag_blobs(df: pd.DataFrame):
-            if df.empty:
-                return _TAGGED_SCHEMA.empty_table()
+        def tag_blobs(df: pd.DataFrame) -> pd.DataFrame:
             ids = df["doc_id"].to_numpy(np.int64)
             z = np.zeros(len(df), dtype=np.int64)
             return pd.DataFrame(
@@ -912,9 +859,7 @@ def verify_pairs(blobs, cand_rows):
                 }
             )
 
-        def tag_members(df: pd.DataFrame):
-            if df.empty:
-                return _TAGGED_SCHEMA.empty_table()
+        def tag_members(df: pd.DataFrame) -> pd.DataFrame:
             ids = df["doc_id"].to_numpy(np.int64)
             return pd.DataFrame(
                 {
@@ -932,40 +877,19 @@ def verify_pairs(blobs, cand_rows):
             members_ds.map_batches(tag_members, batch_format="pandas"),
         ]
 
-        def join_group(g: pd.DataFrame):
+        def join_group(g: pd.DataFrame) -> pd.DataFrame:
             m = g[g["role"].to_numpy() == 1]
             b = g[g["role"].to_numpy() == 0]
-            if m.empty or b.empty:
-                return PairShingleEmit._EMPTY_SCHEMA.empty_table()
             mm = m[["doc_id", "doc_a", "doc_b"]].merge(
                 b[["doc_id", "sh", "n_sh"]], on="doc_id"
             )
-            return mm[["doc_a", "doc_b", "doc_id", "sh", "n_sh"]]
+            return mm[_MEMBER_BLOB_COLS]
 
         emitted = co_partition(both, ["doc_id"], join_group)
     return co_partition(emitted, pair_keys, pair_blob_partition_jaccard)
 
 
-# typed empty for the tagged-union join stages (see ShingleBlobStage note)
-_TAGGED_SCHEMA = pa.schema(
-    [
-        ("role", pa.int64()),
-        ("doc_id", pa.int64()),
-        ("sh", pa.binary()),
-        ("n_sh", pa.int64()),
-        ("doc_a", pa.int64()),
-        ("doc_b", pa.int64()),
-    ]
-)
-
-
 _KEEP_BEST_COLS = ["cluster_id", "kept_doc", "best_tok", "n_members"]
-
-
-def _keep_best_empty() -> pd.DataFrame:
-    return pd.DataFrame(
-        {c: pd.Series([], dtype="int64") for c in _KEEP_BEST_COLS}
-    )
 
 
 class ClusterBestPartial:
@@ -988,8 +912,6 @@ class ClusterBestPartial:
         self.cs = pd.Series(vals, index=keys, dtype="Int64")
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return _keep_best_empty()
         ids = df["doc_id"].to_numpy(dtype=np.int64)
         n_tok = (
             df["text"].fillna("").str.count(r"\S+").to_numpy(dtype=np.int64)
@@ -1013,8 +935,8 @@ def merge_keep_best_partials(
     """Merge keep-best partial rows (or raw member rows when
     ``counts_col=None``: each row then counts 1): per cluster, sum member
     counts and keep the (best_tok DESC, kept_doc ASC) argmax row."""
-    if len(df) == 0:
-        return _keep_best_empty()
+    if len(df) == 0:  # an empty corpus's partials: no blocks, no columns
+        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in _KEEP_BEST_COLS})
     if counts_col is None:
         counts = df.groupby("cluster_id", sort=False).size()
     else:
@@ -1060,17 +982,6 @@ _EMPTY_SUBSTR = pd.DataFrame(
     }
 )
 
-_EMPTY_WINDOWS = pd.DataFrame(
-    {
-        "h1": pd.Series([], dtype="int64"),
-        "h2": pd.Series([], dtype="int64"),
-        "packed": pd.Series([], dtype="int64"),
-        "doc_id": pd.Series([], dtype="int64"),
-        "pos": pd.Series([], dtype="int64"),
-    }
-)
-
-
 def emit_token_windows(
     df: pd.DataFrame, w: int, text_col: str = "text"
 ) -> pd.DataFrame:
@@ -1095,8 +1006,6 @@ def emit_token_windows(
     lens = np.fromiter((len(t) for t in toks), dtype=np.int64, count=len(toks))
     n_wins = np.maximum(lens - w + 1, 0)
     total = int(n_wins.sum())
-    if total == 0:
-        return _EMPTY_WINDOWS.copy()
     flat = pd.Series(
         [tok for doc in toks for tok in doc], dtype="object"
     )
@@ -1189,8 +1098,6 @@ class SubstrFilterStage:
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         wins = emit_token_windows(df, self.w)
-        if len(wins) == 0:
-            return _EMPTY_SUBSTR.copy()
         hit = wins.merge(self.dup, on=["h1", "h2"], how="inner")
         rem = hit[hit["packed"] != hit["first"]]
         return merge_removal_spans(rem[["doc_id", "pos"]], self.w)

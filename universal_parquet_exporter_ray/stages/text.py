@@ -291,7 +291,7 @@ class ProbeScanStage:
         )
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or not self.by_len:
+        if not self.by_len:
             return self._empty()
         blobs = [t.encode("utf-8") if isinstance(t, str) else b"" for t in df["text"]]
         big = np.frombuffer(b"".join(blobs), dtype=np.uint8)
