@@ -296,6 +296,18 @@ def _ray_put(node) -> bool:
     )
 
 
+def _ray_join(node) -> bool:
+    """A ``.join(...)`` call with keyword arguments: Ray's
+    ``Dataset.join`` always needs ``join_type=``, and ``str.join`` takes
+    none."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "join"
+        and bool(node.keywords)
+    )
+
+
 def test_stage_state_rides_in_the_closure():
     """Driver state reaches a stage one way: in its ``map_batches``
     closure (``stages.map_stage``'s constructor kwargs, or a captured
@@ -303,7 +315,9 @@ def test_stage_state_rides_in_the_closure():
     store once per operator. No module, ``stages/__init__.py`` included,
     passes ``concurrency=`` or ``fn_constructor_kwargs=`` to
     ``map_batches``, and ``ray.put`` appears only in the encode's raw-task
-    wave, as its tasks' argument."""
+    wave, as its tasks' argument. No module calls Ray's ``Dataset.join``,
+    whose hash shuffle runs in actors: a join that shuffles runs through
+    ``joins.hash_join`` (``co_partition``)."""
     trees = {
         str(path.relative_to(PACKAGE)): ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.rglob("*.py"))
@@ -321,16 +335,26 @@ def test_stage_state_rides_in_the_closure():
         if any(map(_ray_put, ast.walk(tree)))
     }
     assert puts == {"pipelines/encode.py": 1}
-    # the scans see both keywords and the put, and not a plain stage
+    joins = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if _ray_join(node)
+    ]
+    assert joins == []
+    # the scans see both keywords, the put and Ray's join, and not a plain
+    # stage or a str.join
     sample = ast.parse(
         "ds.map_batches(Cls, concurrency=(1, 4))\n"
         "ds.map_batches(Cls, fn_constructor_kwargs={'k': 1})\n"
         "ds.map_batches(fn, batch_format='pandas')\n"
         "ref = ray.put(small)\n"
         "d.put(k, v)\n"
+        "a.join(b, join_type='inner', num_partitions=8, on=' '.join(keys))\n"
     )
     assert sum(map(_pool_kwargs, ast.walk(sample))) == 2
     assert sum(map(_ray_put, ast.walk(sample))) == 1
+    assert sum(map(_ray_join, ast.walk(sample))) == 1
 
 
 def _ray_read_parquet(node) -> bool:

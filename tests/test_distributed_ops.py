@@ -1234,15 +1234,37 @@ def test_prefix_filter_bounds_stop_shingle_emission():
 
 def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
     """The size-thresholded join must produce identical rows whether the
-    small side broadcasts (under the limit) or hash-partitions (over it),
+    small side broadcasts (under the limit) or co-partitions (over it),
     with distinct or identical key names on the two sides. A pandas small
-    side is already on the driver: it broadcasts at any limit."""
+    side is already on the driver: it broadcasts at any limit. Null keys
+    match nothing (an inner join drops a left null-key row, a left join
+    keeps it unmatched), a left row with no match keeps null right
+    columns, and int64 keys and payloads above 2^53 come back exact."""
     from universal_parquet_exporter_ray.stages import joins
     from universal_parquet_exporter_ray.stages.joins import thresholded_join
 
-    large_df = pd.DataFrame({"k": [1, 2, 2, 3, 5], "v": [10, 20, 21, 30, 50]})
-    small_df = pd.DataFrame({"rk": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]})
-    large = ray.data.from_pandas(large_df)
+    big = 2**60
+    cases = [
+        (
+            pd.DataFrame({"k": [1, 2, 2, 3, 5], "v": [10, 20, 21, 30, 50]}),
+            pd.DataFrame({"rk": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]}),
+        ),
+        # null keys on both sides
+        (
+            pd.DataFrame({"k": [1, None, 2, None, 5], "v": [10, 11, 20, 12, 50]}),
+            pd.DataFrame({"rk": [1, None, 2, 4], "name": ["a", "n", "b", "d"]}),
+        ),
+        # most left rows find no match; the right payload is int64
+        (
+            pd.DataFrame({"k": [6, 7, 8, 1], "v": [60, 70, 80, 10]}),
+            pd.DataFrame({"rk": [1, 2, 3, 4], "name": [11, 12, 13, 14]}),
+        ),
+        # int64 keys and payloads that float64 cannot hold
+        (
+            pd.DataFrame({"k": [big + 1, big + 3, big + 3], "v": [big + 5, 7, big + 9]}),
+            pd.DataFrame({"rk": [big + 1, big + 3], "name": [big + 11, big + 13]}),
+        ),
+    ]
     hash_joins, real = [], joins.hash_join
 
     def spy(left, right, **kw):
@@ -1251,7 +1273,7 @@ def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
 
     monkeypatch.setattr(joins, "hash_join", spy)
 
-    def run(limit, how, small, right_on):
+    def run(limit, how, large, small, right_on):
         monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", limit)
         hash_joins.clear()
         out = thresholded_join(
@@ -1269,44 +1291,43 @@ def test_thresholded_join_both_plans_agree(ray_session, monkeypatch):
         # as not-equal in assert_frame_equal
         return df.astype(object).where(pd.notna(df), None)
 
-    same_df = small_df.rename(columns={"rk": "k"})
-    for how in ("inner", "left"):
-        for small, right_on in ((small_df, ["rk"]), (same_df, None)):
-            ds = ray.data.from_pandas(small)
-            bcast = run(10**6, how, ds, right_on)
-            assert hash_joins == []
-            hashed = run(0, how, ds, right_on)
-            assert hash_joins == [right_on or ["k"]]
-            frame = run(0, how, small, right_on)
-            assert hash_joins == []
-            assert list(bcast.columns) == list(hashed.columns) == ["k", "name", "v"]
-            pd.testing.assert_frame_equal(
-                norm_nulls(bcast), norm_nulls(hashed), check_dtype=False
-            )
-            pd.testing.assert_frame_equal(frame, bcast)
+    for large_df, small_df in cases:
+        large = ray.data.from_pandas(large_df)
+        same_df = small_df.rename(columns={"rk": "k"})
+        for how in ("inner", "left"):
+            for small, right_on in ((small_df, ["rk"]), (same_df, None)):
+                ds = ray.data.from_pandas(small)
+                bcast = run(10**6, how, large, ds, right_on)
+                assert hash_joins == []
+                hashed = run(0, how, large, ds, right_on)
+                assert hash_joins == [right_on or ["k"]]
+                frame = run(0, how, large, small, right_on)
+                assert hash_joins == []
+                assert list(bcast.columns) == list(hashed.columns) == ["k", "name", "v"]
+                pd.testing.assert_frame_equal(
+                    norm_nulls(bcast), norm_nulls(hashed), check_dtype=False
+                )
+                pd.testing.assert_frame_equal(frame, bcast)
+                if large_df["k"].min() > 2**53:
+                    want = large_df.merge(small_df, left_on="k", right_on="rk")
+                    assert hashed.dtypes.tolist() == [np.int64] * 3
+                    assert hashed.values.tolist() == sorted(
+                        want[["k", "name", "v"]].values.tolist()
+                    )
 
 
 _HASH_JOIN_FRESH_SESSION = r"""
 import json
-import sys
 
 import pandas as pd
 import ray
-from ray.data import DataContext, Dataset
+from ray._private.state import actors
+from ray.data import DataContext
 
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
 DataContext.get_current().enable_progress_bars = False
 from universal_parquet_exporter_ray.stages.joins import hash_join
 
-planned, join = [], Dataset.join
-
-
-def spy(self, *args, **kw):
-    planned.append(kw["num_partitions"])
-    return join(self, *args, **kw)
-
-
-Dataset.join = spy
 left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "v": [10, 20, 21, 30, 50]})
 right = pd.DataFrame({"k": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]})
 got = hash_join(
@@ -1317,16 +1338,16 @@ cols = sorted(want.columns)
 got = got[cols].sort_values(cols).reset_index(drop=True)
 want = want[cols].sort_values(cols).reset_index(drop=True)
 pd.testing.assert_frame_equal(got, want, check_dtype=False)
-print(json.dumps({"planned": planned}))
+print(json.dumps({"actors": sorted(a["ActorClassName"] for a in actors().values())}))
 """
 
 
-def test_hash_join_sizes_itself_in_a_fresh_session(tmp_path):
-    """``hash_join`` tunes the context before it reads the shuffle
-    parallelism, so a join of a caller's own Datasets in a fresh 2-CPU
-    session (no table read has run there) plans at most ``max(8, 2 × CPUs)``
-    partitions instead of Ray's 200, and matches the pandas merge. Runs in
-    its own process: this session's context is tuned already."""
+def test_hash_join_starts_no_actor_in_a_fresh_session(tmp_path):
+    """``hash_join`` runs as plain tasks: in a fresh 2-CPU session, a join
+    of a caller's own Datasets matches the pandas merge and leaves no
+    ``HashShuffleAggregator`` (the actor Ray's ``Dataset.join`` starts) in
+    the session's actor table. Runs in its own process, so the table holds
+    only this join's session."""
     import json
     import subprocess
     import sys
@@ -1344,8 +1365,25 @@ def test_hash_join_sizes_itself_in_a_fresh_session(tmp_path):
         timeout=300,
     )
     assert res.returncode == 0, res.stderr[-2000:]
-    planned = json.loads(res.stdout.strip().splitlines()[-1])["planned"]
-    assert len(planned) == 1 and planned[0] <= max(8, 2 * 2)
+    actors = json.loads(res.stdout.strip().splitlines()[-1])["actors"]
+    assert "HashShuffleAggregator" not in actors
+
+
+def test_hash_join_of_an_empty_side(ray_session):
+    """A side with no row: an inner join gives no row, and a left join
+    keeps the left rows, without the right side's columns (no block
+    carries their schema)."""
+    from universal_parquet_exporter_ray.stages.joins import hash_join
+
+    left_df = pd.DataFrame({"k": [1, 2], "v": [10, 20]})
+    left = ray.data.from_pandas(left_df)
+    right = ray.data.from_pandas(pd.DataFrame({"k": [1], "name": ["a"]}))
+    assert hash_join(left, right.limit(0), left_on=["k"]).count() == 0
+    assert hash_join(left.limit(0), right, left_on=["k"], how="left").count() == 0
+    kept = hash_join(left, right.limit(0), left_on=["k"], how="left").to_pandas()
+    pd.testing.assert_frame_equal(
+        kept.sort_values("k").reset_index(drop=True), left_df
+    )
 
 
 @pytest.mark.parametrize("name", ["join_compound", "join_left_coalesce"])

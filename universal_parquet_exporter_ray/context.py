@@ -1,5 +1,5 @@
 """Cluster sizing: how many blocks a read or a task wave gets, and the
-DataContext caps on shuffle parallelism.
+DataContext cap on the read floor.
 
 ``block_count(nbytes)`` is the one block-count rule: every package table
 read (``sources.tables.read_parquet_clean``) and the decode
@@ -18,14 +18,14 @@ estimated in-memory size passes ``target_max_block_size``.
 ``file_chunks`` deals the files of a task wave (the encode's key counts)
 into one chunk per CPU slot.
 
-Ray Data's defaults (``min_parallelism = 200``, 200-way sort shuffles) are
-sized for large multi-node clusters; on an N-CPU node they turn every
-groupby/sort into 200 reduce tasks of fixed scheduling overhead.
-``tune_for_cluster`` caps the defaults at ~2×CPUs (never raising them),
-which cuts seconds of fixed cost per shuffle at small scale and is the
-right default at cluster scale too (Ray recommends ~2 tasks per core).
-Called lazily by sources.load_table so it runs once per session, only
-after the CALLER has initialised Ray."""
+Ray Data's read floor (``read_op_min_num_blocks = 200``) is sized for
+large multi-node clusters; on an N-CPU node it splits a read that Ray
+autodetects into 200 blocks of fixed scheduling overhead.
+``tune_for_cluster`` caps it at ~2×CPUs (never raising it). The package
+sets no shuffle width: ``stages.co_partition``'s sort makes one partition
+per input block, and no package operator reads Ray's hash-shuffle
+parallelism. Called lazily by sources.load_table so it runs once per
+session, only after the CALLER has initialised Ray."""
 
 from __future__ import annotations
 
@@ -64,11 +64,10 @@ def file_chunks(files: list[str]) -> list[list[str]]:
 
 
 def tune_for_cluster() -> None:
-    """Cap the read floor and the hash-shuffle parallelism at
-    ``max(8, 2 × CPUs)``. Package reads pass their own block count
-    (``block_count``), so the ``read_op_min_num_blocks`` cap only still
-    matters for reads a caller builds with Ray's autodetect; it cannot
-    lower Ray's ``2 × CPUs`` read floor."""
+    """Cap the read floor at ``max(8, 2 × CPUs)``. Package reads pass
+    their own block count (``block_count``), so the cap only still matters
+    for reads a caller builds with Ray's autodetect (``read_sql``); it
+    cannot lower Ray's ``2 × CPUs`` read floor."""
     global _tuned
     if _tuned:
         return
@@ -91,11 +90,6 @@ def tune_for_cluster() -> None:
         )
         if getattr(ctx, attr, 0) and getattr(ctx, attr) > target:
             setattr(ctx, attr, target)
-        if (
-            getattr(ctx, "default_hash_shuffle_parallelism", 0)
-            and ctx.default_hash_shuffle_parallelism > target
-        ):
-            ctx.default_hash_shuffle_parallelism = target
         _tuned = True
     except Exception:
         pass

@@ -219,7 +219,7 @@ def q_join_left_coalesce(sf_dir: str):
     # J2 + M8 (reference: LEFT JOIN + COALESCE(SUM(o.price),0), advanced:166-171)
     # the per-customer aggregate scales with the corpus: size-thresholded
     # (a driver frame or a probed Dataset within the budget broadcasts,
-    # Dataset.join beyond it)
+    # hash_join beyond it)
     orders = load_table(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
     per_cust = combiner_groupby(
         orders,
@@ -256,7 +256,7 @@ def q_join_multiway(sf_dir: str):
     # merging into the already-joined lineitem rows at any scale — then
     # join the fact table against the 2-column (o_orderkey, n_name) side
     # through the size-thresholded strategy: object-store broadcast below
-    # the budget (zero shuffle end-to-end at test scale), Ray hash join
+    # the budget (zero shuffle end-to-end at test scale), hash_join
     # above it (the 100-TB path, shuffling the narrowest possible side).
     # Per-batch PARTIAL aggregation before the final tiny groupby keeps
     # the combiner-first pattern either way.

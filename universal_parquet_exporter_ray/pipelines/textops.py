@@ -22,6 +22,7 @@ from ..stages import co_partition, map_stage
 from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
 from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
+from ..stages.joins import hash_join
 from ..stages.multimodal import MediaDecodeStage, to_media_table
 from . import ORACLE_SQL, QUERIES, q  # noqa: F401
 from ..stages.text import (
@@ -2556,62 +2557,21 @@ GROUP BY 1, 2
 def q_lang_centroids(sf_dir: str):
     """Grouped vector centroids: the mean embedding per language — the
     class-centroid aggregate of embedding-based curation. Fully
-    distributed: documents(doc_id, lang) and embeddings(vec_id, embedding)
-    are ``co_partition``-ed on the id (one shuffle of the union of two
-    tagged datasets); each block joins id→lang vectorized in pandas and
-    reduces to one (langs-in-block × dim) partial-sum matrix. Only
+    distributed: embeddings(vec_id, embedding) left-join
+    documents(doc_id, lang) through ``joins.hash_join`` (an embedding with
+    no document counts under lang ``"?"``), and each joined block reduces
+    to one (langs-in-block × dim) partial-sum matrix. Only
     vocabulary-sized partials (≤ blocks × n_langs rows of 512-byte sums)
     ever reach the driver — no corpus-sized structure is built or
     broadcast anywhere (round-2 verdict item: the old plan to_pandas()'d
     the doc→lang map)."""
     docs = load_table(sf_dir, "documents", ["doc_id", "lang"])
     embs = load_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    joined = hash_join(embs, docs, left_on=["vec_id"], right_on=["doc_id"], how="left")
 
-    def tag_docs(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        return pa.table(
-            {
-                "id": ids,
-                "lang": t.column("lang"),
-                "embedding": pa.nulls(len(t), pa.list_(pa.float64())),
-            }
-        )
-
-    def tag_embs(t: pa.Table) -> pa.Table:
-        ids = t.column("vec_id").to_numpy()
-        return pa.table(
-            {
-                "id": ids,
-                "lang": pa.nulls(len(t), pa.string()),
-                "embedding": t.column("embedding").cast(pa.list_(pa.float64())),
-            }
-        )
-
-    both = [
-        docs.map_batches(tag_docs, batch_format="pyarrow"),
-        embs.map_batches(tag_embs, batch_format="pyarrow"),
-    ]
-
-    def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
-        doc_side = g["lang"].notna()
-        lang_of = pd.Series(
-            g.loc[doc_side, "lang"].to_numpy(),
-            index=g.loc[doc_side, "id"].to_numpy(),
-        )
-        e = g[~doc_side]
-        if e.empty:
-            # a block can hold doc rows but no embedding rows whenever some
-            # doc_ids lack embeddings — np.stack would raise on zero arrays
-            # (ADVICE r3, medium)
-            return pd.DataFrame(
-                {
-                    "lang": pd.Series([], dtype="object"),
-                    "n": pd.Series([], dtype="int64"),
-                    "sums": pd.Series([], dtype="object"),
-                }
-            )
-        langs = lang_of.reindex(e["id"].to_numpy()).fillna("?").to_numpy()
-        mat = np.stack(e["embedding"].to_numpy()).astype(np.float64)
+    def block_partials(g: pd.DataFrame) -> pd.DataFrame:
+        langs = g["lang"].fillna("?").to_numpy()
+        mat = np.stack(g["embedding"].to_numpy()).astype(np.float64)
         rows = []
         for lang in np.unique(langs):
             sel = mat[langs == lang]
@@ -2624,7 +2584,7 @@ def q_lang_centroids(sf_dir: str):
             )
         return pd.DataFrame(rows, columns=["lang", "n", "sums"])
 
-    partials = co_partition(both, ["id"], bucket_partials).to_pandas()
+    partials = joined.map_batches(block_partials, batch_format="pandas").to_pandas()
     out = []
     for lang, grp in partials.groupby("lang"):
         total = np.zeros(64, dtype=np.float64)

@@ -54,9 +54,9 @@ def co_partition(ds, keys, fn):
     so all rows of a key land in one block, with no Python loop over the
     groups of each block. The sort makes one partition per input block,
     so the input's blocks (sized by bytes, ``context.block_count``) set
-    the shuffle width; no caller picks a bucket count. Besides this, only
-    ``joins.hash_join`` (Ray's ``Dataset.join``, above
-    ``BROADCAST_ROW_LIMIT``) co-locates the rows of a key."""
+    the shuffle width; no caller picks a bucket count. It is the package's
+    only key co-location: every grouped reduce and every equi-join above
+    ``BROADCAST_ROW_LIMIT`` (``joins.hash_join``) runs through it."""
     keys = list(keys)
 
     def stamp(batch):

@@ -768,9 +768,9 @@ def verify_pairs(blobs, cand_rows):
       closure through ``map_stage``; one merge over the blob rows keeps
       the candidate docs' blobs, then the pair co-partition reducer.
     - **distributed** (over budget): pairs dedup inside pair
-      co-partitions, explode to membership rows, and a ``doc_id``
-      co-partition of the tagged union joins them to the blob rows — no
-      driver materialization of the pair graph.
+      co-partitions, explode to membership rows, and ``joins.hash_join``
+      joins them to the blob rows on ``doc_id`` — no driver
+      materialization of the pair graph.
 
     Every budget and the cut are read when the verify runs.
 
@@ -779,6 +779,7 @@ def verify_pairs(blobs, cand_rows):
     from ray.data.dataset import MaterializedDataset
 
     from . import co_partition, map_stage
+    from .joins import hash_join
 
     pair_keys = ["doc_a", "doc_b"]
     cand = cand_rows.materialize()
@@ -839,53 +840,9 @@ def verify_pairs(blobs, cand_rows):
             )
 
         members_ds = pairs_ds.map_batches(to_members, batch_format="pandas")
-
-        # co-partitioned join: ONE ``co_partition`` of the tagged union on
-        # doc_id — robust to empty hash partitions, no acero operators, all
-        # vectorized pandas inside each block. role 0 = blob row, role 1 =
-        # membership row; sentinel zeros keep every column non-null
-        # int64/bytes so no float upcast can corrupt large ids.
-        def tag_blobs(df: pd.DataFrame) -> pd.DataFrame:
-            ids = df["doc_id"].to_numpy(np.int64)
-            z = np.zeros(len(df), dtype=np.int64)
-            return pd.DataFrame(
-                {
-                    "role": z,
-                    "doc_id": ids,
-                    "sh": df["sh"].to_numpy(),
-                    "n_sh": df["n_sh"].to_numpy(np.int64),
-                    "doc_a": z,
-                    "doc_b": z,
-                }
-            )
-
-        def tag_members(df: pd.DataFrame) -> pd.DataFrame:
-            ids = df["doc_id"].to_numpy(np.int64)
-            return pd.DataFrame(
-                {
-                    "role": np.ones(len(df), dtype=np.int64),
-                    "doc_id": ids,
-                    "sh": pd.Series([b""] * len(df), dtype=object),
-                    "n_sh": np.zeros(len(df), dtype=np.int64),
-                    "doc_a": df["doc_a"].to_numpy(np.int64),
-                    "doc_b": df["doc_b"].to_numpy(np.int64),
-                }
-            )
-
-        both = [
-            blobs.map_batches(tag_blobs, batch_format="pandas"),
-            members_ds.map_batches(tag_members, batch_format="pandas"),
-        ]
-
-        def join_group(g: pd.DataFrame) -> pd.DataFrame:
-            m = g[g["role"].to_numpy() == 1]
-            b = g[g["role"].to_numpy() == 0]
-            mm = m[["doc_id", "doc_a", "doc_b"]].merge(
-                b[["doc_id", "sh", "n_sh"]], on="doc_id"
-            )
-            return mm[_MEMBER_BLOB_COLS]
-
-        emitted = co_partition(both, ["doc_id"], join_group)
+        emitted = hash_join(members_ds, blobs, left_on=["doc_id"]).select_columns(
+            _MEMBER_BLOB_COLS
+        )
     return co_partition(emitted, pair_keys, pair_blob_partition_jaccard)
 
 
