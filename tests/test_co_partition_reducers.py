@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -308,6 +309,28 @@ def _ray_join(node) -> bool:
     )
 
 
+_GATE_NAME = re.compile(r"[A-Z][A-Z0-9_]*(_BUDGET|_LIMIT|_CAP|_PAIRS)")
+
+
+def _gate_constants(tree) -> set:
+    """The module-level int constants of ``tree`` named like a plan gate
+    (``*_BUDGET``, ``*_LIMIT``, ``*_CAP``, ``*_PAIRS``)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target, value = node.target, node.value
+        else:
+            continue
+        if not (isinstance(target, ast.Name) and _GATE_NAME.fullmatch(target.id)):
+            continue
+        leaves = [n for n in ast.walk(value) if not isinstance(n, (ast.BinOp, ast.operator))]
+        if all(isinstance(n, ast.Constant) and type(n.value) is int for n in leaves):
+            names.add(target.id)
+    return names
+
+
 def test_stage_state_rides_in_the_closure():
     """Driver state reaches a stage one way: in its ``map_batches``
     closure (``stages.map_stage``'s constructor kwargs, or a captured
@@ -317,7 +340,9 @@ def test_stage_state_rides_in_the_closure():
     ``map_batches``, and ``ray.put`` appears only in the encode's raw-task
     wave, as its tasks' argument. No module calls Ray's ``Dataset.join``,
     whose hash shuffle runs in actors: a join that shuffles runs through
-    ``joins.hash_join`` (``co_partition``)."""
+    ``joins.hash_join`` (``co_partition``). The plan gates of
+    ``stages/`` and ``pipelines/`` are a fixed list, so a new gate is
+    added to it on purpose."""
     trees = {
         str(path.relative_to(PACKAGE)): ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.rglob("*.py"))
@@ -342,8 +367,22 @@ def test_stage_state_rides_in_the_closure():
         if _ray_join(node)
     ]
     assert joins == []
+    gates = set().union(
+        *(
+            _gate_constants(tree)
+            for name, tree in trees.items()
+            if name.split("/")[0] in ("stages", "pipelines")
+        )
+    )
+    assert gates == {
+        "BROADCAST_ROW_LIMIT",
+        "FINAL_REDUCE_CAP",
+        "DRIVER_VERIFY_PAIRS",
+        "BLOB_BROADCAST_BUDGET",
+        "SUBSTR_DUP_BUDGET",
+    }
     # the scans see both keywords, the put and Ray's join, and not a plain
-    # stage or a str.join
+    # stage or a str.join; the gate scan sees module-level int gates only
     sample = ast.parse(
         "ds.map_batches(Cls, concurrency=(1, 4))\n"
         "ds.map_batches(Cls, fn_constructor_kwargs={'k': 1})\n"
@@ -355,6 +394,17 @@ def test_stage_state_rides_in_the_closure():
     assert sum(map(_pool_kwargs, ast.walk(sample))) == 2
     assert sum(map(_ray_put, ast.walk(sample))) == 1
     assert sum(map(_ray_join, ast.walk(sample))) == 1
+    gate_sample = ast.parse(
+        "A_BUDGET = 64 << 20\n"
+        "B_CAP: int = 2_000_000\n"
+        "C_PAIRS = {'doc_a': 'int64'}\n"
+        "D_LIMIT = float(1 << 51)\n"
+        "_E_PAIRS = pd.DataFrame()\n"
+        "F_BYTES = 1\n"
+        "def f():\n"
+        "    G_LIMIT = 3\n"
+    )
+    assert _gate_constants(gate_sample) == {"A_BUDGET", "B_CAP"}
 
 
 def _ray_read_parquet(node) -> bool:

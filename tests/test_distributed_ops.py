@@ -292,31 +292,39 @@ def test_co_partition_list_input_stamps_each_side(ray_session):
         assert f"MapBatches({tag})->MapBatches(stamp)" in stats
 
 
-def test_pair_shingle_emit_and_partition_jaccard():
-    """``PairShingleEmit`` is a membership merge over the blob rows: it
-    keeps the candidate docs' blobs as they are, re-shingling nothing."""
+def test_member_blob_merge_and_partition_jaccard():
+    """The member join of ``verify_pairs`` is one merge of the blob rows
+    with the pairs' membership rows: it keeps the candidate docs' blobs
+    as they are, re-shingling nothing, and the pair reducer counts the
+    shared shingles."""
     from universal_parquet_exporter_ray.stages.dedup import (
-        PairShingleEmit,
         ShingleBlobStage,
+        _pair_members,
         jaccard_from_sets,
         pair_blob_partition_jaccard,
         word_shingle_hashes,
     )
+    from universal_parquet_exporter_ray.stages.joins import _merge
 
     a = "the quick brown fox jumps over the lazy dog again and again"
     b = "the quick brown fox jumps over the lazy cat again and again"
     c = "completely different text with other words entirely here now"
-    members = pd.DataFrame({"doc_id": [1, 2], "doc_a": [1, 1], "doc_b": [2, 2]})
+    members = _pair_members(pd.DataFrame({"doc_a": [1], "doc_b": [2]}))
+    assert members.to_dict("list") == {"doc_id": [1, 2], "doc_a": [1, 1], "doc_b": [2, 2]}
     blobs = ShingleBlobStage()(pd.DataFrame({"doc_id": [1, 2, 3], "text": [a, b, c]}))
-    out = PairShingleEmit(members=members)(blobs)
+
+    def emit(rows):
+        return _merge(rows, members, ["doc_id"], ["doc_id"], "inner")
+
+    out = emit(blobs)
     # doc 3 is not a candidate → only the pair's two rows are emitted
     assert len(out) == 2 and set(zip(out["doc_a"], out["doc_b"])) == {(1, 2)}
-    assert list(out.columns) == ["doc_a", "doc_b", "doc_id", "sh", "n_sh"]
+    assert list(out.columns) == ["doc_id", "sh", "n_sh", "doc_a", "doc_b"]
     by_id = blobs.set_index("doc_id")
     for _, row in out.iterrows():
         assert row["sh"] == by_id.loc[row["doc_id"], "sh"]
         assert row["n_sh"] == by_id.loc[row["doc_id"], "n_sh"]
-    assert len(PairShingleEmit(members=members)(blobs[blobs.doc_id == 3])) == 0
+    assert len(emit(blobs[blobs.doc_id == 3])) == 0
     g = pair_blob_partition_jaccard(out)
     jac = jaccard_from_sets(word_shingle_hashes(a), word_shingle_hashes(b))
     assert g["inter"].iloc[0] / g["union"].iloc[0] == pytest.approx(jac)
@@ -328,8 +336,10 @@ def test_verify_pairs_broadcast_and_distributed_agree(ray_session, monkeypatch):
     produce identical (doc_a, doc_b, inter, union) through all its plans
     over one materialized shingle table: the broadcast-blob verify on the
     driver (a frame) and over pair blocks (the pair cut at 0, a Dataset),
-    the broadcast-pair merge and the over-budget distributed join."""
-    from universal_parquet_exporter_ray.stages import dedup
+    and the member join: broadcast from the driver, broadcast after a
+    distributed pair dedup (``FINAL_REDUCE_CAP = 0``), and through
+    ``hash_join`` (``BROADCAST_ROW_LIMIT = 0`` too)."""
+    from universal_parquet_exporter_ray.stages import agg, dedup, joins
     from universal_parquet_exporter_ray.stages.agg import to_frame
     from universal_parquet_exporter_ray.stages.dedup import shingle_table, verify_pairs
 
@@ -353,26 +363,51 @@ def test_verify_pairs_broadcast_and_distributed_agree(ray_session, monkeypatch):
         )
     ).repartition(2)
 
+    plans = []
+    real = {
+        "final": agg.co_partition,
+        "broadcast": joins.broadcast_merge,
+        "hash": joins.hash_join,
+    }
+
+    def spy(plan):
+        def call(*args, **kwargs):
+            plans.append(plan)
+            return real[plan](*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(agg, "co_partition", spy("final"))
+    monkeypatch.setattr(joins, "broadcast_merge", spy("broadcast"))
+    monkeypatch.setattr(joins, "hash_join", spy("hash"))
+
     def run():
+        plans.clear()
         out = verify_pairs(blobs, cand)
         frame = to_frame(out)[["doc_a", "doc_b", "inter", "union"]]
         return out, frame.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
     # blob plan on the driver (default: blob table far under budget)
     out, via_driver = run()
-    assert isinstance(out, pd.DataFrame)
+    assert isinstance(out, pd.DataFrame) and plans == []
     # blob plan over pair blocks (the driver pair cut forced to 0)
     monkeypatch.setattr(dedup, "DRIVER_VERIFY_PAIRS", 0)
     out, via_blob = run()
-    assert isinstance(out, ray.data.Dataset)
-    # broadcast-pair plan (blob budget forced to 0)
+    assert isinstance(out, ray.data.Dataset) and plans == []
+    # member join, broadcast from the driver (blob budget forced to 0)
     monkeypatch.setattr(dedup, "BLOB_BROADCAST_BUDGET", 0)
     _, via_broadcast = run()
-    # distributed plan (pair budget forced to 0)
-    monkeypatch.setattr(dedup, "BROADCAST_PAIR_BUDGET", 0)
+    assert plans == ["broadcast"]
+    # member join, broadcast after a distributed pair dedup
+    monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)
+    _, via_probe = run()
+    assert plans == ["final", "broadcast"]
+    # member join through hash_join
+    monkeypatch.setattr(joins, "BROADCAST_ROW_LIMIT", 0)
     _, via_join = run()
+    assert plans == ["final", "hash"]
     assert len(via_join) == 3  # (1,2), (1,5), (3,4) — deduped
-    for other in (via_driver, via_blob, via_broadcast):
+    for other in (via_driver, via_blob, via_broadcast, via_probe):
         pd.testing.assert_frame_equal(other, via_join)
 
 
@@ -2305,7 +2340,20 @@ def test_exact_substr_matches_bruteforce(docs, w):
         assert want[int(r.doc_id)] == (int(r.dup_windows), int(r.removed_tokens))
 
 
-def test_exact_substr_both_plans_agree(ray_session):
+# the constants that send exact_substr_dedup down its distributed plan: a
+# distributed combiner final, and a dup table over the broadcast budget
+SUBSTR_DISTRIBUTED = {
+    "universal_parquet_exporter_ray.stages.agg.FINAL_REDUCE_CAP": 0,
+    "universal_parquet_exporter_ray.pipelines.textops.SUBSTR_DUP_BUDGET": -1,
+}
+
+
+def _force(monkeypatch, constants):
+    for target, value in constants.items():
+        monkeypatch.setattr(target, value)
+
+
+def test_exact_substr_both_plans_agree(ray_session, monkeypatch):
     """Broadcast (combiner + second-scan filter) and distributed (coarse
     hash-bucket groupby + doc-bucket span merge) plans produce identical
     frames on the real corpus."""
@@ -2318,8 +2366,9 @@ def test_exact_substr_both_plans_agree(ray_session):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    _force(monkeypatch, SUBSTR_DISTRIBUTED)
     b = (
-        QUERIES["exact_substr_dedup"](sf, force_distributed=True)
+        QUERIES["exact_substr_dedup"](sf)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -2329,7 +2378,7 @@ def test_exact_substr_both_plans_agree(ray_session):
     assert (a["removed_tokens"] >= a["dup_windows"] * 0 + 1).all()
 
 
-def test_exact_substr_no_duplicates_empty(ray_session, tmp_path):
+def test_exact_substr_no_duplicates_empty(ray_session, monkeypatch, tmp_path):
     """A corpus with no repeated window keeps every doc untouched: both
     plans return an EMPTY typed frame (no rows, int64 schema)."""
     import pyarrow as pa
@@ -2347,8 +2396,9 @@ def test_exact_substr_no_duplicates_empty(ray_session, tmp_path):
         }
     )
     pq.write_table(tbl, tmp_path / "documents.parquet")
-    for kw in ({}, {"force_distributed": True}):
-        out = QUERIES["exact_substr_dedup"](str(tmp_path), **kw)
+    for constants in ({}, SUBSTR_DISTRIBUTED):
+        _force(monkeypatch, constants)
+        out = QUERIES["exact_substr_dedup"](str(tmp_path))
         df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
         assert len(df) == 0
         assert list(df.columns) == ["doc_id", "dup_windows", "removed_tokens"]
@@ -2359,9 +2409,9 @@ def _distinct_docs(n=12, n_tok=30):
     return [" ".join(f"u{i}_{j}" for j in range(n_tok)) for i in range(n)]
 
 
-# query, the kwargs of its plan, the kwargs that empty the result, and a
-# small corpus that gives no result row: (texts, lang) for ``documents``,
-# or None for a random ``embeddings`` table
+# query, the constants that force its plan (``_force``), the kwargs that
+# empty the result, and a small corpus that gives no result row: (texts,
+# lang) for ``documents``, or None for a random ``embeddings`` table
 EMPTY_RESULT_CASES = {
     "minhash_lsh_pairs": ("minhash_lsh_pairs", {}, {}, (_distinct_docs(), "en")),
     "ngram_jaccard_pairs": ("ngram_jaccard_pairs", {}, {}, (_distinct_docs(), "en")),
@@ -2375,7 +2425,7 @@ EMPTY_RESULT_CASES = {
     ),
     "exact_substr_dedup[distributed]": (
         "exact_substr_dedup",
-        {"force_distributed": True},
+        SUBSTR_DISTRIBUTED,
         {},
         (["a b c d e"] * 6, "en"),
     ),
@@ -2402,7 +2452,9 @@ def _as_frame(out) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_RESULT_CASES))
-def test_empty_result_keeps_the_query_dtypes(ray_session, tmp_path, sf_small, case):
+def test_empty_result_keeps_the_query_dtypes(
+    ray_session, monkeypatch, tmp_path, sf_small, case
+):
     """A query whose per-batch bodies and reducers have no empty-input
     branch still returns a typed result when a real corpus gives no result
     row: the same columns and dtypes as its sf0.001 result, typed once at
@@ -2412,7 +2464,8 @@ def test_empty_result_keeps_the_query_dtypes(ray_session, tmp_path, sf_small, ca
 
     from universal_parquet_exporter_ray.pipelines.textops import QUERIES
 
-    name, plan_kw, empty_kw, corpus = EMPTY_RESULT_CASES[case]
+    name, plan, empty_kw, corpus = EMPTY_RESULT_CASES[case]
+    _force(monkeypatch, plan)
     if corpus is None:
         rng = np.random.default_rng(0)
         emb = rng.standard_normal((24, 8)).astype(np.float32)
@@ -2434,8 +2487,8 @@ def test_empty_result_keeps_the_query_dtypes(ray_session, tmp_path, sf_small, ca
         )
         pq.write_table(tbl, tmp_path / "documents.parquet")
 
-    got = _as_frame(QUERIES[name](str(tmp_path), **plan_kw, **empty_kw))
-    ref = _as_frame(QUERIES[name](sf_small, **plan_kw))
+    got = _as_frame(QUERIES[name](str(tmp_path), **empty_kw))
+    ref = _as_frame(QUERIES[name](sf_small))
     assert len(ref) > 0
     assert len(got) == (len(texts) if name == "dedup_keep_best" else 0)
     assert list(got.columns) == list(ref.columns)
@@ -2458,6 +2511,13 @@ FINAL_PLAN_QUERIES = [
     "count_distinct",
     "join_left_coalesce",
     "dedup_keep_best",
+    "latest_event",
+    "stratified_sample",
+    "top_terms_by_lang",
+    "unigram_logprob",
+    "tfidf_keywords",
+    "ann_topk",
+    "knn_join",
 ]
 
 

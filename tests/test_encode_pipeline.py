@@ -315,7 +315,7 @@ def test_column_zonemaps_kinds():
     import numpy as np
 
     from universal_parquet_exporter_ray.stages.encoder import (
-        ZONEMAP_STR_CAP,
+        ZONEMAP_STR_CHARS,
         column_zonemaps,
     )
 
@@ -336,7 +336,7 @@ def test_column_zonemaps_kinds():
     assert zm["i"] == {"kind": "num", "min": -7, "max": 12, "n_null": 1}
     assert zm["f"]["min"] == -2.0 and zm["f"]["max"] == 1.5 and zm["f"]["has_nan"]
     assert zm["s"] == {"kind": "str", "min": "a", "max": "zz", "n_null": 1}
-    assert zm["long"]["max_open"] and len(zm["long"]["max"]) == ZONEMAP_STR_CAP
+    assert zm["long"]["max_open"] and len(zm["long"]["max"]) == ZONEMAP_STR_CHARS
     assert zm["ts"]["kind"] == "temporal"
     assert zm["ts"]["min"] == pd.Timestamp("1997-01-01").value
     assert zm["ts"]["max"] == pd.Timestamp("1998-06-02").value

@@ -638,6 +638,7 @@ def test_ivf_layout_root_configurable(ray_session, tmp_path, monkeypatch):
         _ivf_layout_dir,
         _ivf_pruned,
     )
+    from universal_parquet_exporter_ray.stages.agg import to_frame
 
     sf = "/root/testdata/sf0.001"
     root = str(tmp_path / "shared" / "ivf")
@@ -659,7 +660,8 @@ def test_ivf_layout_root_configurable(ray_session, tmp_path, monkeypatch):
     out2 = _ivf_pruned(sf, k=3, n_queries=4, n_clusters=4, nprobe=4,
                        layout_root=root)
     assert os.stat(manifest).st_mtime_ns == mtime  # resumed, not rebuilt
-    df1, df2 = out1.to_pandas(), out2.to_pandas()
+    # a frame from the driver final, a Dataset from a distributed one
+    df1, df2 = to_frame(out1), to_frame(out2)
     pd.testing.assert_frame_equal(
         df1.sort_values(list(df1.columns)).reset_index(drop=True),
         df2.sort_values(list(df2.columns)).reset_index(drop=True),

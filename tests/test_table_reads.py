@@ -210,8 +210,7 @@ def test_map_fuses_into_a_multi_row_group_read(ray_session, sf_small, tmp_path):
     [
         ("minhash_lsh_pairs", 2),
         ("dedup_clusters", 2),
-        # the driver final's collect of its from_pandas partials is the third
-        ("decontaminate_neardup", 3),
+        ("decontaminate_neardup", 2),
         ("ngram_jaccard_pairs", 2),
     ],
 )

@@ -29,7 +29,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..sources import load_table, table_path
 from ..stages import co_partition, per_key
-from ..stages.agg import combiner_groupby, map_any, to_frame
+from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.joins import broadcast_merge, broadcast_semi, hash_join, thresholded_join
 from . import ORACLE_SQL, QUERIES, q  # noqa: F401
 
@@ -1028,7 +1028,7 @@ def q_latest_event(sf_dir: str):
             }
         )
 
-    return co_partition(partials, ["user_id"], merge)
+    return final_reduce(partials, ["user_id"], merge)
 
 
 RANGE_JOIN_ORACLE_SQL = """
@@ -1146,7 +1146,9 @@ def q_range_join(sf_dir: str, n_users: int = 20, hours: int = 2):
         ev.map_batches(tag_events, batch_format="pyarrow"),
         # arrow block: union requires matching block types with the tagged
         # event stream
-        ray.data.from_arrow(pa.Table.from_pandas(rep, preserve_index=False)),
+        ray.data.from_arrow(
+            pa.Table.from_pandas(rep, preserve_index=False).replace_schema_metadata()
+        ),
     ]
     partials = co_partition(both, ["bucket"], interval_partials)
     summed = combiner_groupby(

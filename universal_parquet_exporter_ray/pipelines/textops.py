@@ -391,7 +391,11 @@ def q_dedup_keep_best(sf_dir: str):
     ``stages.agg.final_reduce``: a driver pandas merge within its caps, a
     ``cluster_id`` co-partition merge above them (the 100-TB path, where
     cluster count scales with the corpus)."""
-    from ..stages.dedup import ClusterBestPartial, merge_keep_best_partials
+    from ..stages.dedup import (
+        _KEEP_BEST_COLS,
+        ClusterBestPartial,
+        merge_keep_best_partials,
+    )
 
     cdf = q_dedup_clusters(sf_dir)
     # two flat arrays, not a Python dict: the map is output-sized but the
@@ -407,13 +411,13 @@ def q_dedup_keep_best(sf_dir: str):
         ClusterBestPartial,
         {"map_keys": map_keys, "map_vals": map_vals},
         batch_format="pandas",
-    ).materialize()
-
+    )
     out = to_frame(
-        final_reduce(partials, ["cluster_id"], merge_keep_best_partials)
+        final_reduce(partials, ["cluster_id"], merge_keep_best_partials),
+        dict.fromkeys(_KEEP_BEST_COLS, "int64"),  # an empty corpus
     )
     return (
-        out[["cluster_id", "kept_doc", "best_tok", "n_members"]]
+        out[_KEEP_BEST_COLS]
         .sort_values("cluster_id")
         .reset_index(drop=True)
     )
@@ -977,7 +981,7 @@ def q_stratified_sample(sf_dir: str, per_group: int = 20):
         return lowest_hash_rows(out, per_group)
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    return co_partition(
+    return final_reduce(
         partials,
         ["lang"],
         lambda f: lowest_hash_rows(f, per_group)[["lang", "doc_id"]],
@@ -1036,8 +1040,8 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
         return top_terms(out, k)
 
     partials = ds.map_batches(partial_counts, batch_format="pandas")
-    summed = co_partition(partials, ["lang", "tok"], sum_partials)
-    return co_partition(
+    summed = final_reduce(partials, ["lang", "tok"], sum_partials)
+    return final_reduce(
         summed, ["lang"], lambda f: top_terms(f, k)[["lang", "tok", "n"]]
     )
 
@@ -1118,12 +1122,12 @@ def train_unigram_model(ds, min_count: int = 1) -> tuple[pd.Series, float]:
         return tot
 
     freqs = to_frame(  # bounded-vocab model table, NOT corpus-sized
-        co_partition(
+        final_reduce(
             ds.map_batches(partial_counts, batch_format="pandas"), ["tok"], sum_partials
         ),
         {"tok": object, "n": "int64"},  # degenerate corpus: zero tokens anywhere
     )
-    # the OOV rows (at most one per co_partition call) merge into one
+    # the OOV rows (at most one per ``sum_partials`` call) merge into one
     is_oov = freqs["tok"].to_numpy() == _OOV_TOKEN
     oov_mass = float(freqs.loc[is_oov, "n"].sum())
     freqs = freqs[~is_oov]
@@ -1259,7 +1263,7 @@ def train_doc_freq(ds, min_df: int = 2) -> tuple[pd.Series, float, float]:
 
     # document frequency: bounded-vocab after the co-partition sum+cutoff
     freqs = to_frame(
-        co_partition(
+        final_reduce(
             ds.map_batches(partial_df, batch_format="pandas"), ["tok"], sum_partials
         ),
         {"tok": object, "df": "int64"},  # degenerate corpus: zero tokens anywhere
@@ -1671,7 +1675,7 @@ SUBSTR_DUP_BUDGET = 2_000_000
 
 
 @q("exact_substr_dedup", SUBSTR_ORACLE_SQL)
-def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = False):
+def q_exact_substr_dedup(sf_dir: str, w: int = 8):
     """Exact-substring dedup (Lee et al. ACL 2022 "ExactSubstr", the
     sliding-window complement of the tumbling ``segment_dedup``): every
     ``w``-token span occurring more than once ANYWHERE in the corpus is a
@@ -1689,7 +1693,9 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
       broadcast via ``map_stage`` → second corpus scan filters and
       merges spans in-batch (each doc's windows stay in its batch — no
       second shuffle).
-    - **distributed** (dup-heavy corpus): one co-partition on the window
+    - **distributed** (dup-heavy corpus: the combiner's final ran as a
+      co-partition and its dup table has more than ``SUBSTR_DUP_BUDGET``
+      rows): one co-partition on the window
       hash finds non-first occurrences, then a doc_id co-partition merges
       spans — hashes only on the wire, nothing corpus-sized on the
       driver (the suffix-array equivalent's unavoidable all-to-all).
@@ -1704,21 +1710,18 @@ def q_exact_substr_dedup(sf_dir: str, w: int = 8, force_distributed: bool = Fals
     )
 
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-    dup = None
-    if not force_distributed:
-        def emit(df: pd.DataFrame) -> pd.DataFrame:
-            return emit_token_windows(df, w)[["h1", "h2", "packed"]]
 
-        wins = docs.map_batches(emit, batch_format="pandas")
-        agg = combiner_groupby(
-            wins, ["h1", "h2"], count="c", mins={"packed": "first"}
-        )
-        dup = map_any(agg, lambda df: df[df["c"] >= 2])
-        if not isinstance(dup, pd.DataFrame):
-            dup = dup.materialize()
-            # a dup table past the broadcast budget (dup-heavy corpus)
-            # falls through to the distributed plan
-            dup = dup.to_pandas() if dup.count() <= SUBSTR_DUP_BUDGET else None
+    def emit(df: pd.DataFrame) -> pd.DataFrame:
+        return emit_token_windows(df, w)[["h1", "h2", "packed"]]
+
+    wins = docs.map_batches(emit, batch_format="pandas")
+    agg = combiner_groupby(wins, ["h1", "h2"], count="c", mins={"packed": "first"})
+    dup = map_any(agg, lambda df: df[df["c"] >= 2])
+    if not isinstance(dup, pd.DataFrame):
+        dup = dup.materialize()
+        # a dup table past the broadcast budget (dup-heavy corpus) falls
+        # through to the distributed plan
+        dup = dup.to_pandas() if dup.count() <= SUBSTR_DUP_BUDGET else None
 
     if dup is not None and len(dup) == 0:
         # nothing duplicated anywhere: typed empty, free on the driver
@@ -1830,7 +1833,7 @@ def _ppm_topk(cands, k):
         df["cos_ppm"] = scaled_int(df["cos"], 1e6)
         return df[["query_id", "vec_id", "cos_ppm", "rank"]]
 
-    return co_partition(cands, ["query_id"], merge)
+    return final_reduce(cands, ["query_id"], merge)
 
 
 ANN_TOPK_ORACLE_SQL = """
@@ -2310,7 +2313,7 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
         ds, PairGroupReplicate, {"n_buckets": n_buckets}, batch_format="pandas"
     )
     partials = co_partition(rep, ["pg"], knn_group(k, n_buckets))
-    out = co_partition(partials, ["vec_id"], final_knn(k))
+    out = final_reduce(partials, ["vec_id"], final_knn(k))
     out = to_frame(out, KNN)
     return out.sort_values(["vec_id", "nbr"]).reset_index(drop=True)
 

@@ -1,9 +1,9 @@
 """Grouped aggregation: per-batch partials and one shared final.
 
 Every grouped aggregate in the package ends the same way. A per-batch
-combiner collapses each block to at most one partial row per key, the
-partial stream is materialized (it is combiner-sized, never corpus-sized),
-and ``final_reduce(partials, keys, finish)`` decides where the final
+combiner collapses each block to at most one partial row per key, and
+``final_reduce(partials, keys, finish)`` materializes the partial stream
+(it is combiner-sized, never corpus-sized) and decides where the final
 combine runs. It is the one place the package makes that choice:
 
 - at most ``FINAL_REDUCE_CAP`` partial rows, or at most
@@ -18,7 +18,16 @@ combine runs. It is the one place the package makes that choice:
 
 ``FINAL_REDUCE_CAP`` is read when the final runs, and 0 forces the
 distributed final (``monkeypatch.setattr(agg, "FINAL_REDUCE_CAP", 0)``
-in the tests that pin plan agreement).
+in the tests that pin plan agreement). A pandas ``partials`` is already
+on the driver, so two finals chain with no shape fork.
+
+The finals that run through it: ``combiner_groupby``;
+``dedup_keep_best``'s keep-best merge; ``latest_event``'s argmax merge;
+``stratified_sample``'s per-language top-m; both levels of
+``top_terms_by_lang``; the token sums of ``train_unigram_model`` and
+``train_doc_freq``; ``_ppm_topk`` (``ann_topk`` and the ``ann_ivf_*``
+queries); ``knn_join``'s ``final_knn``; and ``verify_pairs``' candidate
+pair dedup. A ``co_partition`` elsewhere reduces raw rows, not partials.
 
 ``combiner_groupby`` is SUM / AVG / MIN / MAX / COUNT(*) on top of it. Ray's
 ``groupby().aggregate()`` is not used anywhere: it sort-shuffles every
@@ -70,20 +79,28 @@ FINAL_REDUCE_BYTES = 64 << 20
 
 
 def final_reduce(partials, keys: list[str], finish):
-    """``finish`` over a materialized partial stream, on the driver (a
-    pandas DataFrame) when the stream is within ``FINAL_REDUCE_CAP`` rows
-    or ``FINAL_REDUCE_BYTES`` bytes, else once per sorted block of a
-    ``keys`` co-partition (a Dataset). ``finish`` must reduce per key over
-    any split of the partial rows. A call holds one sort partition, and
-    the sort makes one per block of ``partials``, so a call is about one
-    block of partial rows; a key adds at most one partial row per
-    combined batch."""
-    if FINAL_REDUCE_CAP and (
-        partials.count() <= FINAL_REDUCE_CAP
-        or partials.size_bytes() <= FINAL_REDUCE_BYTES
-    ):
-        return finish(partials.to_pandas())
-    return co_partition(partials, keys, finish)
+    """``finish`` over a partial stream: on the driver (a pandas
+    DataFrame) when the stream is within ``FINAL_REDUCE_CAP`` rows or
+    ``FINAL_REDUCE_BYTES`` bytes, else once per sorted block of a ``keys``
+    co-partition (a Dataset). A Dataset ``partials`` is materialized here,
+    so both sizes are metadata reads; a pandas frame is already on the
+    driver, and ``finish`` runs on it as it is. ``finish`` must reduce per
+    key over any split of the partial rows, and never sees zero rows: a
+    zero-row stream comes back as a zero-row frame, typed at the collect
+    (``to_frame``). A call holds one sort partition, and the sort makes
+    one per block of ``partials``, so a call is about one block of
+    partial rows; a key adds at most one partial row per combined
+    batch."""
+    if not isinstance(partials, pd.DataFrame):
+        partials = partials.materialize()
+        n = partials.count()
+        if n and not (
+            FINAL_REDUCE_CAP
+            and (n <= FINAL_REDUCE_CAP or partials.size_bytes() <= FINAL_REDUCE_BYTES)
+        ):
+            return co_partition(partials, keys, finish)
+        partials = to_frame(partials)
+    return finish(partials) if len(partials) else partials
 
 
 def map_any(out, fn):
@@ -224,29 +241,28 @@ def combiner_groupby(
                     dict(mins or {}), dict(maxs or {}), count)
     partial, finish = make_partial(spec), make_finish(spec)
 
-    # combiner-sized stream: materializing it is object-store-light and
-    # makes the row count a free metadata read for the final's gate; a
-    # driver frame's partials are built where it is, with no map execution
-    if isinstance(ds, pd.DataFrame):
-        import ray.data as rd
+    # a driver frame's partials are built where it is, with no map
+    # execution, and reach the final as a Dataset, so a zero cap still
+    # co-partitions them
+    import ray.data as rd
 
+    if isinstance(ds, pd.DataFrame):
         partials = rd.from_pandas(partial(ds))
     else:
-        partials = ds.map_batches(partial, batch_format="pandas").materialize()
-
-    if partials.count() == 0:
-        # ``partial`` never ran (Ray skips zero-row blocks), so the
-        # partials carry no schema; the input's zero rows type the result
-        # (a blockless Dataset has no schema: its columns come back float64)
-        zero = ds.iloc[:0] if isinstance(ds, pd.DataFrame) else _zero_rows(ds)
-        empty = finish(partial(zero.reindex(columns=spec.inputs)))
-        if FINAL_REDUCE_CAP == 0:
-            # a zero cap forces the distributed final, so honor the
-            # 'zero cap => Dataset' return-shape contract on empty inputs
-            # too; an Arrow block keeps the zero-row schema where an empty
-            # pandas block would lose it
-            import ray.data as rd
-
-            return rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
-        return empty
-    return final_reduce(partials, keys, finish)
+        partials = ds.map_batches(partial, batch_format="pandas")
+    out = final_reduce(partials, keys, finish)
+    if not isinstance(out, pd.DataFrame) or len(out):
+        return out
+    # a zero-row stream: ``partial`` never ran (Ray skips zero-row blocks),
+    # so the partials carry no schema; the input's zero rows type the
+    # result (a blockless Dataset has no schema: its columns come back
+    # float64)
+    zero = ds.iloc[:0] if isinstance(ds, pd.DataFrame) else _zero_rows(ds)
+    empty = finish(partial(zero.reindex(columns=spec.inputs)))
+    if FINAL_REDUCE_CAP == 0:
+        # a zero cap forces the distributed final, so honor the 'zero cap
+        # => Dataset' return-shape contract on empty inputs too; an Arrow
+        # block keeps the zero-row schema where an empty pandas block
+        # would lose it
+        return rd.from_arrow(pa.Table.from_pandas(empty, preserve_index=False))
+    return empty

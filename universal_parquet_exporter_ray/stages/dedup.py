@@ -221,27 +221,6 @@ class ShingleBlobStage:
         )
 
 
-# the (pair, member doc) blob rows the pair co-partition verifies
-_MEMBER_BLOB_COLS = ["doc_a", "doc_b", "doc_id", "sh", "n_sh"]
-
-
-class PairShingleEmit:
-    """Broadcast-pair verify feeder: batch of ``ShingleBlobStage`` rows →
-    one (doc_a, doc_b, doc_id, sh, n_sh) row per (candidate pair, member
-    doc), by one pandas merge. The doc→pair membership table is the
-    BROADCAST small side, passed as ``map_stage`` constructor kwargs, so it
-    rides in the stage's closure (one object-store copy per operator).
-    Candidate pairs are output-sized LSH hits under the broadcast budget,
-    never the corpus; the blobs stay on workers."""
-
-    def __init__(self, members: pd.DataFrame):
-        self.members = members  # columns: doc_id, doc_a, doc_b
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        hits = df[["doc_id", "sh", "n_sh"]].merge(self.members, on="doc_id")
-        return hits[_MEMBER_BLOB_COLS]
-
-
 def _count_pair_intersections(
     sh_all: np.ndarray, pair_idx: np.ndarray, n_pairs: int
 ) -> np.ndarray:
@@ -701,13 +680,6 @@ def connected_components(edges, max_rounds: int = 64):
     return group(labels, ["doc_id"], lambda g: g.drop_duplicates(ignore_index=True))
 
 
-# Candidate-pair verification budget: membership tables below this many
-# PAIRS broadcast via the object store (two 3-int64-column rows per pair,
-# ~100 MB at the limit); above it — the dup-heavy-crawl case where the pair
-# graph scales with the corpus — the verify switches to a hash-partitioned
-# join, and nothing pair-graph-sized ever reaches the driver.
-BROADCAST_PAIR_BUDGET = 2_000_000
-
 # Broadcast-blob verify on the driver: at or under this many deduped pairs
 # the pairs and the blob arrays are already driver frames, and one
 # ``from_pandas`` block of them was one task anyway, so ``BlobPairJaccard``
@@ -744,6 +716,20 @@ def shingle_table(docs, keep=None):
     return blobs
 
 
+def _pair_members(pairs: pd.DataFrame) -> pd.DataFrame:
+    """(doc_a, doc_b) pairs → their (doc_id, doc_a, doc_b) membership rows,
+    one per (pair, member doc)."""
+    a = pairs["doc_a"].to_numpy(np.int64)
+    b = pairs["doc_b"].to_numpy(np.int64)
+    return pd.DataFrame(
+        {
+            "doc_id": np.concatenate([a, b]),
+            "doc_a": np.concatenate([a, a]),
+            "doc_b": np.concatenate([b, b]),
+        }
+    )
+
+
 def verify_pairs(blobs, cand_rows):
     """Exact word-3-gram-Jaccard verification of candidate pairs against
     the ``shingle_table`` rows ``blobs`` — the shared tail of
@@ -751,26 +737,25 @@ def verify_pairs(blobs, cand_rows):
     ``ngram_jaccard_pairs``.
 
     ``cand_rows`` is a Dataset of (doc_a, doc_b) candidate rows (duplicates
-    allowed, a < b).  Three physical plans, size-thresholded like
-    ``stages/joins.py::thresholded_join``:
+    allowed, a < b). The pairs dedup through ``stages.agg.final_reduce``
+    (a driver ``drop_duplicates`` within its caps, pair co-partitions
+    above them), then one of two plans verifies them:
 
-    - **broadcast-blob** (pair count ≤ ``BROADCAST_PAIR_BUDGET`` AND the
-      blob table materialized and ≤ ``BLOB_BROADCAST_BUDGET`` bytes): the
-      per-doc shingle blobs become flat arrays and ``BlobPairJaccard``
-      verifies the pairs against them — no per-pair blob duplication, no
-      shuffle (round-5: the emit+shuffle plan duplicated each doc's blob
-      per candidate pair, ~80× on the sf0.1 ngram corpus, 4.4 s → 0.9 s).
+    - **broadcast-blob** (the pairs on the driver AND the blob table
+      materialized and ≤ ``BLOB_BROADCAST_BUDGET`` bytes): the per-doc
+      shingle blobs become flat arrays and ``BlobPairJaccard`` verifies
+      the pairs against them — no per-pair blob duplication, no shuffle
+      (round-5: the emit+shuffle plan duplicated each doc's blob per
+      candidate pair, ~80× on the sf0.1 ngram corpus, 4.4 s → 0.9 s).
       Within ``DRIVER_VERIFY_PAIRS`` pairs it runs on the driver, where
       both inputs already are; above it the arrays ride in the closure of
       a ``map_stage`` over 32 pair blocks.
-    - **broadcast-pair** (pair count ≤ budget, blob table lazy or too
-      big): the deduped membership table rides in ``PairShingleEmit``'s
-      closure through ``map_stage``; one merge over the blob rows keeps
-      the candidate docs' blobs, then the pair co-partition reducer.
-    - **distributed** (over budget): pairs dedup inside pair
-      co-partitions, explode to membership rows, and ``joins.hash_join``
-      joins them to the blob rows on ``doc_id`` — no driver
-      materialization of the pair graph.
+    - **member join** (otherwise): the pairs explode to (doc_id, doc_a,
+      doc_b) membership rows, ``joins.thresholded_join`` joins the blob
+      rows to them on ``doc_id`` (a broadcast merge of a driver or
+      within-limit membership table, ``joins.hash_join`` above
+      ``BROADCAST_ROW_LIMIT``), and a pair co-partition counts each
+      pair's shared shingles.
 
     Every budget and the cut are read when the verify runs.
 
@@ -779,70 +764,44 @@ def verify_pairs(blobs, cand_rows):
     from ray.data.dataset import MaterializedDataset
 
     from . import co_partition, map_stage
-    from .joins import hash_join
+    from .agg import final_reduce, map_any
+    from .joins import thresholded_join
 
     pair_keys = ["doc_a", "doc_b"]
-    cand = cand_rows.materialize()
-    n_upper = cand.count()  # band-duplicate upper bound — safe to broadcast
-    if n_upper == 0:
+    pairs = final_reduce(
+        cand_rows, pair_keys, lambda g: g[pair_keys].drop_duplicates(ignore_index=True)
+    )
+    on_driver = isinstance(pairs, pd.DataFrame)
+    if on_driver and pairs.empty:
         return _EMPTY_PAIR_JAC.copy()
-    if n_upper <= BROADCAST_PAIR_BUDGET:
-        pairs = cand.to_pandas().drop_duplicates(subset=pair_keys, ignore_index=True)
-        if (
-            isinstance(blobs, MaterializedDataset)
-            and blobs.size_bytes() <= BLOB_BROADCAST_BUDGET
-        ):
-            bdf = blobs.to_pandas()
-            flat, counts = _blob_hashes(bdf)
-            ctor = {
-                "doc_ids": bdf["doc_id"].to_numpy(np.int64),
-                "flat": flat.view(np.int64),
-                "starts": np.concatenate([[0], np.cumsum(counts)[:-1]]),
-                "counts": counts,
-            }
-            if len(pairs) <= DRIVER_VERIFY_PAIRS:
-                return BlobPairJaccard(**ctor)(pairs)
-            import ray.data as rd
+    if (
+        on_driver
+        and isinstance(blobs, MaterializedDataset)
+        and blobs.size_bytes() <= BLOB_BROADCAST_BUDGET
+    ):
+        bdf = blobs.to_pandas()
+        flat, counts = _blob_hashes(bdf)
+        ctor = {
+            "doc_ids": bdf["doc_id"].to_numpy(np.int64),
+            "flat": flat.view(np.int64),
+            "starts": np.concatenate([[0], np.cumsum(counts)[:-1]]),
+            "counts": counts,
+        }
+        if len(pairs) <= DRIVER_VERIFY_PAIRS:
+            return BlobPairJaccard(**ctor)(pairs)
+        import ray.data as rd
 
-            return map_stage(
-                rd.from_pandas(pairs).repartition(32),
-                BlobPairJaccard,
-                ctor,
-                batch_format="pandas",
-            )
-        a = pairs["doc_a"].to_numpy(np.int64)
-        b = pairs["doc_b"].to_numpy(np.int64)
-        members = pd.DataFrame(
-            {
-                "doc_id": np.concatenate([a, b]),
-                "doc_a": np.concatenate([a, a]),
-                "doc_b": np.concatenate([b, b]),
-            }
+        return map_stage(
+            rd.from_pandas(pairs).repartition(32),
+            BlobPairJaccard,
+            ctor,
+            batch_format="pandas",
         )
-        # the membership table is 3 int64 columns over 2×pairs rows
-        emitted = map_stage(
-            blobs, PairShingleEmit, {"members": members}, batch_format="pandas"
-        )
-    else:
-        pairs_ds = co_partition(
-            cand, pair_keys, lambda g: g[pair_keys].drop_duplicates()
-        )
-
-        def to_members(df: pd.DataFrame) -> pd.DataFrame:
-            a = df["doc_a"].to_numpy(np.int64)
-            b = df["doc_b"].to_numpy(np.int64)
-            return pd.DataFrame(
-                {
-                    "doc_id": np.concatenate([a, b]),
-                    "doc_a": np.concatenate([a, a]),
-                    "doc_b": np.concatenate([b, b]),
-                }
-            )
-
-        members_ds = pairs_ds.map_batches(to_members, batch_format="pandas")
-        emitted = hash_join(members_ds, blobs, left_on=["doc_id"]).select_columns(
-            _MEMBER_BLOB_COLS
-        )
+    members = map_any(pairs, _pair_members)
+    if not on_driver:
+        # the probe and a hash join would each re-run the dedup sort
+        members = members.materialize()
+    emitted = thresholded_join(blobs, members, left_on=["doc_id"])
     return co_partition(emitted, pair_keys, pair_blob_partition_jaccard)
 
 
@@ -892,8 +851,6 @@ def merge_keep_best_partials(
     """Merge keep-best partial rows (or raw member rows when
     ``counts_col=None``: each row then counts 1): per cluster, sum member
     counts and keep the (best_tok DESC, kept_doc ASC) argmax row."""
-    if len(df) == 0:  # an empty corpus's partials: no blocks, no columns
-        return pd.DataFrame({c: pd.Series([], dtype="int64") for c in _KEEP_BEST_COLS})
     if counts_col is None:
         counts = df.groupby("cluster_id", sort=False).size()
     else:

@@ -58,7 +58,7 @@ ENCODED_SCHEMA = pa.schema(
 # state/manifest.py (read_manifest pins it to avoid first-file-schema drops)
 from ..state.manifest import MANIFEST_SCHEMA  # noqa: F401
 
-ZONEMAP_STR_CAP = 80  # truncate long string bounds (lower bound stays sound)
+ZONEMAP_STR_CHARS = 80  # truncate long string bounds (lower bound stays sound)
 
 
 def column_zonemaps(data: pa.Table) -> dict:
@@ -74,7 +74,7 @@ def column_zonemaps(data: pa.Table) -> dict:
       a range predicate anyway;
     - temporal bounds are stored as epoch NANOSECONDS (exact ints), never
       as formatted strings;
-    - a string max longer than ``ZONEMAP_STR_CAP`` is stored truncated with
+    - a string max longer than ``ZONEMAP_STR_CHARS`` is stored truncated with
       ``max_open`` set — the pruner then treats the upper bound as +inf;
       the truncated MIN needs no flag (a prefix is always <= the string).
     Unsupported types (binary, nested) simply record no entry, which the
@@ -131,9 +131,9 @@ def column_zonemaps(data: pa.Table) -> dict:
             elif pa.types.is_string(t) or pa.types.is_large_string(t):
                 mm = pc.min_max(col)
                 lo, hi = mm["min"].as_py(), mm["max"].as_py()
-                entry = {"kind": "str", "min": lo[:ZONEMAP_STR_CAP]}
-                if len(hi) > ZONEMAP_STR_CAP:
-                    entry["max"] = hi[:ZONEMAP_STR_CAP]
+                entry = {"kind": "str", "min": lo[:ZONEMAP_STR_CHARS]}
+                if len(hi) > ZONEMAP_STR_CHARS:
+                    entry["max"] = hi[:ZONEMAP_STR_CHARS]
                     entry["max_open"] = True
                 else:
                     entry["max"] = hi
