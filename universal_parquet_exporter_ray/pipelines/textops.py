@@ -957,8 +957,8 @@ def q_stratified_sample(sf_dir: str, per_group: int = 20):
     """Deterministic stratified sample: 20 docs per language, chosen by
     md5-hash order (reproducible across runs/workers, unbiased by storage
     order — the standard per-stratum sample for eval-set construction).
-    Per-batch partial top-m (combiner) → tiny ``lang`` co-partition final
-    top-m: only ≤ m rows per (batch, lang) ever shuffle."""
+    Per-batch partial top-m (combiner) → ``final_reduce`` top-m per
+    ``lang``: only ≤ m rows per (batch, lang) ever reach the final."""
     import hashlib as _hl
 
     ds = load_table(sf_dir, "documents", ["doc_id", "lang"])
@@ -1016,8 +1016,8 @@ def q_top_terms_by_lang(sf_dir: str, k: int = 5):
     """Corpus vocabulary statistics: the 5 most frequent tokens per
     language. Per-batch pandas value_counts is the COMBINER (one row per
     distinct (lang, token) per batch — bounded by vocabulary, not corpus),
-    a (lang, token) co-partition sums the partials vectorized, and a tiny
-    ``lang`` co-partition takes the final top-k. No corpus-sized shuffle,
+    one ``final_reduce`` on (lang, token) sums the partials vectorized, and
+    a second on ``lang`` takes the final top-k. No corpus-sized shuffle,
     no high-cardinality Ray aggregate (see ngram_jaccard_pairs for why)."""
     ds = load_table(sf_dir, "documents", ["text", "lang"])
 
@@ -1080,10 +1080,11 @@ _OOV_TOKEN = "\x00<OOV>"
 
 def train_unigram_model(ds, min_count: int = 1) -> tuple[pd.Series, float]:
     """Pass 1 of CCNet-style unigram scoring: distributed token counting
-    with a combiner (per-batch value_counts) -> ``tok`` co-partition exact
+    with a combiner (per-batch value_counts) -> ``tok`` ``final_reduce`` exact
     sum. A token lands in exactly ONE ``sum_partials`` call, which sees its
-    GLOBAL total — applying the ``min_count`` cutoff there is exact and
-    the uncapped vocabulary never reaches the driver: tokens below the
+    GLOBAL total — applying the ``min_count`` cutoff there is exact, and
+    above the final's caps the uncapped vocabulary never reaches the
+    driver: tokens below the
     cutoff collapse into a single OOV row per call carrying their total
     mass, so probabilities still normalize over the FULL corpus token
     count.  At 100 TB the \\S+ vocabulary is hapax-dominated; with a
@@ -1213,7 +1214,7 @@ SELECT doc_id, tok, tfidf_milli FROM s WHERE rk <= 3
 
 def train_doc_freq(ds, min_df: int = 2) -> tuple[pd.Series, float, float]:
     """Pass 1 of tf-idf: distributed document frequencies with a combiner
-    (per-batch (doc, tok) dedup) -> ``tok`` co-partition exact sum, plus
+    (per-batch (doc, tok) dedup) -> ``tok`` ``final_reduce`` exact sum, plus
     the corpus doc count.  The ``min_df`` cutoff is applied INSIDE the
     distributed sum (a token's full df lands in exactly one
     ``sum_partials`` call), so the hapax-dominated tail of a 100-TB
@@ -1822,8 +1823,8 @@ def _fetch_queries(sf_dir: str, n_queries: int):
 
 
 def _ppm_topk(cands, k):
-    """Per-query top-k of the batch-local candidates (``final_topk`` over a
-    ``query_id`` co-partition), cosines as ppm."""
+    """Per-query top-k of the batch-local candidates (``final_topk`` in a
+    ``query_id`` ``final_reduce``), cosines as ppm."""
     top = final_topk(k)
 
     def merge(frame: pd.DataFrame) -> pd.DataFrame:
@@ -2298,7 +2299,7 @@ def q_knn_join(sf_dir: str, k: int = 5, n_buckets: int = 4):
     a ``pg`` co-partition runs each group's all-pairs matmul (``knn_group``)
     and emits per-doc PARTIAL top-k rows (≤ group-size × k — the
     group's all-pairs matrix never leaves the worker), and a ``vec_id``
-    co-partition merges partials into the global top-k. Ordering matches the
+    ``final_reduce`` merges partials into the global top-k. Ordering matches the
     SQL twin exactly: cos_ppm DESC, nbr ASC (candidate columns pre-sorted
     by id so stable argsort inherits the tie-break).
 
