@@ -149,6 +149,23 @@ def _case(name, rng, n, n_keys, tmp):
             )
         )
         return ann.lsh_bucket_pairs(0.5), frame, "bh"
+    if name == "rebuild_segments":
+        from universal_parquet_exporter_ray.stages.dedup import rebuild_segments
+
+        # docs of 0-9 tokens in 2-token segments, and drop rows naming
+        # some of their segments (a few past the doc's last one)
+        ids = rng.permutation(n).astype(np.int64)
+        texts = [" ".join(rng.choice(list("abcd"), rng.integers(0, 10))) for _ in ids]
+        drop_doc = rng.choice(ids, n)
+        drop_seg = rng.integers(0, 6, n).astype(np.int64)
+        frame = pd.DataFrame(
+            {
+                "doc_id": np.concatenate([ids, drop_doc]),
+                "text": pd.Series(texts + [None] * n, dtype="object"),
+                "seg_no": np.concatenate([np.full(n, -1, np.int64), drop_seg]),
+            }
+        )
+        return (lambda f: rebuild_segments(f, 2).to_pandas()), frame, "doc_id"
     emb = pd.DataFrame(
         {"vec_id": rng.permutation(n).astype(np.int64), "embedding": _embeddings(rng, n)}
     )
@@ -179,6 +196,7 @@ REDUCERS = [
     "top_terms_final", "range_sums_1h", "rank_block", "scan_block_sum",
     "scan_block_max", "all_pairs_group", "knn_group", "lsh_bucket_pairs",
     "bucket_knn", "semdedup_cluster", "bucket_writer", "interval_partials",
+    "rebuild_segments",
 ]
 
 

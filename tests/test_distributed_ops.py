@@ -468,17 +468,31 @@ def test_asof_prev_group_matches_latest_prior():
 
 
 def test_simhash_md5_parity_with_duckdb():
-    """Engine token hash == DuckDB md5_number_upper — the oracle contract."""
+    """Engine token hash == DuckDB md5_number_upper — the oracle contract,
+    for the loop form and for ``md5_low64`` over an array (empty and
+    non-ASCII tokens, and the doc-id strings the sampling queries hash)."""
     import duckdb
     import hashlib
 
-    from universal_parquet_exporter_ray.stages.dedup import SimHashStage
+    from universal_parquet_exporter_ray.stages.dedup import SimHashStage, md5_low64
 
     con = duckdb.connect()
     for tok in ["abc", "hello", "Zebra42"]:
         sql_h = con.execute("SELECT md5_number_upper(?)", [tok]).fetchone()[0]
         py_h = int.from_bytes(hashlib.md5(tok.encode()).digest()[:8], "little")
         assert sql_h == py_h
+    toks = ["abc", "", "héllo", "日本語", "Zebra42", "0", "123456789", "ß\u3000x"]
+    got = md5_low64(toks)
+    assert got.dtype == np.uint64 and len(got) == len(toks)
+    want = [
+        con.execute("SELECT md5_number_upper(?)", [t]).fetchone()[0] for t in toks
+    ]
+    assert got.tolist() == want
+    assert md5_low64(pd.Series(np.arange(3, dtype=np.int64)).astype(str)).tolist() == [
+        con.execute("SELECT md5_number_upper(?)", [str(i)]).fetchone()[0]
+        for i in range(3)
+    ]
+    assert md5_low64([]).dtype == np.uint64
     # full simhash reproducible
     s = SimHashStage.simhash64("a b c a")
     assert s == SimHashStage.simhash64("a b c a")
@@ -2429,6 +2443,16 @@ EMPTY_RESULT_CASES = {
         {},
         (["a b c d e"] * 6, "en"),
     ),
+    # every segment repeats, so no doc keeps one
+    "segment_dedup[broadcast]": (
+        "segment_dedup", {}, {}, (["a b c d e f g h"] * 6, "en")
+    ),
+    "segment_dedup[distributed]": (
+        "segment_dedup",
+        {"universal_parquet_exporter_ray.stages.agg.FINAL_REDUCE_CAP": 0},
+        {},
+        (["a b c d e f g h"] * 6, "en"),
+    ),
     "curate_corpus": ("curate_corpus", {}, {}, (_distinct_docs(n_tok=40), "de")),
     # doc ids 0 and 10 are the bench docs, both under 3 tokens
     "bloom_decontaminate": (
@@ -2448,7 +2472,13 @@ EMPTY_RESULT_CASES = {
 
 
 def _as_frame(out) -> pd.DataFrame:
-    return out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    """A query's result as pandas. A zero-row Dataset (a corpus-sized
+    result that no query collects itself) is typed from its schema by
+    ``to_frame``: Ray's ``to_pandas()`` drops the columns of any all-empty
+    Dataset, typed blocks or not."""
+    from universal_parquet_exporter_ray.stages.agg import to_frame
+
+    return to_frame(out)
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_RESULT_CASES))
@@ -2518,6 +2548,7 @@ FINAL_PLAN_QUERIES = [
     "tfidf_keywords",
     "ann_topk",
     "knn_join",
+    "segment_dedup",
 ]
 
 

@@ -3,10 +3,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from universal_parquet_exporter_ray.stages.dedup import (
     BAND_ROWS,
@@ -156,6 +160,73 @@ def test_simhash_near_duplicates_close():
         return bin(x ^ y).count("1")
     assert hamming(s(base), s(near)) < hamming(s(base), s(far))
     assert s("") == 0
+
+
+def _simhash_reference(text) -> int:
+    """One doc's SimHash by the plain formula: md5-low64 per token, one
+    vote per token and bit, bit set when the votes are positive."""
+    toks = text.split() if isinstance(text, str) else []
+    votes = [0] * 64
+    for tok in toks:
+        h = int.from_bytes(hashlib.md5(tok.encode("utf-8")).digest()[:8], "little")
+        for b in range(64):
+            votes[b] += 1 if (h >> b) & 1 else -1
+    return sum(1 << b for b in range(64) if votes[b] > 0)
+
+
+SIMHASH_EDGE_TEXTS = [
+    None,
+    "",
+    "  \t\n ",
+    "solo",
+    "a b",  # two tokens: every bit where they differ ties, and must be 0
+    "x y x y z z w w",  # even count, repeats
+    "dup dup dup",
+    "héllo wörld ünïcode 日本 語 héllo",
+    "a\u3000b\xa0c",  # non-ASCII whitespace splits too
+]
+
+
+def _check_simhash_batch(texts):
+    df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts})
+    got = SimHashStage()(df)
+    want = [format(_simhash_reference(t), "016x") for t in texts]
+    assert got["simhash"].tolist() == want
+    assert got["doc_id"].tolist() == df["doc_id"].tolist()
+    cut = len(df) // 2
+    halves = pd.concat([SimHashStage()(df.iloc[:cut]), SimHashStage()(df.iloc[cut:])])
+    pd.testing.assert_frame_equal(halves, got)
+    for t, w in zip(texts, want):
+        assert SimHashStage.simhash64(t) == int(w, 16)
+
+
+def test_simhash_batch_edge_cases():
+    """The batch SimHash equals the per-document formula on the edge
+    texts: no tokens (None, empty, whitespace only) gives 0, a tied bit is
+    0, and repeated tokens each vote."""
+    _check_simhash_batch(SIMHASH_EDGE_TEXTS)
+    assert SimHashStage.simhash64("a b") == (
+        _simhash_reference("a") & _simhash_reference("b")
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(["a", "b", "é", "日本", "tok", ""]), max_size=9).map(
+                " ".join
+            ),
+            st.text(max_size=30),
+        ),
+        max_size=12,
+    )
+)
+def test_simhash_batch_matches_per_doc_formula(texts):
+    """Any batch, split anywhere: ``SimHashStage`` equals the per-document
+    formula, and two half batches concatenate to the whole batch's frame."""
+    _check_simhash_batch(texts + SIMHASH_EDGE_TEXTS[:2])
 
 
 # ---- text analysis -----------------------------------------------------

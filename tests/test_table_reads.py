@@ -228,3 +228,24 @@ def test_near_dup_queries_scan_documents_once(
     before, scans_before = executions[0], executions[2]
     assert len(to_frame(QUERIES[name](sf_small))) > 0
     assert (executions[0] - before, executions[2] - scans_before) == (n_exec, 1)
+
+
+def test_segment_dedup_sorts_nothing(
+    ray_session, sf_small, executions, monkeypatch
+):
+    """Within the final's caps ``segment_dedup`` counts its segment hashes
+    in one execution and drops the duplicated ones in one per-batch stage
+    over ``documents``: 2 executions and 2 table scans on sf0.001, and no
+    sort (``co_partition``)."""
+    import ray.data
+    from query_executions import count_sorts
+
+    from universal_parquet_exporter_ray.pipelines.textops import QUERIES
+    from universal_parquet_exporter_ray.stages.agg import to_frame
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", ray.data.Dataset.sort)
+    sorts = count_sorts()
+    before, scans_before = executions[0], executions[2]
+    assert len(to_frame(QUERIES["segment_dedup"](sf_small))) > 0
+    assert (executions[0] - before, executions[2] - scans_before) == (2, 2)
+    assert sorts == [0]

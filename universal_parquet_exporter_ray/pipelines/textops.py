@@ -8,7 +8,6 @@ weaker rows-only check)."""
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 
@@ -21,8 +20,16 @@ from ..sources import load_table, table_path
 from ..stages import co_partition, map_stage
 from ..stages.agg import combiner_groupby, final_reduce, map_any, to_frame
 from ..stages.ann import KNN, PAIRS_PPM, BatchTopKCosine, _normalize, final_topk
-from ..stages.dedup import MinHashBandStage, SimHashStage, content_sha
-from ..stages.joins import hash_join
+from ..stages.dedup import (
+    MinHashBandStage,
+    SegmentDropStage,
+    SimHashStage,
+    content_sha,
+    emit_segments,
+    md5_low64,
+    rebuild_segments,
+)
+from ..stages.joins import hash_join, thresholded_join
 from ..stages.multimodal import MediaDecodeStage, to_media_table
 from . import ORACLE_SQL, QUERIES, q  # noqa: F401
 from ..stages.text import (
@@ -537,7 +544,10 @@ SELECT doc_id, lpad(lower(hex(s)), 16, '0') AS simhash FROM sh
 def q_simhash64(sf_dir: str):
     """SimHash (64-bit, token-hash majority vote) per document. Token hash is
     md5-low64 so the DuckDB twin (``md5_number_upper`` + per-bit votes) is an
-    exact oracle."""
+    exact oracle. One per-batch stage, ``SimHashStage``: each batch splits
+    its tokens once, md5-hashes each distinct token once and counts the
+    votes of each bit with one ``np.add.reduceat`` over the doc offsets:
+    the split and one md5 per distinct token are its only Python loops."""
     ds = load_table(sf_dir, "documents", ["doc_id", "text"])
     return map_stage(ds, SimHashStage, batch_format="pandas")
 
@@ -847,22 +857,10 @@ def q_hash_split(sf_dir: str):
     (pure per-row map, no shuffle, stable across reruns/resume). Token hash
     is md5-low64 so DuckDB ``md5_number_upper`` is an exact oracle (the
     same cross-engine contract SimHashStage uses)."""
-    import hashlib as _hl
-
     ds = load_table(sf_dir, "documents", ["doc_id"])
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
-        buckets = np.fromiter(
-            (
-                int.from_bytes(
-                    _hl.md5(str(i).encode("ascii")).digest()[:8], "little"
-                )
-                % 100
-                for i in df["doc_id"]
-            ),
-            dtype=np.int64,
-            count=len(df),
-        )
+        buckets = md5_low64(df["doc_id"].astype(str)) % np.uint64(100)
         split = np.where(
             buckets < 80, "train", np.where(buckets < 90, "val", "test")
         )
@@ -902,8 +900,6 @@ def q_mixture_sample(sf_dir: str):
     Plan: pass 1 = tiny combiner lang-count; driver computes per-lang
     (n, cap); pass 2 = vectorized hash filter with the map broadcast in
     the task closure."""
-    import hashlib as _hl
-
     ds = load_table(sf_dir, "documents", ["doc_id", "lang"])
     counts = combiner_groupby(ds, ["lang"], count="n")
     counts = to_frame(counts)  # ≤ #languages rows
@@ -916,16 +912,7 @@ def q_mixture_sample(sf_dir: str):
     }
 
     def accept(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.fromiter(
-            (
-                int.from_bytes(
-                    _hl.md5(str(i).encode("ascii")).digest()[:8], "little"
-                )
-                for i in df["doc_id"]
-            ),
-            dtype=np.uint64,
-            count=len(df),
-        )
+        h = md5_low64(df["doc_id"].astype(str))
         pairs = df["lang"].astype(str).map(cap_of)
         n_l = np.fromiter((p[0] for p in pairs), dtype=np.uint64, count=len(df))
         cap = np.fromiter((p[1] for p in pairs), dtype=np.uint64, count=len(df))
@@ -959,21 +946,10 @@ def q_stratified_sample(sf_dir: str, per_group: int = 20):
     order — the standard per-stratum sample for eval-set construction).
     Per-batch partial top-m (combiner) → ``final_reduce`` top-m per
     ``lang``: only ≤ m rows per (batch, lang) ever reach the final."""
-    import hashlib as _hl
-
     ds = load_table(sf_dir, "documents", ["doc_id", "lang"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.fromiter(
-            (
-                int.from_bytes(
-                    _hl.md5(str(i).encode("ascii")).digest()[:8], "little"
-                )
-                for i in df["doc_id"]
-            ),
-            dtype=np.uint64,
-            count=len(df),
-        )
+        h = md5_low64(df["doc_id"].astype(str))
         # int64 bit view survives pandas/Arrow round-trips
         out = pd.DataFrame(
             {"lang": df["lang"], "doc_id": df["doc_id"], "h": h.view(np.int64)}
@@ -1493,23 +1469,12 @@ def q_shuffle_order(sf_dir: str):
     then the distributed-rank machinery over the hash — bounded splitter
     sample + exact O(K) range offsets; no global sort materialization, no
     corpus-sized driver state (``stages/rank.py``)."""
-    import hashlib as _hl
-
     from ..stages.rank import distributed_rank
 
     ds = load_table(sf_dir, "documents", ["doc_id"])
 
     def keyhash(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.fromiter(
-            (
-                int.from_bytes(
-                    _hl.md5(str(i).encode("ascii")).digest()[:8], "little"
-                )
-                for i in df["doc_id"]
-            ),
-            dtype=np.uint64,
-            count=len(df),
-        )
+        h = md5_low64(df["doc_id"].astype(str))
         return pd.DataFrame({"doc_id": df["doc_id"], "h": h})
 
     hashed = ds.map_batches(keyhash, batch_format="pandas")
@@ -1540,45 +1505,44 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8):
     ANYWHERE in the corpus are deleted from every document; survivors are
     reassembled in order (docs with no surviving segment drop out).
 
-    Scale shape — two shuffles, no broadcast, nothing corpus-sized on the
-    driver:
-    1. segment+hash stage emits (md5(seg), doc_id, seg_no) — hashes only,
-       never segment text, cross the wire;
-    2. ``co_partition`` on the hash + a vectorized pandas groupby inside
-       each block finds duplicated hashes and emits (doc_id, seg_no)
-       drop rows (output-sized: one row per duplicate occurrence);
-    3. drop rows and documents are ``co_partition``-ed on doc_id as one
-       tagged union, and each block re-splits its docs, deletes dropped
-       segment indices, and reassembles.
-    128-bit hashes make a cross-segment collision (the one source of
-    divergence from the text-equality oracle) vanishingly unlikely."""
+    A per-batch stage emits (h1, h2, doc_id, seg_no) rows, the segment's
+    128-bit md5 as two int64 halves and never its text, and
+    ``combiner_groupby`` counts the hashes. The shape its
+    ``final_reduce`` returns picks the plan:
+    - a driver frame (the partials fit ``FINAL_REDUCE_CAP`` rows or
+      ``FINAL_REDUCE_BYTES``): the duplicated hashes ride in the closure of
+      one per-batch stage over ``documents`` (``SegmentDropStage``), which
+      re-segments each doc and drops them. A doc's segments are all in its
+      own batch, so this plan sorts nothing;
+    - a Dataset (the distributed final): the segment rows join the
+      duplicated hashes on (h1, h2) (``thresholded_join``) to give the
+      (doc_id, seg_no) drop rows, and drop rows and documents
+      ``co_partition`` on doc_id as one tagged union, each block rebuilding
+      its docs (``rebuild_segments``).
+    Every cut of a doc into segments is ``dedup.batch_segments``. 128-bit
+    hashes make a cross-segment collision (the one source of divergence
+    from the text-equality oracle) vanishingly unlikely."""
     docs = load_table(sf_dir, "documents", ["doc_id", "text"])
-
-    def emit_segs(df: pd.DataFrame) -> pd.DataFrame:
-        h, d, s = [], [], []
-        for did, text in zip(df["doc_id"].to_numpy(), df["text"]):
-            toks = text.split()
-            for i in range((len(toks) + seg_tokens - 1) // seg_tokens):
-                seg = " ".join(toks[i * seg_tokens : (i + 1) * seg_tokens])
-                h.append(hashlib.md5(seg.encode()).hexdigest())
-                d.append(did)
-                s.append(i)
-        return pd.DataFrame(
+    segs = docs.map_batches(
+        lambda df: emit_segments(df, seg_tokens), batch_format="pandas"
+    )
+    counts = combiner_groupby(segs, ["h1", "h2"], count="c")
+    dup = map_any(counts, lambda df: df.loc[df["c"] >= 2, ["h1", "h2"]])
+    if isinstance(dup, pd.DataFrame):
+        return map_stage(
+            docs,
+            SegmentDropStage,
             {
-                "h": pd.Series(h, dtype="object"),
-                "doc_id": pd.Series(d, dtype="int64"),
-                "seg_no": pd.Series(s, dtype="int64"),
-            }
+                "h1": dup["h1"].to_numpy(np.int64),
+                "h2": dup["h2"].to_numpy(np.int64),
+                "seg_tokens": seg_tokens,
+            },
+            batch_format="pandas",
         )
 
-    segs = docs.map_batches(emit_segs, batch_format="pandas")
-
-    def find_dups(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("h")["h"].transform("size")
-        # reset: downstream stages build frames from fresh RangeIndex series
-        return g.loc[c >= 2, ["doc_id", "seg_no"]].reset_index(drop=True)
-
-    drops = co_partition(segs, ["h"], find_dups)
+    # materialized once: the join's size probe and its broadcast collect
+    # each read the dup table
+    drops = thresholded_join(segs, dup.materialize(), left_on=["h1", "h2"])
 
     def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1602,34 +1566,7 @@ def q_segment_dedup(sf_dir: str, seg_tokens: int = 8):
         docs.map_batches(tag_docs, batch_format="pandas"),
         drops.map_batches(tag_drops, batch_format="pandas"),
     ]
-
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        doc_side = g["seg_no"] < 0
-        dropped: dict[int, set] = {}
-        for did, sn in zip(
-            g.loc[~doc_side, "doc_id"].to_numpy(), g.loc[~doc_side, "seg_no"].to_numpy()
-        ):
-            dropped.setdefault(int(did), set()).add(int(sn))
-        ids, texts = [], []
-        for did, text in zip(g.loc[doc_side, "doc_id"].to_numpy(), g.loc[doc_side, "text"]):
-            toks = text.split()
-            gone = dropped.get(int(did), ())
-            kept = [
-                " ".join(toks[i * seg_tokens : (i + 1) * seg_tokens])
-                for i in range((len(toks) + seg_tokens - 1) // seg_tokens)
-                if i not in gone
-            ]
-            if kept:
-                ids.append(int(did))
-                texts.append(" ".join(kept))
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(ids, dtype="int64"),
-                "clean_text": pd.Series(texts, dtype="object"),
-            }
-        )
-
-    return co_partition(both, ["doc_id"], rebuild)
+    return co_partition(both, ["doc_id"], lambda g: rebuild_segments(g, seg_tokens))
 
 
 SUBSTR_ORACLE_SQL = r"""

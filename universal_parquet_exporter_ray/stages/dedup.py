@@ -14,9 +14,12 @@ Deterministic: fixed seed for the permutation constants; no wall clock.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 MERSENNE = np.uint64((1 << 61) - 1)
 N_PERMS = 64
@@ -470,45 +473,64 @@ def jaccard_from_sets(sa: np.ndarray, sb: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
+def md5_low64(values) -> np.ndarray:
+    """md5-low64 of each string of ``values``: the first 8 bytes of its
+    utf-8 md5 digest, read little-endian, as uint64. It equals DuckDB's
+    ``md5_number_upper``, so every query that keys on it has an exact SQL
+    oracle."""
+    low = b"".join(hashlib.md5(v.encode("utf-8")).digest()[:8] for v in values)
+    return np.frombuffer(low, dtype="<u8").astype(np.uint64)
+
+
 class SimHashStage:
     """64-bit SimHash over whitespace tokens.
 
-    Token hash = first 8 bytes of md5, little-endian — chosen because it is
-    reproducible in ANSI SQL (DuckDB ``md5_number_upper``), giving the
-    simhash query an exact cross-engine oracle."""
+    Token hash = ``md5_low64`` (DuckDB ``md5_number_upper``), giving the
+    simhash query an exact cross-engine oracle. Bit ``b`` of a doc's
+    SimHash is 1 when more than half of its tokens (with repeats) have bit
+    ``b`` set; a tie, and a doc with no tokens, give 0.
+
+    A batch is hashed in one pass: its tokens are split and flattened
+    once, each distinct token is md5-hashed once (``pd.factorize``), and
+    the votes of each bit are one ``np.add.reduceat`` over the doc
+    offsets, so no (tokens x 64) temporary is built."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
 
     @staticmethod
+    def simhashes(texts) -> np.ndarray:
+        """The uint64 SimHash of each text (a non-string counts as no
+        tokens)."""
+        tok_lists = [t.split() if isinstance(t, str) else [] for t in texts]
+        n = np.fromiter(map(len, tok_lists), dtype=np.int64, count=len(tok_lists))
+        codes, distinct = pd.factorize(
+            np.array(list(itertools.chain.from_iterable(tok_lists)), dtype=object)
+        )
+        th = md5_low64(distinct)[codes]
+        out = np.zeros(len(n), dtype=np.uint64)
+        # reduceat gives an empty doc the element at its start, not 0, so
+        # only docs with tokens are reduced
+        has = n > 0
+        starts = (np.cumsum(n) - n)[has]
+        # a bit wins with more than half of the doc's votes: ones > n // 2
+        half = (n[has] // 2).astype(np.uint64)
+        one = np.uint64(1)
+        packed = np.zeros(len(starts), dtype=np.uint64)
+        for b in range(64):
+            ones = np.add.reduceat((th >> np.uint64(b)) & one, starts)
+            packed |= (ones > half).astype(np.uint64) << np.uint64(b)
+        out[has] = packed
+        return out
+
+    @staticmethod
     def simhash64(text: str) -> int:
-        toks = text.split()
-        if not toks:
-            return 0
-        hs = np.array(
-            [
-                np.frombuffer(
-                    hashlib.md5(t.encode("utf-8")).digest()[:8], dtype=np.uint64
-                )[0]
-                for t in toks
-            ],
-            dtype=np.uint64,
-        )
-        bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).astype(
-            np.int64
-        )
-        votes = bits.sum(axis=0) * 2 - len(hs)
-        return int(
-            ((votes > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum(
-                dtype=np.uint64
-            )
-        )
+        return int(SimHashStage.simhashes([text])[0])
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         out = df[["doc_id"]].copy()
         out["simhash"] = [
-            format(self.simhash64(t if isinstance(t, str) else ""), "016x")
-            for t in df[self.text_col]
+            format(h, "016x") for h in self.simhashes(df[self.text_col]).tolist()
         ]
         return out
 
@@ -1015,3 +1037,110 @@ class SubstrFilterStage:
         hit = wins.merge(self.dup, on=["h1", "h2"], how="inner")
         rem = hit[hit["packed"] != hit["first"]]
         return merge_removal_spans(rem[["doc_id", "pos"]], self.w)
+
+
+# ----------------------------------------------------------------------
+# duplicate-segment removal (C4-style, tumbling segments): every
+# ``seg_tokens``-token segment that occurs more than once anywhere in the
+# corpus is deleted from every doc. Segments are keyed by their 128-bit
+# md5 (two int64 halves, h1 and h2); only those hashes, never segment
+# text, cross the wire.
+# ----------------------------------------------------------------------
+
+
+def batch_segments(texts, seg_tokens: int) -> tuple[list[str], np.ndarray]:
+    """The tumbling ``seg_tokens``-token segments of every text of a batch,
+    each its tokens joined by one space, flattened in doc order, and each
+    doc's segment count. The one place a doc is cut into segments: the
+    emit and both rebuilds of ``segment_dedup`` call it, so they see the
+    same boundaries."""
+    per_doc = [
+        [" ".join(toks[i : i + seg_tokens]) for i in range(0, len(toks), seg_tokens)]
+        for toks in (t.split() for t in texts)
+    ]
+    counts = np.fromiter(map(len, per_doc), dtype=np.int64, count=len(per_doc))
+    return list(itertools.chain.from_iterable(per_doc)), counts
+
+
+def segment_hashes(segs) -> np.ndarray:
+    """The 128-bit md5 of each segment as an (n, 2) int64 array: the
+    digest's two little-endian halves. Integer halves, not hex strings:
+    they group, join and test membership faster, and the int64 bit view
+    stays exact through pandas and Arrow blocks."""
+    raw = b"".join(hashlib.md5(s.encode()).digest() for s in segs)
+    return np.frombuffer(raw, dtype="<i8").astype(np.int64).reshape(-1, 2)
+
+
+def emit_segments(df: pd.DataFrame, seg_tokens: int) -> pd.DataFrame:
+    """(h1, h2, doc_id, seg_no) of every segment of a batch of
+    documents."""
+    segs, counts = batch_segments(df["text"], seg_tokens)
+    h = segment_hashes(segs)
+    return pd.DataFrame(
+        {
+            "h1": h[:, 0],
+            "h2": h[:, 1],
+            "doc_id": np.repeat(df["doc_id"].to_numpy(np.int64), counts),
+            "seg_no": _grouped_arange(counts),
+        }
+    )
+
+
+def rejoin_segments(doc_ids, segs, counts, keep) -> pa.Table:
+    """The docs of a batch reassembled from their kept segments: each doc
+    with a kept segment gives one row, its kept segments joined by one
+    space in order; a doc with none drops out. ``segs``/``counts`` are
+    ``batch_segments``' output and ``keep`` masks ``segs``. An Arrow table
+    (doc_id int64, clean_text string), so a batch whose docs all drop is a
+    typed zero-row block."""
+    doc_of = np.repeat(np.arange(len(counts)), counts)
+    kept = np.bincount(doc_of[keep], minlength=len(counts))
+    offsets = np.concatenate([[0], np.cumsum(kept[kept > 0])]).astype(np.int32)
+    values = pa.array(segs, pa.string()).filter(pa.array(keep, pa.bool_()))
+    return pa.table(
+        {
+            "doc_id": pa.array(np.asarray(doc_ids, np.int64)[kept > 0]),
+            "clean_text": pc.binary_join(
+                pa.ListArray.from_arrays(pa.array(offsets), values), " "
+            ),
+        }
+    )
+
+
+def _pairs_in(a, b) -> np.ndarray:
+    """Whether each row of the column pair ``a`` is a row of the column
+    pair ``b``."""
+    return pd.MultiIndex.from_arrays(a).isin(pd.MultiIndex.from_arrays(b))
+
+
+class SegmentDropStage:
+    """Broadcast plan of ``segment_dedup``: the duplicated segment hashes
+    ride in the closure (``map_stage``), and each batch of documents is
+    re-segmented and rebuilt without them. All of a doc's segments are in
+    its own batch, so this needs no shuffle."""
+
+    def __init__(self, h1: np.ndarray, h2: np.ndarray, seg_tokens: int):
+        self.dup = (h1, h2)
+        self.seg_tokens = seg_tokens
+
+    def __call__(self, df: pd.DataFrame) -> pa.Table:
+        segs, counts = batch_segments(df["text"], self.seg_tokens)
+        h = segment_hashes(segs)
+        keep = ~_pairs_in((h[:, 0], h[:, 1]), self.dup)
+        return rejoin_segments(df["doc_id"], segs, counts, keep)
+
+
+def rebuild_segments(g: pd.DataFrame, seg_tokens: int) -> pa.Table:
+    """Distributed plan's ``doc_id`` co-partition reducer: ``g`` holds doc
+    rows (``seg_no`` -1, with their text) and drop rows (doc_id, seg_no of
+    a duplicated segment); each doc is rebuilt without its dropped
+    segments."""
+    is_doc = g["seg_no"].to_numpy(np.int64) < 0
+    docs, drops = g[is_doc], g[~is_doc]
+    segs, counts = batch_segments(docs["text"], seg_tokens)
+    ids = docs["doc_id"].to_numpy(np.int64)
+    keep = ~_pairs_in(
+        (np.repeat(ids, counts), _grouped_arange(counts)),
+        (drops["doc_id"].to_numpy(np.int64), drops["seg_no"].to_numpy(np.int64)),
+    )
+    return rejoin_segments(ids, segs, counts, keep)
